@@ -205,11 +205,7 @@ def chernoff_lower_tail(params: ChernoffParams) -> float:
     (1-d) * mu_min or below.  At d=1 the continuous limit k * e^(-mu/b) is
     returned.  The raw value is not clamped at 1.
     """
-    d = params.deviation
-    if not 0.0 <= d <= 1.0:
-        raise ValueError(f"lower-tail deviation must be in [0, 1], got {d}")
-    log_base = -d if d == 1.0 else -d - (1.0 - d) * math.log1p(-d)
-    return params.k * math.exp(params.mu_min / params.b_max * log_base)
+    return _lower_tail(params.k, params.mu_min / params.b_max, params.deviation)
 
 
 def chernoff_upper_tail(params: ChernoffParams) -> float:
@@ -218,11 +214,24 @@ def chernoff_upper_tail(params: ChernoffParams) -> float:
     Bounds the probability that the largest eigenvalue of the sum reaches
     (1+d) * mu_max or above.
     """
-    d = params.deviation
+    return _upper_tail(params.k, params.mu_max / params.b_max, params.deviation)
+
+
+# Scalar forms of the two tails, with exposure = mu / b_max.  The public
+# tails and the row-sampling bound share them; the latter skips building
+# ChernoffParams because its own checks already imply that validation.
+def _lower_tail(k, exposure, d):
+    if not 0.0 <= d <= 1.0:
+        raise ValueError(f"lower-tail deviation must be in [0, 1], got {d}")
+    log_base = -d if d == 1.0 else -d - (1.0 - d) * math.log1p(-d)
+    return k * math.exp(exposure * log_base)
+
+
+def _upper_tail(k, exposure, d):
     if d < 0:
         raise ValueError(f"upper-tail deviation must be >= 0, got {d}")
     log_base = d - (1.0 + d) * math.log1p(d)
-    return params.k * math.exp(params.mu_max / params.b_max * log_base)
+    return k * math.exp(exposure * log_base)
 
 
 def row_sampling_failure_bound(k: int, alpha: float, delta: float, eta: float) -> float:
@@ -236,9 +245,7 @@ def row_sampling_failure_bound(k: int, alpha: float, delta: float, eta: float) -
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     exponent = alpha * math.log(k)
-    params_lo = ChernoffParams(k, 1.0, exponent, exponent, delta)
-    params_hi = ChernoffParams(k, 1.0, exponent, exponent, eta)
-    return chernoff_lower_tail(params_lo) + chernoff_upper_tail(params_hi)
+    return _lower_tail(k, exponent, delta) + _upper_tail(k, exponent, eta)
 
 
 def coupon_coverage_probability(k: int, ell: int) -> float:

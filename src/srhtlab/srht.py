@@ -126,20 +126,25 @@ def draw_srht(n: int, ell: int, seed) -> SrhtOperator:
 
 def apply_to_vector(op: SrhtOperator, x) -> np.ndarray:
     """sqrt(n/ell) * R H D x in O(n log n): signwise multiply, fast transform,
-    gather at the sample indices."""
+    gather at the sample indices.  Rejects NaN and infinite entries."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (op.n,):
         raise ValueError(f"vector must have shape ({op.n},), got {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError("vector has non-finite entries")
     y = op.signs * x
     fwht_inplace(y)
     return op.scale * y[op.indices]
 
 
 def apply_to_matrix(op: SrhtOperator, v) -> np.ndarray:
-    """Column-wise application: returns the ell x k sketch of an n x k matrix."""
+    """Column-wise application: returns the ell x k sketch of an n x k matrix.
+    Rejects NaN and infinite entries."""
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 2 or v.shape[0] != op.n:
         raise ValueError(f"matrix must have {op.n} rows, got shape {v.shape}")
+    if not np.isfinite(v).all():
+        raise ValueError("matrix has non-finite entries")
     y = op.signs[:, None] * v
     fwht_inplace(y)
     return op.scale * y[op.indices, :]

@@ -236,6 +236,12 @@ def test_row_sampling_failure_requires_k2():
         row_sampling_failure_bound(1, 4.0, 0.5, 0.5)
 
 
+def test_row_sampling_failure_rejects_bad_arguments():
+    for alpha, delta, eta in ((0.0, 0.5, 0.5), (4.0, 1.5, 0.5), (4.0, -0.1, 0.5), (4.0, 0.5, -0.1)):
+        with pytest.raises(ValueError):
+            row_sampling_failure_bound(16, alpha, delta, eta)
+
+
 @given(
     st.integers(2, 10**6),
     st.floats(0.5, 8.0),

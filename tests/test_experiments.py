@@ -1,4 +1,6 @@
+import csv
 import math
+import time
 
 import numpy as np
 import pytest
@@ -136,6 +138,28 @@ def test_coupon_sub_k_sample_is_rank_deficient():
 def test_coupon_rejects_non_power_of_two():
     with pytest.raises(ValueError):
         run_coupon_trials(3, [3], trials=5, seed=0)
+
+
+# Full-rank counts out of 400 trials at k=4, ell in (4, 6, 8, 10), recorded
+# with the draw layout fixed; they pin both the random stream and every rank
+# decision of the spectrum kernel.
+GOLDEN_COUPON_COUNTS = {0: [53, 231, 350, 387], 12345: [53, 226, 346, 390]}
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_COUPON_COUNTS))
+def test_coupon_full_rank_frequencies_match_golden(seed):
+    out = run_coupon_trials(4, [4, 6, 8, 10], trials=400, seed=seed)
+    assert [s.empirical_frequency for s in out] == [
+        c / 400 for c in GOLDEN_COUPON_COUNTS[seed]
+    ]
+
+
+def test_coupon_grid_elapsed_is_per_point():
+    start = time.perf_counter()
+    out = run_coupon_trials(4, [4, 6, 8, 10], trials=200, seed=0)
+    wall = time.perf_counter() - start
+    assert all(s.elapsed_seconds > 0.0 for s in out)
+    assert sum(s.elapsed_seconds for s in out) <= wall
 
 
 # --- chernoff -------------------------------------------------------------
@@ -287,6 +311,8 @@ def test_csv_has_spec_columns():
     header = text.splitlines()[0]
     assert header == ",".join(CSV_COLUMNS)
     assert len(text.splitlines()) == 2
+    (row,) = csv.DictReader(text.splitlines())
+    assert row["seed"] == "23"  # enough, with the plan columns, to rerun the row
 
 
 def test_json_records_roundtrip():

@@ -234,6 +234,24 @@ def test_top_singular_value_vs_trace(seed):
     assert trace <= k * s[0] ** 2 * (1 + 1e-10)
 
 
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=20, deadline=None)
+def test_stacked_spectra_match_per_matrix_and_oracle(seed):
+    rng = np.random.default_rng(seed)
+    depth, k = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+    a = rng.standard_normal((depth, k + int(rng.integers(0, 6)), k))
+    grams = gram(a)
+    eig_stack = symmetric_eigenvalues(grams)
+    sv_stack = singular_values(a)
+    for i in range(depth):
+        eig, sv = symmetric_eigenvalues(grams[i]), singular_values(a[i])
+        assert np.allclose(eig_stack[i], eig, rtol=0.0, atol=1e-12)
+        assert np.allclose(sv_stack[i], sv, rtol=0.0, atol=1e-12)
+        expected = eigenvalues_by_bisection(grams[i])
+        assert np.max(np.abs(eig - expected)) <= 1e-8
+        assert np.max(np.abs(sv - np.sqrt(np.clip(expected, 0.0, None)))) <= 1e-7
+
+
 # --- decimated_identity -----------------------------------------------------
 
 def test_decimated_identity_k2():

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -226,6 +227,47 @@ def test_operator_validation():
         apply_to_vector(op, np.zeros(4))
     with pytest.raises(ValueError):
         apply_to_matrix(op, np.zeros((4, 2)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_apply_to_vector_rejects_non_finite(bad):
+    op = draw_srht(8, 3, 0)
+    x = np.ones(8)
+    x[5] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        apply_to_vector(op, x)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_apply_to_matrix_rejects_non_finite(bad):
+    op = draw_srht(8, 3, 0)
+    v = np.ones((8, 2))
+    v[6, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        apply_to_matrix(op, v)
+
+
+# SHA-256 of the signs (as int8) and the indices (as little-endian int64),
+# recorded when the draw layout was fixed.  A change here changes what every
+# stored seed means.
+GOLDEN_DRAWS = [
+    (16, 4, 0,
+     "5d0912d0ef0011035b7269fa5816de344d16f11da3c37656fde3f6dde3e1c65e",
+     "6c3f9323ef183f06b40d3c496a9cdce443c3fd67e9f0b0f29b7a8ba02f1f226f"),
+    (1024, 128, 3,
+     "9672e50be8829366f20a720030dbb52eac287ef6d7e9e83195080a3b1d25dd28",
+     "3d1de458d53114df314e55d7ba6ccd08a7427cc93d60a9610c079050ae862353"),
+    (65536, 2342, (0, 1, 0, 7),
+     "1e1f0ce1726bb922a8b7a48875e099c261ea2fc02a76cce0a155fc6e95c1ecbf",
+     "339088bea327bd7c4f332e95c4ac36a257262b72c493aa0f2d487723f6b6f2f1"),
+]
+
+
+@pytest.mark.parametrize("n, ell, seed, signs_sha, indices_sha", GOLDEN_DRAWS)
+def test_draw_matches_golden_fingerprint(n, ell, seed, signs_sha, indices_sha):
+    op = draw_srht(n, ell, seed)
+    assert hashlib.sha256(op.signs.astype("<i1").tobytes()).hexdigest() == signs_sha
+    assert hashlib.sha256(op.indices.astype("<i8").tobytes()).hexdigest() == indices_sha
 
 
 def test_operator_arrays_frozen():
