@@ -491,10 +491,9 @@ def summaries_to_csv(summaries, include_timing: bool = True) -> str:
 
     buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow(CSV_COLUMNS)
+    columns = [c for c in CSV_COLUMNS if include_timing or c != "elapsed_seconds"]
+    writer.writerow(columns)
     for s in summaries:
-        record = s.to_record()
-        if not include_timing:
-            record["elapsed_seconds"] = 0.0
-        writer.writerow([record[c] for c in CSV_COLUMNS])
+        record = s.to_record(include_timing=include_timing)
+        writer.writerow([record[c] for c in columns])
     return buf.getvalue()

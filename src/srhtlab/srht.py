@@ -130,11 +130,7 @@ def apply_to_vector(op: SrhtOperator, x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (op.n,):
         raise ValueError(f"vector must have shape ({op.n},), got {x.shape}")
-    if not np.isfinite(x).all():
-        raise ValueError("vector has non-finite entries")
-    y = op.signs * x
-    fwht_inplace(y)
-    return op.scale * y[op.indices]
+    return _sketch(op, op.signs * x)
 
 
 def apply_to_matrix(op: SrhtOperator, v) -> np.ndarray:
@@ -143,11 +139,23 @@ def apply_to_matrix(op: SrhtOperator, v) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 2 or v.shape[0] != op.n:
         raise ValueError(f"matrix must have {op.n} rows, got shape {v.shape}")
-    if not np.isfinite(v).all():
-        raise ValueError("matrix has non-finite entries")
-    y = op.signs[:, None] * v
-    fwht_inplace(y)
-    return op.scale * y[op.indices, :]
+    return _sketch(op, op.signs[:, None] * v)
+
+
+def _sketch(op: SrhtOperator, y: np.ndarray) -> np.ndarray:
+    """Transform the sign-flipped ``y`` in place and gather the scaled rows.
+
+    Finiteness is checked on the ell sampled rows, not on the n input rows:
+    every output entry of a column is a sum of all that column's inputs with
+    nonzero weights +-n**-0.5, so a NaN or inf anywhere in a column makes
+    every output entry of that column non-finite.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        fwht_inplace(y)
+        out = op.scale * y[op.indices]
+    if not np.isfinite(out).all():
+        raise ValueError("input has non-finite entries (or its sketch overflows)")
+    return out
 
 
 def materialize(op: SrhtOperator, cap: int = MATERIALIZE_CAP) -> np.ndarray:

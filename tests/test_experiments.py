@@ -315,6 +315,15 @@ def test_csv_has_spec_columns():
     assert row["seed"] == "23"  # enough, with the plan columns, to rerun the row
 
 
+def test_timing_free_csv_drops_elapsed_and_is_byte_identical():
+    a = summaries_to_csv(run_coupon_trials(2, [2, 3], trials=200, seed=25), include_timing=False)
+    b = summaries_to_csv(run_coupon_trials(2, [2, 3], trials=200, seed=25), include_timing=False)
+    assert a == b
+    header = a.splitlines()[0].split(",")
+    assert header == [c for c in CSV_COLUMNS if c != "elapsed_seconds"]
+    assert all(len(row) == len(header) for row in csv.reader(a.splitlines()))
+
+
 def test_json_records_roundtrip():
     import json
 

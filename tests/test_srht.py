@@ -247,6 +247,26 @@ def test_apply_to_matrix_rejects_non_finite(bad):
         apply_to_matrix(op, v)
 
 
+def test_apply_to_matrix_rejects_non_finite_at_headline_size():
+    # The check runs on the ell sampled rows; one bad entry must still reach
+    # them through the transform, and inf - inf must not leak a RuntimeWarning.
+    op = draw_srht(65536, 64, 0)
+    v = np.ones((65536, 3))
+    v[12345, 0] = np.nan
+    v[7, 2], v[40000, 2] = np.inf, -np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        apply_to_matrix(op, v)
+    with pytest.raises(ValueError, match="non-finite"):
+        apply_to_vector(op, v[:, 2].copy())
+
+
+def test_apply_rejects_sketch_that_overflows():
+    op = draw_srht(2, 2, 0)
+    x = op.signs * 1.7e308  # finite, but H D x has an entry sqrt(2) * 1.7e308
+    with pytest.raises(ValueError, match="non-finite"):
+        apply_to_vector(op, x)
+
+
 # SHA-256 of the signs (as int8) and the indices (as little-endian int64),
 # recorded when the draw layout was fixed.  A change here changes what every
 # stored seed means.

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from srhtlab.wht import HadamardDim, fwht, fwht_inplace, hadamard_entry, hadamard_matrix
 
@@ -115,9 +115,60 @@ def test_inplace_mutates_and_returns_buffer():
     assert np.allclose(x, [2**-0.5, 2**-0.5])
 
 
+def oracle_error(x, rows, got):
+    """Largest deviation of ``got`` from the dense rows of H applied to ``x``,
+    relative to the largest column norm (which the transform preserves)."""
+    cols = x.reshape(x.shape[0], -1)
+    want = hadamard_matrix(x.shape[0], rows=rows) @ cols
+    return np.max(np.abs(got.reshape(want.shape) - want)) / np.max(np.linalg.norm(cols, axis=0))
+
+
+@pytest.mark.parametrize("p", range(17))
+@settings(max_examples=8)
+@given(k=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+def test_matches_dense_oracle_every_size(p, k, seed):
+    # p = 0..16 covers every stage mix of the radix-16 kernel: one to four
+    # stages, with a leftover 2, 4 or 8 block, odd and even stage counts.
+    n = 1 << p
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, k))
+    rows = np.sort(rng.choice(n, size=min(n, 16), replace=False))
+    assert oracle_error(x, rows, fwht(x)[rows]) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [16, 32, 4096])  # one, two and three stages
+def test_inplace_returns_buffer_holding_transform(n):
+    x = np.random.default_rng(n).standard_normal((n, 3))
+    original = x.copy()
+    out = fwht_inplace(x)
+    assert out is x
+    rows = np.arange(0, n, n // 16)
+    assert oracle_error(original, rows, x[rows]) <= 1e-12
+
+
+def test_three_dimensional_input_is_columnwise():
+    v = np.random.default_rng(5).standard_normal((64, 3, 2))
+    out = fwht(v)
+    for a in range(3):
+        for b in range(2):
+            col = v[:, a, b]
+            assert np.max(np.abs(out[:, a, b] - fwht(col))) <= 1e-14 * np.linalg.norm(col)
+    assert oracle_error(v, np.arange(64), out) <= 1e-12
+
+
+def test_size_one_is_identity():
+    x = np.array([[-2.5, 7.0, 0.125]])
+    assert np.array_equal(fwht_inplace(x.copy()), x)
+    assert np.array_equal(fwht([3.0]), [3.0])
+
+
 def test_rejects_bad_sizes():
     with pytest.raises(ValueError):
         fwht([1.0, 2.0, 3.0])
+    with pytest.raises(ValueError):
+        fwht(5.0)
+    with pytest.raises(ValueError):
+        fwht_inplace(np.array(1.0))
     with pytest.raises(ValueError):
         fwht_inplace(np.zeros(5))
     with pytest.raises(ValueError):
