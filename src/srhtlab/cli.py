@@ -1,51 +1,59 @@
 """Command-line interface: draw sketches, evaluate bounds, run experiments.
 
 Output is a single JSON document (default) or CSV, written to stdout unless
---output is given.  Every run echoes its numeric configuration under
-"config" and carries "schema": 1.  Exit codes: 0 when everything passed, 1
-when an experiment criterion failed, 2 on usage errors or invalid
-dimensions.
+--output is given.  Every run echoes its configuration under "config" and
+carries "schema": 1.  An experiment flag left out takes the runner's default,
+and the echo of an experiment carries the n, k, ell and beta it ran with.
+Exit codes: 0 when everything passed, 1 when an experiment criterion failed,
+2 on usage errors or invalid dimensions.
 """
 
 import argparse
 import dataclasses
+import inspect
 import json
 import sys
 from dataclasses import dataclass
 
 from . import bounds as bounds_mod
 from . import experiments as exp_mod
-from .linalg import random_orthonormal, singular_values
+from .linalg import matrix_to_csv, random_orthonormal, singular_values
 from .srht import apply_to_matrix, draw_srht
 
-SCHEMA_VERSION = 1
-
-EXPERIMENT_NAMES = ("embedding", "rownorm", "flatten", "coupon", "chernoff", "mgf")
-
-# Dimension defaults per experiment; `experiment embedding` with no flags runs
-# the headline desk-scale configuration.
-_EXPERIMENT_DEFAULTS = {
-    "embedding": {"n": 65536, "k": 16},
-    "rownorm": {"n": 4096, "k": 16},
-    "flatten": {"n": 1024},
-    "coupon": {"k": 8},
-    "chernoff": {"n": 16, "k": 2, "ell": 6},
-    "mgf": {"n": 8, "k": 2, "ell": 3},
+# Experiment name -> name of its runner in srhtlab.experiments.  The runner is
+# looked up when it is called, so a wrapper patched onto that module attribute
+# (a tracer's, say) is what runs.  Its keyword defaults are the configuration
+# an experiment runs without flags; ``experiment all`` runs each in this order.
+RUNNERS = {
+    "embedding": "run_embedding_trials",
+    "rownorm": "run_row_norm_trials",
+    "flatten": "run_flattening_trials",
+    "coupon": "run_coupon_trials",
+    "chernoff": "run_chernoff_validation",
+    "mgf": "run_mgf_domination",
 }
 
-_DEFAULT_DELTAS = tuple(round(0.1 * i, 1) for i in range(1, 10))
-_DEFAULT_THETAS = (0.5, 1.0, 2.0)
-_DEFAULT_COUPON_ELLS = (8, 12, 17, 24)
+# CliConfig field of each experiment flag -> the runner keyword it sets.
+_RUNNER_KEYWORDS = {
+    "n": "n",
+    "k": "k",
+    "ell": "ell",
+    "beta": "beta",
+    "trials": "trials",
+    "ells": "ell_grid",
+    "deltas": "deviation_grid",
+    "thetas": "theta_grid",
+}
 
 
 @dataclass(frozen=True)
 class CliConfig:
     subcommand: str
     experiment_name: str = ""
-    n: int = 0
-    k: int = 0
-    ell: int = 0
-    trials: int = 200
+    n: int | None = None
+    k: int | None = None
+    ell: int | None = None
+    trials: int | None = None
     seed: int = 0
     format: str = "json"
     output_path: str = ""
@@ -53,10 +61,10 @@ class CliConfig:
     iota: float = 0.25
     c_const: float = 1.0
     C_const: float = 1.0
-    beta: float = 0.0
-    deltas: tuple = _DEFAULT_DELTAS
-    thetas: tuple = _DEFAULT_THETAS
-    ells: tuple = _DEFAULT_COUPON_ELLS
+    beta: float | None = None
+    deltas: list | None = None
+    thetas: list | None = None
+    ells: list | None = None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -83,20 +91,27 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("--iota", type=float, default=0.25)
     p_bounds.add_argument("--c", dest="c_const", type=float, default=1.0)
     p_bounds.add_argument("--bigC", dest="C_const", type=float, default=1.0)
-    p_bounds.add_argument("--beta", type=float, default=0.0, help="row-norm beta (default: k)")
+    p_bounds.add_argument("--beta", type=float, help="row-norm beta (default: k)")
     add_common(p_bounds)
 
-    p_exp = sub.add_parser("experiment", help="run a validation experiment")
-    p_exp.add_argument("experiment_name", choices=EXPERIMENT_NAMES)
-    p_exp.add_argument("--n", type=int, default=0)
-    p_exp.add_argument("--k", type=int, default=0)
-    p_exp.add_argument("--l", dest="ell", type=int, default=0)
-    p_exp.add_argument("--trials", type=int, default=200)
-    p_exp.add_argument("--exhaustive", action="store_true")
-    p_exp.add_argument("--beta", type=float, default=0.0, help="row-norm beta (default: k)")
-    p_exp.add_argument("--deltas", type=float, nargs="+", default=list(_DEFAULT_DELTAS))
-    p_exp.add_argument("--thetas", type=float, nargs="+", default=list(_DEFAULT_THETAS))
-    p_exp.add_argument("--ells", type=int, nargs="+", default=list(_DEFAULT_COUPON_ELLS))
+    p_exp = sub.add_parser(
+        "experiment",
+        help="run a validation experiment; a flag left out takes the runner's default",
+    )
+    p_exp.add_argument(
+        "experiment_name",
+        choices=(*RUNNERS, "all"),
+        help="'all' runs every experiment at its defaults",
+    )
+    p_exp.add_argument("--n", type=int)
+    p_exp.add_argument("--k", type=int)
+    p_exp.add_argument("--l", dest="ell", type=int)
+    p_exp.add_argument("--trials", type=int)
+    p_exp.add_argument("--exhaustive", action="store_true", help="default: Monte Carlo")
+    p_exp.add_argument("--beta", type=float, help="row-norm beta (default: k)")
+    p_exp.add_argument("--deltas", type=float, nargs="+")
+    p_exp.add_argument("--thetas", type=float, nargs="+")
+    p_exp.add_argument("--ells", type=int, nargs="+")
     add_common(p_exp)
     return parser
 
@@ -104,11 +119,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _parse(argv) -> CliConfig:
     ns = _build_parser().parse_args(argv)
     fields = {f.name for f in dataclasses.fields(CliConfig)}
-    values = {k: v for k, v in vars(ns).items() if k in fields}
-    for name in ("deltas", "thetas", "ells"):
-        if name in values and values[name] is not None:
-            values[name] = tuple(values[name])
-    return CliConfig(**values)
+    return CliConfig(**{k: v for k, v in vars(ns).items() if k in fields})
 
 
 def _emit(text: str, config: CliConfig) -> None:
@@ -121,22 +132,8 @@ def _emit(text: str, config: CliConfig) -> None:
             sys.stdout.write("\n")
 
 
-def _config_echo(config: CliConfig) -> dict:
-    echo = dataclasses.asdict(config)
-    for name in ("deltas", "thetas", "ells"):
-        echo[name] = list(echo[name])
-    return echo
-
-
 def _matrix_record(a) -> dict:
     return {"rows": int(a.shape[0]), "cols": int(a.shape[1]), "data": a.tolist()}
-
-
-def _matrix_csv_block(a) -> str:
-    lines = [f"{a.shape[0]},{a.shape[1]}"]
-    for row in a:
-        lines.append(",".join(repr(float(x)) for x in row))
-    return "\n".join(lines) + "\n"
 
 
 def _run_sketch(config: CliConfig) -> int:
@@ -146,25 +143,24 @@ def _run_sketch(config: CliConfig) -> int:
     spectrum = singular_values(sketch)
     if config.format == "json":
         doc = {
-            "schema": SCHEMA_VERSION,
-            "config": _config_echo(config),
+            "schema": exp_mod.SCHEMA_VERSION,
+            "config": dataclasses.asdict(config),
             "operator": {"n": op.n, "l": op.ell, "seed": op.seed},
             "sketch": _matrix_record(sketch),
             "singular_values": spectrum.tolist(),
         }
         _emit(json.dumps(doc, indent=2, sort_keys=True), config)
     else:
-        text = _matrix_csv_block(sketch) + _matrix_csv_block(spectrum.reshape(1, -1))
-        _emit(text, config)
+        _emit(matrix_to_csv(sketch) + matrix_to_csv(spectrum), config)
     return 0
 
 
 def _run_bounds(config: CliConfig) -> int:
     k, n = config.k, config.n
-    beta = config.beta if config.beta > 0 else float(k)
+    beta = float(k) if config.beta is None else config.beta
     report = {
-        "schema": SCHEMA_VERSION,
-        "config": _config_echo(config),
+        "schema": exp_mod.SCHEMA_VERSION,
+        "config": dataclasses.asdict(config),
         "embedding": dataclasses.asdict(bounds_mod.embedding_sample_size(k, n)),
         "large_sample": dataclasses.asdict(
             bounds_mod.large_sample_size(
@@ -203,45 +199,66 @@ def _run_bounds(config: CliConfig) -> int:
     return 0
 
 
-def _run_experiment(config: CliConfig) -> int:
+def _experiment_calls(config: CliConfig) -> list:
+    """(runner name, keyword arguments) of each call an experiment makes.
+
+    Only flags that were given become keywords, so a value is never replaced
+    by a default and reaches the runner's own checks.  A flag the runner has
+    no parameter for is a usage error, and ``all`` takes none.
+    """
     name = config.experiment_name
-    defaults = _EXPERIMENT_DEFAULTS[name]
-    n = config.n or defaults.get("n", 0)
-    k = config.k or defaults.get("k", 0)
-    ell = config.ell or defaults.get("ell", 0)
-    beta = config.beta if config.beta > 0 else float(k)
-    mode = "exhaustive" if config.exhaustive else "monte_carlo"
-    if name == "embedding":
-        summaries = [
-            exp_mod.run_embedding_trials(
-                n, k, ell=ell or None, trials=config.trials, seed=config.seed
+    given = {
+        keyword: getattr(config, field)
+        for field, keyword in _RUNNER_KEYWORDS.items()
+        if getattr(config, field) is not None
+    }
+    if name == "all":
+        if given or config.exhaustive:
+            raise ValueError(
+                "experiment all runs every default; it takes no dimension, trial, grid "
+                "or --exhaustive flag"
             )
-        ]
-    elif name == "rownorm":
-        summaries = [
-            exp_mod.run_row_norm_trials(n, k, beta, trials=config.trials, seed=config.seed)
-        ]
-    elif name == "flatten":
-        summaries = [exp_mod.run_flattening_trials(n, trials=config.trials, seed=config.seed)]
-    elif name == "coupon":
-        summaries = exp_mod.run_coupon_trials(
-            k, config.ells, trials=config.trials, seed=config.seed
-        )
-    elif name == "chernoff":
-        summaries = exp_mod.run_chernoff_validation(
-            n, k, ell, config.deltas, seed=config.seed, mode=mode, trials=config.trials
-        )
-    else:
-        summaries = exp_mod.run_mgf_domination(
-            n, k, ell, config.thetas, seed=config.seed, mode=mode, trials=config.trials
-        )
+        return [(runner, {}) for runner in RUNNERS.values()]
+    params = inspect.signature(getattr(exp_mod, RUNNERS[name])).parameters
+    unused = [
+        field
+        for field, keyword in _RUNNER_KEYWORDS.items()
+        if keyword in given and keyword not in params
+    ]
+    if "mode" in params:
+        given["mode"] = "exhaustive" if config.exhaustive else "monte_carlo"
+    elif config.exhaustive:
+        unused.append("exhaustive")
+    if unused:
+        raise ValueError(f"experiment {name} takes no {', '.join(unused)}")
+    return [(RUNNERS[name], given)]
+
+
+def _single(values):
+    """The one value in ``values``; 0 when there are none or several."""
+    return values.pop() if len(values) == 1 else 0
+
+
+def _run_experiment(config: CliConfig) -> int:
+    summaries, betas = [], set()
+    for runner_name, kwargs in _experiment_calls(config):
+        runner = getattr(exp_mod, runner_name)
+        result = runner(seed=config.seed, **kwargs)
+        result = result if isinstance(result, list) else [result]
+        summaries += result
+        if "beta" in inspect.signature(runner).parameters:
+            # the row-norm runner's beta defaults to its k
+            betas.add(float(result[0].plan.k) if config.beta is None else config.beta)
+    # n, k and ell as every summary's plan has them (0 where a dimension does
+    # not apply or differs across the summaries), beta as the row-norm runner
+    # used it
+    ran = dataclasses.replace(
+        config,
+        **{dim: _single({getattr(s.plan, dim) for s in summaries}) for dim in ("n", "k", "ell")},
+        beta=float(_single(betas)),
+    )
     if config.format == "json":
-        doc = {
-            "schema": SCHEMA_VERSION,
-            "config": _config_echo(config),
-            "summaries": [s.to_record() for s in summaries],
-        }
-        _emit(json.dumps(doc, indent=2, sort_keys=True), config)
+        _emit(exp_mod.summaries_to_json(summaries, dataclasses.asdict(ran)), config)
     else:
         _emit(exp_mod.summaries_to_csv(summaries), config)
     return 0 if all(s.passed for s in summaries) else 1

@@ -10,9 +10,13 @@ Monte Carlo pass rules all have the same shape: the empirical frequency must
 not exceed the analytic bound by more than four binomial standard deviations
 (computed from the bound capped at 1), which keeps spurious failures around
 the 1e-4 level while leaving real violations of the bounds detectable.
+
+Each runner's keyword defaults are its headline configuration, the one the
+acceptance suite checks; called with only a seed, it runs that configuration.
 """
 
 import itertools
+import json
 import math
 import time
 from dataclasses import dataclass, field
@@ -37,13 +41,20 @@ from .linalg import (
     singular_values,
     symmetric_eigenvalues,
 )
-from .srht import apply_to_matrix, derived_rng, draw_srht, sample_without_replacement
+from .srht import (
+    apply_to_matrix,
+    derived_rng,
+    draw_srht,
+    rademacher_signs,
+    sample_without_replacement,
+)
 from .wht import fwht
 
 __all__ = [
     "CSV_COLUMNS",
     "EXHAUSTIVE_CAP",
     "ExperimentSummary",
+    "SCHEMA_VERSION",
     "TrialPlan",
     "monte_carlo_slack",
     "run_chernoff_validation",
@@ -59,6 +70,7 @@ __all__ = [
 EXHAUSTIVE_CAP = 10**7
 MODES = ("monte_carlo", "exhaustive")
 SLACK_SIGMAS = 4.0
+SCHEMA_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -79,6 +91,8 @@ class TrialPlan:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if self.mode == "exhaustive" and not 1 <= self.ell <= self.n:
+            raise ValueError(f"need 1 <= ell <= n, got ell={self.ell}, n={self.n}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.mode == "exhaustive":
@@ -135,18 +149,31 @@ def monte_carlo_slack(bound: float, trials: int) -> float:
     return SLACK_SIGMAS * math.sqrt(b * (1.0 - b) / trials)
 
 
-def _rademacher_signs(rng, n):
-    return 2.0 * rng.integers(0, 2, size=n).astype(np.float64) - 1.0
+def _one_sided_summary(name, plan, count, bound, extremes, start):
+    """Summary of ``count`` events in ``plan.trials`` Monte Carlo trials whose
+    probability is at most ``bound``: passes when the frequency is within
+    four binomial sigmas above the bound."""
+    frequency = count / plan.trials
+    return ExperimentSummary(
+        name=name,
+        plan=plan,
+        empirical_frequency=frequency,
+        analytic_bound=bound,
+        extreme_sigma_min=extremes[0],
+        extreme_sigma_max=extremes[1],
+        passed=frequency <= bound + monte_carlo_slack(bound, plan.trials),
+        elapsed_seconds=time.perf_counter() - start,
+    )
 
 
-def run_embedding_trials(n, k, ell=None, trials=200, seed=0, fresh_basis=False):
+def run_embedding_trials(n=65536, k=16, ell=None, trials=200, seed=0):
     """Check the singular-value window of sketched orthonormal columns.
 
-    One orthonormal V is fixed per run (``fresh_basis=True`` redraws it every
-    trial); each trial applies an independent SRHT and records sigma_k and
-    sigma_1 of the sketch.  A trial is a violation when sigma_k < 1/sqrt(6)
-    or sigma_1 > sqrt(13/6); the analytic bound on the violation frequency is
-    3/k.  If ``ell`` is omitted the explicit-constant sample size is used.
+    One orthonormal V is fixed per run; each trial applies an independent
+    SRHT and records sigma_k and sigma_1 of the sketch.  A trial is a
+    violation when sigma_k < 1/sqrt(6) or sigma_1 > sqrt(13/6); the analytic
+    bound on the violation frequency is 3/k.  If ``ell`` is omitted the
+    explicit-constant sample size is used.
     """
     start = time.perf_counter()
     size = embedding_sample_size(k, n)
@@ -162,8 +189,6 @@ def run_embedding_trials(n, k, ell=None, trials=200, seed=0, fresh_basis=False):
     sigma_min_seen = math.inf
     sigma_max_seen = -math.inf
     for i in range(trials):
-        if fresh_basis:
-            basis = random_orthonormal(n, k, (seed, 0, 0, i))
         op = draw_srht(n, ell, (seed, 1, 0, i))
         spectrum = singular_values(apply_to_matrix(op, basis))
         sigma_top, sigma_bot = float(spectrum[0]), float(spectrum[-1])
@@ -171,37 +196,28 @@ def run_embedding_trials(n, k, ell=None, trials=200, seed=0, fresh_basis=False):
         sigma_max_seen = max(sigma_max_seen, sigma_top)
         if sigma_bot < size.sigma_min or sigma_top > size.sigma_max:
             violations += 1
-    frequency = violations / trials
-    bound = size.failure_bound
-    return ExperimentSummary(
-        name="embedding",
-        plan=plan,
-        empirical_frequency=frequency,
-        analytic_bound=bound,
-        extreme_sigma_min=sigma_min_seen,
-        extreme_sigma_max=sigma_max_seen,
-        passed=frequency <= bound + monte_carlo_slack(bound, trials),
-        elapsed_seconds=time.perf_counter() - start,
+    return _one_sided_summary(
+        "embedding", plan, violations, size.failure_bound, (sigma_min_seen, sigma_max_seen), start
     )
 
 
-def run_row_norm_trials(n, k, beta, trials=2000, seed=0):
+def run_row_norm_trials(n=4096, k=16, beta=None, trials=2000, seed=0):
     """Check the row-norm equilibration level of sign-flipped transforms.
 
     Each trial draws fresh signs and a fresh orthonormal V, transforms, and
     records the largest row norm; the exceedance frequency of the analytic
-    level is compared against 1/beta.  Extremes hold the (min, max) observed
-    max row norm.  Column orthonormality of the transformed matrix is
-    verified every trial.
+    level is compared against 1/beta (``beta`` defaults to k).  Extremes hold
+    the (min, max) observed max row norm.  Column orthonormality of the
+    transformed matrix is verified every trial.
     """
     start = time.perf_counter()
-    level = row_norm_bound(n, k, beta)
+    level = row_norm_bound(n, k, float(k) if beta is None else beta)
     plan = TrialPlan(n=n, k=k, ell=0, trials=trials, seed=seed)
     exceedances = 0
     lo, hi = math.inf, -math.inf
     for i in range(trials):
         basis = random_orthonormal(n, k, (seed, 0, 0, i))
-        signs = _rademacher_signs(derived_rng(seed, 1, 0, i), n)
+        signs = rademacher_signs(derived_rng(seed, 1, 0, i), n)
         w = fwht(signs[:, None] * basis)
         defect = orthonormality_defect(w)
         if defect > 1e-8:
@@ -210,21 +226,12 @@ def run_row_norm_trials(n, k, beta, trials=2000, seed=0):
         lo, hi = min(lo, max_norm), max(hi, max_norm)
         if max_norm >= level.value:
             exceedances += 1
-    frequency = exceedances / trials
-    bound = level.exceedance_probability
-    return ExperimentSummary(
-        name="rownorm",
-        plan=plan,
-        empirical_frequency=frequency,
-        analytic_bound=bound,
-        extreme_sigma_min=lo,
-        extreme_sigma_max=hi,
-        passed=frequency <= bound + monte_carlo_slack(bound, trials),
-        elapsed_seconds=time.perf_counter() - start,
+    return _one_sided_summary(
+        "rownorm", plan, exceedances, level.exceedance_probability, (lo, hi), start
     )
 
 
-def run_flattening_trials(n, trials=1000, seed=0, direction=None):
+def run_flattening_trials(n=1024, trials=1000, seed=0, direction=None):
     """Check how well random signs plus the transform flatten one vector.
 
     For a fixed unit vector x (random unless ``direction`` is supplied), each
@@ -247,25 +254,15 @@ def run_flattening_trials(n, trials=1000, seed=0, direction=None):
     exceedances = 0
     lo, hi = math.inf, -math.inf
     for i in range(trials):
-        signs = _rademacher_signs(derived_rng(seed, 1, 0, i), n)
+        signs = rademacher_signs(derived_rng(seed, 1, 0, i), n)
         peak = float(np.max(np.abs(fwht(signs * x))))
         lo, hi = min(lo, peak), max(hi, peak)
         if peak >= threshold:
             exceedances += 1
-    frequency = exceedances / trials
-    return ExperimentSummary(
-        name="flatten",
-        plan=plan,
-        empirical_frequency=frequency,
-        analytic_bound=bound,
-        extreme_sigma_min=lo,
-        extreme_sigma_max=hi,
-        passed=frequency <= bound + monte_carlo_slack(bound, trials),
-        elapsed_seconds=time.perf_counter() - start,
-    )
+    return _one_sided_summary("flatten", plan, exceedances, bound, (lo, hi), start)
 
 
-def run_coupon_trials(k, ell_grid, trials=10000, seed=0):
+def run_coupon_trials(k=8, ell_grid=(8, 12, 17, 24), trials=10000, seed=0):
     """Sketch the decimated identity and compare full-rank frequency with the
     exact class-coverage probability.
 
@@ -314,7 +311,15 @@ def _sampled_gram_eigenvalues(w, rows, counts=None):
     return symmetric_eigenvalues(gram(sub))
 
 
-def run_chernoff_validation(n, k, ell, deviation_grid, seed=0, mode="exhaustive", trials=2000):
+def run_chernoff_validation(
+    n=16,
+    k=2,
+    ell=6,
+    deviation_grid=(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9),
+    seed=0,
+    mode="exhaustive",
+    trials=2000,
+):
     """Tail probabilities of the sampled Gram spectrum vs the Chernoff bounds.
 
     Fixes an orthonormal W, so the summands w_j w_j^T have mean I/n and
@@ -388,7 +393,9 @@ def run_chernoff_validation(n, k, ell, deviation_grid, seed=0, mode="exhaustive"
     return summaries
 
 
-def run_mgf_domination(n, k, ell, theta_grid, seed=0, mode="exhaustive", trials=2000):
+def run_mgf_domination(
+    n=8, k=2, ell=3, theta_grid=(0.5, 1.0, 2.0), seed=0, mode="exhaustive", trials=2000
+):
     """Trace of the matrix moment generating function: sampling without
     replacement vs with replacement.
 
@@ -400,9 +407,11 @@ def run_mgf_domination(n, k, ell, theta_grid, seed=0, mode="exhaustive", trials=
     empirical = without/with ratio against the domination threshold 1;
     extremes hold (without, with).  Exhaustive passes need without <= with
     up to 1e-10 relative; Monte Carlo replaces that with a four-standard-
-    error allowance on the estimated means.
+    error allowance on the estimated means, which needs at least two trials.
     """
     start = time.perf_counter()
+    if mode == "monte_carlo" and trials < 2:
+        raise ValueError(f"Monte Carlo mgf needs trials >= 2 for a standard error, got {trials}")
     if mode == "exhaustive" and n**ell > EXHAUSTIVE_CAP:
         raise ValueError(f"{n}^{ell} sequences exceed the exhaustive cap {EXHAUSTIVE_CAP}")
     plan_trials = math.comb(n, ell) if mode == "exhaustive" else trials
@@ -478,11 +487,15 @@ CSV_COLUMNS = (
 )
 
 
-def summaries_to_json(summaries, include_timing: bool = True) -> str:
-    import json
-
-    records = [s.to_record(include_timing=include_timing) for s in summaries]
-    return json.dumps(records, indent=2, sort_keys=True)
+def summaries_to_json(summaries, config: dict, include_timing: bool = True) -> str:
+    """The report document ``{"schema": 1, "config": config, "summaries":
+    [record, ...]}``, keys sorted; ``config`` echoes what was run."""
+    doc = {
+        "schema": SCHEMA_VERSION,
+        "config": config,
+        "summaries": [s.to_record(include_timing=include_timing) for s in summaries],
+    }
+    return json.dumps(doc, indent=2, sort_keys=True)
 
 
 def summaries_to_csv(summaries, include_timing: bool = True) -> str:

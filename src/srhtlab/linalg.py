@@ -13,10 +13,9 @@ from .srht import derived_rng
 __all__ = [
     "decimated_identity",
     "gram",
-    "load_matrix_csv",
+    "matrix_to_csv",
     "orthonormality_defect",
     "random_orthonormal",
-    "save_matrix_csv",
     "singular_values",
     "symmetric_eigenvalues",
 ]
@@ -100,25 +99,11 @@ def decimated_identity(k: int) -> np.ndarray:
     return w
 
 
-def save_matrix_csv(path, a) -> None:
-    """Write a matrix as CSV: header line ``rows,cols`` then one row per line."""
+def matrix_to_csv(a) -> str:
+    """A matrix as CSV text: header line ``rows,cols`` then one row per line,
+    each entry as the shortest repr that reads back to the same float64.  A
+    1-D input is one row."""
     a = np.atleast_2d(np.asarray(a, dtype=np.float64))
-    rows, cols = a.shape
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{rows},{cols}\n")
-        for row in a:
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
-
-
-def load_matrix_csv(path) -> np.ndarray:
-    """Read a matrix written by ``save_matrix_csv``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        rows, cols = (int(t) for t in header.split(","))
-        a = np.empty((rows, cols))
-        for i in range(rows):
-            parts = fh.readline().strip().split(",")
-            if len(parts) != cols:
-                raise ValueError(f"row {i} has {len(parts)} fields, expected {cols}")
-            a[i] = [float(t) for t in parts]
-    return a
+    lines = [f"{a.shape[0]},{a.shape[1]}"]
+    lines += [",".join(repr(float(x)) for x in row) for row in a]
+    return "\n".join(lines) + "\n"

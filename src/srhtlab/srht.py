@@ -14,7 +14,6 @@ in a fixed call layout (the sign block first, then the sampling offsets), so
 the operator is a stable function of the seed.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,10 +26,9 @@ __all__ = [
     "apply_to_vector",
     "derived_rng",
     "draw_srht",
-    "from_json",
     "materialize",
+    "rademacher_signs",
     "sample_without_replacement",
-    "to_json",
 ]
 
 MATERIALIZE_CAP = 4096
@@ -44,6 +42,11 @@ def derived_rng(seed, *path) -> np.random.Generator:
     """
     entropy = tuple(seed) if isinstance(seed, (tuple, list)) else (int(seed),)
     return np.random.default_rng(np.random.SeedSequence(entropy + tuple(int(p) for p in path)))
+
+
+def rademacher_signs(rng: np.random.Generator, n: int) -> np.ndarray:
+    """n independent +-1.0 entries, one bounded-integer draw from ``rng``."""
+    return 2.0 * rng.integers(0, 2, size=n).astype(np.float64) - 1.0
 
 
 def sample_without_replacement(n: int, ell: int, rng: np.random.Generator) -> np.ndarray:
@@ -71,7 +74,7 @@ class SrhtOperator:
 
     ``signs`` is the +-1 diagonal of D, ``indices`` the sorted sample set
     defining R.  ``seed`` records how the operator was drawn (None for
-    hand-built operators); it is what compact serialization stores.
+    hand-built operators).
     """
 
     dim: HadamardDim
@@ -118,7 +121,7 @@ def draw_srht(n: int, ell: int, seed) -> SrhtOperator:
     if not 1 <= ell <= n:
         raise ValueError(f"need 1 <= ell <= n, got ell={ell}, n={n}")
     rng = derived_rng(seed)
-    signs = 2.0 * rng.integers(0, 2, size=n).astype(np.float64) - 1.0
+    signs = rademacher_signs(rng, n)
     indices = sample_without_replacement(n, ell, rng)
     stored = tuple(int(s) for s in seed) if isinstance(seed, (tuple, list)) else int(seed)
     return SrhtOperator(dim=dim, signs=signs, indices=indices, seed=stored)
@@ -169,37 +172,3 @@ def materialize(op: SrhtOperator, cap: int = MATERIALIZE_CAP) -> np.ndarray:
     rows = hadamard_matrix(op.n, rows=op.indices)
     return op.scale * rows * op.signs[None, :]
 
-
-def to_json(op: SrhtOperator, include_arrays: bool = False) -> str:
-    """Serialize to the record {n, l, seed, signs?, indices?}.
-
-    With ``include_arrays=False`` only the seed is stored and the operator is
-    redrawn on load; that requires the operator to have been drawn from a
-    seed.
-    """
-    record = {"n": op.n, "l": op.ell, "seed": op.seed}
-    if include_arrays:
-        record["signs"] = [int(s) for s in op.signs]
-        record["indices"] = [int(i) for i in op.indices]
-    elif op.seed is None:
-        raise ValueError("operator has no seed; serialize with include_arrays=True")
-    return json.dumps(record, sort_keys=True)
-
-
-def from_json(text: str) -> SrhtOperator:
-    """Rebuild an operator serialized by ``to_json``."""
-    record = json.loads(text)
-    n, ell = int(record["n"]), int(record["l"])
-    seed = record.get("seed")
-    if "signs" in record and "indices" in record:
-        seed = tuple(seed) if isinstance(seed, list) else seed
-        return SrhtOperator(
-            dim=HadamardDim.of_size(n),
-            signs=np.asarray(record["signs"], dtype=np.float64),
-            indices=np.asarray(record["indices"], dtype=np.int64),
-            seed=seed,
-        )
-    if seed is None:
-        raise ValueError("record has neither arrays nor a seed")
-    op = draw_srht(n, ell, tuple(seed) if isinstance(seed, list) else seed)
-    return op

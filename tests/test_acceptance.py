@@ -207,9 +207,10 @@ def test_criterion_9_determinism(embedding_run, rownorm_run, coupon_runs):
     second = [rerun_embedding, rerun_rownorm, *rerun_coupon[0], *rerun_coupon[1]]
     equal_fields = first == second
     # byte-for-byte on the serialized summaries, wall-clock timing excluded
-    equal_bytes = summaries_to_json(first, include_timing=False).encode() == summaries_to_json(
-        second, include_timing=False
-    ).encode()
+    equal_bytes = (
+        summaries_to_json(first, {}, include_timing=False).encode()
+        == summaries_to_json(second, {}, include_timing=False).encode()
+    )
     ok = equal_fields and equal_bytes
     assert report(
         "criterion 9 (determinism of criteria 3, 4, 7 reruns)",

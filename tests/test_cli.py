@@ -4,7 +4,12 @@ import re
 import numpy as np
 import pytest
 
-from srhtlab.cli import main
+import srhtlab.experiments as exp_mod
+from srhtlab.bounds import embedding_sample_size
+from srhtlab.cli import RUNNERS, main
+from srhtlab.experiments import ExperimentSummary, TrialPlan
+from srhtlab.linalg import random_orthonormal
+from srhtlab.srht import apply_to_matrix, draw_srht
 
 
 def run_cli(capsys, *argv):
@@ -52,6 +57,19 @@ def test_sketch_csv_blocks(capsys):
     assert lines[0] == "3,2"
     assert lines[4] == "1,2"  # spectrum block header
     assert len(lines) == 6
+
+
+def test_sketch_csv_reads_back_to_the_exact_sketch(capsys):
+    code, out, _ = run_cli(
+        capsys, "sketch", "--n", "16", "--l", "5", "--k", "3", "--seed", "4", "--format", "csv"
+    )
+    assert code == 0
+    basis = random_orthonormal(16, 3, (4, 0, 0, 0))
+    sketch = apply_to_matrix(draw_srht(16, 5, (4, 1, 0, 0)), basis)
+    lines = out.splitlines()
+    assert lines[0] == "5,3"
+    parsed = np.array([[float(x) for x in line.split(",")] for line in lines[1:6]])
+    assert np.array_equal(parsed, sketch)
 
 
 def test_experiment_exit_zero_on_pass(capsys):
@@ -137,3 +155,115 @@ def test_numeric_flags_echoed(capsys):
     assert doc["config"]["thetas"] == [0.5, 2.0]
     assert doc["config"]["seed"] == 11
     assert doc["config"]["exhaustive"] is True
+
+
+# Small configurations that pass their criterion; every registry name needs one.
+TINY = {
+    "embedding": ("--n", "64", "--k", "4", "--l", "32", "--trials", "5"),
+    "rownorm": ("--n", "64", "--k", "4", "--trials", "5"),
+    "flatten": ("--n", "64", "--trials", "5"),
+    "coupon": ("--k", "2", "--ells", "2", "4", "--trials", "5"),
+    "chernoff": ("--n", "8", "--k", "2", "--l", "3", "--deltas", "0.5", "--trials", "5"),
+    "mgf": ("--n", "8", "--k", "2", "--l", "3", "--thetas", "1", "--trials", "5"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RUNNERS))
+def test_experiment_smoke(capsys, name):
+    code, out, _ = run_cli(capsys, "experiment", name, *TINY[name], "--seed", "1")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["schema"] == 1 and doc["config"]["experiment_name"] == name
+    assert doc["summaries"] and all(r["trials"] == 5 for r in doc["summaries"])
+
+
+def test_experiment_all_calls_each_runner_with_only_the_seed(capsys, monkeypatch):
+    # the registry holds runner names, so a patched module attribute is what runs
+    calls = []
+
+    def fake(runner_name):
+        def run(**kwargs):
+            calls.append((runner_name, kwargs))
+            plan = TrialPlan(n=len(calls), k=1, ell=1, trials=1, seed=kwargs["seed"])
+            return ExperimentSummary(runner_name, plan, 0.0, 1.0, 0.0, 0.0, True)
+
+        return run
+
+    for runner_name in RUNNERS.values():
+        monkeypatch.setattr(exp_mod, runner_name, fake(runner_name))
+    code, out, _ = run_cli(capsys, "experiment", "all", "--seed", "7")
+    assert code == 0
+    assert calls == [(runner_name, {"seed": 7}) for runner_name in RUNNERS.values()]
+    doc = json.loads(out)
+    assert [r["name"] for r in doc["summaries"]] == list(RUNNERS.values())
+    assert (doc["config"]["n"], doc["config"]["k"], doc["config"]["ell"]) == (0, 1, 1)
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [("--trials", "5"), ("--n", "64"), ("--ells", "8"), ("--exhaustive",), ("--beta", "2")],
+)
+def test_experiment_all_takes_no_configuration_flag(capsys, flags):
+    code, out, err = run_cli(capsys, "experiment", "all", *flags)
+    assert code == 2
+    assert out == "" and "error" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("embedding", "--n", "64", "--k", "0", "--l", "40", "--trials", "2"),
+        ("embedding", "--n", "0", "--k", "4", "--l", "8", "--trials", "2"),
+        ("embedding", "--n", "4096", "--k", "4", "--l", "0", "--trials", "2"),
+        ("rownorm", "--n", "64", "--k", "4", "--beta", "0", "--trials", "2"),
+        ("chernoff", "--exhaustive", "--n", "8", "--k", "2", "--l", "0"),
+        ("mgf", "--exhaustive", "--n", "8", "--k", "2", "--l", "0"),
+        ("coupon", "--k", "0", "--ells", "2", "--trials", "2"),
+        ("flatten", "--n", "0", "--trials", "2"),
+    ],
+)
+def test_zero_flags_reach_the_runner_checks(capsys, argv):
+    code, out, err = run_cli(capsys, "experiment", *argv)
+    assert code == 2
+    assert out == "" and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv", [("coupon", "--l", "3"), ("embedding", "--exhaustive"), ("flatten", "--k", "4")]
+)
+def test_flag_the_runner_does_not_take_is_usage_error(capsys, argv):
+    code, _, err = run_cli(capsys, "experiment", *argv)
+    assert code == 2
+    assert "takes no" in err
+
+
+def test_echo_carries_the_dimensions_that_ran(capsys):
+    code, out, _ = run_cli(capsys, "experiment", "mgf", "--exhaustive")
+    assert code == 0
+    config = json.loads(out)["config"]
+    assert (config["n"], config["k"], config["ell"], config["beta"]) == (8, 2, 3, 0.0)
+
+    # ell from the sample-size formula, beta defaulting to k, and a coupon grid
+    # whose ell is not one value
+    _, out, _ = run_cli(
+        capsys, "experiment", "embedding", "--n", "4096", "--k", "4", "--trials", "2"
+    )
+    config = json.loads(out)["config"]
+    assert (config["n"], config["k"]) == (4096, 4)
+    assert config["ell"] == embedding_sample_size(4, 4096).ell
+
+    _, out, _ = run_cli(capsys, "experiment", "rownorm", "--n", "64", "--k", "4", "--trials", "2")
+    config = json.loads(out)["config"]
+    assert (config["n"], config["k"], config["ell"], config["beta"]) == (64, 4, 0, 4.0)
+
+    _, out, _ = run_cli(
+        capsys, "experiment", "coupon", "--k", "2", "--ells", "2", "3", "--trials", "5"
+    )
+    config = json.loads(out)["config"]
+    assert (config["n"], config["k"], config["ell"]) == (4, 2, 0)
+
+
+def test_monte_carlo_mgf_with_one_trial_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "experiment", "mgf", "--trials", "1")
+    assert code == 2
+    assert out == "" and "trials >= 2" in err

@@ -1,4 +1,5 @@
 import csv
+import inspect
 import math
 import time
 
@@ -57,15 +58,6 @@ def test_embedding_rejects_oversized_requirement():
         run_embedding_trials(64, 16, trials=2, seed=0)  # formula ell > n
     with pytest.raises(ValueError):
         run_embedding_trials(16, 4, ell=17, trials=2, seed=0)
-
-
-def test_embedding_fresh_basis_flag_changes_draws():
-    a = run_embedding_trials(64, 4, ell=32, trials=10, seed=5)
-    b = run_embedding_trials(64, 4, ell=32, trials=10, seed=5, fresh_basis=True)
-    assert (a.extreme_sigma_min, a.extreme_sigma_max) != (
-        b.extreme_sigma_min,
-        b.extreme_sigma_max,
-    )
 
 
 def test_embedding_tiny_sample_fails_criterion():
@@ -284,6 +276,18 @@ def test_mgf_monte_carlo_mode():
     assert out[0].passed
 
 
+def test_mgf_monte_carlo_needs_two_trials():
+    # one sample has no standard error to allow for
+    with pytest.raises(ValueError, match="trials >= 2"):
+        run_mgf_domination(8, 2, 3, [1.0], seed=17, mode="monte_carlo", trials=1)
+
+
+def test_exhaustive_plan_needs_a_sample():
+    for runner in (run_chernoff_validation, run_mgf_domination):
+        with pytest.raises(ValueError, match="ell"):
+            runner(8, 2, 0, [0.5], mode="exhaustive")
+
+
 def test_mgf_sequence_cap():
     with pytest.raises(ValueError):
         run_mgf_domination(16, 2, 8, [1.0], seed=0, mode="exhaustive")  # 16^8 sequences
@@ -302,7 +306,9 @@ def test_coupon_reproducible_across_runs():
     a = run_coupon_trials(2, [2, 3], trials=500, seed=22)
     b = run_coupon_trials(2, [2, 3], trials=500, seed=22)
     assert a == b
-    assert summaries_to_json(a, include_timing=False) == summaries_to_json(b, include_timing=False)
+    assert summaries_to_json(a, {}, include_timing=False) == summaries_to_json(
+        b, {}, include_timing=False
+    )
 
 
 def test_csv_has_spec_columns():
@@ -328,8 +334,44 @@ def test_json_records_roundtrip():
     import json
 
     s = run_flattening_trials(64, trials=20, seed=24)
-    (record,) = json.loads(summaries_to_json([s]))
+    doc = json.loads(summaries_to_json([s], {"seed": 24}))
+    assert doc["schema"] == 1 and doc["config"] == {"seed": 24}
+    (record,) = doc["summaries"]
     assert record["name"] == "flatten"
     assert record["n"] == 64
     assert record["passed"] is True
     assert set(record) >= {"empirical", "bound", "seed", "mode", "elapsed_seconds"}
+
+
+# --- headline configurations ------------------------------------------------
+
+# The acceptance configurations, as literals; each runner's keyword defaults
+# must be these, since a runner called with only a seed runs its headline.
+HEADLINE_DEFAULTS = {
+    run_embedding_trials: {"n": 65536, "k": 16, "ell": None, "trials": 200},
+    run_row_norm_trials: {"n": 4096, "k": 16, "beta": None, "trials": 2000},
+    run_flattening_trials: {"n": 1024, "trials": 1000},
+    run_coupon_trials: {"k": 8, "ell_grid": (8, 12, 17, 24), "trials": 10000},
+    run_chernoff_validation: {
+        "n": 16,
+        "k": 2,
+        "ell": 6,
+        "deviation_grid": (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9),
+        "mode": "exhaustive",
+    },
+    run_mgf_domination: {
+        "n": 8,
+        "k": 2,
+        "ell": 3,
+        "theta_grid": (0.5, 1.0, 2.0),
+        "mode": "exhaustive",
+    },
+}
+
+
+@pytest.mark.parametrize("runner", HEADLINE_DEFAULTS, ids=lambda r: r.__name__)
+def test_runner_defaults_are_the_headline_configuration(runner):
+    params = inspect.signature(runner).parameters
+    expected = HEADLINE_DEFAULTS[runner]
+    assert {name: params[name].default for name in expected} == expected
+    assert params["seed"].default == 0

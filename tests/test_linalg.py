@@ -5,10 +5,8 @@ from hypothesis import given, settings, strategies as st
 from srhtlab.linalg import (
     decimated_identity,
     gram,
-    load_matrix_csv,
     orthonormality_defect,
     random_orthonormal,
-    save_matrix_csv,
     singular_values,
     symmetric_eigenvalues,
 )
@@ -289,24 +287,8 @@ def test_transformed_decimation_has_row_classes():
                 assert abs(cos) <= 1e-10, (r, rp)
 
 
-# --- orthonormality_defect / csv ------------------------------------------
+# --- orthonormality_defect ------------------------------------------------
 
 def test_orthonormality_defect_values():
     assert orthonormality_defect(np.eye(5)) == 0.0
     assert orthonormality_defect(2 * np.eye(3)) == pytest.approx(3.0)
-
-
-def test_csv_roundtrip(tmp_path):
-    a = np.random.default_rng(77).standard_normal((5, 3))
-    path = tmp_path / "m.csv"
-    save_matrix_csv(path, a)
-    header = path.read_text().splitlines()[0]
-    assert header == "5,3"
-    assert np.array_equal(load_matrix_csv(path), a)
-
-
-def test_csv_rejects_ragged(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("2,2\n1.0,2.0\n3.0\n")
-    with pytest.raises(ValueError):
-        load_matrix_csv(path)

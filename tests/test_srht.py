@@ -1,6 +1,5 @@
 import hashlib
 import itertools
-import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 
@@ -14,10 +13,8 @@ from srhtlab.srht import (
     apply_to_vector,
     derived_rng,
     draw_srht,
-    from_json,
     materialize,
     sample_without_replacement,
-    to_json,
 )
 from srhtlab.wht import HadamardDim, fwht
 
@@ -296,22 +293,3 @@ def test_operator_arrays_frozen():
         op.signs[0] = -op.signs[0]
     with pytest.raises(ValueError):
         op.indices[0] = 7
-
-
-def test_json_roundtrip_compact():
-    op = draw_srht(16, 5, (3, 1, 0, 2))
-    text = to_json(op)
-    record = json.loads(text)
-    assert record["n"] == 16 and record["l"] == 5 and "signs" not in record
-    clone = from_json(text)
-    assert np.array_equal(op.signs, clone.signs)
-    assert np.array_equal(op.indices, clone.indices)
-
-
-def test_json_roundtrip_with_arrays():
-    op = make_operator(8, [1, 5], signs=[1, -1, 1, 1, -1, 1, -1, 1])
-    with pytest.raises(ValueError):
-        to_json(op)  # no seed, compact form impossible
-    clone = from_json(to_json(op, include_arrays=True))
-    assert np.array_equal(op.signs, clone.signs)
-    assert np.array_equal(op.indices, clone.indices)
