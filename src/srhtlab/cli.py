@@ -204,7 +204,9 @@ def _experiment_calls(config: CliConfig) -> list:
 
     Only flags that were given become keywords, so a value is never replaced
     by a default and reaches the runner's own checks.  A flag the runner has
-    no parameter for is a usage error, and ``all`` takes none.
+    no parameter for is a usage error, and ``all`` takes none.  So is
+    ``--trials`` with ``--exhaustive``, whose trial count is the number of
+    subsets.
     """
     name = config.experiment_name
     given = {
@@ -227,6 +229,10 @@ def _experiment_calls(config: CliConfig) -> list:
     ]
     if "mode" in params:
         given["mode"] = "exhaustive" if config.exhaustive else "monte_carlo"
+        if config.exhaustive and "trials" in given:
+            raise ValueError(
+                f"experiment {name} --exhaustive enumerates every subset; it takes no trials"
+            )
     elif config.exhaustive:
         unused.append("exhaustive")
     if unused:

@@ -67,10 +67,17 @@ def symmetric_eigenvalues(s) -> np.ndarray:
     if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected square matrices, got shape {a.shape}")
     at = np.swapaxes(a, -1, -2)
-    scale = np.maximum(1.0, np.max(np.abs(a), axis=(-2, -1)))
-    if np.any(np.max(np.abs(a - at), axis=(-2, -1)) > 1e-8 * scale):
+    # one temporary the size of the input, reused, so a long stack does not
+    # cost three copies of itself
+    work = np.abs(a)
+    scale = np.maximum(1.0, np.max(work, axis=(-2, -1)))
+    np.subtract(a, at, out=work)
+    np.abs(work, out=work)
+    if np.any(np.max(work, axis=(-2, -1)) > 1e-8 * scale):
         raise ValueError("matrix is not symmetric")
-    return np.linalg.eigvalsh((a + at) / 2.0)[..., ::-1]
+    np.add(a, at, out=work)
+    work /= 2.0
+    return np.linalg.eigvalsh(work)[..., ::-1]
 
 
 def singular_values(a) -> np.ndarray:

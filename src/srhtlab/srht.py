@@ -4,7 +4,11 @@ The operator is sqrt(n/ell) * R H D: a Rademacher sign diagonal D, the
 orthogonal Walsh-Hadamard matrix H, and a restriction R to ell coordinates
 drawn uniformly without replacement.  It is kept implicit (sign vector +
 sorted index set); ``materialize`` builds the dense ell x n matrix as a
-testing oracle.
+testing oracle.  ``sketch_stack`` applies a stack of B operators, given as
+B x n signs and B x ell indices, to one input in a single transform of an
+n x B x k array; ``apply_to_vector`` and ``apply_to_matrix`` are its B = 1
+case.  The ell-subset comes from a partial Fisher-Yates shuffle that keeps
+only the positions it has touched, so a draw costs O(ell), not O(n).
 
 Randomness is PCG64 seeded through ``numpy.random.SeedSequence``.  A seed may
 be a single integer or a tuple of integers; experiment code derives per-trial
@@ -25,10 +29,12 @@ __all__ = [
     "apply_to_matrix",
     "apply_to_vector",
     "derived_rng",
+    "draw_signs_and_indices",
     "draw_srht",
     "materialize",
     "rademacher_signs",
     "sample_without_replacement",
+    "sketch_stack",
 ]
 
 MATERIALIZE_CAP = 4096
@@ -52,18 +58,22 @@ def rademacher_signs(rng: np.random.Generator, n: int) -> np.ndarray:
 def sample_without_replacement(n: int, ell: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform ell-subset of {0, ..., n-1}, returned sorted ascending.
 
-    Partial Fisher-Yates shuffle of an index array: step i swaps position i
-    with a uniform position in [i, n).  All ell offsets come from a single
-    bounded-integer draw, keeping the call layout fixed.
+    Partial Fisher-Yates shuffle: step i swaps position i with a uniform
+    position in [i, n).  Only the positions a swap has touched are stored, in
+    a dict, so a draw costs O(ell) rather than O(n).  All ell offsets come
+    from a single bounded-integer draw, keeping the call layout fixed.
     """
     if not 1 <= ell <= n:
         raise ValueError(f"need 1 <= ell <= n, got ell={ell}, n={n}")
-    idx = np.arange(n, dtype=np.int64)
     offsets = rng.integers(0, n - np.arange(ell))
-    for i, off in enumerate(offsets):
+    moved = {}  # position -> the index a swap left there
+    picked = []
+    for i, off in enumerate(offsets.tolist()):
         j = i + off
-        idx[i], idx[j] = idx[j], idx[i]
-    out = np.sort(idx[:ell])
+        picked.append(moved.get(j, j))
+        moved[j] = moved.get(i, i)
+    out = np.array(picked, dtype=np.int64)
+    out.sort()
     out.setflags(write=False)
     return out
 
@@ -88,12 +98,9 @@ class SrhtOperator:
         n = self.dim.n
         if signs.shape != (n,):
             raise ValueError(f"sign vector must have shape ({n},), got {signs.shape}")
-        if not np.all(np.abs(signs) == 1.0):
-            raise ValueError("sign entries must be exactly +1 or -1")
-        if indices.ndim != 1 or not 1 <= indices.size <= n:
-            raise ValueError(f"need 1 <= ell <= n sample indices, got {indices.size}")
-        if np.any(indices < 0) or np.any(indices >= n) or np.any(np.diff(indices) <= 0):
-            raise ValueError("sample indices must be strictly increasing in [0, n)")
+        if indices.ndim != 1:
+            raise ValueError(f"need 1 <= ell <= n sample indices, got shape {indices.shape}")
+        _check_operator_stack(signs[None, :], indices[None, :])
         signs.setflags(write=False)
         indices.setflags(write=False)
         object.__setattr__(self, "signs", signs)
@@ -112,6 +119,14 @@ class SrhtOperator:
         return (self.n / self.ell) ** 0.5
 
 
+def draw_signs_and_indices(n: int, ell: int, seed) -> tuple:
+    """The signs and sorted indices ``draw_srht(n, ell, seed)`` holds, drawn
+    in the same call layout but not wrapped in an operator, for runners that
+    stack many draws into one ``sketch_stack`` call."""
+    rng = derived_rng(seed)
+    return rademacher_signs(rng, n), sample_without_replacement(n, ell, rng)
+
+
 def draw_srht(n: int, ell: int, seed) -> SrhtOperator:
     """Draw an SRHT operator: fresh signs, then a uniform ell-subset.
 
@@ -120,9 +135,7 @@ def draw_srht(n: int, ell: int, seed) -> SrhtOperator:
     dim = HadamardDim.of_size(n)
     if not 1 <= ell <= n:
         raise ValueError(f"need 1 <= ell <= n, got ell={ell}, n={n}")
-    rng = derived_rng(seed)
-    signs = rademacher_signs(rng, n)
-    indices = sample_without_replacement(n, ell, rng)
+    signs, indices = draw_signs_and_indices(n, ell, seed)
     stored = tuple(int(s) for s in seed) if isinstance(seed, (tuple, list)) else int(seed)
     return SrhtOperator(dim=dim, signs=signs, indices=indices, seed=stored)
 
@@ -133,7 +146,7 @@ def apply_to_vector(op: SrhtOperator, x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (op.n,):
         raise ValueError(f"vector must have shape ({op.n},), got {x.shape}")
-    return _sketch(op, op.signs * x)
+    return sketch_stack(op.signs[None, :], op.indices[None, :], x)[0]
 
 
 def apply_to_matrix(op: SrhtOperator, v) -> np.ndarray:
@@ -142,23 +155,61 @@ def apply_to_matrix(op: SrhtOperator, v) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 2 or v.shape[0] != op.n:
         raise ValueError(f"matrix must have {op.n} rows, got shape {v.shape}")
-    return _sketch(op, op.signs[:, None] * v)
+    return sketch_stack(op.signs[None, :], op.indices[None, :], v)[0]
 
 
-def _sketch(op: SrhtOperator, y: np.ndarray) -> np.ndarray:
-    """Transform the sign-flipped ``y`` in place and gather the scaled rows.
+def sketch_stack(signs, indices, v) -> np.ndarray:
+    """Sketches of one input under a stack of B operators, in one transform.
 
-    Finiteness is checked on the ell sampled rows, not on the n input rows:
+    Operator b is row b of ``signs`` (B x n) and of ``indices`` (B x ell),
+    under ``SrhtOperator``'s rules, which are checked for the whole stack at
+    once.  ``v`` is an n-vector or an n x k matrix; the result is B x ell or
+    B x ell x k.  The B sign-flipped copies of ``v`` go through one
+    ``fwht_inplace`` of an n x B x k array; each operator then gathers its
+    rows and scales them by sqrt(n/ell).
+
+    Finiteness is checked on the sampled rows, not on the n input rows:
     every output entry of a column is a sum of all that column's inputs with
     nonzero weights +-n**-0.5, so a NaN or inf anywhere in a column makes
     every output entry of that column non-finite.
     """
+    signs = np.asarray(signs, dtype=np.float64)
+    indices = np.asarray(indices, dtype=np.int64)
+    _check_operator_stack(signs, indices)
+    (stack, n), ell = signs.shape, indices.shape[1]
+    v = np.asarray(v, dtype=np.float64)
+    if v.ndim not in (1, 2) or v.shape[0] != n:
+        raise ValueError(f"input must be a vector or matrix with {n} rows, got shape {v.shape}")
+    cols = v.shape[1] if v.ndim == 2 else 1
+    y = np.multiply(signs.T[:, :, None], v.reshape(n, 1, cols), order="C")
     with np.errstate(invalid="ignore", over="ignore"):
         fwht_inplace(y)
-        out = op.scale * y[op.indices]
+        out = (n / ell) ** 0.5 * y[indices, np.arange(stack)[:, None]]
     if not np.isfinite(out).all():
         raise ValueError("input has non-finite entries (or its sketch overflows)")
-    return out
+    return out.reshape(stack, ell, *v.shape[1:])
+
+
+def _check_operator_stack(signs: np.ndarray, indices: np.ndarray) -> None:
+    """``SrhtOperator``'s rules for B operators at once: B x n signs exactly
+    +-1 with n a power of two, and B x ell indices, 1 <= ell <= n, each row
+    strictly increasing in [0, n)."""
+    if signs.ndim != 2 or indices.ndim != 2 or signs.shape[0] != indices.shape[0]:
+        raise ValueError(
+            f"need B x n signs and B x ell indices, got shapes {signs.shape} and {indices.shape}"
+        )
+    n, ell = signs.shape[1], indices.shape[1]
+    HadamardDim.of_size(n)
+    if not 1 <= ell <= n:
+        raise ValueError(f"need 1 <= ell <= n sample indices, got {ell}")
+    if not np.all(np.abs(signs) == 1.0):
+        raise ValueError("sign entries must be exactly +1 or -1")
+    if (
+        np.any(indices[:, 0] < 0)
+        or np.any(indices[:, -1] >= n)
+        or np.any(np.diff(indices, axis=1) <= 0)
+    ):
+        raise ValueError("sample indices must be strictly increasing in [0, n)")
 
 
 def materialize(op: SrhtOperator, cap: int = MATERIALIZE_CAP) -> np.ndarray:

@@ -267,3 +267,14 @@ def test_monte_carlo_mgf_with_one_trial_is_usage_error(capsys):
     code, out, err = run_cli(capsys, "experiment", "mgf", "--trials", "1")
     assert code == 2
     assert out == "" and "trials >= 2" in err
+
+
+@pytest.mark.parametrize("name", ["chernoff", "mgf"])
+def test_trials_with_exhaustive_is_usage_error(capsys, name):
+    # an exhaustive run enumerates every subset; --trials would only be echoed
+    code, out, err = run_cli(
+        capsys, "experiment", name, "--exhaustive", "--n", "8", "--k", "2", "--l", "3",
+        "--trials", "5",
+    )
+    assert code == 2
+    assert out == "" and "takes no trials" in err

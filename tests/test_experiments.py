@@ -1,11 +1,17 @@
 import csv
+import hashlib
 import inspect
+import itertools
 import math
 import time
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import srhtlab.experiments as exp_mod
 from srhtlab.experiments import (
     CSV_COLUMNS,
     TrialPlan,
@@ -152,6 +158,19 @@ def test_coupon_grid_elapsed_is_per_point():
     wall = time.perf_counter() - start
     assert all(s.elapsed_seconds > 0.0 for s in out)
     assert sum(s.elapsed_seconds for s in out) <= wall
+
+
+def test_flatten_rejects_a_dimension_that_is_not_a_power_of_two():
+    for n in (0, 12):
+        with pytest.raises(ValueError, match=f"n must be a positive power of two, got {n}"):
+            run_flattening_trials(n, trials=2)
+
+
+def test_flatten_one_point():
+    # n = 1: |H D x| = 1 always reaches the threshold sqrt(log(1)/1) = 0, and
+    # the union bound is 1 * 2 exp(0)
+    s = run_flattening_trials(1, trials=5, seed=0)
+    assert (s.empirical_frequency, s.analytic_bound, s.passed) == (1.0, 2.0, True)
 
 
 # --- chernoff -------------------------------------------------------------
@@ -341,6 +360,169 @@ def test_json_records_roundtrip():
     assert record["n"] == 64
     assert record["passed"] is True
     assert set(record) >= {"empirical", "bound", "seed", "mode", "elapsed_seconds"}
+
+
+# --- blocked trials ---------------------------------------------------------
+
+# SHA-256 of summaries_to_json(summaries, {}, include_timing=False), recorded
+# when every coupon trial and Chernoff subset was computed on its own; the
+# blocked runners must reproduce them byte for byte.
+GOLDEN_RUNS = {
+    "coupon_k4": lambda seed: run_coupon_trials(4, (4, 6, 8, 10), trials=400, seed=seed),
+    "coupon_k2": lambda seed: run_coupon_trials(2, (2, 3), trials=500, seed=seed),
+    "chernoff_exhaustive": lambda seed: run_chernoff_validation(
+        8, 2, 3, seed=seed, mode="exhaustive"
+    ),
+    "chernoff_monte_carlo": lambda seed: run_chernoff_validation(
+        16, 2, 6, seed=seed, mode="monte_carlo", trials=300
+    ),
+}
+GOLDEN_SUMMARY_SHA256 = {
+    ("coupon_k4", 0): "261da3a9c32f67a1d8f61dc23664606c57ea9e8feb7525ee33c164b6ae88957c",
+    ("coupon_k4", 12345): "f506f3a7df1620e10bc110740e15b12c662e0ad6deb67387d90730cf08208771",
+    ("coupon_k2", 0): "52251dee150d8188c084816b755c105f3c972bde6e5280b07dc63fc6ff20a93d",
+    ("coupon_k2", 12345): "9821cbbe6a5f73022d538a4bd7a3dec09d826fec762228e26435966d40fd1751",
+    ("chernoff_exhaustive", 0):
+        "6fb0abd1e9dee80cfc9162cebaa61c6212905ad3aca4ae67cda09fa34a1f8006",
+    ("chernoff_exhaustive", 12345):
+        "a860dc48beffc3c9bea40944b4403cb08bdced4d76f44ca14531ce955f3b4b61",
+    ("chernoff_monte_carlo", 0):
+        "cca4c120e0e509f11897ea9c5a2589d7c31ef5f97d4417dcc53c01e9c76d1c70",
+    ("chernoff_monte_carlo", 12345):
+        "0327184dd450e4d45f3dead50d86b7a90559c3d0e3e50298e841bba62c8e5011",
+}
+
+
+@pytest.mark.parametrize("run, seed", sorted(GOLDEN_SUMMARY_SHA256))
+def test_timing_free_summaries_match_golden(run, seed):
+    text = summaries_to_json(GOLDEN_RUNS[run](seed), {}, include_timing=False)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SUMMARY_SHA256[(run, seed)]
+
+
+class _Recorder:
+    """Wraps a function and keeps each call's arguments and result."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.calls = []
+
+    def __call__(self, *args):
+        result = self.fn(*args)
+        self.calls.append((args, result))
+        return result
+
+
+def _coupon_one_trial_at_a_time(k, ell_grid, trials, seed):
+    """Gram matrices and (frequency, min sigma_k, max sigma_1) per ell, one
+    trial at a time: draw_srht -> apply_to_matrix -> gram ->
+    symmetric_eigenvalues, then the runner's full-rank rule."""
+    from srhtlab.linalg import RANK_RTOL, decimated_identity, gram, symmetric_eigenvalues
+    from srhtlab.srht import apply_to_matrix, draw_srht
+
+    basis = decimated_identity(k)
+    grams, results = [], []
+    for gi, ell in enumerate(ell_grid):
+        g = [gram(apply_to_matrix(draw_srht(k * k, ell, (seed, 1, gi, i)), basis))
+             for i in range(trials)]
+        eig = np.array([symmetric_eigenvalues(m) for m in g])
+        spectra = np.sqrt(np.clip(eig, 0.0, None))
+        top, bot = spectra[:, 0], spectra[:, -1]
+        full_rank = bot > RANK_RTOL * np.maximum(top, 1.0)
+        grams.append(np.array(g))
+        results.append((float(np.mean(full_rank)), float(bot.min()), float(top.max())))
+    return grams, results
+
+
+def _check_coupon_blocks(k, ell_grid, trials, seed, block):
+    """The blocked runner, with ``block`` trials per block, equals the
+    one-trial-at-a-time oracle bit for bit and sketches once per block."""
+    sketches = _Recorder(exp_mod.sketch_stack)
+    eigensolves = _Recorder(exp_mod.symmetric_eigenvalues)
+    with mock.patch.object(exp_mod, "sketch_stack", sketches), \
+            mock.patch.object(exp_mod, "symmetric_eigenvalues", eigensolves):
+        out = run_coupon_trials(k, ell_grid, trials=trials, seed=seed)
+    grams, expected = _coupon_one_trial_at_a_time(k, ell_grid, trials, seed)
+    assert len(sketches.calls) == len(ell_grid) * -(-trials // block)
+    assert all(len(args[0]) <= block for args, _ in sketches.calls)
+    assert len(eigensolves.calls) == len(ell_grid)
+    for (args, _), want in zip(eigensolves.calls, grams):
+        assert np.array_equal(args[0], want)
+    got = [(s.empirical_frequency, s.extreme_sigma_min, s.extreme_sigma_max) for s in out]
+    assert got == expected
+
+
+@given(
+    k=st.sampled_from([1, 2, 4, 8]),
+    block=st.integers(1, 6),
+    spare=st.floats(0.0, 0.99),
+    shape=st.sampled_from(["B-1", "B", "B+1", "2B+3"]),
+    ell_picks=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=2),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=30)
+def test_blocked_coupon_equals_one_trial_at_a_time(k, block, spare, shape, ell_picks, seed):
+    # a budget of ``block`` trials plus a spare fraction of one more, so the
+    # floor in the block size is exercised; trial counts leave a partial
+    # block and straddle block boundaries
+    trial_bytes = k * k * k * 8
+    trials = {"B-1": block - 1, "B": block, "B+1": block + 1, "2B+3": 2 * block + 3}[shape]
+    n = k * k
+    ell_grid = [1 + int(f * (n - 1)) for f in ell_picks]
+    with mock.patch.object(exp_mod, "_BLOCK_BYTES", int((block + spare) * trial_bytes)):
+        _check_coupon_blocks(k, ell_grid, max(trials, 1), seed, block)
+
+
+@pytest.mark.parametrize("k", [4, 8])
+def test_coupon_at_the_real_budget_equals_one_trial_at_a_time(k):
+    block = exp_mod._BLOCK_BYTES // (k * k * k * 8)
+    _check_coupon_blocks(k, [k, 2 * k], 2 * block + 3, 31, block)
+
+
+@given(
+    mode=st.sampled_from(["exhaustive", "monte_carlo"]),
+    shape=st.sampled_from([(4, 1, 2), (8, 2, 3), (8, 3, 5), (16, 2, 3)]),
+    block=st.integers(1, 7),
+    trials=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=30)
+def test_stacked_chernoff_eigenvalues_equal_each_subset_alone(mode, shape, block, trials, seed):
+    from srhtlab.linalg import random_orthonormal
+    from srhtlab.srht import derived_rng, sample_without_replacement
+
+    n, k, ell = shape
+    if mode == "exhaustive":
+        subsets = [list(s) for s in itertools.combinations(range(n), ell)]
+    else:
+        subsets = [list(sample_without_replacement(n, ell, derived_rng(seed, 1, 0, i)))
+                   for i in range(trials)]
+    one_subset = exp_mod._sampled_gram_eigenvalues
+    stacks = _Recorder(one_subset)
+    with mock.patch.object(exp_mod, "_BLOCK_BYTES", block * ell * k * 8), \
+            mock.patch.object(exp_mod, "_sampled_gram_eigenvalues", stacks):
+        run_chernoff_validation(n, k, ell, [0.5], seed=seed, mode=mode, trials=trials)
+    assert len(stacks.calls) == -(-len(subsets) // block)
+    w = random_orthonormal(n, k, (seed, 0, 0, 0))
+    rows = [row for (_, block_rows), _ in stacks.calls for row in block_rows]
+    assert [list(r) for r in rows] == subsets
+    eig = np.concatenate([result for _, result in stacks.calls])
+    assert np.array_equal(eig, np.array([one_subset(w, s) for s in subsets]))
+
+
+def test_coupon_memory_is_bounded_by_the_block_budget():
+    # Peak traced allocation of a 4000-trial run: the Gram stack, the one
+    # working copy the final eigensolve makes of it, and a few 256 KiB
+    # blocks.  Sketching all 4000 trials in one block would take about 40 MB.
+    trials, k, budget = 4000, 8, 256 * 1024
+    gram_bytes = trials * k * k * 8
+    run_coupon_trials(k, [17], trials=50)  # first-use allocations out of the way
+    tracemalloc.start()
+    try:
+        run_coupon_trials(k, [17], trials=trials)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * gram_bytes + 4 * budget
 
 
 # --- headline configurations ------------------------------------------------

@@ -12,9 +12,11 @@ from srhtlab.srht import (
     apply_to_matrix,
     apply_to_vector,
     derived_rng,
+    draw_signs_and_indices,
     draw_srht,
     materialize,
     sample_without_replacement,
+    sketch_stack,
 )
 from srhtlab.wht import HadamardDim, fwht
 
@@ -293,3 +295,117 @@ def test_operator_arrays_frozen():
         op.signs[0] = -op.signs[0]
     with pytest.raises(ValueError):
         op.indices[0] = 7
+
+
+# --- the O(ell) sampler -------------------------------------------------------
+
+def _fisher_yates_over_whole_array(n, ell, rng):
+    """The O(n) sampler the dict-based one replaced: swap entries of a full
+    index array, then keep the first ell."""
+    idx = np.arange(n, dtype=np.int64)
+    offsets = rng.integers(0, n - np.arange(ell))
+    for i, off in enumerate(offsets):
+        j = i + off
+        idx[i], idx[j] = idx[j], idx[i]
+    return np.sort(idx[:ell])
+
+
+@given(st.integers(1, 3000), st.data(), st.integers(0, 2**32 - 1))
+@settings(max_examples=150)
+def test_sampler_matches_whole_array_fisher_yates(n, data, seed):
+    ell = data.draw(st.one_of(st.just(1), st.just(n), st.integers(1, n)), label="ell")
+    rng, oracle_rng = derived_rng(seed), derived_rng(seed)
+    got = sample_without_replacement(n, ell, rng)
+    assert np.array_equal(got, _fisher_yates_over_whole_array(n, ell, oracle_rng))
+    assert got.dtype == np.int64 and not got.flags.writeable
+    # the same generator calls, so later draws from the stream agree too
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+# --- the stacked sketch -------------------------------------------------------
+
+def test_draw_signs_and_indices_is_the_operator_draw():
+    for n, ell, seed in [(16, 4, 0), (64, 17, (3, 1, 2, 9)), (1024, 128, 3)]:
+        signs, indices = draw_signs_and_indices(n, ell, seed)
+        op = draw_srht(n, ell, seed)
+        assert np.array_equal(signs, op.signs) and np.array_equal(indices, op.indices)
+
+
+def _stack(ops):
+    return np.array([op.signs for op in ops]), np.array([op.indices for op in ops])
+
+
+@given(st.integers(0, 10), st.integers(1, 6), st.integers(1, 4), st.integers(0, 2**32 - 1))
+@settings(max_examples=40)
+def test_stack_equals_one_operator_at_a_time(p, stack, k, seed):
+    # A stack widens the BLAS products inside the transform, which may round
+    # differently in the last bit; the budget is the transform's own oracle
+    # criterion, 1e-12 of the column norm, times the sketch scale.
+    n = 1 << p
+    rng = np.random.default_rng(seed)
+    ell = int(rng.integers(1, n + 1))
+    ops = [draw_srht(n, ell, (seed, b)) for b in range(stack)]
+    signs, indices = _stack(ops)
+    v = rng.standard_normal((n, k))
+    tol = 1e-12 * ops[0].scale * np.linalg.norm(v, axis=0)
+    sketches = sketch_stack(signs, indices, v)
+    assert sketches.shape == (stack, ell, k)
+    vectors = sketch_stack(signs, indices, v[:, 0])
+    assert vectors.shape == (stack, ell)
+    for b, op in enumerate(ops):
+        assert np.all(np.abs(sketches[b] - apply_to_matrix(op, v)) <= tol)
+        assert np.all(np.abs(vectors[b] - apply_to_vector(op, v[:, 0])) <= tol[0])
+
+
+@given(st.integers(0, 4), st.integers(1, 6), st.integers(0, 2**32 - 1))
+@settings(max_examples=30)
+def test_stack_is_bit_identical_on_one_hot_columns(log_k, stack, seed):
+    # Every stage of the transform of a one-hot column sums one nonzero
+    # product, so the sketch is exact whatever the stack: the coupon runner's
+    # decimated identity relies on this.
+    from srhtlab.linalg import decimated_identity
+
+    k = 1 << log_k
+    n = k * k
+    ell = int(np.random.default_rng(seed).integers(1, n + 1))
+    ops = [draw_srht(n, ell, (seed, b)) for b in range(stack)]
+    v = decimated_identity(k)
+    sketches = sketch_stack(*_stack(ops), v)
+    for b, op in enumerate(ops):
+        assert np.array_equal(sketches[b], apply_to_matrix(op, v))
+
+
+def test_stack_checks_every_operator():
+    signs = np.ones((3, 8))
+    indices = np.tile([0, 2, 5], (3, 1))
+    x = np.ones(8)
+    assert sketch_stack(signs, indices, x).shape == (3, 3)
+    bad_signs = signs.copy()
+    bad_signs[2, 7] = 0.5
+    with pytest.raises(ValueError, match="exactly"):
+        sketch_stack(bad_signs, indices, x)
+    for row in ([0, 5, 2], [0, 2, 2], [0, 2, 8], [-1, 2, 5]):
+        bad = indices.copy()
+        bad[1] = row
+        with pytest.raises(ValueError, match="strictly increasing"):
+            sketch_stack(signs, bad, x)
+    with pytest.raises(ValueError, match="ell"):
+        sketch_stack(signs, np.zeros((3, 0), dtype=np.int64), x)
+    with pytest.raises(ValueError, match="power of two"):
+        sketch_stack(np.ones((3, 12)), indices, np.ones(12))
+    with pytest.raises(ValueError, match="shapes"):
+        sketch_stack(signs[:2], indices, x)
+    with pytest.raises(ValueError, match="8 rows"):
+        sketch_stack(signs, indices, np.ones((4, 2)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_stack_rejects_non_finite_like_apply_to_matrix(bad):
+    ops = [draw_srht(64, 9, (5, b)) for b in range(4)]
+    v = np.ones((64, 3))
+    v[17, 1] = bad
+    with pytest.raises(ValueError, match="non-finite") as one:
+        apply_to_matrix(ops[0], v)
+    with pytest.raises(ValueError) as stacked:
+        sketch_stack(*_stack(ops), v)
+    assert str(stacked.value) == str(one.value)
