@@ -20,6 +20,12 @@ trial count, up to ``EXHAUSTIVE_CAP`` subsets; only the per-trial results
 with it.  The block size never changes a result: every trial's arithmetic is
 the same as it would be alone.
 
+The row-norm runner never forms a Householder basis.  Each trial draws its
+Gaussian and its signs from the same substreams a ``random_orthonormal``
+basis would use, and orthonormalizes by two passes of Cholesky QR
+(CholeskyQR2) wrapped around the in-place transform; the per-trial
+orthonormality check on the transformed matrix is kept.
+
 Each runner's keyword defaults are its headline configuration, the one the
 acceptance suite checks; called with only a seed, it runs that configuration.
 """
@@ -59,7 +65,7 @@ from .srht import (
     sample_without_replacement,
     sketch_stack,
 )
-from .wht import HadamardDim, fwht
+from .wht import HadamardDim, fwht, fwht_inplace
 
 __all__ = [
     "CSV_COLUMNS",
@@ -227,24 +233,42 @@ def run_embedding_trials(n=65536, k=16, ell=None, trials=200, seed=0):
     )
 
 
+def _cholesky_r(a):
+    """Upper-triangular R with positive diagonal and R^T R = A^T A."""
+    return np.linalg.cholesky(gram(a)).T
+
+
 def run_row_norm_trials(n=4096, k=16, beta=None, trials=2000, seed=0):
     """Check the row-norm equilibration level of sign-flipped transforms.
 
-    Each trial draws fresh signs and a fresh orthonormal V, transforms, and
-    records the largest row norm; the exceedance frequency of the analytic
-    level is compared against 1/beta (``beta`` defaults to k).  Extremes hold
-    the (min, max) observed max row norm.  Column orthonormality of the
-    transformed matrix is verified every trial.
+    Each trial draws a Gaussian n x k matrix G from substream (seed, 0, 0, i)
+    and signs D from (seed, 1, 0, i), and records the largest row norm of
+    H D V, where V = G R^-1 is G's orthonormal factor (R with positive
+    diagonal: the basis a sign-fixed Householder QR gives).  V is not formed.
+    Two passes of Cholesky QR (CholeskyQR2) run around the in-place
+    transform: R_1 from the Gram of G, W_1 = H D G R_1^-1, R_2 from the Gram
+    of W_1, and W = W_1 R_2^-1.  H D is orthogonal, so the second pass may be
+    measured after it, and it also corrects the transform's own rounding; one
+    pass alone leaves square inputs visibly non-orthonormal.
+    The exceedance frequency of the analytic level is compared against
+    1/beta (``beta`` defaults to k).  Extremes hold the (min, max) observed
+    max row norm.  Column orthonormality of the transformed matrix is
+    verified every trial.
     """
     start = time.perf_counter()
+    HadamardDim.of_size(n)
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     level = row_norm_bound(n, k, float(k) if beta is None else beta)
     plan = TrialPlan(n=n, k=k, ell=0, trials=trials, seed=seed)
     exceedances = 0
     lo, hi = math.inf, -math.inf
     for i in range(trials):
-        basis = random_orthonormal(n, k, (seed, 0, 0, i))
-        signs = rademacher_signs(derived_rng(seed, 1, 0, i), n)
-        w = fwht(signs[:, None] * basis)
+        g = derived_rng(seed, 0, 0, i).standard_normal((n, k))
+        r1 = _cholesky_r(g)
+        g *= rademacher_signs(derived_rng(seed, 1, 0, i), n)[:, None]
+        w1 = fwht_inplace(g) @ np.linalg.inv(r1)
+        w = w1 @ np.linalg.inv(_cholesky_r(w1))
         defect = orthonormality_defect(w)
         if defect > 1e-8:
             raise RuntimeError(f"transformed basis lost orthonormality: defect {defect}")

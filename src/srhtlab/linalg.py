@@ -32,7 +32,10 @@ def random_orthonormal(n: int, k: int, seed) -> np.ndarray:
 
     Householder QR of a standard-normal matrix; column signs are fixed to the
     sign of the R diagonal so the result does not depend on LAPACK's sign
-    convention.
+    convention.  The row-norm runner reaches the same basis more cheaply by
+    Cholesky QR.  This stays on Householder: the embedding, Chernoff and mgf
+    fixtures are drawn here, and the golden Chernoff summary hashes pin its
+    bits.
     """
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")

@@ -52,7 +52,10 @@ def fwht_inplace(x: np.ndarray) -> np.ndarray:
 
     ``x`` must be a C-contiguous float64 array whose leading dimension is a
     power of two.  Higher-dimensional inputs are transformed column-wise.
-    Returns ``x`` for convenience.
+    Returns ``x`` for convenience.  Results are reproducible for a fixed
+    shape, but a column may differ in the last bit from the same column
+    transformed beside a different number of others: ``np.matmul`` takes a
+    matrix-vector path for one column and a matrix-matrix path for several.
     """
     if not isinstance(x, np.ndarray) or x.dtype != np.float64:
         raise ValueError("fwht_inplace requires a float64 ndarray")

@@ -229,6 +229,23 @@ def test_zero_flags_reach_the_runner_checks(capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "n, k, message",
+    [
+        ("0", "4", "n must be a positive power of two"),
+        ("12", "4", "n must be a positive power of two"),
+        ("64", "0", "need 1 <= k <= n"),
+        ("64", "65", "need 1 <= k <= n"),
+    ],
+)
+def test_rownorm_dimensions_are_checked_at_the_boundary(capsys, n, k, message):
+    code, out, err = run_cli(
+        capsys, "experiment", "rownorm", "--n", n, "--k", k, "--beta", "2", "--trials", "2"
+    )
+    assert code == 2
+    assert out == "" and message in err
+
+
+@pytest.mark.parametrize(
     "argv", [("coupon", "--l", "3"), ("embedding", "--exhaustive"), ("flatten", "--k", "4")]
 )
 def test_flag_the_runner_does_not_take_is_usage_error(capsys, argv):

@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import srhtlab.experiments as exp_mod
 from srhtlab.experiments import (
@@ -88,6 +88,84 @@ def test_rownorm_small_case_passes():
     s = run_row_norm_trials(256, 8, 8.0, trials=200, seed=4)
     assert s.passed
     assert 0.0 <= s.empirical_frequency <= 1.0
+
+
+def test_rownorm_second_pass_keeps_square_bases_orthonormal():
+    # one pass of Cholesky QR leaves a defect of 1.6e-6 here, which trips the
+    # 1e-8 check; the second pass brings it to rounding level
+    defect = _Recorder(exp_mod.orthonormality_defect)
+    with mock.patch.object(exp_mod, "orthonormality_defect", defect):
+        s = run_row_norm_trials(64, 64, 2.0, trials=50, seed=0)
+    assert s.passed and len(defect.calls) == 50
+    for (w,), _ in defect.calls:
+        assert np.max(np.abs(np.sqrt(np.sum(w * w, axis=1)) - 1.0)) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "n, k, message",
+    [
+        (0, 1, "n must be a positive power of two, got 0"),
+        (12, 4, "n must be a positive power of two, got 12"),
+        (64, 0, "need 1 <= k <= n, got k=0, n=64"),
+        (64, 65, "need 1 <= k <= n, got k=65, n=64"),
+    ],
+)
+def test_rownorm_rejects_bad_dimensions_before_drawing(n, k, message):
+    with mock.patch.object(exp_mod, "derived_rng", side_effect=AssertionError("drew")):
+        with pytest.raises(ValueError, match=message):
+            run_row_norm_trials(n, k, 2.0, trials=2)
+
+
+def _householder_max_row_norms(n, k, trials, seed):
+    """Largest row norm per trial by the Householder route: sign-fixed QR of
+    the Gaussian from (seed, 0, 0, i), signs from (seed, 1, 0, i), then the
+    transform of a copy."""
+    from srhtlab.linalg import random_orthonormal
+    from srhtlab.srht import derived_rng, rademacher_signs
+    from srhtlab.wht import fwht
+
+    norms = []
+    for i in range(trials):
+        basis = random_orthonormal(n, k, (seed, 0, 0, i))
+        signs = rademacher_signs(derived_rng(seed, 1, 0, i), n)
+        w = fwht(signs[:, None] * basis)
+        norms.append(float(np.sqrt(np.max(np.sum(w * w, axis=1)))))
+    return norms
+
+
+@st.composite
+def _rownorm_shapes(draw):
+    n = 2 ** draw(st.integers(1, 12))
+    k = n if draw(st.booleans()) and n <= 32 else draw(st.integers(1, min(n, 32)))
+    return n, k
+
+
+# log(beta n) runs log-uniformly from 1e-5, where the level sits just above
+# sqrt(k/n) and nearly every trial exceeds it, to 40, far above any row norm;
+# the rectangular examples put the level between the row norms of their trials
+@settings(max_examples=60)
+@given(
+    shape=_rownorm_shapes(),
+    log_beta_n=st.floats(-5.0, 1.6).map(lambda e: 10.0**e),
+    trials=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(shape=(2, 1), log_beta_n=0.02, trials=4, seed=0)
+@example(shape=(256, 8), log_beta_n=0.5, trials=4, seed=3)
+@example(shape=(4096, 16), log_beta_n=0.9, trials=4, seed=12345)
+@example(shape=(4096, 32), log_beta_n=0.75, trials=4, seed=1)
+@example(shape=(32, 32), log_beta_n=0.01, trials=4, seed=2)
+def test_rownorm_equals_the_householder_route(shape, log_beta_n, trials, seed):
+    from srhtlab.bounds import row_norm_bound
+
+    n, k = shape
+    beta = math.exp(log_beta_n) / n
+    norms = _householder_max_row_norms(n, k, trials, seed)
+    level = row_norm_bound(n, k, beta).value
+    s = run_row_norm_trials(n, k, beta, trials=trials, seed=seed)
+    assert round(s.empirical_frequency * trials) == sum(m >= level for m in norms)
+    assert abs(s.extreme_sigma_min - min(norms)) <= 1e-12
+    assert abs(s.extreme_sigma_max - max(norms)) <= 1e-12
 
 
 # --- flattening -----------------------------------------------------------
@@ -364,10 +442,14 @@ def test_json_records_roundtrip():
 
 # --- blocked trials ---------------------------------------------------------
 
-# SHA-256 of summaries_to_json(summaries, {}, include_timing=False), recorded
-# when every coupon trial and Chernoff subset was computed on its own; the
-# blocked runners must reproduce them byte for byte.
+# SHA-256 of summaries_to_json(summaries, {}, include_timing=False).  The
+# coupon and Chernoff hashes were recorded when every trial and subset was
+# computed on its own; the blocked runners must reproduce them byte for byte.
+# The row-norm hashes were recorded with CholeskyQR2 bases; the Householder
+# records they replaced are pinned as literals in GOLDEN_ROWNORM.
 GOLDEN_RUNS = {
+    "rownorm_256x8": lambda seed: [run_row_norm_trials(256, 8, 8.0, trials=200, seed=seed)],
+    "rownorm_64x64": lambda seed: [run_row_norm_trials(64, 64, 2.0, trials=20, seed=seed)],
     "coupon_k4": lambda seed: run_coupon_trials(4, (4, 6, 8, 10), trials=400, seed=seed),
     "coupon_k2": lambda seed: run_coupon_trials(2, (2, 3), trials=500, seed=seed),
     "chernoff_exhaustive": lambda seed: run_chernoff_validation(
@@ -390,6 +472,14 @@ GOLDEN_SUMMARY_SHA256 = {
         "cca4c120e0e509f11897ea9c5a2589d7c31ef5f97d4417dcc53c01e9c76d1c70",
     ("chernoff_monte_carlo", 12345):
         "0327184dd450e4d45f3dead50d86b7a90559c3d0e3e50298e841bba62c8e5011",
+    ("rownorm_256x8", 0):
+        "78d1b4fc10814b8b5f19d60f6964da128822562d957e28f6f5b5fc4d7ff7e936",
+    ("rownorm_256x8", 12345):
+        "e78e198a4ab04f2cace8241c1f6b23e88f362c522acce5192332b47d51561482",
+    ("rownorm_64x64", 0):
+        "9aca153b4af13e5ac3de6bd7248a40650e46b585f780daf007991c07aea4f429",
+    ("rownorm_64x64", 12345):
+        "e54baf75e40a47b55490996ef3dcef75bef3d4e0d7c0558850be080e31aeaf4b",
 }
 
 
@@ -397,6 +487,26 @@ GOLDEN_SUMMARY_SHA256 = {
 def test_timing_free_summaries_match_golden(run, seed):
     text = summaries_to_json(GOLDEN_RUNS[run](seed), {}, include_timing=False)
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SUMMARY_SHA256[(run, seed)]
+
+
+# (exceedances, min, max of the largest row norm) when each basis came from a
+# sign-fixed Householder QR; CholeskyQR2 must keep the counts exactly and the
+# extremes within 1e-12.
+GOLDEN_ROWNORM = {
+    ("rownorm_256x8", 0): (0, 0.2673887350499593, 0.38852011088791466),
+    ("rownorm_256x8", 12345): (0, 0.26374173960035135, 0.35140913421656206),
+    ("rownorm_64x64", 0): (0, 1.0, 1.0000000000000002),
+    ("rownorm_64x64", 12345): (0, 1.0, 1.0000000000000002),
+}
+
+
+@pytest.mark.parametrize("run, seed", sorted(GOLDEN_ROWNORM))
+def test_rownorm_matches_the_householder_records(run, seed):
+    (s,) = GOLDEN_RUNS[run](seed)
+    count, lo, hi = GOLDEN_ROWNORM[(run, seed)]
+    assert s.empirical_frequency * s.plan.trials == count
+    assert abs(s.extreme_sigma_min - lo) <= 1e-12
+    assert abs(s.extreme_sigma_max - hi) <= 1e-12
 
 
 class _Recorder:
