@@ -9,13 +9,11 @@ from .bounds import (
     EMBEDDING_SIGMA_MAX,
     EMBEDDING_SIGMA_MIN,
     ChernoffParams,
-    LargeSampleParams,
     chernoff_lower_tail,
     chernoff_upper_tail,
     coupon_coverage_probability,
     embedding_sample_size,
     hoeffding_component_tail,
-    large_sample_size,
     rademacher_tail,
     row_norm_bound,
     row_sampling_failure_bound,
@@ -45,7 +43,6 @@ __all__ = [
     "EMBEDDING_SIGMA_MAX",
     "EMBEDDING_SIGMA_MIN",
     "HadamardDim",
-    "LargeSampleParams",
     "SrhtOperator",
     "apply_to_matrix",
     "apply_to_vector",
@@ -61,7 +58,6 @@ __all__ = [
     "hadamard_entry",
     "hadamard_matrix",
     "hoeffding_component_tail",
-    "large_sample_size",
     "materialize",
     "orthonormality_defect",
     "rademacher_tail",

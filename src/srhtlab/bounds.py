@@ -1,4 +1,4 @@
-"""Closed-form tail bounds and sample-size rules for SRHT sketching.
+"""Closed-form tail bounds and the embedding sample-size rule for SRHT sketching.
 
 All logarithms are natural: the Rademacher tail identity
 exp(-8*log(beta*n)/8) = 1/(beta*n) used to calibrate the row-norm bound only
@@ -16,7 +16,6 @@ __all__ = [
     "ChernoffParams",
     "EMBEDDING_SIGMA_MAX",
     "EMBEDDING_SIGMA_MIN",
-    "LargeSampleParams",
     "RowNormBound",
     "SampleSizeBound",
     "chernoff_lower_tail",
@@ -25,7 +24,6 @@ __all__ = [
     "embedding_failure_probability",
     "embedding_sample_size",
     "hoeffding_component_tail",
-    "large_sample_size",
     "rademacher_tail",
     "row_norm_bound",
     "row_sampling_failure_bound",
@@ -61,26 +59,6 @@ class SampleSizeBound:
     failure_bound: float
 
 
-@dataclass(frozen=True)
-class LargeSampleParams:
-    """Parameters of the large-sample rule (1 + iota) * k * log(k).
-
-    ``c_const`` and ``C_const`` are universal constants whose values are not
-    pinned down; the defaults are unverified placeholders that only feed the
-    applicability flag, never a bound value.
-    """
-
-    iota: float
-    c_const: float = 1.0
-    C_const: float = 1.0
-
-    def __post_init__(self):
-        if not self.iota > 0:
-            raise ValueError(f"iota must be positive, got {self.iota}")
-        if self.c_const <= 0 or self.C_const <= 0:
-            raise ValueError("universal-constant placeholders must be positive")
-
-
 def embedding_sample_size(k: int, n: int) -> SampleSizeBound:
     """Smallest ell with 4*(sqrt(k) + sqrt(8 log(k n)))^2 * log(k) <= ell.
 
@@ -104,32 +82,6 @@ def embedding_sample_size(k: int, n: int) -> SampleSizeBound:
     )
 
 
-def large_sample_size(k: int, n: int, params: LargeSampleParams) -> SampleSizeBound:
-    """Large-sample rule ell >= (1 + iota) * k * log(k).
-
-    Valid when k >= C * iota^-2 * log(n) and iota <= c; then the singular
-    values land in [iota, sqrt(e)] except with probability O(k^(-c*iota)).
-    The reported failure bound is k^(-c*iota) with the placeholder c.
-    """
-    if k < 1 or n < k:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    if k < 2:
-        return SampleSizeBound(1, False, params.iota, math.sqrt(math.e), 1.0)
-    ell = max(1, math.ceil((1.0 + params.iota) * k * math.log(k)))
-    applicable = (
-        params.iota <= params.c_const
-        and k >= params.C_const * params.iota**-2 * math.log(n)
-        and ell <= n
-    )
-    return SampleSizeBound(
-        ell=ell,
-        applicable=applicable,
-        sigma_min=params.iota,
-        sigma_max=math.sqrt(math.e),
-        failure_bound=k ** (-params.c_const * params.iota),
-    )
-
-
 @dataclass(frozen=True)
 class RowNormBound:
     value: float
@@ -145,8 +97,8 @@ def row_norm_bound(n: int, k: int, beta: float) -> RowNormBound:
     """
     if n < 1 or k < 1:
         raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
-    if beta * n <= 1.0:
-        raise ValueError(f"need beta * n > 1 for a positive log, got {beta * n}")
+    if not (math.isfinite(beta) and beta * n > 1.0):
+        raise ValueError(f"need a finite beta with beta * n > 1, got beta={beta}, n={n}")
     value = math.sqrt(k / n) + math.sqrt(8.0 * math.log(beta * n) / n)
     return RowNormBound(value=value, exceedance_probability=1.0 / beta)
 

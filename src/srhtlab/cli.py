@@ -58,9 +58,6 @@ class CliConfig:
     format: str = "json"
     output_path: str = ""
     exhaustive: bool = False
-    iota: float = 0.25
-    c_const: float = 1.0
-    C_const: float = 1.0
     beta: float | None = None
     deltas: list | None = None
     thetas: list | None = None
@@ -88,9 +85,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bounds = sub.add_parser("bounds", help="evaluate every bound formula for (k, n)")
     p_bounds.add_argument("--k", type=int, required=True)
     p_bounds.add_argument("--n", type=int, required=True)
-    p_bounds.add_argument("--iota", type=float, default=0.25)
-    p_bounds.add_argument("--c", dest="c_const", type=float, default=1.0)
-    p_bounds.add_argument("--bigC", dest="C_const", type=float, default=1.0)
     p_bounds.add_argument("--beta", type=float, help="row-norm beta (default: k)")
     add_common(p_bounds)
 
@@ -162,11 +156,6 @@ def _run_bounds(config: CliConfig) -> int:
         "schema": exp_mod.SCHEMA_VERSION,
         "config": dataclasses.asdict(config),
         "embedding": dataclasses.asdict(bounds_mod.embedding_sample_size(k, n)),
-        "large_sample": dataclasses.asdict(
-            bounds_mod.large_sample_size(
-                k, n, bounds_mod.LargeSampleParams(config.iota, config.c_const, config.C_const)
-            )
-        ),
         "row_norm": {
             "beta": beta,
             **dataclasses.asdict(bounds_mod.row_norm_bound(n, k, beta)),
@@ -189,8 +178,6 @@ def _run_bounds(config: CliConfig) -> int:
             if isinstance(obj, dict):
                 for key, val in sorted(obj.items()):
                     flatten(f"{prefix}.{key}" if prefix else key, val)
-            elif isinstance(obj, list):
-                lines.append(f"{prefix},\"{obj}\"")
             else:
                 lines.append(f"{prefix},{obj}")
 

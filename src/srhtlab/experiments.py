@@ -11,14 +11,17 @@ not exceed the analytic bound by more than four binomial standard deviations
 (computed from the bound capped at 1), which keeps spurious failures around
 the 1e-4 level while leaving real violations of the bounds detectable.
 
-The coupon and Chernoff runners stack their trials into blocks.  Every
+The coupon, Chernoff and mgf runners stack their trials into blocks.  Every
 trial still draws from its own substream in the same call layout, but a
 block of trials shares one sketch, one Gram stack and one eigensolve.  A
 block's working array is about ``_BLOCK_BYTES`` (256 KiB), whatever the
 trial count, up to ``EXHAUSTIVE_CAP`` subsets; only the per-trial results
-(a k x k Gram per coupon trial, two eigenvalues per Chernoff subset) grow
-with it.  The block size never changes a result: every trial's arithmetic is
-the same as it would be alone.
+(a k x k Gram per coupon trial, a k-eigenvalue spectrum per Chernoff or mgf
+row list) grow with it.  The block size never changes a result: every
+trial's arithmetic is the same as it would be alone.  Chernoff and both
+sides of mgf share one path from a stream of ell-row lists to a stack of
+spectra; the with-replacement side of mgf lists a row once per draw, so a
+repeated row counts twice with no weight.
 
 The row-norm runner never forms a Householder basis.  Each trial draws its
 Gaussian and its signs from the same substreams a ``random_orthonormal``
@@ -358,14 +361,31 @@ def run_coupon_trials(k=8, ell_grid=(8, 12, 17, 24), trials=10000, seed=0):
     return summaries
 
 
-def _sampled_gram_eigenvalues(w, rows, counts=None):
+def _sampled_gram_eigenvalues(w, rows):
     """Descending eigenvalues of the Gram matrix of the rows of ``w`` listed
-    in ``rows``, each row weighted by sqrt(count) when ``counts`` is given.
-    A B x ell stack of row lists gives B spectra."""
-    sub = w[np.asarray(rows, dtype=np.int64), :]
-    if counts is not None:
-        sub = np.sqrt(np.asarray(counts, dtype=np.float64))[:, None] * sub
-    return symmetric_eigenvalues(gram(sub))
+    in ``rows``, a row listed twice counting twice.  A B x ell stack of row
+    lists gives B spectra."""
+    return symmetric_eigenvalues(gram(w[np.asarray(rows, dtype=np.int64), :]))
+
+
+def _gram_spectra(w, ell, row_lists, count):
+    """``count`` x k stack of descending Gram spectra of ``w``, one per
+    ell-row list in ``row_lists``, with one stacked eigensolve per block."""
+    spectra = np.empty((count, w.shape[1]))
+    for lo, block in _blocks(row_lists, ell * w.shape[1] * 8):
+        spectra[lo : lo + len(block)] = _sampled_gram_eigenvalues(w, block)
+    return spectra
+
+
+def _subsets(n, ell, mode, count, seed):
+    """The ell-subsets a run samples without replacement: every one in
+    lexicographic order (exhaustive), or ``count`` draws, draw i from
+    substream (seed, 1, 0, i) (Monte Carlo)."""
+    if mode == "exhaustive":
+        return itertools.combinations(range(n), ell)
+    return (
+        sample_without_replacement(n, ell, derived_rng(seed, 1, 0, i)) for i in range(count)
+    )
 
 
 def run_chernoff_validation(
@@ -396,18 +416,8 @@ def run_chernoff_validation(
     w = random_orthonormal(n, k, (seed, 0, 0, 0))
     b_max = float(np.max(np.sum(w * w, axis=1)))
     mu = ell / n
-    if mode == "exhaustive":
-        subsets = itertools.combinations(range(n), ell)
-    else:
-        subsets = (
-            sample_without_replacement(n, ell, derived_rng(seed, 1, 0, i))
-            for i in range(plan_trials)
-        )
-    lam_min, lam_max = np.empty(plan_trials), np.empty(plan_trials)
-    for lo, block in _blocks(subsets, ell * k * 8):
-        eig = _sampled_gram_eigenvalues(w, block)
-        lam_min[lo : lo + len(block)] = eig[:, -1]
-        lam_max[lo : lo + len(block)] = eig[:, 0]
+    eig = _gram_spectra(w, ell, _subsets(n, ell, mode, plan_trials, seed), plan_trials)
+    lam_min, lam_max = eig[:, -1], eig[:, 0]
     sigma_lo = math.sqrt(max(0.0, float(lam_min.min())))
     sigma_hi = math.sqrt(float(lam_max.max()))
     elapsed = time.perf_counter() - start
@@ -459,59 +469,68 @@ def run_mgf_domination(
     For the same rank-one family as the Chernoff validation, computes
     E tr exp(theta * sum X_j) under both sampling models.  Exhaustive mode
     averages over all ell-subsets and, for the with-replacement side, over
-    multisets weighted by multinomial counts (reduced from the n^ell
-    sequences by exchangeability).  One summary per theta with
-    empirical = without/with ratio against the domination threshold 1;
-    extremes hold (without, with).  Exhaustive passes need without <= with
-    up to 1e-10 relative; Monte Carlo replaces that with a four-standard-
-    error allowance on the estimated means, which needs at least two trials.
+    the sorted multisets, weighted by their multinomial counts (reduced from
+    the n^ell sequences by exchangeability).  Monte Carlo mode draws subset i
+    as the Chernoff runner does and sequence i from substream (seed, 1, 1, i).
+    Both sides, in both modes, are ell-row lists (repeats included on the
+    with-replacement side) fed through the Chernoff runner's block loop.
+    One summary per theta with empirical = without/with ratio against the
+    domination threshold 1; extremes hold (without, with).  Exhaustive passes
+    need without <= with up to 1e-10 relative; Monte Carlo replaces that with
+    a four-standard-error allowance on the estimated means, which needs at
+    least two trials.  A non-finite theta, or one at which the traces or
+    their variance overflow float64 or the traces underflow to 0, is a
+    ValueError.
     """
     start = time.perf_counter()
     if mode == "monte_carlo" and trials < 2:
         raise ValueError(f"Monte Carlo mgf needs trials >= 2 for a standard error, got {trials}")
     if mode == "exhaustive" and n**ell > EXHAUSTIVE_CAP:
         raise ValueError(f"{n}^{ell} sequences exceed the exhaustive cap {EXHAUSTIVE_CAP}")
+    if not all(math.isfinite(theta) for theta in theta_grid):
+        raise ValueError(f"theta must be finite, got {list(theta_grid)}")
     plan_trials = math.comb(n, ell) if mode == "exhaustive" else trials
     plan = TrialPlan(n=n, k=k, ell=ell, trials=plan_trials, seed=seed, mode=mode)
     w = random_orthonormal(n, k, (seed, 0, 0, 0))
 
-    without_eigs, with_eigs, with_weights = [], [], []
+    without_eigs = _gram_spectra(w, ell, _subsets(n, ell, mode, plan_trials, seed), plan_trials)
     if mode == "exhaustive":
-        for subset in itertools.combinations(range(n), ell):
-            without_eigs.append(_sampled_gram_eigenvalues(w, subset))
         log_seq = ell * math.log(n)
+        with_weights = []
         for multiset in itertools.combinations_with_replacement(range(n), ell):
-            rows, counts = np.unique(multiset, return_counts=True)
             log_weight = math.lgamma(ell + 1) - log_seq
-            for c in counts:
-                log_weight -= math.lgamma(c + 1)
+            for _, run in itertools.groupby(multiset):
+                log_weight -= math.lgamma(len(list(run)) + 1)
             with_weights.append(math.exp(log_weight))
-            with_eigs.append(_sampled_gram_eigenvalues(w, rows, counts))
         total = math.fsum(with_weights)
         if abs(total - 1.0) > 1e-12:
             raise RuntimeError(f"multinomial weights sum to {total}, expected 1")
+        with_weights = np.array(with_weights)
+        sequences = itertools.combinations_with_replacement(range(n), ell)
     else:
-        for i in range(plan_trials):
-            subset = sample_without_replacement(n, ell, derived_rng(seed, 1, 0, i))
-            without_eigs.append(_sampled_gram_eigenvalues(w, subset))
-            rows = derived_rng(seed, 1, 1, i).integers(0, n, size=ell)
-            uniq, counts = np.unique(rows, return_counts=True)
-            with_eigs.append(_sampled_gram_eigenvalues(w, uniq, counts))
-            with_weights.append(1.0 / plan_trials)
+        with_weights = np.full(trials, 1.0 / trials)
+        sequences = (derived_rng(seed, 1, 1, i).integers(0, n, size=ell) for i in range(trials))
+    with_eigs = _gram_spectra(w, ell, sequences, len(with_weights))
     elapsed = time.perf_counter() - start
 
     summaries = []
     for theta in theta_grid:
-        wo_values = [math.fsum(math.exp(theta * v) for v in eig) for eig in without_eigs]
-        wi_values = [math.fsum(math.exp(theta * v) for v in eig) for eig in with_eigs]
-        without = math.fsum(wo_values) / len(wo_values)
-        with_repl = math.fsum(wt * v for wt, v in zip(with_weights, wi_values))
-        if mode == "exhaustive":
-            ok = without <= with_repl * (1.0 + 1e-10)
-        else:
-            se_wo = float(np.std(wo_values, ddof=1)) / math.sqrt(len(wo_values))
-            se_wi = float(np.std(wi_values, ddof=1)) / math.sqrt(len(wi_values))
-            ok = without <= with_repl + SLACK_SIGMAS * math.hypot(se_wo, se_wi)
+        # an overflowed trace, or overflowed squared deviations in a standard
+        # error, make the mean or the limit inf or nan; an underflowed one
+        # makes the with-replacement mean 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            wo_values = np.exp(theta * without_eigs).sum(axis=1)
+            wi_values = np.exp(theta * with_eigs).sum(axis=1)
+            without = float(np.mean(wo_values))
+            with_repl = float(with_weights @ wi_values)
+            if mode == "exhaustive":
+                limit = with_repl * (1.0 + 1e-10)
+            else:
+                se_wo = float(np.std(wo_values, ddof=1)) / math.sqrt(len(wo_values))
+                se_wi = float(np.std(wi_values, ddof=1)) / math.sqrt(len(wi_values))
+                limit = with_repl + SLACK_SIGMAS * math.hypot(se_wo, se_wi)
+        if not (math.isfinite(without) and math.isfinite(limit) and with_repl > 0.0):
+            raise ValueError(f"tr exp(theta * lambda) leaves the float64 range at theta={theta:g}")
         summaries.append(
             ExperimentSummary(
                 name=f"mgf_domination(theta={theta:g})",
@@ -520,7 +539,7 @@ def run_mgf_domination(
                 analytic_bound=1.0,
                 extreme_sigma_min=without,
                 extreme_sigma_max=with_repl,
-                passed=ok,
+                passed=without <= limit,
                 elapsed_seconds=elapsed,
             )
         )

@@ -9,13 +9,11 @@ from srhtlab.bounds import (
     EMBEDDING_SIGMA_MAX,
     EMBEDDING_SIGMA_MIN,
     ChernoffParams,
-    LargeSampleParams,
     chernoff_lower_tail,
     chernoff_upper_tail,
     coupon_coverage_probability,
     embedding_sample_size,
     hoeffding_component_tail,
-    large_sample_size,
     rademacher_tail,
     row_norm_bound,
     row_sampling_failure_bound,
@@ -74,35 +72,6 @@ def test_embedding_size_monotone(k, dk, dlogn):
     assert embedding_sample_size(k, n << dlogn).ell >= base
 
 
-def test_large_sample_headline():
-    out = large_sample_size(64, 10**6, LargeSampleParams(iota=0.25))
-    assert out.ell == 333  # ceil(1.25 * 64 * ln 64)
-    assert out.sigma_min == 0.25
-    assert out.sigma_max == pytest.approx(math.sqrt(math.e))
-
-
-def test_large_sample_small_iota_limit():
-    k = 64
-    out = large_sample_size(k, 10**9, LargeSampleParams(iota=1e-12))
-    assert out.ell == math.ceil(k * math.log(k))
-
-
-def test_large_sample_applicability_predicate():
-    p = LargeSampleParams(iota=0.25, c_const=1.0, C_const=1.0)
-    n = 65536
-    needed = p.C_const * p.iota**-2 * math.log(n)
-    assert not large_sample_size(32, n, p).applicable  # 32 < needed
-    assert needed <= 256
-    assert large_sample_size(256, n, p).applicable
-
-
-def test_large_sample_params_validation():
-    with pytest.raises(ValueError):
-        LargeSampleParams(iota=0.0)
-    with pytest.raises(ValueError):
-        LargeSampleParams(iota=0.1, c_const=-1.0)
-
-
 # --- row-norm level -----------------------------------------------------------
 
 def test_row_norm_bound_value():
@@ -120,6 +89,14 @@ def test_row_norm_bound_k_equals_n():
 def test_row_norm_bound_rejects_tiny_beta():
     with pytest.raises(ValueError):
         row_norm_bound(4, 2, 0.25)
+
+
+@pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+def test_row_norm_bound_rejects_non_finite_beta(beta):
+    # NaN slipped past "beta * n <= 1" and +inf gave an infinite level that
+    # nothing exceeds
+    with pytest.raises(ValueError, match="finite beta"):
+        row_norm_bound(4096, 16, beta)
 
 
 @pytest.mark.parametrize("k,n", [(4, 1024), (16, 65536), (32, 4096)])

@@ -39,6 +39,47 @@ def test_bounds_csv_format(capsys):
     assert any(line.startswith("embedding.ell,") for line in lines)
 
 
+@pytest.mark.parametrize("flag", ["--iota", "--c", "--bigC"])
+def test_bounds_has_no_large_sample_rule(capsys, flag):
+    code, out, err = run_cli(capsys, "bounds", "--k", "16", "--n", "65536", flag, "1")
+    assert code == 2
+    assert out == "" and "unrecognized arguments" in err
+    code, out, _ = run_cli(capsys, "bounds", "--k", "16", "--n", "65536")
+    assert code == 0
+    doc = json.loads(out)
+    assert "large_sample" not in doc
+    assert not {"iota", "c_const", "C_const"} & set(doc["config"])
+
+
+@pytest.mark.parametrize("beta", ["nan", "inf"])
+@pytest.mark.parametrize(
+    "argv",
+    [("bounds", "--k", "4", "--n", "64"), ("experiment", "rownorm", "--n", "64", "--trials", "2")],
+)
+def test_non_finite_beta_is_usage_error(capsys, argv, beta):
+    # bounds --beta nan once wrote NaN, which is not JSON, and exited 0
+    code, out, err = run_cli(capsys, *argv, "--beta", beta)
+    assert code == 2
+    assert out == "" and "finite beta" in err
+
+
+@pytest.mark.parametrize(
+    "theta, message",
+    [
+        ("2000", "leaves the float64 range"),
+        ("nan", "theta must be finite"),
+        ("inf", "theta must be finite"),
+    ],
+)
+def test_mgf_theta_outside_the_float_range_is_usage_error(capsys, theta, message):
+    # 2000 once crashed with an OverflowError traceback; nan and inf exited 1
+    # as a failed criterion
+    code, out, err = run_cli(capsys, "experiment", "mgf", "--exhaustive", "--thetas", theta)
+    assert code == 2
+    assert out == "" and message in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_sketch_full_sample_unit_spectrum(capsys):
     code, out, _ = run_cli(capsys, "sketch", "--n", "4", "--l", "4", "--k", "2", "--seed", "1")
     assert code == 0

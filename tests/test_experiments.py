@@ -301,8 +301,6 @@ def test_chernoff_bound_uses_realized_parameters():
     assert upper.analytic_bound == pytest.approx(chernoff_upper_tail(params), rel=1e-12)
 
 
-# --- mgf domination ---------------------------------------------------------
-
 def test_chernoff_exhaustive_matches_independent_enumeration():
     # recount the exact tail with numpy's eigensolver and raw itertools
     import itertools
@@ -326,6 +324,8 @@ def test_chernoff_exhaustive_matches_independent_enumeration():
     assert lower.empirical_frequency == pytest.approx(p_lower, abs=1e-12)
     assert upper.empirical_frequency == pytest.approx(p_upper, abs=1e-12)
 
+
+# --- mgf domination ---------------------------------------------------------
 
 def test_mgf_theta_zero_gives_dimension():
     out = run_mgf_domination(6, 2, 2, [0.0], seed=14, mode="exhaustive")
@@ -390,6 +390,34 @@ def test_mgf_sequence_cap():
         run_mgf_domination(16, 2, 8, [1.0], seed=0, mode="exhaustive")  # 16^8 sequences
 
 
+@pytest.mark.parametrize("mode", ["exhaustive", "monte_carlo"])
+@pytest.mark.parametrize(
+    "theta, message",
+    [
+        (math.nan, "theta must be finite"),
+        (math.inf, "theta must be finite"),
+        (2000.0, "leaves the float64 range"),  # exp(2000 * lambda) overflows
+    ],
+)
+def test_mgf_rejects_theta_outside_the_float_range(mode, theta, message):
+    with pytest.raises(ValueError, match=message):
+        run_mgf_domination(8, 2, 3, [1.0, theta], seed=0, mode=mode, trials=50)
+
+
+def test_mgf_rejects_an_overflowed_standard_error():
+    # at theta = 200 the traces (about 1e171) are finite but their squared
+    # deviations overflow, which once gave an infinite allowance and a pass
+    with pytest.raises(ValueError, match="leaves the float64 range"):
+        run_mgf_domination(8, 2, 3, [200.0], seed=0, mode="monte_carlo", trials=300)
+
+
+def test_mgf_rejects_underflowed_traces():
+    # k = 1: every sum has a positive eigenvalue, so both means underflow to
+    # 0 and the ratio would be 0 / 0
+    with pytest.raises(ValueError, match="leaves the float64 range"):
+        run_mgf_domination(8, 1, 3, [-1e6], seed=0, mode="exhaustive")
+
+
 # --- reproducibility and serialization --------------------------------------
 
 def test_summaries_reproducible():
@@ -446,7 +474,10 @@ def test_json_records_roundtrip():
 # coupon and Chernoff hashes were recorded when every trial and subset was
 # computed on its own; the blocked runners must reproduce them byte for byte.
 # The row-norm hashes were recorded with CholeskyQR2 bases; the Householder
-# records they replaced are pinned as literals in GOLDEN_ROWNORM.
+# records they replaced are pinned as literals in GOLDEN_ROWNORM.  The mgf
+# hashes were recorded with repeated rows on the with-replacement side; the
+# records of the sqrt(count)-weighted unique rows they replaced are pinned as
+# literals in GOLDEN_MGF.
 GOLDEN_RUNS = {
     "rownorm_256x8": lambda seed: [run_row_norm_trials(256, 8, 8.0, trials=200, seed=seed)],
     "rownorm_64x64": lambda seed: [run_row_norm_trials(64, 64, 2.0, trials=20, seed=seed)],
@@ -457,6 +488,10 @@ GOLDEN_RUNS = {
     ),
     "chernoff_monte_carlo": lambda seed: run_chernoff_validation(
         16, 2, 6, seed=seed, mode="monte_carlo", trials=300
+    ),
+    "mgf_exhaustive": lambda seed: run_mgf_domination(8, 2, 3, seed=seed, mode="exhaustive"),
+    "mgf_monte_carlo": lambda seed: run_mgf_domination(
+        8, 2, 3, seed=seed, mode="monte_carlo", trials=300
     ),
 }
 GOLDEN_SUMMARY_SHA256 = {
@@ -480,6 +515,14 @@ GOLDEN_SUMMARY_SHA256 = {
         "9aca153b4af13e5ac3de6bd7248a40650e46b585f780daf007991c07aea4f429",
     ("rownorm_64x64", 12345):
         "e54baf75e40a47b55490996ef3dcef75bef3d4e0d7c0558850be080e31aeaf4b",
+    ("mgf_exhaustive", 0):
+        "ddd998537aa6230c7fea9d8bca79cf43f61e92378a63e9fd52f2cc7b52759da9",
+    ("mgf_exhaustive", 12345):
+        "84cb41099ce84cadf847f72ddcff449e989d3e1d3bfbcb0c80970e1f8ae3fdd5",
+    ("mgf_monte_carlo", 0):
+        "62613b5f570405a783199079b5d4e200299310e265c800636ba625041ccaa086",
+    ("mgf_monte_carlo", 12345):
+        "ae570688e15f47e952206e56827b3408531d0101a6fd665d0035f8da3ad319be",
 }
 
 
@@ -507,6 +550,45 @@ def test_rownorm_matches_the_householder_records(run, seed):
     assert s.empirical_frequency * s.plan.trials == count
     assert abs(s.extreme_sigma_min - lo) <= 1e-12
     assert abs(s.extreme_sigma_max - hi) <= 1e-12
+
+
+# (without, with, passed) per theta of the default grid when every subset
+# and multiset had its own eigensolve and a repeated row was one row weighted
+# by sqrt(count); the stacked repeated-row runner must keep every passed flag
+# and both means within 1e-12.
+GOLDEN_MGF = {
+    ("mgf_exhaustive", 0): [
+        (2.4395477358239317, 2.4520357850019363, True),
+        (3.044254320266102, 3.1169977009955474, True),
+        (5.072491231635619, 5.739637505754657, True),
+    ],
+    ("mgf_exhaustive", 12345): [
+        (2.4386857707883216, 2.450844098190198, True),
+        (3.040116703810147, 3.111620338921412, True),
+        (5.049130280669369, 5.726681283961658, True),
+    ],
+    ("mgf_monte_carlo", 0): [
+        (2.4205090867274106, 2.470476380686716, True),
+        (2.994290221895683, 3.1888023083292456, True),
+        (4.894558541685605, 6.290737388312944, True),
+    ],
+    ("mgf_monte_carlo", 12345): [
+        (2.450778700827479, 2.427234601459361, True),
+        (3.072161907734223, 3.0486232008616594, True),
+        (5.163405786923376, 5.457790756390698, True),
+    ],
+}
+
+
+@pytest.mark.parametrize("run, seed", sorted(GOLDEN_MGF))
+def test_mgf_matches_the_weighted_unique_row_records(run, seed):
+    out = GOLDEN_RUNS[run](seed)
+    assert len(out) == len(GOLDEN_MGF[(run, seed)])
+    for s, (without, with_repl, passed) in zip(out, GOLDEN_MGF[(run, seed)]):
+        assert abs(s.extreme_sigma_min - without) <= 1e-12
+        assert abs(s.extreme_sigma_max - with_repl) <= 1e-12
+        assert abs(s.empirical_frequency - without / with_repl) <= 1e-12
+        assert s.passed is passed
 
 
 class _Recorder:
@@ -588,6 +670,40 @@ def test_coupon_at_the_real_budget_equals_one_trial_at_a_time(k):
     _check_coupon_blocks(k, [k, 2 * k], 2 * block + 3, 31, block)
 
 
+def _check_row_list_stacks(calls, w, sides, block):
+    """``calls`` (recorded _sampled_gram_eigenvalues calls) take each side's
+    row lists in turn, in order and repeats included, in one call per block
+    of at most ``block`` lists, and give every list's spectrum bit for bit."""
+    for row_lists in sides:
+        count = -(-len(row_lists) // block)
+        side, calls = calls[:count], calls[count:]
+        assert all(len(rows) <= block for (_, rows), _ in side)
+        assert [list(r) for (_, rows), _ in side for r in rows] == row_lists
+        eig = np.concatenate([result for _, result in side])
+        alone = [exp_mod._sampled_gram_eigenvalues(w, rows) for rows in row_lists]
+        assert np.array_equal(eig, np.array(alone))
+    assert calls == []
+
+
+def _without_replacement_lists(n, ell, mode, trials, seed):
+    from srhtlab.srht import derived_rng, sample_without_replacement
+
+    if mode == "exhaustive":
+        return [list(s) for s in itertools.combinations(range(n), ell)]
+    return [list(sample_without_replacement(n, ell, derived_rng(seed, 1, 0, i)))
+            for i in range(trials)]
+
+
+def _recorded_stacks(runner, block_bytes, *args, **kwargs):
+    """Calls of _sampled_gram_eigenvalues that ``runner`` makes with the block
+    budget patched to ``block_bytes``."""
+    stacks = _Recorder(exp_mod._sampled_gram_eigenvalues)
+    with mock.patch.object(exp_mod, "_BLOCK_BYTES", block_bytes), \
+            mock.patch.object(exp_mod, "_sampled_gram_eigenvalues", stacks):
+        runner(*args, **kwargs)
+    return stacks.calls
+
+
 @given(
     mode=st.sampled_from(["exhaustive", "monte_carlo"]),
     shape=st.sampled_from([(4, 1, 2), (8, 2, 3), (8, 3, 5), (16, 2, 3)]),
@@ -598,25 +714,44 @@ def test_coupon_at_the_real_budget_equals_one_trial_at_a_time(k):
 @settings(max_examples=30)
 def test_stacked_chernoff_eigenvalues_equal_each_subset_alone(mode, shape, block, trials, seed):
     from srhtlab.linalg import random_orthonormal
-    from srhtlab.srht import derived_rng, sample_without_replacement
 
     n, k, ell = shape
-    if mode == "exhaustive":
-        subsets = [list(s) for s in itertools.combinations(range(n), ell)]
-    else:
-        subsets = [list(sample_without_replacement(n, ell, derived_rng(seed, 1, 0, i)))
-                   for i in range(trials)]
-    one_subset = exp_mod._sampled_gram_eigenvalues
-    stacks = _Recorder(one_subset)
-    with mock.patch.object(exp_mod, "_BLOCK_BYTES", block * ell * k * 8), \
-            mock.patch.object(exp_mod, "_sampled_gram_eigenvalues", stacks):
-        run_chernoff_validation(n, k, ell, [0.5], seed=seed, mode=mode, trials=trials)
-    assert len(stacks.calls) == -(-len(subsets) // block)
+    calls = _recorded_stacks(
+        run_chernoff_validation, block * ell * k * 8,
+        n, k, ell, [0.5], seed=seed, mode=mode, trials=trials,
+    )
     w = random_orthonormal(n, k, (seed, 0, 0, 0))
-    rows = [row for (_, block_rows), _ in stacks.calls for row in block_rows]
-    assert [list(r) for r in rows] == subsets
-    eig = np.concatenate([result for _, result in stacks.calls])
-    assert np.array_equal(eig, np.array([one_subset(w, s) for s in subsets]))
+    _check_row_list_stacks(calls, w, [_without_replacement_lists(n, ell, mode, trials, seed)],
+                           block)
+
+
+@given(
+    mode=st.sampled_from(["exhaustive", "monte_carlo"]),
+    shape=st.sampled_from([(4, 1, 2), (4, 2, 3), (8, 2, 3), (6, 3, 2)]),
+    block=st.integers(1, 7),
+    trials=st.integers(2, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=30)
+def test_stacked_mgf_eigenvalues_equal_each_row_list_alone(mode, shape, block, trials, seed):
+    # the with-replacement side lists a row once per draw: sorted multisets
+    # in enumeration order, or the raw draws of substream (seed, 1, 1, i)
+    from srhtlab.linalg import random_orthonormal
+    from srhtlab.srht import derived_rng
+
+    n, k, ell = shape
+    calls = _recorded_stacks(
+        run_mgf_domination, block * ell * k * 8,
+        n, k, ell, [0.5], seed=seed, mode=mode, trials=trials,
+    )
+    if mode == "exhaustive":
+        with_lists = [list(m) for m in itertools.combinations_with_replacement(range(n), ell)]
+    else:
+        with_lists = [list(derived_rng(seed, 1, 1, i).integers(0, n, size=ell))
+                      for i in range(trials)]
+    w = random_orthonormal(n, k, (seed, 0, 0, 0))
+    sides = [_without_replacement_lists(n, ell, mode, trials, seed), with_lists]
+    _check_row_list_stacks(calls, w, sides, block)
 
 
 def test_coupon_memory_is_bounded_by_the_block_budget():
