@@ -10,7 +10,6 @@ dominance comparisons see the actual expressions.
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 __all__ = [
     "ChernoffParams",
@@ -34,9 +33,6 @@ __all__ = [
 # [0.40, 1.48].
 EMBEDDING_SIGMA_MIN = 1.0 / math.sqrt(6.0)
 EMBEDDING_SIGMA_MAX = math.sqrt(13.0 / 6.0)
-
-# Exact coupon arithmetic switches to log-space above this k.
-_COUPON_EXACT_MAX_K = 20
 
 
 def embedding_failure_probability(k: int) -> float:
@@ -205,39 +201,17 @@ def coupon_coverage_probability(k: int, ell: int) -> float:
     classes of size k hits every class.
 
     Inclusion-exclusion over the missed classes:
-    sum_i (-1)^i C(k, i) C(k^2 - i k, ell) / C(k^2, ell).  Exact integer
-    arithmetic up to k=20, log-space terms with compensated summation above
-    (the binomials overflow any fixed-width float well before that).  The
-    log-space branch carries lgamma rounding through an alternating sum, so
-    it is good to roughly 1e-9 absolute, not machine precision.
+    sum_i (-1)^i C(k, i) C(k^2 - i k, ell) / C(k^2, ell), summed in exact
+    integers for every k and divided once, which Python rounds correctly, so
+    the result is the float nearest the true probability.  The integers
+    grow with k, and so does the cost: one call took up to about 0.5 ms at
+    k=32, 10 ms at k=64 and 250 ms at k=128, the most near ell = k^2 / 2
+    (one core of a 2-core Xeon VM).
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if not 1 <= ell <= k * k:
         raise ValueError(f"need 1 <= ell <= k^2, got ell={ell}, k={k}")
-    if ell < k:
-        return 0.0
     n = k * k
-    if k <= _COUPON_EXACT_MAX_K:
-        total = math.comb(n, ell)
-        acc = Fraction(0)
-        for i in range(k + 1):
-            acc += Fraction((-1) ** i * math.comb(k, i) * math.comb(n - i * k, ell), total)
-        return float(acc)
-    log_total = math.lgamma(n + 1) - math.lgamma(ell + 1) - math.lgamma(n - ell + 1)
-    terms = []
-    for i in range(k + 1):
-        m = n - i * k
-        if m < ell:
-            break
-        log_term = (
-            math.lgamma(k + 1)
-            - math.lgamma(i + 1)
-            - math.lgamma(k - i + 1)
-            + math.lgamma(m + 1)
-            - math.lgamma(ell + 1)
-            - math.lgamma(m - ell + 1)
-            - log_total
-        )
-        terms.append((-1.0) ** i * math.exp(log_term))
-    return min(1.0, max(0.0, math.fsum(terms)))
+    covered = sum((-1) ** i * math.comb(k, i) * math.comb(n - i * k, ell) for i in range(k + 1))
+    return covered / math.comb(n, ell)

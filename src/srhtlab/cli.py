@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import inspect
 import json
+import re
 import sys
 from dataclasses import dataclass
 
@@ -107,6 +108,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--thetas", type=float, nargs="+")
     p_exp.add_argument("--ells", type=int, nargs="+")
     add_common(p_exp)
+    # argparse before Python 3.14 takes only "-1" and "-.5" shapes for negative
+    # numbers, so a grid value such as -1e-3 would be read as an unknown option
+    p_exp._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
     return parser
 
 

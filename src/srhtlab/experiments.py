@@ -11,23 +11,29 @@ not exceed the analytic bound by more than four binomial standard deviations
 (computed from the bound capped at 1), which keeps spurious failures around
 the 1e-4 level while leaving real violations of the bounds detectable.
 
-The coupon, Chernoff and mgf runners stack their trials into blocks.  Every
-trial still draws from its own substream in the same call layout, but a
-block of trials shares one sketch, one Gram stack and one eigensolve.  A
-block's working array is about ``_BLOCK_BYTES`` (256 KiB), whatever the
-trial count, up to ``EXHAUSTIVE_CAP`` subsets; only the per-trial results
-(a k x k Gram per coupon trial, a k-eigenvalue spectrum per Chernoff or mgf
-row list) grow with it.  The block size never changes a result: every
-trial's arithmetic is the same as it would be alone.  Chernoff and both
-sides of mgf share one path from a stream of ell-row lists to a stack of
-spectra; the with-replacement side of mgf lists a row once per draw, so a
-repeated row counts twice with no weight.
+Every runner except the row-norm one computes its trials in blocks.  One
+loop cuts the trials into blocks of about ``_BLOCK_BYTES`` (256 KiB) of
+working array each, whatever the trial count, up to ``EXHAUSTIVE_CAP``
+subsets, and fills one row of a per-trial result array (a spectrum, or a
+largest component) per trial.  Every trial still draws from its own
+substream in the same call layout.  Embedding and coupon stack a block of
+operator draws into one ``sketch_stack`` call; flatten is the ell = n case
+of that map (every index kept, scale 1), one sign vector per trial.
+Chernoff and both sides of mgf turn a block of ell-row lists into one Gram
+stack and one eigensolve; the with-replacement side of mgf lists a row once
+per draw, so a repeated row counts twice with no weight.  The block size
+never changes a count: each trial's arithmetic is the one it would get
+alone, except that extremes may move by a few ulp where the transform's
+matrix products run at a different width.
 
-The row-norm runner never forms a Householder basis.  Each trial draws its
-Gaussian and its signs from the same substreams a ``random_orthonormal``
-basis would use, and orthonormalizes by two passes of Cholesky QR
-(CholeskyQR2) wrapped around the in-place transform; the per-trial
-orthonormality check on the transformed matrix is kept.
+The row-norm runner is the one that goes trial by trial: one of its trials
+is over the block budget (512 KiB at the headline shape), and a stacked
+transform was measured slower there, its array falling out of cache.  It
+never forms a Householder basis.  Each trial draws its Gaussian and its
+signs from the same substreams a ``random_orthonormal`` basis would use,
+and orthonormalizes by two passes of Cholesky QR (CholeskyQR2) wrapped
+around the in-place transform; the per-trial orthonormality check on the
+transformed matrix is kept.
 
 Each runner's keyword defaults are its headline configuration, the one the
 acceptance suite checks; called with only a seed, it runs that configuration.
@@ -60,15 +66,13 @@ from .linalg import (
     symmetric_eigenvalues,
 )
 from .srht import (
-    apply_to_matrix,
     derived_rng,
     draw_signs_and_indices,
-    draw_srht,
     rademacher_signs,
     sample_without_replacement,
     sketch_stack,
 )
-from .wht import HadamardDim, fwht, fwht_inplace
+from .wht import HadamardDim, fwht_inplace
 
 __all__ = [
     "CSV_COLUMNS",
@@ -173,42 +177,64 @@ def monte_carlo_slack(bound: float, trials: int) -> float:
     return SLACK_SIGMAS * math.sqrt(b * (1.0 - b) / trials)
 
 
-def _one_sided_summary(name, plan, count, bound, extremes, start):
-    """Summary of ``count`` events in ``plan.trials`` Monte Carlo trials whose
-    probability is at most ``bound``: passes when the frequency is within
-    four binomial sigmas above the bound."""
-    frequency = count / plan.trials
+def _one_sided_summary(name, plan, events, bound, lows, highs, start):
+    """Summary of per-trial ``events`` (booleans) in ``plan.trials`` Monte
+    Carlo trials whose probability is at most ``bound``: passes when the
+    frequency is within four binomial sigmas above the bound.  Extremes are
+    the least of the per-trial ``lows`` and the greatest of the ``highs``."""
+    # a Python int keeps the frequency, and so ``passed``, plain JSON values
+    frequency = int(np.count_nonzero(events)) / plan.trials
     return ExperimentSummary(
         name=name,
         plan=plan,
         empirical_frequency=frequency,
         analytic_bound=bound,
-        extreme_sigma_min=extremes[0],
-        extreme_sigma_max=extremes[1],
+        extreme_sigma_min=float(np.min(lows)),
+        extreme_sigma_max=float(np.max(highs)),
         passed=frequency <= bound + monte_carlo_slack(bound, plan.trials),
         elapsed_seconds=time.perf_counter() - start,
     )
 
 
-def _blocks(items, item_bytes):
-    """(offset, list) pairs that cut ``items`` into blocks of
-    max(1, _BLOCK_BYTES // item_bytes) consecutive items."""
+def _fill_blocks(items, count, width, item_bytes, fn):
+    """``count`` x ``width`` array whose rows are ``fn`` of consecutive blocks
+    of max(1, _BLOCK_BYTES // item_bytes) of the ``count`` ``items``, ``fn``
+    giving one row per item of its list."""
+    out = np.empty((count, width))
     size = max(1, _BLOCK_BYTES // item_bytes)
     items = iter(items)
     offset = 0
     while block := list(itertools.islice(items, size)):
-        yield offset, block
+        out[offset : offset + len(block)] = fn(block)
         offset += len(block)
+    return out
+
+
+def _sketch_spectra(v, ell, stream, trials, seed, spectrum):
+    """``trials`` x k stack of ``spectrum`` of the ell x k sketches of ``v``:
+    trial i under the operator ``draw_signs_and_indices(n, ell, (seed, 1,
+    stream, i))`` draws, one ``sketch_stack`` per block of draws."""
+    n, k = v.shape
+    draws = (draw_signs_and_indices(n, ell, (seed, 1, stream, i)) for i in range(trials))
+
+    def block_spectra(block):
+        signs, indices = (np.array(parts) for parts in zip(*block))
+        return spectrum(sketch_stack(signs, indices, v))
+
+    return _fill_blocks(draws, trials, k, v.nbytes, block_spectra)
 
 
 def run_embedding_trials(n=65536, k=16, ell=None, trials=200, seed=0):
     """Check the singular-value window of sketched orthonormal columns.
 
     One orthonormal V is fixed per run; each trial applies an independent
-    SRHT and records sigma_k and sigma_1 of the sketch.  A trial is a
-    violation when sigma_k < 1/sqrt(6) or sigma_1 > sqrt(13/6); the analytic
-    bound on the violation frequency is 3/k.  If ``ell`` is omitted the
-    explicit-constant sample size is used.
+    SRHT, drawn from substream (seed, 1, 0, i) as ``draw_srht`` would, and
+    records sigma_k and sigma_1 of the sketch.  A trial is a violation when
+    sigma_k < 1/sqrt(6) or sigma_1 > sqrt(13/6); the analytic bound on the
+    violation frequency is 3/k.  If ``ell`` is omitted the explicit-constant
+    sample size is used.  Trials are sketched in blocks, one
+    ``sketch_stack`` and one stacked SVD per block; the block size never
+    changes a count.
     """
     start = time.perf_counter()
     size = embedding_sample_size(k, n)
@@ -220,19 +246,11 @@ def run_embedding_trials(n=65536, k=16, ell=None, trials=200, seed=0):
         raise ValueError(f"need 1 <= ell <= n, got ell={ell}, n={n}")
     plan = TrialPlan(n=n, k=k, ell=ell, trials=trials, seed=seed)
     basis = random_orthonormal(n, k, (seed, 0, 0, 0))
-    violations = 0
-    sigma_min_seen = math.inf
-    sigma_max_seen = -math.inf
-    for i in range(trials):
-        op = draw_srht(n, ell, (seed, 1, 0, i))
-        spectrum = singular_values(apply_to_matrix(op, basis))
-        sigma_top, sigma_bot = float(spectrum[0]), float(spectrum[-1])
-        sigma_min_seen = min(sigma_min_seen, sigma_bot)
-        sigma_max_seen = max(sigma_max_seen, sigma_top)
-        if sigma_bot < size.sigma_min or sigma_top > size.sigma_max:
-            violations += 1
+    spectra = _sketch_spectra(basis, ell, 0, trials, seed, singular_values)
+    sigma_top, sigma_bot = spectra[:, 0], spectra[:, -1]
+    violations = (sigma_bot < size.sigma_min) | (sigma_top > size.sigma_max)
     return _one_sided_summary(
-        "embedding", plan, violations, size.failure_bound, (sigma_min_seen, sigma_max_seen), start
+        "embedding", plan, violations, size.failure_bound, sigma_bot, sigma_top, start
     )
 
 
@@ -264,8 +282,7 @@ def run_row_norm_trials(n=4096, k=16, beta=None, trials=2000, seed=0):
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     level = row_norm_bound(n, k, float(k) if beta is None else beta)
     plan = TrialPlan(n=n, k=k, ell=0, trials=trials, seed=seed)
-    exceedances = 0
-    lo, hi = math.inf, -math.inf
+    norms = np.empty(trials)
     for i in range(trials):
         g = derived_rng(seed, 0, 0, i).standard_normal((n, k))
         r1 = _cholesky_r(g)
@@ -275,12 +292,9 @@ def run_row_norm_trials(n=4096, k=16, beta=None, trials=2000, seed=0):
         defect = orthonormality_defect(w)
         if defect > 1e-8:
             raise RuntimeError(f"transformed basis lost orthonormality: defect {defect}")
-        max_norm = float(np.sqrt(np.max(np.sum(w * w, axis=1))))
-        lo, hi = min(lo, max_norm), max(hi, max_norm)
-        if max_norm >= level.value:
-            exceedances += 1
+        norms[i] = np.sqrt(np.max(np.sum(w * w, axis=1)))
     return _one_sided_summary(
-        "rownorm", plan, exceedances, level.exceedance_probability, (lo, hi), start
+        "rownorm", plan, norms >= level.value, level.exceedance_probability, norms, norms, start
     )
 
 
@@ -288,10 +302,14 @@ def run_flattening_trials(n=1024, trials=1000, seed=0, direction=None):
     """Check how well random signs plus the transform flatten one vector.
 
     For a fixed unit vector x (random unless ``direction`` is supplied), each
-    trial draws fresh signs and records max_i |(H D x)_i|.  The exceedance
-    frequency of t = sqrt(log(n)/n) is compared against the union bound
-    n * 2 exp(-n t^2 / 2), recorded as-is even when it is vacuous (> 1).
-    Extremes hold the (min, max) observed max component magnitude.
+    trial draws fresh signs from substream (seed, 1, 0, i) and records
+    max_i |(H D x)_i|.  The exceedance frequency of t = sqrt(log(n)/n) is
+    compared against the union bound n * 2 exp(-n t^2 / 2), recorded as-is
+    even when it is vacuous (> 1).  Extremes hold the (min, max) observed max
+    component magnitude.  H D x is the sketch with every index kept (ell = n,
+    scale 1), so blocks of trials share one ``sketch_stack``; the block size
+    never changes a count.  A direction that is not finite, is zero, or
+    whose norm leaves the float64 range is a ValueError.
     """
     start = time.perf_counter()
     HadamardDim.of_size(n)
@@ -302,18 +320,21 @@ def run_flattening_trials(n=1024, trials=1000, seed=0, direction=None):
         g = np.asarray(direction, dtype=np.float64)
         if g.shape != (n,):
             raise ValueError(f"direction must have shape ({n},), got {g.shape}")
-    x = g / np.linalg.norm(g)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        x = g / np.linalg.norm(g)
+    if not (np.isfinite(x).all() and x.any()):
+        raise ValueError("direction must be finite and nonzero, with a finite norm")
     threshold = math.sqrt(math.log(n) / n)
     bound = n * hoeffding_component_tail(n, threshold)
-    exceedances = 0
-    lo, hi = math.inf, -math.inf
-    for i in range(trials):
-        signs = rademacher_signs(derived_rng(seed, 1, 0, i), n)
-        peak = float(np.max(np.abs(fwht(signs * x))))
-        lo, hi = min(lo, peak), max(hi, peak)
-        if peak >= threshold:
-            exceedances += 1
-    return _one_sided_summary("flatten", plan, exceedances, bound, (lo, hi), start)
+    every_index = np.arange(n)
+    signs = (rademacher_signs(derived_rng(seed, 1, 0, i), n) for i in range(trials))
+
+    def block_peaks(block):
+        indices = np.broadcast_to(every_index, (len(block), n))
+        return np.max(np.abs(sketch_stack(np.array(block), indices, x)), axis=1)[:, None]
+
+    peaks = _fill_blocks(signs, trials, 1, x.nbytes, block_peaks)[:, 0]
+    return _one_sided_summary("flatten", plan, peaks >= threshold, bound, peaks, peaks, start)
 
 
 def run_coupon_trials(k=8, ell_grid=(8, 12, 17, 24), trials=10000, seed=0):
@@ -326,7 +347,8 @@ def run_coupon_trials(k=8, ell_grid=(8, 12, 17, 24), trials=10000, seed=0):
     per ell; passes when |empirical - exact| <= 4 binomial sigmas at the
     exact probability.  Trial i at grid point gi draws the operator
     ``draw_srht(n, ell, (seed, 1, gi, i))`` would; blocks of trials share one
-    ``sketch_stack`` and one Gram stack.
+    ``sketch_stack``, one Gram stack and one eigensolve, and the block size
+    never changes a count.
     """
     basis = decimated_identity(k)
     n = k * k
@@ -335,12 +357,9 @@ def run_coupon_trials(k=8, ell_grid=(8, 12, 17, 24), trials=10000, seed=0):
         start = time.perf_counter()
         exact = coupon_coverage_probability(k, ell)
         plan = TrialPlan(n=n, k=k, ell=ell, trials=trials, seed=seed)
-        grams = np.empty((trials, k, k))
-        draws = (draw_signs_and_indices(n, ell, (seed, 1, gi, i)) for i in range(trials))
-        for lo, block in _blocks(draws, n * k * 8):
-            signs, indices = (np.array(parts) for parts in zip(*block))
-            grams[lo : lo + len(block)] = gram(sketch_stack(signs, indices, basis))
-        eig = symmetric_eigenvalues(grams)
+        eig = _sketch_spectra(
+            basis, ell, gi, trials, seed, lambda s: symmetric_eigenvalues(gram(s))
+        )
         spectra = np.sqrt(np.clip(eig, 0.0, None))
         sigma_top, sigma_bot = spectra[:, 0], spectra[:, -1]
         full_rank = sigma_bot > RANK_RTOL * np.maximum(sigma_top, 1.0)
@@ -371,10 +390,10 @@ def _sampled_gram_eigenvalues(w, rows):
 def _gram_spectra(w, ell, row_lists, count):
     """``count`` x k stack of descending Gram spectra of ``w``, one per
     ell-row list in ``row_lists``, with one stacked eigensolve per block."""
-    spectra = np.empty((count, w.shape[1]))
-    for lo, block in _blocks(row_lists, ell * w.shape[1] * 8):
-        spectra[lo : lo + len(block)] = _sampled_gram_eigenvalues(w, block)
-    return spectra
+    return _fill_blocks(
+        row_lists, count, w.shape[1], ell * w.shape[1] * 8,
+        lambda block: _sampled_gram_eigenvalues(w, block),
+    )
 
 
 def _subsets(n, ell, mode, count, seed):

@@ -268,20 +268,18 @@ def test_coupon_klogk_scale_is_material():
     assert p_klogk > 0.5
 
 
-def test_coupon_logspace_branch_matches_exact_integers():
-    # k=25 goes through the lgamma path; compare to exact big-int arithmetic
-    # at the documented ~1e-9 absolute accuracy of that branch
-    k = 25
+@pytest.mark.parametrize("k", [25, 64])
+def test_coupon_large_k_equals_exact_rationals(k):
+    # above k = 20 a log-space branch was once off by up to 1.3e-5 at k = 64;
+    # every k now gets the float nearest the exact rational
     n = k * k
-    for ell in (25, 60, 120, 300, 625):
+    for ell in (k, 2 * k + 10, 5 * k, n // 2, n - 1, n):
         total = math.comb(n, ell)
         exact = sum(
             Fraction((-1) ** i * math.comb(k, i) * math.comb(n - i * k, ell), total)
             for i in range(k + 1)
         )
-        assert coupon_coverage_probability(k, ell) == pytest.approx(
-            float(exact), rel=1e-9, abs=1e-9
-        )
+        assert coupon_coverage_probability(k, ell) == float(exact), (k, ell)
 
 
 def test_coupon_rejects_bad_ell():

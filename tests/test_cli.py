@@ -1,12 +1,14 @@
 import json
+import pathlib
 import re
+import shlex
 
 import numpy as np
 import pytest
 
 import srhtlab.experiments as exp_mod
 from srhtlab.bounds import embedding_sample_size
-from srhtlab.cli import RUNNERS, main
+from srhtlab.cli import RUNNERS, _build_parser, main
 from srhtlab.experiments import ExperimentSummary, TrialPlan
 from srhtlab.linalg import random_orthonormal
 from srhtlab.srht import apply_to_matrix, draw_srht
@@ -78,6 +80,36 @@ def test_mgf_theta_outside_the_float_range_is_usage_error(capsys, theta, message
     assert code == 2
     assert out == "" and message in err
     assert len(err.strip().splitlines()) == 1
+
+
+def test_grid_values_in_exponent_notation_may_be_negative(capsys):
+    # "-1e-3" was once read as an unknown option, so no grid could hold it
+    code, out, err = run_cli(
+        capsys, "experiment", "mgf", "--exhaustive", "--n", "4", "--k", "1", "--l", "2",
+        "--thetas", "-1e-3", "0.5",
+    )
+    assert (code, err) == (0, "")
+    names = [s["name"] for s in json.loads(out)["summaries"]]
+    assert names == ["mgf_domination(theta=-0.001)", "mgf_domination(theta=0.5)"]
+
+
+def _readme_cli_lines():
+    """Each ``srhtlab ...`` line of the README's CLI code block, split as a
+    shell would, without its trailing comment."""
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True) for line in block.splitlines()
+            if line.startswith("srhtlab ")]
+
+
+def test_readme_cli_examples_parse():
+    lines = _readme_cli_lines()
+    assert len(lines) >= 5
+    for argv in lines:
+        try:
+            _build_parser().parse_args(argv[1:])
+        except SystemExit as exc:
+            pytest.fail(f"README example {shlex.join(argv)} does not parse (exit {exc.code})")
 
 
 def test_sketch_full_sample_unit_spectrum(capsys):

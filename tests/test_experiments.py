@@ -182,6 +182,19 @@ def test_flatten_basis_vector_direction():
     assert s.passed
 
 
+@pytest.mark.parametrize(
+    "direction",
+    [np.full(64, np.nan), np.zeros(64), np.r_[np.inf, np.ones(63)], np.full(64, 1e200)],
+    ids=["nan", "zero", "inf", "norm-overflows"],
+)
+def test_flatten_rejects_a_bad_direction_before_drawing(direction):
+    # each once passed with frequency 0; the first three with extremes
+    # inf / -inf, which are not JSON
+    with mock.patch.object(exp_mod, "derived_rng", side_effect=AssertionError("drew")):
+        with pytest.raises(ValueError, match="direction must be finite and nonzero"):
+            run_flattening_trials(64, trials=5, direction=direction)
+
+
 def test_flatten_union_bound_recorded_raw():
     s = run_flattening_trials(1024, trials=10, seed=7)
     assert s.analytic_bound == pytest.approx(64.0)  # vacuous, recorded as-is
@@ -473,12 +486,19 @@ def test_json_records_roundtrip():
 # SHA-256 of summaries_to_json(summaries, {}, include_timing=False).  The
 # coupon and Chernoff hashes were recorded when every trial and subset was
 # computed on its own; the blocked runners must reproduce them byte for byte.
+# The embedding and flatten hashes were recorded with blocked trials; the
+# per-trial records they replaced are pinned as literals in
+# GOLDEN_EMBEDDING_FLATTEN.
 # The row-norm hashes were recorded with CholeskyQR2 bases; the Householder
 # records they replaced are pinned as literals in GOLDEN_ROWNORM.  The mgf
 # hashes were recorded with repeated rows on the with-replacement side; the
 # records of the sqrt(count)-weighted unique rows they replaced are pinned as
 # literals in GOLDEN_MGF.
 GOLDEN_RUNS = {
+    "embedding_256x8": lambda seed: [
+        run_embedding_trials(256, 8, ell=64, trials=300, seed=seed)
+    ],
+    "flatten_1024": lambda seed: [run_flattening_trials(1024, trials=1000, seed=seed)],
     "rownorm_256x8": lambda seed: [run_row_norm_trials(256, 8, 8.0, trials=200, seed=seed)],
     "rownorm_64x64": lambda seed: [run_row_norm_trials(64, 64, 2.0, trials=20, seed=seed)],
     "coupon_k4": lambda seed: run_coupon_trials(4, (4, 6, 8, 10), trials=400, seed=seed),
@@ -495,6 +515,14 @@ GOLDEN_RUNS = {
     ),
 }
 GOLDEN_SUMMARY_SHA256 = {
+    ("embedding_256x8", 0):
+        "9ce4c8b6834f092c7c620eac52a5307a6d498ceed3481f79548b173633757f2e",
+    ("embedding_256x8", 12345):
+        "91ffcadb062de6d6f559c8a22d5ee1589ed2ef715e8a8895ed9d578b2d8978e2",
+    ("flatten_1024", 0):
+        "4606d4a6f469f323a22b44fb02e10ce6361d848675fa3fdaeb43bd75addcd356",
+    ("flatten_1024", 12345):
+        "f8a2c52b30d30713dcff0bf8738e62ba8991cd585d6bb5dbe903b6c48899e172",
     ("coupon_k4", 0): "261da3a9c32f67a1d8f61dc23664606c57ea9e8feb7525ee33c164b6ae88957c",
     ("coupon_k4", 12345): "f506f3a7df1620e10bc110740e15b12c662e0ad6deb67387d90730cf08208771",
     ("coupon_k2", 0): "52251dee150d8188c084816b755c105f3c972bde6e5280b07dc63fc6ff20a93d",
@@ -552,6 +580,28 @@ def test_rownorm_matches_the_householder_records(run, seed):
     assert abs(s.extreme_sigma_max - hi) <= 1e-12
 
 
+# (events, min, max) when every embedding trial went through draw_srht ->
+# apply_to_matrix and every flatten trial through fwht: violations with
+# (min sigma_k, max sigma_1), and exceedances with the extreme largest
+# component.  Blocked trials must keep the counts exactly and the extremes
+# within 1e-12.
+GOLDEN_EMBEDDING_FLATTEN = {
+    ("embedding_256x8", 0): (0, 0.5827189186450306, 1.3854659139912489),
+    ("embedding_256x8", 12345): (0, 0.6020560241974291, 1.3697713721660179),
+    ("flatten_1024", 0): (1000, 0.08411740976580556, 0.15765887668519013),
+    ("flatten_1024", 12345): (1000, 0.08439661896151567, 0.16470750621077945),
+}
+
+
+@pytest.mark.parametrize("run, seed", sorted(GOLDEN_EMBEDDING_FLATTEN))
+def test_embedding_and_flatten_match_the_per_trial_records(run, seed):
+    (s,) = GOLDEN_RUNS[run](seed)
+    count, lo, hi = GOLDEN_EMBEDDING_FLATTEN[(run, seed)]
+    assert s.empirical_frequency * s.plan.trials == count
+    assert abs(s.extreme_sigma_min - lo) <= 1e-12
+    assert abs(s.extreme_sigma_max - hi) <= 1e-12
+
+
 # (without, with, passed) per theta of the default grid when every subset
 # and multiset had its own eigensolve and a repeated row was one row weighted
 # by sqrt(count); the stacked repeated-row runner must keep every passed flag
@@ -604,6 +654,14 @@ class _Recorder:
         return result
 
 
+def _trial_counts(block, spare, shape, trial_bytes):
+    """A block budget of ``block`` trials plus a spare fraction of one more,
+    so the floor in the block size is exercised, and a trial count that
+    leaves a partial block or straddles block boundaries."""
+    trials = {"B-1": block - 1, "B": block, "B+1": block + 1, "2B+3": 2 * block + 3}[shape]
+    return int((block + spare) * trial_bytes), max(trials, 1)
+
+
 def _coupon_one_trial_at_a_time(k, ell_grid, trials, seed):
     """Gram matrices and (frequency, min sigma_k, max sigma_1) per ell, one
     trial at a time: draw_srht -> apply_to_matrix -> gram ->
@@ -627,7 +685,8 @@ def _coupon_one_trial_at_a_time(k, ell_grid, trials, seed):
 
 def _check_coupon_blocks(k, ell_grid, trials, seed, block):
     """The blocked runner, with ``block`` trials per block, equals the
-    one-trial-at-a-time oracle bit for bit and sketches once per block."""
+    one-trial-at-a-time oracle bit for bit, and sketches and eigensolves
+    once per block."""
     sketches = _Recorder(exp_mod.sketch_stack)
     eigensolves = _Recorder(exp_mod.symmetric_eigenvalues)
     with mock.patch.object(exp_mod, "sketch_stack", sketches), \
@@ -636,9 +695,9 @@ def _check_coupon_blocks(k, ell_grid, trials, seed, block):
     grams, expected = _coupon_one_trial_at_a_time(k, ell_grid, trials, seed)
     assert len(sketches.calls) == len(ell_grid) * -(-trials // block)
     assert all(len(args[0]) <= block for args, _ in sketches.calls)
-    assert len(eigensolves.calls) == len(ell_grid)
-    for (args, _), want in zip(eigensolves.calls, grams):
-        assert np.array_equal(args[0], want)
+    assert len(eigensolves.calls) == len(sketches.calls)
+    stacked = np.concatenate([args[0] for args, _ in eigensolves.calls])
+    assert np.array_equal(stacked, np.concatenate(grams))
     got = [(s.empirical_frequency, s.extreme_sigma_min, s.extreme_sigma_max) for s in out]
     assert got == expected
 
@@ -653,15 +712,11 @@ def _check_coupon_blocks(k, ell_grid, trials, seed, block):
 )
 @settings(max_examples=30)
 def test_blocked_coupon_equals_one_trial_at_a_time(k, block, spare, shape, ell_picks, seed):
-    # a budget of ``block`` trials plus a spare fraction of one more, so the
-    # floor in the block size is exercised; trial counts leave a partial
-    # block and straddle block boundaries
-    trial_bytes = k * k * k * 8
-    trials = {"B-1": block - 1, "B": block, "B+1": block + 1, "2B+3": 2 * block + 3}[shape]
+    budget, trials = _trial_counts(block, spare, shape, k * k * k * 8)
     n = k * k
     ell_grid = [1 + int(f * (n - 1)) for f in ell_picks]
-    with mock.patch.object(exp_mod, "_BLOCK_BYTES", int((block + spare) * trial_bytes)):
-        _check_coupon_blocks(k, ell_grid, max(trials, 1), seed, block)
+    with mock.patch.object(exp_mod, "_BLOCK_BYTES", budget):
+        _check_coupon_blocks(k, ell_grid, trials, seed, block)
 
 
 @pytest.mark.parametrize("k", [4, 8])
@@ -754,12 +809,92 @@ def test_stacked_mgf_eigenvalues_equal_each_row_list_alone(mode, shape, block, t
     _check_row_list_stacks(calls, w, sides, block)
 
 
+def _check_against_oracle(summary, trials, events, lows, highs, block, sketches):
+    """Counts exact, extremes within 1e-12 (bit for bit at one trial per
+    block), one ``sketch_stack`` per block of at most ``block`` trials."""
+    assert round(summary.empirical_frequency * trials) == int(np.count_nonzero(events))
+    assert abs(summary.extreme_sigma_min - min(lows)) <= 1e-12
+    assert abs(summary.extreme_sigma_max - max(highs)) <= 1e-12
+    if block == 1:
+        assert (summary.extreme_sigma_min, summary.extreme_sigma_max) == (min(lows), max(highs))
+    assert len(sketches.calls) == -(-trials // block)
+    assert all(len(args[0]) <= block for args, _ in sketches.calls)
+
+
+@st.composite
+def _embedding_shapes(draw):
+    n = 2 ** draw(st.integers(1, 8))
+    k = draw(st.integers(1, min(n, 8)))
+    return n, k, draw(st.integers(k, n))
+
+
+@given(
+    shape=_embedding_shapes(),
+    block=st.integers(1, 6),
+    spare=st.floats(0.0, 0.99),
+    count=st.sampled_from(["B-1", "B", "B+1", "2B+3"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(shape=(256, 8, 64), block=1, spare=0.0, count="2B+3", seed=0)
+@example(shape=(64, 16, 16), block=4, spare=0.5, count="B+1", seed=0)
+@settings(max_examples=30)
+def test_blocked_embedding_equals_one_trial_at_a_time(shape, block, spare, count, seed):
+    from srhtlab.bounds import embedding_sample_size
+    from srhtlab.linalg import random_orthonormal, singular_values
+    from srhtlab.srht import apply_to_matrix, draw_srht
+
+    n, k, ell = shape
+    budget, trials = _trial_counts(block, spare, count, n * k * 8)
+    sketches = _Recorder(exp_mod.sketch_stack)
+    with mock.patch.object(exp_mod, "_BLOCK_BYTES", budget), \
+            mock.patch.object(exp_mod, "sketch_stack", sketches):
+        s = run_embedding_trials(n, k, ell=ell, trials=trials, seed=seed)
+    basis = random_orthonormal(n, k, (seed, 0, 0, 0))
+    spectra = np.array([
+        singular_values(apply_to_matrix(draw_srht(n, ell, (seed, 1, 0, i)), basis))
+        for i in range(trials)
+    ])
+    top, bot = spectra[:, 0], spectra[:, -1]
+    size = embedding_sample_size(k, n)
+    violations = (bot < size.sigma_min) | (top > size.sigma_max)
+    _check_against_oracle(s, trials, violations, bot, top, block, sketches)
+
+
+@given(
+    n=st.sampled_from([2**e for e in range(11)]),
+    block=st.integers(1, 6),
+    spare=st.floats(0.0, 0.99),
+    count=st.sampled_from(["B-1", "B", "B+1", "2B+3"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=1024, block=1, spare=0.0, count="2B+3", seed=0)
+@example(n=1, block=3, spare=0.0, count="B+1", seed=0)
+@settings(max_examples=30)
+def test_blocked_flatten_equals_one_trial_at_a_time(n, block, spare, count, seed):
+    from srhtlab.srht import derived_rng, rademacher_signs
+    from srhtlab.wht import fwht
+
+    budget, trials = _trial_counts(block, spare, count, n * 8)
+    sketches = _Recorder(exp_mod.sketch_stack)
+    with mock.patch.object(exp_mod, "_BLOCK_BYTES", budget), \
+            mock.patch.object(exp_mod, "sketch_stack", sketches):
+        s = run_flattening_trials(n, trials=trials, seed=seed)
+    g = derived_rng(seed, 0, 0, 0).standard_normal(n)
+    x = g / np.linalg.norm(g)
+    peaks = np.array([
+        np.max(np.abs(fwht(rademacher_signs(derived_rng(seed, 1, 0, i), n) * x)))
+        for i in range(trials)
+    ])
+    events = peaks >= math.sqrt(math.log(n) / n)
+    _check_against_oracle(s, trials, events, peaks, peaks, block, sketches)
+
+
 def test_coupon_memory_is_bounded_by_the_block_budget():
-    # Peak traced allocation of a 4000-trial run: the Gram stack, the one
-    # working copy the final eigensolve makes of it, and a few 256 KiB
-    # blocks.  Sketching all 4000 trials in one block would take about 40 MB.
+    # Peak traced allocation of a 4000-trial run: the k-eigenvalue spectra,
+    # their clipped square roots, and a few 256 KiB blocks.
+    # Sketching all 4000 trials in one block would take about 40 MB.
     trials, k, budget = 4000, 8, 256 * 1024
-    gram_bytes = trials * k * k * 8
+    spectra_bytes = trials * k * 8
     run_coupon_trials(k, [17], trials=50)  # first-use allocations out of the way
     tracemalloc.start()
     try:
@@ -767,7 +902,7 @@ def test_coupon_memory_is_bounded_by_the_block_budget():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * gram_bytes + 4 * budget
+    assert peak < 2 * spectra_bytes + 4 * budget
 
 
 # --- headline configurations ------------------------------------------------
