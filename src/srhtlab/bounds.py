@@ -20,7 +20,6 @@ __all__ = [
     "chernoff_lower_tail",
     "chernoff_upper_tail",
     "coupon_coverage_probability",
-    "embedding_failure_probability",
     "embedding_sample_size",
     "hoeffding_component_tail",
     "rademacher_tail",
@@ -33,11 +32,6 @@ __all__ = [
 # [0.40, 1.48].
 EMBEDDING_SIGMA_MIN = 1.0 / math.sqrt(6.0)
 EMBEDDING_SIGMA_MAX = math.sqrt(13.0 / 6.0)
-
-
-def embedding_failure_probability(k: int) -> float:
-    """Failure probability 3/k attached to the explicit-constant guarantee."""
-    return 3.0 / k
 
 
 @dataclass(frozen=True)
@@ -74,7 +68,7 @@ def embedding_sample_size(k: int, n: int) -> SampleSizeBound:
         applicable=ell <= n,
         sigma_min=EMBEDDING_SIGMA_MIN,
         sigma_max=EMBEDDING_SIGMA_MAX,
-        failure_bound=embedding_failure_probability(k),
+        failure_bound=3.0 / k,
     )
 
 

@@ -156,6 +156,7 @@ def _run_sketch(config: CliConfig) -> int:
 def _run_bounds(config: CliConfig) -> int:
     k, n = config.k, config.n
     beta = float(k) if config.beta is None else config.beta
+    rule = {"alpha": 4.0, "delta": 5.0 / 6.0, "eta": 7.0 / 6.0}
     report = {
         "schema": exp_mod.SCHEMA_VERSION,
         "config": dataclasses.asdict(config),
@@ -165,12 +166,8 @@ def _run_bounds(config: CliConfig) -> int:
             **dataclasses.asdict(bounds_mod.row_norm_bound(n, k, beta)),
         },
         "row_sampling_failure": {
-            "alpha": 4.0,
-            "delta": 5.0 / 6.0,
-            "eta": 7.0 / 6.0,
-            "value": bounds_mod.row_sampling_failure_bound(k, 4.0, 5.0 / 6.0, 7.0 / 6.0)
-            if k >= 2
-            else None,
+            **rule,
+            "value": bounds_mod.row_sampling_failure_bound(k, **rule) if k >= 2 else None,
         },
     }
     if config.format == "json":

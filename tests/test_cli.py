@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import srhtlab.experiments as exp_mod
-from srhtlab.bounds import embedding_sample_size
+from srhtlab.bounds import embedding_sample_size, row_sampling_failure_bound
 from srhtlab.cli import RUNNERS, _build_parser, main
 from srhtlab.experiments import ExperimentSummary, TrialPlan
 from srhtlab.linalg import random_orthonormal
@@ -29,6 +29,12 @@ def test_bounds_report(capsys):
     assert doc["embedding"]["sigma_min"] == pytest.approx(0.4082, abs=5e-5)
     assert doc["embedding"]["sigma_max"] == pytest.approx(1.4720, abs=5e-5)
     assert doc["row_norm"]["beta"] == 16.0
+    assert doc["row_sampling_failure"] == {
+        "alpha": 4.0,
+        "delta": 5.0 / 6.0,
+        "eta": 7.0 / 6.0,
+        "value": row_sampling_failure_bound(16, 4.0, 5.0 / 6.0, 7.0 / 6.0),
+    }
     assert doc["row_sampling_failure"]["value"] <= 2 / 16
     assert doc["config"]["k"] == 16 and doc["config"]["n"] == 65536
 
@@ -299,6 +305,20 @@ def test_zero_flags_reach_the_runner_checks(capsys, argv):
     code, out, err = run_cli(capsys, "experiment", *argv)
     assert code == 2
     assert out == "" and len(err.strip().splitlines()) == 1
+
+
+def test_embedding_k1_without_ell_asks_for_it(capsys):
+    # the sample-size rule degenerates below k = 2; nothing exceeds n here
+    code, out, err = run_cli(capsys, "experiment", "embedding", "--n", "1024", "--k", "1")
+    assert code == 2
+    assert out == "" and "needs k >= 2" in err and "--l" in err and "exceeds" not in err
+
+
+@pytest.mark.parametrize("delta", ["1.5", "nan", "-0.1"])
+def test_chernoff_bad_deviation_is_usage_error(capsys, delta):
+    code, out, err = run_cli(capsys, "experiment", "chernoff", "--exhaustive", "--deltas", delta)
+    assert code == 2
+    assert out == "" and "deviation" in err
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import inspect
 import itertools
+import json
 import math
 import time
 import tracemalloc
@@ -64,6 +65,17 @@ def test_embedding_rejects_oversized_requirement():
         run_embedding_trials(64, 16, trials=2, seed=0)  # formula ell > n
     with pytest.raises(ValueError):
         run_embedding_trials(16, 4, ell=17, trials=2, seed=0)
+
+
+def test_embedding_names_why_the_sample_size_rule_does_not_apply():
+    # below k = 2 the rule has no size to give; above n its size is too big
+    with mock.patch.object(exp_mod, "draw_signs_and_indices", side_effect=AssertionError("drew")):
+        with pytest.raises(ValueError, match=r"needs k >= 2, got k=1; give ell \(--l\)"):
+            run_embedding_trials(1024, 1, trials=2)
+        with pytest.raises(ValueError, match="required sample size 1454 exceeds n=64"):
+            run_embedding_trials(64, 16, trials=2)
+    s = run_embedding_trials(1024, 1, ell=4, trials=2)
+    assert s.plan.ell == 4 and s.analytic_bound == 3.0
 
 
 def test_embedding_tiny_sample_fails_criterion():
@@ -292,6 +304,16 @@ def test_chernoff_monte_carlo_tracks_exhaustive():
         assert s.passed
 
 
+@pytest.mark.parametrize("mode", ["exhaustive", "monte_carlo"])
+@pytest.mark.parametrize("delta", [1.5, math.nan, -0.1])
+def test_chernoff_rejects_a_bad_deviation_before_any_subset(mode, delta):
+    stacks = _Recorder(exp_mod._sampled_gram_eigenvalues)
+    with mock.patch.object(exp_mod, "_sampled_gram_eigenvalues", stacks):
+        with pytest.raises(ValueError, match="deviation"):
+            run_chernoff_validation(16, 2, 6, [0.5, delta], mode=mode, trials=50)
+    assert stacks.calls == []
+
+
 def test_chernoff_exhaustive_cap():
     with pytest.raises(ValueError):
         run_chernoff_validation(64, 2, 32, [0.5], seed=0, mode="exhaustive")
@@ -469,8 +491,6 @@ def test_timing_free_csv_drops_elapsed_and_is_byte_identical():
 
 
 def test_json_records_roundtrip():
-    import json
-
     s = run_flattening_trials(64, trials=20, seed=24)
     doc = json.loads(summaries_to_json([s], {"seed": 24}))
     assert doc["schema"] == 1 and doc["config"] == {"seed": 24}
@@ -639,6 +659,47 @@ def test_mgf_matches_the_weighted_unique_row_records(run, seed):
         assert abs(s.extreme_sigma_max - with_repl) <= 1e-12
         assert abs(s.empirical_frequency - without / with_repl) <= 1e-12
         assert s.passed is passed
+
+
+def _recomputed_passed(record):
+    """``passed`` from a timing-free record alone, by the rule its name
+    selects: coupon's two-sided rule, mgf's exhaustive domination, or the
+    one-sided rule of every bound check."""
+    empirical, bound, trials = record["empirical"], record["bound"], record["trials"]
+    if record["name"].startswith("coupon"):
+        return abs(empirical - bound) <= monte_carlo_slack(bound, trials)
+    if record["name"].startswith("mgf"):
+        assert record["mode"] == "exhaustive"  # the Monte Carlo allowance is not recorded
+        return record["extreme_sigma_min"] <= record["extreme_sigma_max"] * (1.0 + 1e-10)
+    slack = 0.0 if record["mode"] == "exhaustive" else monte_carlo_slack(bound, trials)
+    return empirical <= bound + slack
+
+
+@pytest.mark.parametrize("run", sorted(set(GOLDEN_RUNS) - {"mgf_monte_carlo"}))
+@pytest.mark.parametrize("seed", [0, 12345])
+def test_passed_is_recomputable_from_the_record(run, seed):
+    records = json.loads(summaries_to_json(GOLDEN_RUNS[run](seed), {}, include_timing=False))
+    for record in records["summaries"]:
+        assert record["passed"] is _recomputed_passed(record)
+
+
+@pytest.mark.parametrize(
+    "mode, count, passed",
+    [
+        ("exhaustive", 2, True),  # 0.2 <= 0.25
+        ("exhaustive", 3, False),  # 0.3 > 0.25, although within the Monte Carlo slack
+        ("monte_carlo", 3, True),
+        ("monte_carlo", 9, False),  # 0.9 > 0.25 + 4 sqrt(0.25 * 0.75 / 10) = 0.798
+    ],
+)
+def test_one_sided_rule_reads_its_slack_from_the_mode(mode, count, passed):
+    plan = TrialPlan(n=5, k=1, ell=2, trials=10, seed=0, mode=mode)
+    events = np.arange(10) < count
+    s = exp_mod._one_sided_summary("t", plan, events, 0.25, np.arange(10.0), -np.arange(10.0), 1.5)
+    assert s.passed is passed
+    assert s.empirical_frequency == count / 10
+    assert (s.extreme_sigma_min, s.extreme_sigma_max, s.elapsed_seconds) == (0.0, 0.0, 1.5)
+    assert _recomputed_passed(s.to_record(include_timing=False)) is passed
 
 
 class _Recorder:
