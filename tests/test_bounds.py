@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 from fractions import Fraction
@@ -18,6 +19,8 @@ from srhtlab.bounds import (
     row_norm_bound,
     row_sampling_failure_bound,
 )
+from srhtlab.bounds import _row_sampling_powers
+from srhtlab.experiments import run_chernoff_validation
 
 
 def coverage_by_enumeration(k, ell):
@@ -128,6 +131,17 @@ def test_rademacher_tail_rejects_bad_args():
         rademacher_tail(0.0, 1.0)
 
 
+@pytest.mark.parametrize("lipschitz,t", [(1.0, math.nan), (math.nan, 1.0)])
+def test_rademacher_tail_rejects_nan(lipschitz, t):
+    with pytest.raises(ValueError):
+        rademacher_tail(lipschitz, t)
+
+
+def test_hoeffding_rejects_nan_t():
+    with pytest.raises(ValueError):
+        hoeffding_component_tail(64, math.nan)
+
+
 def test_hoeffding_values():
     assert hoeffding_component_tail(8, 0.0) == 2.0
     t = math.sqrt(math.log(1024) / 1024)
@@ -177,6 +191,47 @@ def test_chernoff_deviation_ranges():
         ChernoffParams(2, 0.0, 1.0, 1.0, 0.5)
 
 
+@pytest.mark.parametrize("eta", [math.nan, math.inf])
+def test_chernoff_upper_tail_rejects_non_finite_deviation(eta):
+    # a NaN eta once returned nan, and inf gives inf - inf in the log-base
+    with pytest.raises(ValueError, match="upper-tail deviation"):
+        chernoff_upper_tail(ChernoffParams(2, 0.5, 0.3, 0.3, eta))
+
+
+@pytest.mark.parametrize(
+    "k,mu_min,mu_max",
+    [(2, math.nan, math.nan), (2, 0.5, math.nan), (2, 0.5, math.inf), (math.nan, 0.5, 0.5)],
+)
+def test_chernoff_params_reject_nan_and_infinite_mu(k, mu_min, mu_max):
+    with pytest.raises(ValueError):
+        ChernoffParams(k, 0.5, mu_min, mu_max, 0.5)
+
+
+# (lower, upper) at ChernoffParams(2, 0.3, 0.375, 0.375, d), taken from the
+# k * exp(exposure * log_base) arithmetic; any change to it moves last bits
+DEFAULT_GRID_TAILS = {
+    0.1: (1.987102923513818, 1.987933552398606),
+    0.2: (1.9470019576785123, 1.9535824586940178),
+    0.3: (1.878057046469067, 1.8999075950400603),
+    0.4: (1.7793825077937617, 1.8300087833247507),
+    0.5: (1.650971938970611, 1.7470001252690195),
+    0.6: (1.4937541971436594, 1.6539062629786518),
+    0.7: (1.3094889966012913, 1.5535803136790804),
+    0.8: (1.10021614798412, 1.4486428962177402),
+    0.9: (0.8658620464541266, 1.3414407204475505),
+}
+
+
+def test_chernoff_tails_bit_identical_on_default_grid():
+    assert tuple(DEFAULT_GRID_TAILS) == inspect.signature(
+        run_chernoff_validation
+    ).parameters["deviation_grid"].default
+    for d, (lower, upper) in DEFAULT_GRID_TAILS.items():
+        params = ChernoffParams(2, 0.3, 0.375, 0.375, d)
+        assert chernoff_lower_tail(params) == lower, d
+        assert chernoff_upper_tail(params) == upper, d
+
+
 @given(
     st.floats(0.1, 50.0),
     st.floats(1.0, 3.0),
@@ -217,6 +272,57 @@ def test_row_sampling_failure_rejects_bad_arguments():
     for alpha, delta, eta in ((0.0, 0.5, 0.5), (4.0, 1.5, 0.5), (4.0, -0.1, 0.5), (4.0, 0.5, -0.1)):
         with pytest.raises(ValueError):
             row_sampling_failure_bound(16, alpha, delta, eta)
+
+
+@pytest.mark.parametrize(
+    "k,alpha,eta",
+    [(math.nan, 4.0, 0.5), (4, math.nan, 0.5), (4, 4.0, math.nan), (4, math.inf, 0.5)],
+)
+def test_row_sampling_failure_rejects_nan_and_infinite_arguments(k, alpha, eta):
+    # each once returned nan, and alpha = inf returned 0.0
+    with pytest.raises(ValueError):
+        row_sampling_failure_bound(k, alpha, 0.5, eta)
+
+
+def test_row_sampling_failure_matches_50_digit_values():
+    # k^(1 + 4 a(5/6)) + k^(1 + 4 b(7/6)) at the float inputs, evaluated once
+    # with 60-digit mpmath arithmetic and rounded to 50 digits
+    expected = {
+        2: 0.94237719578038268709856091578840317522755199890285,
+        3: 0.60718330064177949370612038172354189252835487807958,
+        1000: 0.0011722568433178685578357299336158050741322295577892,
+        999983: 7.6939981616056100087175699111819848663450456340131e-07,
+        10**6: 7.6938602655230632848725301254300050676252661386775e-07,
+    }
+    for k, value in expected.items():
+        got = row_sampling_failure_bound(k, 4.0, 5 / 6, 7 / 6)
+        assert got == pytest.approx(value, rel=1e-13), k
+
+
+def test_row_sampling_powers_computed_once_per_sweep():
+    _row_sampling_powers.cache_clear()
+    for k in range(2, 10**4 + 2):
+        row_sampling_failure_bound(k, 4.0, 5 / 6, 7 / 6)
+    info = _row_sampling_powers.cache_info()
+    assert (info.misses, info.hits) == (1, 10**4 - 1)
+
+
+def test_row_sampling_bad_delta_raises_every_call():
+    # an exception is never cached, and it leaves the cache usable
+    for _ in range(2):
+        with pytest.raises(ValueError, match="lower-tail deviation"):
+            row_sampling_failure_bound(16, 4.0, 1.5, 7 / 6)
+    got = row_sampling_failure_bound(16, 4.0, 5 / 6, 7 / 6)
+    assert got == pytest.approx(0.09936017125991976, rel=1e-12)
+
+
+def test_row_sampling_int_and_float_alpha_agree():
+    _row_sampling_powers.cache_clear()
+    from_int = row_sampling_failure_bound(1000, 4, 5 / 6, 7 / 6)
+    _row_sampling_powers.cache_clear()
+    from_float = row_sampling_failure_bound(1000, 4.0, 5 / 6, 7 / 6)
+    assert from_int == from_float
+    assert row_sampling_failure_bound(1000, 4, 5 / 6, 7 / 6) == from_float
 
 
 @given(
