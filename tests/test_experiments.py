@@ -661,6 +661,131 @@ def test_mgf_matches_the_weighted_unique_row_records(run, seed):
         assert s.passed is passed
 
 
+# (events, passed, bound, min, max) per record, in output order, when the
+# fixture basis came from a sign-fixed Householder QR; events is the count
+# behind the frequency, or the mgf ratio.  CholeskyQR2 must keep every count
+# and passed flag exactly and every float within 1e-12.
+GOLDEN_HOUSEHOLDER_RECORDS = {
+    ("chernoff_exhaustive", 0): [
+        (50, True, 1.9941936742874078, 0.06576678087743802, 0.9677034537609376),
+        (40, True, 1.9945682514274055, 0.06576678087743802, 0.9677034537609376),
+        (48, True, 1.9760062784073076, 0.06576678087743802, 0.9677034537609376),
+        (40, True, 1.9790048509179814, 0.06576678087743802, 0.9677034537609376),
+        (48, True, 1.944248280085453, 0.06576678087743802, 0.9677034537609376),
+        (40, True, 1.954381735938203, 0.06576678087743802, 0.9677034537609376),
+        (45, True, 1.8976579212598024, 0.06576678087743802, 0.9677034537609376),
+        (36, True, 1.9217345830017385, 0.06576678087743802, 0.9677034537609376),
+        (42, True, 1.8348432719538157, 0.06576678087743802, 0.9677034537609376),
+        (34, True, 1.8820593200184959, 0.06576678087743802, 0.9677034537609376),
+        (37, True, 1.7541535780128246, 0.06576678087743802, 0.9677034537609376),
+        (33, True, 1.8363081188361958, 0.06576678087743802, 0.9677034537609376),
+        (29, True, 1.6533770119453042, 0.06576678087743802, 0.9677034537609376),
+        (33, True, 1.7853855329568542, 0.06576678087743802, 0.9677034537609376),
+        (21, True, 1.5289251185095065, 0.06576678087743802, 0.9677034537609376),
+        (29, True, 1.7301451433454176, 0.06576678087743802, 0.9677034537609376),
+        (9, True, 1.3728876375828827, 0.06576678087743802, 0.9677034537609376),
+        (27, True, 1.671386895855885, 0.06576678087743802, 0.9677034537609376),
+    ],
+    ("chernoff_exhaustive", 12345): [
+        (48, True, 1.9944839081340402, 0.04658858358345635, 0.9555251357925445),
+        (43, True, 1.9948397859691147, 0.04658858358345635, 0.9555251357925445),
+        (47, True, 1.977200409150046, 0.04658858358345635, 0.9555251357925445),
+        (43, True, 1.9800505016210972, 0.04658858358345635, 0.9555251357925445),
+        (45, True, 1.9470016118522617, 0.04658858358345635, 0.9555251357925445),
+        (39, True, 1.9566402155828087, 0.04658858358345635, 0.9555251357925445),
+        (44, True, 1.9026538458302087, 0.04658858358345635, 0.9555251357925445),
+        (38, True, 1.925578316612873, 0.04658858358345635, 0.9555251357925445),
+        (43, True, 1.842776136370927, 0.04658858358345635, 0.9555251357925445),
+        (32, True, 1.8877939551345708, 0.04658858358345635, 0.9555251357925445),
+        (39, True, 1.765707898055313, 0.04658858358345635, 0.9555251357925445),
+        (29, True, 1.8441736487755385, 0.04658858358345635, 0.9555251357925445),
+        (31, True, 1.6692036953308218, 0.04658858358345635, 0.9555251357925445),
+        (27, True, 1.7955587379251419, 0.04658858358345635, 0.9555251357925445),
+        (18, True, 1.5496185541863599, 0.04658858358345635, 0.9555251357925445),
+        (26, True, 1.7427430774756036, 0.04658858358345635, 0.9555251357925445),
+        (7, True, 1.398987112617471, 0.04658858358345635, 0.9555251357925445),
+        (24, True, 1.6864711729459825, 0.04658858358345635, 0.9555251357925445),
+    ],
+    ("chernoff_monte_carlo", 0): [
+        (253, True, 1.9911991888640117, 0.11686306233662204, 0.9295997538556066),
+        (233, True, 1.9917665468130101, 0.11686306233662204, 0.9295997538556066),
+        (246, True, 1.9637177808511155, 0.11686306233662204, 0.9295997538556066),
+        (217, True, 1.9682397018614999, 0.11686306233662204, 0.9295997538556066),
+        (222, True, 1.9160440671792909, 0.11686306233662204, 0.9295997538556066),
+        (200, True, 1.931212575183512, 0.11686306233662204, 0.9295997538556066),
+        (185, True, 1.8468308859573235, 0.11686306233662204, 0.9295997538556066),
+        (176, True, 1.8824900930620512, 0.11686306233662204, 0.9295997538556066),
+        (141, True, 1.7548989915706061, 0.11686306233662204, 0.9295997538556066),
+        (164, True, 1.8238526070095447, 0.11686306233662204, 0.9295997538556066),
+        (78, True, 1.639176255326175, 0.11686306233662204, 0.9295997538556066),
+        (136, True, 1.757024595706064, 0.11686306233662204, 0.9295997538556066),
+        (45, True, 1.4984721443443374, 0.11686306233662204, 0.9295997538556066),
+        (97, True, 1.6836488736593638, 0.11686306233662204, 0.9295997538556066),
+        (12, True, 1.330751389470096, 0.11686306233662204, 0.9295997538556066),
+        (53, True, 1.60526631424642, 0.11686306233662204, 0.9295997538556066),
+        (5, True, 1.1302683245354783, 0.11686306233662204, 0.9295997538556066),
+        (26, True, 1.5233008357840871, 0.11686306233662204, 0.9295997538556066),
+    ],
+    ("chernoff_monte_carlo", 12345): [
+        (250, True, 1.9909122029886583, 0.17220552980369766, 0.9263171486109871),
+        (231, True, 1.9914980224028493, 0.17220552980369766, 0.9263171486109871),
+        (221, True, 1.9625431280819312, 0.17220552980369766, 0.9263171486109871),
+        (198, True, 1.967210222976379, 0.17220552980369766, 0.9263171486109871),
+        (196, True, 1.9133603999844673, 0.17220552980369766, 0.9263171486109871),
+        (161, True, 1.9290047449528116, 0.17220552980369766, 0.9263171486109871),
+        (165, True, 1.8420278408327055, 0.17220552980369766, 0.9263171486109871),
+        (131, True, 1.8787682596253077, 0.17220552980369766, 0.9263171486109871),
+        (137, True, 1.7474164951303082, 0.17220552980369766, 0.9263171486109871),
+        (101, True, 1.8183650980497212, 0.17220552980369766, 0.9263171486109871),
+        (95, True, 1.6285521395476175, 0.17220552980369766, 0.9263171486109871),
+        (77, True, 1.7496022551514716, 0.17220552980369766, 0.9263171486109871),
+        (47, True, 1.4843994585844382, 0.17220552980369766, 0.9263171486109871),
+        (62, True, 1.674200664928128, 0.17220552980369766, 0.9263171486109871),
+        (14, True, 1.3131494484273991, 0.17220552980369766, 0.9263171486109871),
+        (50, True, 1.5937727138080329, 0.17220552980369766, 0.9263171486109871),
+        (1, True, 1.1093817807204387, 0.17220552980369766, 0.9263171486109871),
+        (35, True, 1.5098056807989464, 0.17220552980369766, 0.9263171486109871),
+    ],
+    ("embedding_256x8", 0): [
+        (0, True, 0.375, 0.5827189186450306, 1.3854659139912489),
+    ],
+    ("mgf_exhaustive", 0): [
+        (0.994907068952913, True, 1.0, 2.4395477358239313, 2.452035785001936),
+        (0.976662356630481, True, 1.0, 3.0442543202661025, 3.1169977009955474),
+        (0.883765085608604, True, 1.0, 5.072491231635619, 5.739637505754658),
+    ],
+    ("mgf_exhaustive", 12345): [
+        (0.9950391265560895, True, 1.0, 2.4386857707883216, 2.450844098190198),
+        (0.9770204500154251, True, 1.0, 3.040116703810147, 3.111620338921411),
+        (0.8816852257537255, True, 1.0, 5.049130280669369, 5.726681283961658),
+    ],
+    ("mgf_monte_carlo", 0): [
+        (0.9797742272098081, True, 1.0, 2.4205090867274106, 2.4704763806867156),
+        (0.9390015223190565, True, 1.0, 2.994290221895683, 3.1888023083292456),
+        (0.7780579985390605, True, 1.0, 4.894558541685604, 6.290737388312941),
+    ],
+    ("mgf_monte_carlo", 12345): [
+        (1.0096999685790413, True, 1.0, 2.450778700827479, 2.4272346014593613),
+        (1.0077210941863561, True, 1.0, 3.072161907734223, 3.0486232008616594),
+        (0.9460615141533936, True, 1.0, 5.163405786923376, 5.457790756390695),
+    ],
+}
+
+
+@pytest.mark.parametrize("run, seed", sorted(GOLDEN_HOUSEHOLDER_RECORDS))
+def test_fixture_basis_runs_match_the_householder_records(run, seed):
+    out = GOLDEN_RUNS[run](seed)
+    assert len(out) == len(GOLDEN_HOUSEHOLDER_RECORDS[(run, seed)])
+    for s, (events, passed, *floats) in zip(out, GOLDEN_HOUSEHOLDER_RECORDS[(run, seed)]):
+        if isinstance(events, int):
+            assert s.empirical_frequency == events / s.plan.trials
+        else:
+            assert abs(s.empirical_frequency - events) <= 1e-12
+        assert s.passed is passed
+        got = (s.analytic_bound, s.extreme_sigma_min, s.extreme_sigma_max)
+        assert max(abs(a - b) for a, b in zip(got, floats)) <= 1e-12
+
+
 def _recomputed_passed(record):
     """``passed`` from a timing-free record alone, by the rule its name
     selects: coupon's two-sided rule, mgf's exhaustive domination, or the
