@@ -36,11 +36,11 @@ matrix products run at a different width.
 The row-norm runner is the one that goes trial by trial: one of its trials
 is over the block budget (512 KiB at the headline shape), and a stacked
 transform was measured slower there, its array falling out of cache.  It
-never forms a Householder basis.  Each trial draws its Gaussian and its
-signs from the same substreams a ``random_orthonormal`` basis would use,
-and orthonormalizes by two passes of Cholesky QR (CholeskyQR2) wrapped
-around the in-place transform; the per-trial orthonormality check on the
-transformed matrix is kept.
+never forms its basis.  Each trial draws its Gaussian and its signs from
+the same substreams a ``random_orthonormal`` basis would use, and runs that
+function's two passes of Cholesky QR (CholeskyQR2) wrapped around the
+in-place transform; the per-trial orthonormality check on the transformed
+matrix is kept.
 
 Each runner's keyword defaults are its headline configuration, the one the
 acceptance suite checks; called with only a seed, it runs that configuration.
@@ -65,6 +65,7 @@ from .bounds import (
 )
 from .linalg import (
     RANK_RTOL,
+    _cholesky_r,
     decimated_identity,
     gram,
     orthonormality_defect,
@@ -268,18 +269,13 @@ def run_embedding_trials(n=65536, k=16, ell=None, trials=200, seed=0):
     )
 
 
-def _cholesky_r(a):
-    """Upper-triangular R with positive diagonal and R^T R = A^T A."""
-    return np.linalg.cholesky(gram(a)).T
-
-
 def run_row_norm_trials(n=4096, k=16, beta=None, trials=2000, seed=0):
     """Check the row-norm equilibration level of sign-flipped transforms.
 
     Each trial draws a Gaussian n x k matrix G from substream (seed, 0, 0, i)
     and signs D from (seed, 1, 0, i), and records the largest row norm of
     H D V, where V = G R^-1 is G's orthonormal factor (R with positive
-    diagonal: the basis a sign-fixed Householder QR gives).  V is not formed.
+    diagonal: the basis ``random_orthonormal`` returns).  V is not formed.
     Two passes of Cholesky QR (CholeskyQR2) run around the in-place
     transform: R_1 from the Gram of G, W_1 = H D G R_1^-1, R_2 from the Gram
     of W_1, and W = W_1 R_2^-1.  H D is orthogonal, so the second pass may be

@@ -4,6 +4,7 @@ Matrices are plain row-major float64 numpy arrays.  Spectra come from LAPACK
 through numpy: singular values from the SVD of the matrix itself, symmetric
 eigenvalues from the symmetric eigensolver.  Both sit far inside the 1e-7
 tolerance that the oracle tests and the reference comparisons allow.
+Orthonormal bases come from one path, two passes of Cholesky QR.
 """
 
 import numpy as np
@@ -30,20 +31,38 @@ RANK_RTOL = 1e-6
 def random_orthonormal(n: int, k: int, seed) -> np.ndarray:
     """n x k matrix with orthonormal columns, deterministic per seed.
 
-    Householder QR of a standard-normal matrix; column signs are fixed to the
-    sign of the R diagonal so the result does not depend on LAPACK's sign
-    convention.  The row-norm runner reaches the same basis more cheaply by
-    Cholesky QR.  This stays on Householder: the embedding, Chernoff and mgf
-    fixtures are drawn here, and the golden Chernoff summary hashes pin its
-    bits.
+    The orthonormal factor Q = G R^-1 of a standard-normal matrix G (R with
+    positive diagonal), by two passes of Cholesky QR (CholeskyQR2): R_1 from
+    the Gram of G and Q_1 = G R_1^-1, then R_2 from the Gram of Q_1 and
+    Q = Q_1 R_2^-1.  One pass loses orthogonality as cond(G)^2; the second
+    brings it to rounding level while cond(G) stays below about 1e8
+    (Fukaya, Nakatsukasa, Yanagisawa and Yamamoto 2014; Yamamoto et al.
+    2015).  A tall Gaussian draw has cond(G) near 1 and a square n x n one
+    near n, so this limit is passed only with tiny probability.  A draw past
+    it raises RuntimeError and never returns a bad basis: when a Cholesky
+    factorization fails, or when the result's orthonormality defect exceeds
+    1e-8 or is not a number.
     """
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     g = derived_rng(seed).standard_normal((n, k))
-    q, r = np.linalg.qr(g)
-    d = np.sign(np.diag(r))
-    d[d == 0] = 1.0
-    return q * d[None, :]
+    q = g @ np.linalg.inv(_cholesky_r(g))
+    q = q @ np.linalg.inv(_cholesky_r(q))
+    defect = orthonormality_defect(q)
+    if not defect <= 1e-8:
+        raise RuntimeError(f"CholeskyQR2 basis lost orthonormality: defect {defect}")
+    return q
+
+
+def _cholesky_r(a):
+    """Upper-triangular R with positive diagonal and R^T R = A^T A.
+
+    RuntimeError when A^T A does not factor: A is too ill-conditioned.
+    """
+    try:
+        return np.linalg.cholesky(gram(a)).T
+    except np.linalg.LinAlgError as exc:
+        raise RuntimeError(f"matrix too ill-conditioned for CholeskyQR2: {exc}") from exc
 
 
 def gram(a) -> np.ndarray:

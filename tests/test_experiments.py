@@ -4,6 +4,10 @@ import inspect
 import itertools
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import time
 import tracemalloc
 from unittest import mock
@@ -132,13 +136,13 @@ def _householder_max_row_norms(n, k, trials, seed):
     """Largest row norm per trial by the Householder route: sign-fixed QR of
     the Gaussian from (seed, 0, 0, i), signs from (seed, 1, 0, i), then the
     transform of a copy."""
-    from srhtlab.linalg import random_orthonormal
     from srhtlab.srht import derived_rng, rademacher_signs
     from srhtlab.wht import fwht
 
     norms = []
     for i in range(trials):
-        basis = random_orthonormal(n, k, (seed, 0, 0, i))
+        q, r = np.linalg.qr(derived_rng(seed, 0, 0, i).standard_normal((n, k)))
+        basis = q * np.where(np.diag(r) < 0, -1.0, 1.0)
         signs = rademacher_signs(derived_rng(seed, 1, 0, i), n)
         w = fwht(signs[:, None] * basis)
         norms.append(float(np.sqrt(np.max(np.sum(w * w, axis=1)))))
@@ -471,6 +475,33 @@ def test_coupon_reproducible_across_runs():
     )
 
 
+# One headline-shape embedding (the fixture basis at its largest) and one
+# row-norm run, each printing its timing-free summary.
+_THREADED_RUNS = {
+    "embedding": "run_embedding_trials(65536, 16, ell=2342, trials=3, seed=0)",
+    "rownorm": "run_row_norm_trials(4096, 16, trials=5, seed=0)",
+}
+
+
+@pytest.mark.parametrize("run", sorted(_THREADED_RUNS))
+def test_timing_free_output_does_not_depend_on_the_blas_thread_count(run):
+    script = (
+        "import sys\n"
+        "from srhtlab.experiments import *\n"
+        f"sys.stdout.write(summaries_to_json([{_THREADED_RUNS[run]}], {{}}, include_timing=False))"
+    )
+    src = str(pathlib.Path(exp_mod.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        env.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), threads))
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, check=True, timeout=120
+        )
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
+
+
 def test_csv_has_spec_columns():
     out = run_coupon_trials(2, [2], trials=100, seed=23)
     text = summaries_to_csv(out)
@@ -513,7 +544,10 @@ def test_json_records_roundtrip():
 # records they replaced are pinned as literals in GOLDEN_ROWNORM.  The mgf
 # hashes were recorded with repeated rows on the with-replacement side; the
 # records of the sqrt(count)-weighted unique rows they replaced are pinned as
-# literals in GOLDEN_MGF.
+# literals in GOLDEN_MGF.  The Chernoff, mgf and seed-0 embedding hashes were
+# re-recorded when the fixture basis moved from Householder QR to CholeskyQR2;
+# the records they replaced are pinned as literals in
+# GOLDEN_HOUSEHOLDER_RECORDS.
 GOLDEN_RUNS = {
     "embedding_256x8": lambda seed: [
         run_embedding_trials(256, 8, ell=64, trials=300, seed=seed)
@@ -536,7 +570,7 @@ GOLDEN_RUNS = {
 }
 GOLDEN_SUMMARY_SHA256 = {
     ("embedding_256x8", 0):
-        "9ce4c8b6834f092c7c620eac52a5307a6d498ceed3481f79548b173633757f2e",
+        "2d471e5d1ed3e1123df771fda7b277b57488dbfcec8f905f5d56ce3260b0b898",
     ("embedding_256x8", 12345):
         "91ffcadb062de6d6f559c8a22d5ee1589ed2ef715e8a8895ed9d578b2d8978e2",
     ("flatten_1024", 0):
@@ -548,13 +582,13 @@ GOLDEN_SUMMARY_SHA256 = {
     ("coupon_k2", 0): "52251dee150d8188c084816b755c105f3c972bde6e5280b07dc63fc6ff20a93d",
     ("coupon_k2", 12345): "9821cbbe6a5f73022d538a4bd7a3dec09d826fec762228e26435966d40fd1751",
     ("chernoff_exhaustive", 0):
-        "6fb0abd1e9dee80cfc9162cebaa61c6212905ad3aca4ae67cda09fa34a1f8006",
+        "9afe702acbed0228b9a72381f17a8d945300c24b001a7b1a6108ce684c0c0f27",
     ("chernoff_exhaustive", 12345):
-        "a860dc48beffc3c9bea40944b4403cb08bdced4d76f44ca14531ce955f3b4b61",
+        "3112cd0d513120737dfffbaa2850348061459300bf9f1ba137e806d042be9ce7",
     ("chernoff_monte_carlo", 0):
-        "cca4c120e0e509f11897ea9c5a2589d7c31ef5f97d4417dcc53c01e9c76d1c70",
+        "b6d9515df74c1396648d503bb6ee5e86ec7d557d800dfbec6aa7bffdff7c5d2e",
     ("chernoff_monte_carlo", 12345):
-        "0327184dd450e4d45f3dead50d86b7a90559c3d0e3e50298e841bba62c8e5011",
+        "7b97dece783b81f1fc54b54ded8de98d9b50bd17a3bb2cf0b3ec47aa51ebab4c",
     ("rownorm_256x8", 0):
         "78d1b4fc10814b8b5f19d60f6964da128822562d957e28f6f5b5fc4d7ff7e936",
     ("rownorm_256x8", 12345):
@@ -564,13 +598,13 @@ GOLDEN_SUMMARY_SHA256 = {
     ("rownorm_64x64", 12345):
         "e54baf75e40a47b55490996ef3dcef75bef3d4e0d7c0558850be080e31aeaf4b",
     ("mgf_exhaustive", 0):
-        "ddd998537aa6230c7fea9d8bca79cf43f61e92378a63e9fd52f2cc7b52759da9",
+        "ebd063178cb6c5119673584b45c9d8b186ba439d105283bbed1f7146a05de84f",
     ("mgf_exhaustive", 12345):
-        "84cb41099ce84cadf847f72ddcff449e989d3e1d3bfbcb0c80970e1f8ae3fdd5",
+        "3f60b1d661507934178f995f3bf16a056c99ded8a51f0b864f68a73b77b99176",
     ("mgf_monte_carlo", 0):
-        "62613b5f570405a783199079b5d4e200299310e265c800636ba625041ccaa086",
+        "7eadcc8421198c37c229f5a4b95d5a16f149b499e1ce0173826835390129e3a3",
     ("mgf_monte_carlo", 12345):
-        "ae570688e15f47e952206e56827b3408531d0101a6fd665d0035f8da3ad319be",
+        "78bb77260179ae7d6a715a6a768e63bb85f1ba39215551a4e220a49b3fa268ac",
 }
 
 

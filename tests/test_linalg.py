@@ -1,7 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import srhtlab.linalg as linalg_mod
 from srhtlab.linalg import (
     decimated_identity,
     gram,
@@ -10,7 +13,7 @@ from srhtlab.linalg import (
     singular_values,
     symmetric_eigenvalues,
 )
-from srhtlab.srht import apply_to_matrix, draw_srht
+from srhtlab.srht import apply_to_matrix, derived_rng, draw_srht
 from srhtlab.wht import fwht
 
 
@@ -108,6 +111,50 @@ def test_seed_sensitivity():
 def test_random_orthonormal_rejects_wide():
     with pytest.raises(ValueError):
         random_orthonormal(3, 4, 0)
+
+
+# square shapes, where one Cholesky QR pass alone is visibly not orthonormal,
+# and tall ones up to the headline embedding's
+@pytest.mark.parametrize("n, k", [(4, 4), (64, 64), (16, 2), (4096, 64), (65536, 16)])
+@pytest.mark.parametrize("seed", [0, (12345, 0, 0, 0)])
+def test_basis_is_the_sign_fixed_orthonormal_factor_of_its_draw(n, k, seed):
+    v = random_orthonormal(n, k, seed)
+    assert v.shape == (n, k)
+    assert orthonormality_defect(v) <= 1e-12
+    assert np.array_equal(v, random_orthonormal(n, k, seed))
+    # the Q of G = QR with R's diagonal positive, as Householder QR gives it
+    q, r = np.linalg.qr(derived_rng(seed).standard_normal((n, k)))
+    assert np.max(np.abs(v - q * np.where(np.diag(r) < 0, -1.0, 1.0))) <= 1e-12
+
+
+def _ill_conditioned(n, k, cond, seed):
+    """n x k matrix with singular values log-spaced from 1 to 1/cond in random
+    bases on both sides: scaling columns alone would not hurt Cholesky QR."""
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((n, k)))
+    w, _ = np.linalg.qr(rng.standard_normal((k, k)))
+    return (u * np.logspace(0, -np.log10(cond), k)) @ w.T
+
+
+# on these draws a Cholesky factorization fails (256 x 16 and 16 x 16), or
+# both succeed and the result's defect is near 1e-5 (64 x 8)
+@pytest.mark.parametrize("n, k, cond", [(256, 16, 1e11), (64, 8, 1e14), (16, 16, 1e16)])
+def test_ill_conditioned_draw_raises_instead_of_returning_a_basis(n, k, cond):
+    g = _ill_conditioned(n, k, cond, 1)
+    assert np.linalg.cond(g) >= 1e10
+    rng = mock.Mock()
+    rng.standard_normal.return_value = g
+    with mock.patch.object(linalg_mod, "derived_rng", return_value=rng):
+        with pytest.raises(RuntimeError, match="CholeskyQR2"):
+            random_orthonormal(n, k, 0)
+    rng.standard_normal.assert_called_once_with((n, k))
+
+
+@pytest.mark.parametrize("defect", [1.0000001e-8, 1.0, np.inf, np.nan])
+def test_basis_past_the_defect_limit_raises(defect):
+    with mock.patch.object(linalg_mod, "orthonormality_defect", return_value=defect):
+        with pytest.raises(RuntimeError, match="lost orthonormality"):
+            random_orthonormal(16, 4, 0)
 
 
 # --- gram ---------------------------------------------------------------
