@@ -17,6 +17,7 @@ from .bounds import (
     rademacher_tail,
     row_norm_bound,
     row_sampling_failure_bound,
+    row_sampling_worst_ratio,
 )
 from .linalg import (
     decimated_identity,
@@ -64,6 +65,7 @@ __all__ = [
     "random_orthonormal",
     "row_norm_bound",
     "row_sampling_failure_bound",
+    "row_sampling_worst_ratio",
     "sample_without_replacement",
     "singular_values",
     "symmetric_eigenvalues",

@@ -29,6 +29,7 @@ __all__ = [
     "rademacher_tail",
     "row_norm_bound",
     "row_sampling_failure_bound",
+    "row_sampling_worst_ratio",
 ]
 
 # Guaranteed singular-value window for sketches at the explicit-constant
@@ -199,12 +200,32 @@ def row_sampling_failure_bound(k: int, alpha: float, delta: float, eta: float) -
     (one core of a 2-core Xeon VM).  Only valid constants are cached, so a
     bad argument raises on every call.
 
-    With alpha=4, delta=5/6, eta=7/6 this is at most 2/k for every k >= 2.
+    With alpha=4, delta=5/6, eta=7/6 this is at most 2/k for every k >= 2:
+    ``row_sampling_worst_ratio`` gives sup bound * k / 2 = 0.94.
     """
     if not k >= 2:
         raise ValueError(f"need k >= 2 so log(k) > 0, got {k}")
     p, q = _row_sampling_powers(alpha, delta, eta)
     return k**p + k**q
+
+
+def row_sampling_worst_ratio(alpha: float, delta: float, eta: float) -> float:
+    """sup over k >= 2 of row_sampling_failure_bound(k, ...) * k / 2.
+
+    With p and q the bound's exponents, bound(k) * k / 2 is
+    (k^(p+1) + k^(q+1)) / 2.  When p + 1 and q + 1 are both negative it
+    decreases in k, so the supremum is bound(2), and a value below 1
+    certifies bound(k) <= 2/k for every k >= 2, not only those a sweep
+    reaches.  ValueError when p + 1 or q + 1 is >= 0 (alpha = 1 is one such
+    case): the ratio then does not decrease, and grows without bound when an
+    exponent is positive.
+    """
+    p, q = _row_sampling_powers(alpha, delta, eta)
+    if not (p + 1.0 < 0.0 and q + 1.0 < 0.0):
+        raise ValueError(
+            f"bound * k / 2 does not decrease in k: exponents p+1={p + 1.0}, q+1={q + 1.0}"
+        )
+    return row_sampling_failure_bound(2, alpha, delta, eta)
 
 
 def coupon_coverage_probability(k: int, ell: int) -> float:

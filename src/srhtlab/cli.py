@@ -168,6 +168,7 @@ def _run_bounds(config: CliConfig) -> int:
         "row_sampling_failure": {
             **rule,
             "value": bounds_mod.row_sampling_failure_bound(k, **rule) if k >= 2 else None,
+            "worst_ratio": bounds_mod.row_sampling_worst_ratio(**rule),
         },
     }
     if config.format == "json":

@@ -18,6 +18,7 @@ from srhtlab.bounds import (
     embedding_sample_size,
     row_norm_bound,
     row_sampling_failure_bound,
+    row_sampling_worst_ratio,
 )
 from srhtlab.experiments import (
     run_chernoff_validation,
@@ -195,7 +196,8 @@ def test_criterion_8_failure_constant_sweep():
     assert report(
         "criterion 8 (failure bound <= 2/k for k up to 1e6)",
         ok,
-        f"{elapsed:.1f}s, {per_call_ns:.0f} ns per call",
+        f"{elapsed:.1f}s, {per_call_ns:.0f} ns per call; sup over k >= 2 of bound * k / 2 "
+        f"is {row_sampling_worst_ratio(4.0, 5 / 6, 7 / 6):.4f}",
     )
 
 

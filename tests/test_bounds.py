@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from srhtlab.bounds import (
     EMBEDDING_SIGMA_MAX,
@@ -18,6 +18,7 @@ from srhtlab.bounds import (
     rademacher_tail,
     row_norm_bound,
     row_sampling_failure_bound,
+    row_sampling_worst_ratio,
 )
 from srhtlab.bounds import _row_sampling_powers
 from srhtlab.experiments import run_chernoff_validation
@@ -297,6 +298,37 @@ def test_row_sampling_failure_matches_50_digit_values():
     for k, value in expected.items():
         got = row_sampling_failure_bound(k, 4.0, 5 / 6, 7 / 6)
         assert got == pytest.approx(value, rel=1e-13), k
+
+
+def test_row_sampling_exponents_at_the_headline_constants():
+    # p + 1 and q + 1 at the float inputs, from 50-digit mpmath arithmetic
+    p, q = _row_sampling_powers(4.0, 5 / 6, 7 / 6)
+    assert p + 1 == pytest.approx(-0.13882702051462999946, abs=1e-13)
+    assert q + 1 == pytest.approx(-0.03431236469017503876, abs=1e-13)
+
+
+def test_row_sampling_worst_ratio_is_the_ratio_at_two_and_below_one():
+    worst = row_sampling_worst_ratio(4.0, 5 / 6, 7 / 6)
+    assert worst == row_sampling_failure_bound(2, 4.0, 5 / 6, 7 / 6) * 2 / 2
+    assert worst == 0.9423771957803826
+    assert worst < 1
+
+
+@given(st.integers(2, 10**15))
+@example(2)
+@example(3)
+@example(10**15)
+def test_row_sampling_ratio_never_exceeds_the_worst_ratio(k):
+    worst = row_sampling_worst_ratio(4.0, 5 / 6, 7 / 6)
+    assert row_sampling_failure_bound(k, 4.0, 5 / 6, 7 / 6) * k / 2 <= worst
+
+
+@pytest.mark.parametrize("alpha", [1, 1.0, 2.0])
+def test_row_sampling_worst_ratio_refuses_a_ratio_that_does_not_decrease(alpha):
+    p, q = _row_sampling_powers(alpha, 5 / 6, 7 / 6)
+    assert max(p, q) + 1 >= 0
+    with pytest.raises(ValueError, match="does not decrease"):
+        row_sampling_worst_ratio(alpha, 5 / 6, 7 / 6)
 
 
 def test_row_sampling_powers_computed_once_per_sweep():

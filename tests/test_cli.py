@@ -34,7 +34,9 @@ def test_bounds_report(capsys):
         "delta": 5.0 / 6.0,
         "eta": 7.0 / 6.0,
         "value": row_sampling_failure_bound(16, 4.0, 5.0 / 6.0, 7.0 / 6.0),
+        "worst_ratio": row_sampling_failure_bound(2, 4.0, 5.0 / 6.0, 7.0 / 6.0),
     }
+    assert doc["row_sampling_failure"]["worst_ratio"] < 1
     assert doc["row_sampling_failure"]["value"] <= 2 / 16
     assert doc["config"]["k"] == 16 and doc["config"]["n"] == 65536
 
