@@ -300,7 +300,7 @@ def run_row_norm_trials(n=4096, k=16, beta=None, trials=2000, seed=0):
         w1 = fwht_inplace(g) @ np.linalg.inv(r1)
         w = w1 @ np.linalg.inv(_cholesky_r(w1))
         defect = orthonormality_defect(w)
-        if defect > 1e-8:
+        if not defect <= 1e-8:
             raise RuntimeError(f"transformed basis lost orthonormality: defect {defect}")
         norms[i] = np.sqrt(np.max(np.sum(w * w, axis=1)))
     return _one_sided_summary(

@@ -117,6 +117,13 @@ def test_rownorm_second_pass_keeps_square_bases_orthonormal():
         assert np.max(np.abs(np.sqrt(np.sum(w * w, axis=1)) - 1.0)) <= 1e-10
 
 
+@pytest.mark.parametrize("defect", [1.0000001e-8, math.inf, math.nan])
+def test_rownorm_refuses_a_transformed_basis_past_the_defect_limit(defect):
+    with mock.patch.object(exp_mod, "orthonormality_defect", return_value=defect):
+        with pytest.raises(RuntimeError, match="lost orthonormality"):
+            run_row_norm_trials(64, 4, 2.0, trials=2)
+
+
 @pytest.mark.parametrize(
     "n, k, message",
     [
