@@ -309,7 +309,7 @@ def test_row_sampling_exponents_at_the_headline_constants():
 
 def test_row_sampling_worst_ratio_is_the_ratio_at_two_and_below_one():
     worst = row_sampling_worst_ratio(4.0, 5 / 6, 7 / 6)
-    assert worst == row_sampling_failure_bound(2, 4.0, 5 / 6, 7 / 6) * 2 / 2
+    assert worst == row_sampling_failure_bound(2, 4.0, 5 / 6, 7 / 6)
     assert worst == 0.9423771957803826
     assert worst < 1
 
