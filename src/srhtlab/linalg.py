@@ -41,13 +41,14 @@ def random_orthonormal(n: int, k: int, seed) -> np.ndarray:
     near n, so this limit is passed only with tiny probability.  A draw past
     it raises RuntimeError and never returns a bad basis: when a Cholesky
     factorization fails, or when the result's orthonormality defect exceeds
-    1e-8 or is not a number.
+    1e-8 or is not a number.  Q overwrites G, so at most two n x k arrays
+    are held at once.
     """
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     g = derived_rng(seed).standard_normal((n, k))
-    q = g @ np.linalg.inv(_cholesky_r(g))
-    q = q @ np.linalg.inv(_cholesky_r(q))
+    q1 = g @ np.linalg.inv(_cholesky_r(g))
+    q = np.matmul(q1, np.linalg.inv(_cholesky_r(q1)), out=g)
     defect = orthonormality_defect(q)
     if not defect <= 1e-8:
         raise RuntimeError(f"CholeskyQR2 basis lost orthonormality: defect {defect}")
@@ -73,10 +74,13 @@ def gram(a) -> np.ndarray:
 
 
 def orthonormality_defect(v) -> float:
-    """max |(V^T V - I)_ij|; zero iff the columns are exactly orthonormal."""
+    """max |(V^T V - I)_ij|; zero iff the columns are exactly orthonormal.
+
+    A 1-D ``v`` is one column."""
     v = np.asarray(v, dtype=np.float64)
-    k = v.shape[1] if v.ndim == 2 else 1
-    return float(np.max(np.abs(gram(v) - np.eye(k))))
+    if v.ndim == 1:
+        v = v[:, None]
+    return float(np.max(np.abs(gram(v) - np.eye(v.shape[1]))))
 
 
 def symmetric_eigenvalues(s) -> np.ndarray:

@@ -4,11 +4,15 @@ The fast path is radix-16, O(n log n).  By the Sylvester identity
 H_ab = H_a (x) H_b, the transform of n = 2**p points factors into one stage
 per group of four index bits, and each stage is a single BLAS matmul of the
 dense orthonormal 16 x 16 block against a strided view of the data (leftover
-bits use the 2, 4 or 8 block).  Stages alternate between the input and one
-scratch buffer of the same size.  Every block is already orthonormal, so no
-final n**-0.5 scaling pass is needed.  ``hadamard_entry`` gives the
-closed-form matrix entry n**-0.5 * (-1)**popcount(i & j), which serves as the
-slow testing oracle.
+bits use the 2, 4 or 8 block).  An array of at most 512 KiB runs every stage
+over the whole array, alternating with one scratch buffer of its size.  A
+larger one runs the same stages in two passes, so no full-size buffer is
+made: first the low stages on each contiguous run of c = 16**j rows that
+fits 512 KiB, then the remaining n/c-point stages across the runs, a slab of
+columns at a time.  Each output is the same product of blocks either way, bit
+for bit.  Every block is already orthonormal, so no final n**-0.5 scaling
+pass is needed.  ``hadamard_entry`` gives the closed-form matrix entry
+n**-0.5 * (-1)**popcount(i & j), which serves as the slow testing oracle.
 """
 
 from dataclasses import dataclass
@@ -50,12 +54,16 @@ class HadamardDim:
 def fwht_inplace(x: np.ndarray) -> np.ndarray:
     """Apply the orthogonal Walsh-Hadamard transform along axis 0, in place.
 
-    ``x`` must be a C-contiguous float64 array whose leading dimension is a
-    power of two.  Higher-dimensional inputs are transformed column-wise.
-    Returns ``x`` for convenience.  Results are reproducible for a fixed
-    shape, but a column may differ in the last bit from the same column
-    transformed beside a different number of others: ``np.matmul`` takes a
-    matrix-vector path for one column and a matrix-matrix path for several.
+    ``x`` must be a writeable, C-contiguous float64 array whose leading
+    dimension is a power of two.  Higher-dimensional inputs are transformed
+    column-wise.  Returns ``x`` for convenience.  An array of at most
+    512 KiB, or of at most 16 rows, takes one scratch buffer of its own
+    size.  A larger one takes at most 512 KiB, or 1/128 of its own size if
+    that is more, and up to 16 of its rows when a row is wider than 4096
+    columns.  Results are reproducible for a fixed shape, but a column may
+    differ in the last bit from the same column transformed beside a
+    different number of others: ``np.matmul`` takes a matrix-vector path for
+    one column and a matrix-matrix path for several.
     """
     if not isinstance(x, np.ndarray) or x.dtype != np.float64:
         raise ValueError("fwht_inplace requires a float64 ndarray")
@@ -63,21 +71,59 @@ def fwht_inplace(x: np.ndarray) -> np.ndarray:
         raise ValueError("fwht_inplace requires at least one dimension")
     if not x.flags.c_contiguous:
         raise ValueError("fwht_inplace requires a C-contiguous array (use fwht for copies)")
+    if not x.flags.writeable:
+        raise ValueError("fwht_inplace requires a writeable array (use fwht for copies)")
     n = x.shape[0]
     if not is_power_of_two(n):
         raise ValueError(f"leading dimension must be a power of two, got {n}")
     m = x.size // n
-    src, dst = x, np.empty_like(x)
+    a = x.reshape(n, m)
+    if x.nbytes <= _PIECE_BYTES or n <= _RADIX:
+        _transform(a, a, np.empty_like(a))
+        return x
+    # runs of c = 16**j < n rows, at least 16 so that c*m is a multiple of 16
+    c = _RADIX
+    while _RADIX * c * m * 8 <= _PIECE_BYTES:
+        c *= _RADIX
+    scratch = np.empty((c, m))
+    for i in range(0, n, c):
+        run = a[i : i + c]
+        _transform(run, run, scratch)
+    del scratch  # the slab buffers below take its place in the budget
+    # The rest is an n/c-point transform of the n/c x c*m view, a slab of
+    # columns at a time through two buffers that share the piece budget.
+    # BLAS may round the columns of a product past its last multiple of 8
+    # differently.  The first stage ran above at width m, as over the whole
+    # array; every later width is a multiple of 16 here as there, so each
+    # output rounds the same.
+    rows, cols = n // c, c * m
+    y = x.reshape(rows, cols)
+    width = max(_RADIX, _PIECE_BYTES // (2 * rows * 8) // _RADIX * _RADIX)
+    buffers = np.empty((2, rows * min(width, cols)))
+    for lo in range(0, cols, width):
+        slab = y[:, lo : lo + width]
+        _transform(slab, *(b[: slab.size].reshape(slab.shape) for b in buffers))
+    return x
+
+
+def _transform(a, work, spare):
+    """Transform the 2-D array ``a`` along axis 0 in place.
+
+    The first stage reads ``a``; the stages write alternately to ``spare``
+    and ``work``, C-contiguous buffers of a's shape, and ``work`` may be
+    ``a`` itself.  A strided ``a`` is so read once and written once.
+    """
+    n, m = a.shape
+    src, dst = a, spare
     h = 1
     while h < n:
         r = min(_RADIX, n // h)
         shape = (n // (r * h), r, h * m)
         np.matmul(_BLOCKS[r], src.reshape(shape), out=dst.reshape(shape))
-        src, dst = dst, src
+        src, dst = dst, (work if dst is spare else spare)
         h *= r
-    if src is not x:
-        x[...] = src
-    return x
+    if src is not a:
+        a[...] = src
 
 
 def fwht(x) -> np.ndarray:
@@ -120,6 +166,8 @@ def hadamard_matrix(n: int, rows=None) -> np.ndarray:
 
 
 _RADIX = 16
+# Arrays above this many bytes are transformed in pieces of about this size.
+_PIECE_BYTES = 512 * 1024
 # Dense orthonormal blocks H_2 .. H_16, built once: rebuilding H_16 on every
 # call costs more than a whole small transform.
 _BLOCKS = {r: hadamard_matrix(r) for r in (2, 4, 8, _RADIX)}

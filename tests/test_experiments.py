@@ -1132,6 +1132,22 @@ def test_coupon_memory_is_bounded_by_the_block_budget():
     assert peak < 2 * spectra_bytes + 4 * budget
 
 
+def test_embedding_memory_is_the_basis_and_one_sketch_array():
+    # At the headline shape a block is one trial: the 8 MiB basis, its 8 MiB
+    # sign-flipped copy transformed in place, and small pieces beside them.
+    # A full-size transform scratch, or a third array in the basis draw,
+    # would add another 8 MiB.
+    n, k, ell = 65536, 16, 2342
+    run_embedding_trials(n, k, ell, trials=1)  # first-use allocations out of the way
+    tracemalloc.start()
+    try:
+        run_embedding_trials(n, k, ell, trials=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * n * k * 8 + 2 * 1024 * 1024
+
+
 # --- headline configurations ------------------------------------------------
 
 # The acceptance configurations, as literals; each runner's keyword defaults

@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -125,6 +126,20 @@ def test_basis_is_the_sign_fixed_orthonormal_factor_of_its_draw(n, k, seed):
     # the Q of G = QR with R's diagonal positive, as Householder QR gives it
     q, r = np.linalg.qr(derived_rng(seed).standard_normal((n, k)))
     assert np.max(np.abs(v - q * np.where(np.diag(r) < 0, -1.0, 1.0))) <= 1e-12
+
+
+def test_basis_holds_two_arrays_of_its_size():
+    # the draw, the first-pass factor, and the result written over the draw;
+    # a third n x k array would put the peak at 24 MiB
+    n, k = 65536, 16
+    random_orthonormal(n, k, 0)  # first-use allocations out of the way
+    tracemalloc.start()
+    try:
+        random_orthonormal(n, k, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * n * k * 8 + 64 * 1024
 
 
 def _ill_conditioned(n, k, cond, seed):
@@ -339,3 +354,8 @@ def test_transformed_decimation_has_row_classes():
 def test_orthonormality_defect_values():
     assert orthonormality_defect(np.eye(5)) == 0.0
     assert orthonormality_defect(2 * np.eye(3)) == pytest.approx(3.0)
+
+
+def test_orthonormality_defect_reads_a_vector_as_one_column():
+    assert orthonormality_defect(np.array([0.0, 1.0, 0.0])) == 0.0
+    assert orthonormality_defect([3.0, 4.0]) == 24.0

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -162,6 +164,12 @@ def test_size_one_is_identity():
     assert np.array_equal(fwht([3.0]), [3.0])
 
 
+@pytest.mark.parametrize("shape", [(64, 0), (1 << 20, 0), (4, 3, 0)])
+def test_no_columns_is_a_no_op(shape):
+    x = np.zeros(shape)
+    assert fwht_inplace(x) is x
+
+
 def test_rejects_bad_sizes():
     with pytest.raises(ValueError):
         fwht([1.0, 2.0, 3.0])
@@ -180,6 +188,72 @@ def test_inplace_rejects_wrong_dtype_and_layout():
         fwht_inplace(np.zeros(4, dtype=np.float32))
     with pytest.raises(ValueError):
         fwht_inplace(np.zeros((8, 8))[:, :4].T)
+
+
+@pytest.mark.parametrize("shape", [(4, 3), (65536, 16)])  # whole-array and pieced
+def test_inplace_refuses_a_read_only_array_before_any_stage(shape):
+    x = np.random.default_rng(7).standard_normal(shape)
+    original = x.copy()
+    x.setflags(write=False)
+    with pytest.raises(ValueError, match="writeable"):
+        fwht_inplace(x)
+    assert np.array_equal(x, original)
+
+
+# --- pieced transform --------------------------------------------------------
+
+_H = {r: hadamard_matrix(r) for r in (2, 4, 8, 16)}
+
+
+def whole_array_transform(x):
+    """The radix-16 stage loop over the whole array, beside one scratch buffer
+    of the same size: the kernel as it was before arrays above 512 KiB were
+    transformed in pieces."""
+    n = x.shape[0]
+    m = x.size // n
+    src, dst = x, np.empty_like(x)
+    h = 1
+    while h < n:
+        r = min(16, n // h)
+        shape = (n // (r * h), r, h * m)
+        np.matmul(_H[r], src.reshape(shape), out=dst.reshape(shape))
+        src, dst = dst, src
+        h *= r
+    if src is not x:
+        x[...] = src
+    return x
+
+
+# n = 2**13 .. 2**20: three to five stages, odd and even counts, with a
+# leftover 2, 4 or 8 block at the top (2**17, 2**18, 2**19); m from one
+# column to 300, arrays up to 20 MB.  Then the n x B x k stacks that
+# ``sketch_stack`` transforms, and rows wider than 4096 columns, whose runs are
+# 16 rows long (or the whole array, at 16 rows or fewer).
+PIECED_SHAPES = [
+    (1 << p, m) for p in range(13, 21) for m in (1, 3, 16, 17, 300) if (1 << p) * m <= 2_500_000
+] + [(65536, 1, 16), (16384, 6, 16), (4096, 3, 17), (64, 8191), (32, 4097), (16, 20001)]
+
+
+@pytest.mark.parametrize("shape", PIECED_SHAPES)
+def test_pieced_transform_is_bit_identical_to_the_whole_array_stages(shape):
+    x = np.random.default_rng(sum(shape)).standard_normal(shape)
+    want = whole_array_transform(x.copy())
+    assert fwht_inplace(x) is x
+    assert np.array_equal(x, want)
+
+
+def test_large_transform_needs_no_full_size_buffer():
+    # 8 MiB at the headline embedding shape: one 512 KiB run buffer, then
+    # two 256 KiB column slabs.  A full-size scratch buffer would be 8 MiB.
+    x = np.random.default_rng(8).standard_normal((65536, 16))
+    fwht_inplace(x)  # first-use allocations out of the way
+    tracemalloc.start()
+    try:
+        fwht_inplace(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * 1024
 
 
 def test_entry_index_range():
