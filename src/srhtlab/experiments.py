@@ -23,9 +23,12 @@ loop cuts the trials into blocks of about ``_BLOCK_BYTES`` (256 KiB) of
 working array each, whatever the trial count, up to ``EXHAUSTIVE_CAP``
 subsets, and fills one row of a per-trial result array (a spectrum, or a
 largest component) per trial.  Every trial still draws from its own
-substream in the same call layout.  Embedding and coupon stack a block of
-operator draws into one ``sketch_stack`` call; flatten is the ell = n case
-of that map (every index kept, scale 1), one sign vector per trial.
+substream in the same call layout: the generator calls stay per trial.
+Embedding and coupon draw a block of operators with one ``draw_stack``
+call, which runs the rest of the draw (the sign arithmetic, the index rows
+and their sort) once per block, and sketch it with one ``sketch_stack``
+call; flatten is the ell = n case of that map (every index kept, scale 1),
+one sign vector per trial.
 Chernoff and both sides of mgf turn a block of ell-row lists into one Gram
 stack and one eigensolve; the with-replacement side of mgf lists a row once
 per draw, so a repeated row counts twice with no weight.  The block size
@@ -75,7 +78,7 @@ from .linalg import (
 )
 from .srht import (
     derived_rng,
-    draw_signs_and_indices,
+    draw_stack,
     rademacher_signs,
     sample_without_replacement,
     sketch_stack,
@@ -224,16 +227,14 @@ def _fill_blocks(items, count, width, item_bytes, fn):
 
 def _sketch_spectra(v, ell, stream, trials, seed, spectrum):
     """``trials`` x k stack of ``spectrum`` of the ell x k sketches of ``v``:
-    trial i under the operator ``draw_signs_and_indices(n, ell, (seed, 1,
-    stream, i))`` draws, one ``sketch_stack`` per block of draws."""
+    trial i under the operator drawn from seed (seed, 1, stream, i), one
+    ``draw_stack`` and one ``sketch_stack`` per block of seeds."""
     n, k = v.shape
-    draws = (draw_signs_and_indices(n, ell, (seed, 1, stream, i)) for i in range(trials))
-
-    def block_spectra(block):
-        signs, indices = (np.array(parts) for parts in zip(*block))
-        return spectrum(sketch_stack(signs, indices, v))
-
-    return _fill_blocks(draws, trials, k, v.nbytes, block_spectra)
+    keys = ((seed, 1, stream, i) for i in range(trials))
+    return _fill_blocks(
+        keys, trials, k, v.nbytes,
+        lambda block: spectrum(sketch_stack(*draw_stack(n, ell, block), v)),
+    )
 
 
 def run_embedding_trials(n=65536, k=16, ell=None, trials=200, seed=0):

@@ -87,7 +87,8 @@ def symmetric_eigenvalues(s) -> np.ndarray:
     """All eigenvalues of a symmetric matrix, sorted descending.
 
     LAPACK's symmetric eigensolver on the symmetrized input.  Matrices may be
-    stacked along a leading axis.  Raises on a visibly non-symmetric input.
+    stacked along a leading axis.  Raises ValueError on a non-finite entry
+    and on a visibly non-symmetric input.
     """
     a = np.asarray(s, dtype=np.float64)
     if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
@@ -97,6 +98,9 @@ def symmetric_eigenvalues(s) -> np.ndarray:
     # cost three copies of itself
     work = np.abs(a)
     scale = np.maximum(1.0, np.max(work, axis=(-2, -1)))
+    # the largest magnitude is NaN or inf exactly when an entry is
+    if not np.isfinite(scale).all():
+        raise ValueError("matrix has non-finite entries")
     np.subtract(a, at, out=work)
     np.abs(work, out=work)
     if np.any(np.max(work, axis=(-2, -1)) > 1e-8 * scale):

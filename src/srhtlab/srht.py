@@ -7,8 +7,17 @@ sorted index set); ``materialize`` builds the dense ell x n matrix as a
 testing oracle.  ``sketch_stack`` applies a stack of B operators, given as
 B x n signs and B x ell indices, to one input in a single transform of an
 n x B x k array; ``apply_to_vector`` and ``apply_to_matrix`` are its B = 1
-case.  The ell-subset comes from a partial Fisher-Yates shuffle that keeps
-only the positions it has touched, so a draw costs O(ell), not O(n).
+case.  The ell-subset comes from a partial Fisher-Yates shuffle,
+``_fisher_yates``, that keeps only the positions it has touched, so a draw
+costs O(ell), not O(n); ``sample_without_replacement`` and the operator
+draws share it.
+
+``draw_stack`` draws a block of B operators, one per seed, as the B x n
+signs and B x ell indices ``sketch_stack`` takes.  Per seed it makes only
+the generator calls; the sign arithmetic (2 * bit - 1) and the sort of the
+sampled indices run once per block.  ``draw_signs_and_indices`` is its
+one-seed case, so an operator is the same bit for bit whatever block it is
+drawn in.
 
 Randomness is PCG64 seeded through ``numpy.random.SeedSequence``.  A seed may
 be a single integer or a tuple of integers; experiment code derives per-trial
@@ -18,6 +27,7 @@ in a fixed call layout (the sign block first, then the sampling offsets), so
 the operator is a stable function of the seed.
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +41,7 @@ __all__ = [
     "derived_rng",
     "draw_signs_and_indices",
     "draw_srht",
+    "draw_stack",
     "materialize",
     "rademacher_signs",
     "sample_without_replacement",
@@ -44,10 +55,11 @@ def derived_rng(seed, *path) -> np.random.Generator:
     """Deterministic generator for ``(seed, *path)``.
 
     ``seed`` is an int or tuple of ints; ``path`` extends it.  The mixing is
-    numpy's SeedSequence hash of the combined entropy tuple.
+    numpy's SeedSequence hash of the combined entropy tuple.  An entry that
+    is not an integer (a float, even 1.0) is a TypeError, not truncated.
     """
-    entropy = tuple(seed) if isinstance(seed, (tuple, list)) else (int(seed),)
-    return np.random.default_rng(np.random.SeedSequence(entropy + tuple(int(p) for p in path)))
+    entropy = (*seed, *path) if isinstance(seed, (tuple, list)) else (seed, *path)
+    return np.random.default_rng(np.random.SeedSequence(tuple(map(operator.index, entropy))))
 
 
 def rademacher_signs(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -58,24 +70,38 @@ def rademacher_signs(rng: np.random.Generator, n: int) -> np.ndarray:
 def sample_without_replacement(n: int, ell: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform ell-subset of {0, ..., n-1}, returned sorted ascending.
 
-    Partial Fisher-Yates shuffle: step i swaps position i with a uniform
-    position in [i, n).  Only the positions a swap has touched are stored, in
-    a dict, so a draw costs O(ell) rather than O(n).  All ell offsets come
-    from a single bounded-integer draw, keeping the call layout fixed.
+    All ell offsets come from a single bounded-integer draw, keeping the call
+    layout fixed; ``_fisher_yates`` turns them into the subset.
     """
+    n, ell = _sample_size(n, ell)
+    out = np.array(_fisher_yates(rng.integers(0, n - np.arange(ell))), dtype=np.int64)
+    out.sort()
+    out.setflags(write=False)
+    return out
+
+
+def _sample_size(n, ell) -> tuple:
+    """(n, ell) as ints with 1 <= ell <= n; a non-integer is a TypeError."""
+    n, ell = operator.index(n), operator.index(ell)
     if not 1 <= ell <= n:
         raise ValueError(f"need 1 <= ell <= n, got ell={ell}, n={n}")
-    offsets = rng.integers(0, n - np.arange(ell))
+    return n, ell
+
+
+def _fisher_yates(offsets) -> list:
+    """The positions a partial Fisher-Yates shuffle picks, unsorted.
+
+    Step i swaps position i with position i + offsets[i], a uniform position
+    in [i, n), and picks what lands at i.  Only the positions a swap has
+    touched are stored, in a dict, so a draw costs O(ell) rather than O(n).
+    """
     moved = {}  # position -> the index a swap left there
     picked = []
     for i, off in enumerate(offsets.tolist()):
         j = i + off
         picked.append(moved.get(j, j))
         moved[j] = moved.get(i, i)
-    out = np.array(picked, dtype=np.int64)
-    out.sort()
-    out.setflags(write=False)
-    return out
+    return picked
 
 
 @dataclass(frozen=True)
@@ -120,11 +146,33 @@ class SrhtOperator:
 
 
 def draw_signs_and_indices(n: int, ell: int, seed) -> tuple:
-    """The signs and sorted indices ``draw_srht(n, ell, seed)`` holds, drawn
-    in the same call layout but not wrapped in an operator, for runners that
-    stack many draws into one ``sketch_stack`` call."""
-    rng = derived_rng(seed)
-    return rademacher_signs(rng, n), sample_without_replacement(n, ell, rng)
+    """The signs and sorted indices ``draw_srht(n, ell, seed)`` holds, not
+    wrapped in an operator: the one-seed case of ``draw_stack``."""
+    signs, indices = draw_stack(n, ell, [seed])
+    return signs[0], indices[0]
+
+
+def draw_stack(n: int, ell: int, seeds) -> tuple:
+    """B x n signs and B x ell sorted indices of one operator per seed.
+
+    Row b is the draw of ``seeds[b]``, bit for bit the one
+    ``draw_signs_and_indices`` makes alone.  Per seed the only calls are the
+    generator's, in a fixed layout: ``derived_rng(seed)``, then n sign bits,
+    then the ell sampling offsets in one bounded-integer draw; the shuffle
+    writes that seed's picks into row b.  The signs 2 * bit - 1 and the sort
+    of every row are computed once for the block.
+    """
+    n, ell = _sample_size(n, ell)
+    seeds = list(seeds)
+    bits = np.empty((len(seeds), n), dtype=np.int64)
+    indices = np.empty((len(seeds), ell), dtype=np.int64)
+    highs = n - np.arange(ell)
+    for b, seed in enumerate(seeds):
+        rng = derived_rng(seed)
+        bits[b] = rng.integers(0, 2, size=n)
+        indices[b] = _fisher_yates(rng.integers(0, highs))
+    indices.sort(axis=1)
+    return 2.0 * bits - 1.0, indices
 
 
 def draw_srht(n: int, ell: int, seed) -> SrhtOperator:
@@ -133,8 +181,6 @@ def draw_srht(n: int, ell: int, seed) -> SrhtOperator:
     Identical (n, ell, seed) yield a bit-identical operator.
     """
     dim = HadamardDim.of_size(n)
-    if not 1 <= ell <= n:
-        raise ValueError(f"need 1 <= ell <= n, got ell={ell}, n={n}")
     signs, indices = draw_signs_and_indices(n, ell, seed)
     stored = tuple(int(s) for s in seed) if isinstance(seed, (tuple, list)) else int(seed)
     return SrhtOperator(dim=dim, signs=signs, indices=indices, seed=stored)

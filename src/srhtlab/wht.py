@@ -15,6 +15,7 @@ pass is needed.  ``hadamard_entry`` gives the closed-form matrix entry
 n**-0.5 * (-1)**popcount(i & j), which serves as the slow testing oracle.
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,12 +137,13 @@ def hadamard_entry(i: int, j: int, n: int) -> float:
     """Entry (i, j) of the orthogonal n x n Walsh-Hadamard matrix.
 
     Sylvester ordering: n**-0.5 * (-1)**popcount(i & j).  Every entry has
-    magnitude exactly n**-0.5.
+    magnitude exactly n**-0.5.  A non-integer index is a TypeError.
     """
     dim = HadamardDim.of_size(n)
+    i, j = operator.index(i), operator.index(j)
     if not (0 <= i < dim.n and 0 <= j < dim.n):
         raise IndexError(f"indices ({i}, {j}) out of range for n={dim.n}")
-    sign = -1.0 if (int(i) & int(j)).bit_count() & 1 else 1.0
+    sign = -1.0 if (i & j).bit_count() & 1 else 1.0
     return sign * dim.n ** -0.5
 
 
@@ -150,14 +152,20 @@ def hadamard_matrix(n: int, rows=None) -> np.ndarray:
 
     Entries follow the same closed form as ``hadamard_entry``; the parity of
     popcount(i & j) is computed with a vectorized xor-fold so assembling
-    n = 4096 stays cheap.
+    n = 4096 stays cheap.  ``rows`` must be integers in [0, n): a row out of
+    range is an IndexError and a non-integer row a TypeError.
     """
     dim = HadamardDim.of_size(n)
     cols = np.arange(dim.n, dtype=np.uint64)
     if rows is None:
         rows = cols
     else:
-        rows = np.asarray(rows, dtype=np.uint64)
+        rows = np.asarray(rows)
+        if rows.size and rows.dtype.kind not in "iu":
+            raise TypeError(f"rows must be integers, got dtype {rows.dtype}")
+        if rows.size and (rows.min() < 0 or rows.max() >= dim.n):
+            raise IndexError(f"rows out of range for n={dim.n}")
+        rows = rows.astype(np.uint64)
     m = np.bitwise_and.outer(rows, cols)
     for shift in (32, 16, 8, 4, 2, 1):
         m ^= m >> np.uint64(shift)

@@ -73,7 +73,7 @@ def test_embedding_rejects_oversized_requirement():
 
 def test_embedding_names_why_the_sample_size_rule_does_not_apply():
     # below k = 2 the rule has no size to give; above n its size is too big
-    with mock.patch.object(exp_mod, "draw_signs_and_indices", side_effect=AssertionError("drew")):
+    with mock.patch.object(exp_mod, "draw_stack", side_effect=AssertionError("drew")):
         with pytest.raises(ValueError, match=r"needs k >= 2, got k=1; give ell \(--l\)"):
             run_embedding_trials(1024, 1, trials=2)
         with pytest.raises(ValueError, match="required sample size 1454 exceeds n=64"):

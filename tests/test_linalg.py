@@ -246,6 +246,21 @@ def test_rejects_nonsymmetric():
         symmetric_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_eigenvalues_refuse_non_finite_input(bad):
+    # NaN used to slip past the symmetry test and give NaN eigenvalues, and
+    # inf raised a RuntimeWarning from inf - inf
+    s = np.eye(3)
+    s[1, 2] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        symmetric_eigenvalues(s)
+    stack = np.stack([np.eye(3), s])
+    with pytest.raises(ValueError, match="non-finite"):
+        symmetric_eigenvalues(stack)
+    with pytest.raises(ValueError, match="non-finite"):
+        symmetric_eigenvalues(np.full((2, 2), bad))
+
+
 def test_zero_and_1x1():
     assert np.array_equal(symmetric_eigenvalues(np.zeros((3, 3))), np.zeros(3))
     assert np.allclose(symmetric_eigenvalues([[4.0]]), [4.0])

@@ -14,7 +14,9 @@ from srhtlab.srht import (
     derived_rng,
     draw_signs_and_indices,
     draw_srht,
+    draw_stack,
     materialize,
+    rademacher_signs,
     sample_without_replacement,
     sketch_stack,
 )
@@ -320,6 +322,90 @@ def test_sampler_matches_whole_array_fisher_yates(n, data, seed):
     assert got.dtype == np.int64 and not got.flags.writeable
     # the same generator calls, so later draws from the stream agree too
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+def test_sampler_refuses_a_non_integer_sample_size():
+    # np.arange(2.5) has three entries, so 2.5 used to give three indices
+    with pytest.raises(TypeError):
+        sample_without_replacement(4, 2.5, derived_rng(0))
+    with pytest.raises(TypeError):
+        sample_without_replacement(4, 2.0, derived_rng(0))
+    want = sample_without_replacement(16, 3, derived_rng(7))
+    assert np.array_equal(sample_without_replacement(16, np.int64(3), derived_rng(7)), want)
+
+
+def test_operator_draw_refuses_a_non_integer_sample_size():
+    for draw in (
+        lambda ell: draw_signs_and_indices(16, ell, 0),
+        lambda ell: draw_stack(16, ell, [0, 1]),
+        lambda ell: draw_srht(16, ell, 0),
+    ):
+        with pytest.raises(TypeError):
+            draw(2.5)
+    signs, indices = draw_signs_and_indices(16, np.int32(3), 0)
+    assert indices.shape == (3,)
+    assert np.array_equal(indices, draw_signs_and_indices(16, 3, 0)[1])
+
+
+@pytest.mark.parametrize("seed", [1.5, 1.0, (1, 1.5), [3, 0.0]])
+def test_derived_rng_refuses_a_non_integer_seed(seed):
+    # int() used to truncate, so 1.5 gave the stream of 1
+    with pytest.raises(TypeError):
+        derived_rng(seed)
+
+
+@pytest.mark.parametrize("path", [(2.5,), (0, 1.0), (np.float64(3.0),)])
+def test_derived_rng_refuses_a_non_integer_path_entry(path):
+    with pytest.raises(TypeError):
+        derived_rng(7, *path)
+
+
+def test_derived_rng_takes_numpy_integers_as_their_value():
+    want = derived_rng((5, 1, 2, 3)).integers(0, 2**62, size=4)
+    for seed, path in [
+        ((np.int64(5), 1, 2, 3), ()),
+        (np.uint32(5), (np.int8(1), 2, np.uint64(3))),
+        ([5, 1], (np.int16(2), 3)),
+    ]:
+        assert np.array_equal(derived_rng(seed, *path).integers(0, 2**62, size=4), want)
+
+
+# --- the block draw -----------------------------------------------------------
+
+@given(
+    st.integers(1, 1 << 10),
+    st.data(),
+    st.sampled_from([1, 2, 7, 64]),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60)
+def test_block_draw_is_the_per_seed_draw(n, data, stack, tuple_seeds, base):
+    ell = data.draw(st.one_of(st.just(1), st.just(n), st.integers(1, n)), label="ell")
+    seeds = [(base, 1, 2, b) if tuple_seeds else base + b for b in range(stack)]
+    signs, indices = draw_stack(n, ell, seeds)
+    one_at_a_time = [draw_signs_and_indices(n, ell, seed) for seed in seeds]
+    assert np.array_equal(signs, np.stack([s for s, _ in one_at_a_time]))
+    assert np.array_equal(indices, np.stack([i for _, i in one_at_a_time]))
+    assert signs.shape == (stack, n) and signs.dtype == np.float64
+    assert indices.shape == (stack, ell) and indices.dtype == np.int64
+    # and both are the draw the sign and sampler primitives make on the
+    # seed's generator, the sampler checked against the O(n) shuffle
+    for b, seed in enumerate(seeds):
+        rng = derived_rng(seed)
+        assert np.array_equal(signs[b], rademacher_signs(rng, n))
+        assert np.array_equal(indices[b], _fisher_yates_over_whole_array(n, ell, rng))
+
+
+def test_block_draw_of_no_seeds_is_empty():
+    signs, indices = draw_stack(8, 3, [])
+    assert signs.shape == (0, 8) and indices.shape == (0, 3)
+
+
+def test_block_draw_checks_the_sample_size():
+    for n, ell in [(8, 0), (8, 9)]:
+        with pytest.raises(ValueError, match="1 <= ell <= n"):
+            draw_stack(n, ell, [0])
 
 
 # --- the stacked sketch -------------------------------------------------------

@@ -263,6 +263,24 @@ def test_entry_index_range():
         hadamard_entry(0, -1, 4)
 
 
+def test_hadamard_matrix_rows_are_rows_of_h_n():
+    h = hadamard_matrix(8)
+    assert np.array_equal(hadamard_matrix(8, rows=[5, 0, 5]), h[[5, 0, 5]])
+    assert np.array_equal(hadamard_matrix(8, rows=np.array([7], dtype=np.uint8)), h[[7]])
+    assert hadamard_matrix(8, rows=[]).shape == (0, 8)
+    # row 5 of H_4 used to come back as a +-0.5 row that is not in H_4, and
+    # -1 wrapped through uint64
+    for rows in ([5], [4], np.array([-1]), [0, 2, 4]):
+        with pytest.raises(IndexError):
+            hadamard_matrix(4, rows=rows)
+    # 1.7 used to be truncated to row 1
+    for rows in ([1.7], [1.0], np.array([True])):
+        with pytest.raises(TypeError):
+            hadamard_matrix(4, rows=rows)
+    with pytest.raises(TypeError):
+        hadamard_entry(1.7, 0, 4)
+
+
 def test_hadamard_dim_validation():
     d = HadamardDim.of_size(16)
     assert (d.n, d.p) == (16, 4)
