@@ -14,7 +14,6 @@ from .bounds import (
     coupon_coverage_probability,
     embedding_sample_size,
     hoeffding_component_tail,
-    rademacher_tail,
     row_norm_bound,
     row_sampling_failure_bound,
     row_sampling_worst_ratio,
@@ -30,12 +29,11 @@ from .linalg import (
 from .srht import (
     SrhtOperator,
     apply_to_matrix,
-    apply_to_vector,
     draw_srht,
     materialize,
     sample_without_replacement,
 )
-from .wht import HadamardDim, fwht, fwht_inplace, hadamard_entry, hadamard_matrix
+from .wht import fwht, fwht_inplace, hadamard_entry, hadamard_matrix
 
 __version__ = "0.1.0"
 
@@ -43,10 +41,8 @@ __all__ = [
     "ChernoffParams",
     "EMBEDDING_SIGMA_MAX",
     "EMBEDDING_SIGMA_MIN",
-    "HadamardDim",
     "SrhtOperator",
     "apply_to_matrix",
-    "apply_to_vector",
     "chernoff_lower_tail",
     "chernoff_upper_tail",
     "coupon_coverage_probability",
@@ -61,7 +57,6 @@ __all__ = [
     "hoeffding_component_tail",
     "materialize",
     "orthonormality_defect",
-    "rademacher_tail",
     "random_orthonormal",
     "row_norm_bound",
     "row_sampling_failure_bound",

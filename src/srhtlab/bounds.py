@@ -1,8 +1,10 @@
 """Closed-form tail bounds and the embedding sample-size rule for SRHT sketching.
 
-All logarithms are natural: the Rademacher tail identity
-exp(-8*log(beta*n)/8) = 1/(beta*n) used to calibrate the row-norm bound only
-works in base e, and every other formula follows that convention.
+All logarithms are natural.  The row-norm bound is calibrated by the
+Rademacher tail exp(-t^2/8) of a convex 1-Lipschitz function of random
+signs: at t^2 = 8*log(beta*n) it is exp(-8*log(beta*n)/8) = 1/(beta*n), an
+identity that holds only in base e, and every other formula follows that
+convention.
 
 Raw bound values are returned unclamped (they may exceed 1) so that
 dominance comparisons see the actual expressions.  Range checks are written
@@ -26,7 +28,6 @@ __all__ = [
     "coupon_coverage_probability",
     "embedding_sample_size",
     "hoeffding_component_tail",
-    "rademacher_tail",
     "row_norm_bound",
     "row_sampling_failure_bound",
     "row_sampling_worst_ratio",
@@ -96,17 +97,6 @@ def row_norm_bound(n: int, k: int, beta: float) -> RowNormBound:
         raise ValueError(f"need a finite beta with beta * n > 1, got beta={beta}, n={n}")
     value = math.sqrt(k / n) + math.sqrt(8.0 * math.log(beta * n) / n)
     return RowNormBound(value=value, exceedance_probability=1.0 / beta)
-
-
-def rademacher_tail(lipschitz: float, t: float) -> float:
-    """Tail bound exp(-t^2 / 8) for a convex L-Lipschitz function of random
-    signs deviating by L*t above its mean.  L shapes the event, not the
-    bound, but is validated for interface hygiene."""
-    if not lipschitz > 0:
-        raise ValueError(f"Lipschitz constant must be positive, got {lipschitz}")
-    if not t >= 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
-    return math.exp(-t * t / 8.0)
 
 
 def hoeffding_component_tail(n: int, t: float) -> float:

@@ -41,9 +41,9 @@ is over the block budget (512 KiB at the headline shape), and a stacked
 transform was measured slower there, its array falling out of cache.  It
 never forms its basis.  Each trial draws its Gaussian and its signs from
 the same substreams a ``random_orthonormal`` basis would use, and runs that
-function's two passes of Cholesky QR (CholeskyQR2) wrapped around the
-in-place transform; the per-trial orthonormality check on the transformed
-matrix is kept.
+function's CholeskyQR2 routine, ``linalg._cholesky_qr2``, around the
+in-place transform: the first pass's Gram is taken before the transform,
+and the routine's orthonormality check runs on the transformed matrix.
 
 Each runner's keyword defaults are its headline configuration, the one the
 acceptance suite checks; called with only a seed, it runs that configuration.
@@ -68,10 +68,9 @@ from .bounds import (
 )
 from .linalg import (
     RANK_RTOL,
-    _cholesky_r,
+    _cholesky_qr2,
     decimated_identity,
     gram,
-    orthonormality_defect,
     random_orthonormal,
     singular_values,
     symmetric_eigenvalues,
@@ -83,7 +82,7 @@ from .srht import (
     sample_without_replacement,
     sketch_stack,
 )
-from .wht import HadamardDim, fwht_inplace
+from .wht import fwht_inplace, hadamard_size
 
 __all__ = [
     "CSV_COLUMNS",
@@ -277,18 +276,19 @@ def run_row_norm_trials(n=4096, k=16, beta=None, trials=2000, seed=0):
     and signs D from (seed, 1, 0, i), and records the largest row norm of
     H D V, where V = G R^-1 is G's orthonormal factor (R with positive
     diagonal: the basis ``random_orthonormal`` returns).  V is not formed.
-    Two passes of Cholesky QR (CholeskyQR2) run around the in-place
-    transform: R_1 from the Gram of G, W_1 = H D G R_1^-1, R_2 from the Gram
-    of W_1, and W = W_1 R_2^-1.  H D is orthogonal, so the second pass may be
-    measured after it, and it also corrects the transform's own rounding; one
-    pass alone leaves square inputs visibly non-orthonormal.
+    Two passes of Cholesky QR (CholeskyQR2, ``linalg._cholesky_qr2``) run
+    around the in-place transform: R_1 from the Gram of G, W_1 = H D G
+    R_1^-1, R_2 from the Gram of W_1, and W = W_1 R_2^-1.  H D is
+    orthogonal, so the second pass may be measured after it, and it also
+    corrects the transform's own rounding; one pass alone leaves square
+    inputs visibly non-orthonormal.
     The exceedance frequency of the analytic level is compared against
     1/beta (``beta`` defaults to k).  Extremes hold the (min, max) observed
     max row norm.  Column orthonormality of the transformed matrix is
     verified every trial.
     """
     start = time.perf_counter()
-    HadamardDim.of_size(n)
+    hadamard_size(n)
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     level = row_norm_bound(n, k, float(k) if beta is None else beta)
@@ -296,13 +296,9 @@ def run_row_norm_trials(n=4096, k=16, beta=None, trials=2000, seed=0):
     norms = np.empty(trials)
     for i in range(trials):
         g = derived_rng(seed, 0, 0, i).standard_normal((n, k))
-        r1 = _cholesky_r(g)
+        gram1 = gram(g)
         g *= rademacher_signs(derived_rng(seed, 1, 0, i), n)[:, None]
-        w1 = fwht_inplace(g) @ np.linalg.inv(r1)
-        w = w1 @ np.linalg.inv(_cholesky_r(w1))
-        defect = orthonormality_defect(w)
-        if not defect <= 1e-8:
-            raise RuntimeError(f"transformed basis lost orthonormality: defect {defect}")
+        w = _cholesky_qr2(fwht_inplace(g), gram1)
         norms[i] = np.sqrt(np.max(np.sum(w * w, axis=1)))
     return _one_sided_summary(
         "rownorm", plan, norms >= level.value, level.exceedance_probability, norms, norms,
@@ -324,7 +320,7 @@ def run_flattening_trials(n=1024, trials=1000, seed=0, direction=None):
     whose norm leaves the float64 range is a ValueError.
     """
     start = time.perf_counter()
-    HadamardDim.of_size(n)
+    hadamard_size(n)
     plan = TrialPlan(n=n, k=0, ell=0, trials=trials, seed=seed)
     if direction is None:
         g = derived_rng(seed, 0, 0, 0).standard_normal(n)

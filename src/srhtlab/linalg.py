@@ -3,13 +3,17 @@
 Matrices are plain row-major float64 numpy arrays.  Spectra come from LAPACK
 through numpy: singular values from the SVD of the matrix itself, symmetric
 eigenvalues from the symmetric eigensolver.  Both sit far inside the 1e-7
-tolerance that the oracle tests and the reference comparisons allow.
-Orthonormal bases come from one path, two passes of Cholesky QR.
+tolerance that the oracle tests and the reference comparisons allow, and
+both refuse a non-finite entry with a ValueError.  Orthonormal bases come
+from one routine, ``_cholesky_qr2``: two passes of Cholesky QR and one
+orthonormality check, shared by ``random_orthonormal`` and the row-norm
+runner.
 """
 
 import numpy as np
 
 from .srht import derived_rng
+from .wht import is_power_of_two
 
 __all__ = [
     "decimated_identity",
@@ -39,29 +43,41 @@ def random_orthonormal(n: int, k: int, seed) -> np.ndarray:
     (Fukaya, Nakatsukasa, Yanagisawa and Yamamoto 2014; Yamamoto et al.
     2015).  A tall Gaussian draw has cond(G) near 1 and a square n x n one
     near n, so this limit is passed only with tiny probability.  A draw past
-    it raises RuntimeError and never returns a bad basis: when a Cholesky
-    factorization fails, or when the result's orthonormality defect exceeds
-    1e-8 or is not a number.  Q overwrites G, so at most two n x k arrays
-    are held at once.
+    it raises RuntimeError and never returns a bad basis (see
+    ``_cholesky_qr2``).  Q overwrites G, so at most two n x k arrays are held
+    at once.
     """
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     g = derived_rng(seed).standard_normal((n, k))
-    q1 = g @ np.linalg.inv(_cholesky_r(g))
-    q = np.matmul(q1, np.linalg.inv(_cholesky_r(q1)), out=g)
+    return _cholesky_qr2(g, gram(g))
+
+
+def _cholesky_qr2(g, gram1):
+    """G R_1^-1 R_2^-1, written over ``g`` and returned.
+
+    R_1 is the Cholesky factor of ``gram1``: gram(G), or the Gram of the
+    matrix ``g`` held before an orthogonal map was applied to it in place,
+    which in exact arithmetic is the same.  R_2 is the factor of the Gram of
+    Q_1 = G R_1^-1.  RuntimeError when a factorization fails, or when the
+    result's orthonormality defect exceeds 1e-8 or is not a number.
+    """
+    q1 = g @ np.linalg.inv(_cholesky_r(gram1))
+    q = np.matmul(q1, np.linalg.inv(_cholesky_r(gram(q1))), out=g)
     defect = orthonormality_defect(q)
     if not defect <= 1e-8:
         raise RuntimeError(f"CholeskyQR2 basis lost orthonormality: defect {defect}")
     return q
 
 
-def _cholesky_r(a):
-    """Upper-triangular R with positive diagonal and R^T R = A^T A.
+def _cholesky_r(s):
+    """Upper-triangular R with positive diagonal and R^T R = S, for the Gram
+    matrix S of some A.
 
-    RuntimeError when A^T A does not factor: A is too ill-conditioned.
+    RuntimeError when S does not factor: A is too ill-conditioned.
     """
     try:
-        return np.linalg.cholesky(gram(a)).T
+        return np.linalg.cholesky(s).T
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"matrix too ill-conditioned for CholeskyQR2: {exc}") from exc
 
@@ -115,10 +131,13 @@ def singular_values(a) -> np.ndarray:
 
     LAPACK's SVD without singular vectors, applied directly to the matrix so
     the condition number is not squared.  Accepts stacks of matrices.
+    Raises ValueError on a non-finite entry.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim < 2 or a.shape[-2] < a.shape[-1]:
         raise ValueError(f"expected m >= k, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix has non-finite entries")
     return np.linalg.svd(a, compute_uv=False)
 
 
@@ -129,7 +148,7 @@ def decimated_identity(k: int) -> np.ndarray:
     zero otherwise: one nonzero per column, exactly orthonormal.  k must be a
     power of two so that k^2 is a valid transform size.
     """
-    if not (isinstance(k, (int, np.integer)) and k >= 1 and (k & (k - 1)) == 0):
+    if not (isinstance(k, (int, np.integer)) and is_power_of_two(k)):
         raise ValueError(f"k must be a positive power of two, got {k!r}")
     w = np.zeros((k * k, k))
     w[np.arange(k) * k, np.arange(k)] = 1.0

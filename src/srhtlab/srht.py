@@ -5,19 +5,19 @@ orthogonal Walsh-Hadamard matrix H, and a restriction R to ell coordinates
 drawn uniformly without replacement.  It is kept implicit (sign vector +
 sorted index set); ``materialize`` builds the dense ell x n matrix as a
 testing oracle.  ``sketch_stack`` applies a stack of B operators, given as
-B x n signs and B x ell indices, to one input in a single transform of an
-n x B x k array; ``apply_to_vector`` and ``apply_to_matrix`` are its B = 1
-case.  The ell-subset comes from a partial Fisher-Yates shuffle,
-``_fisher_yates``, that keeps only the positions it has touched, so a draw
-costs O(ell), not O(n); ``sample_without_replacement`` and the operator
-draws share it.
+B x n signs and B x ell indices, to one input (a vector or a matrix) in a
+single transform of an n x B x k array; ``apply_to_matrix`` is its B = 1
+case for an operator.  ``_operator_stack`` holds the operator rules, and
+both ``SrhtOperator`` and ``sketch_stack`` go through it.  The ell-subset
+comes from a partial Fisher-Yates shuffle, ``_fisher_yates``, that keeps
+only the positions it has touched, so a draw costs O(ell), not O(n);
+``sample_without_replacement`` and the operator draws share it.
 
 ``draw_stack`` draws a block of B operators, one per seed, as the B x n
 signs and B x ell indices ``sketch_stack`` takes.  Per seed it makes only
 the generator calls; the sign arithmetic (2 * bit - 1) and the sort of the
-sampled indices run once per block.  ``draw_signs_and_indices`` is its
-one-seed case, so an operator is the same bit for bit whatever block it is
-drawn in.
+sampled indices run once per block.  ``draw_srht`` is its one-seed case, so
+an operator is the same bit for bit whatever block it is drawn in.
 
 Randomness is PCG64 seeded through ``numpy.random.SeedSequence``.  A seed may
 be a single integer or a tuple of integers; experiment code derives per-trial
@@ -32,14 +32,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .wht import HadamardDim, fwht_inplace, hadamard_matrix
+from .wht import fwht_inplace, hadamard_matrix, hadamard_size
 
 __all__ = [
     "SrhtOperator",
     "apply_to_matrix",
-    "apply_to_vector",
     "derived_rng",
-    "draw_signs_and_indices",
     "draw_srht",
     "draw_stack",
     "materialize",
@@ -109,32 +107,24 @@ class SrhtOperator:
     """Implicit sketching operator sqrt(n/ell) * R H D.
 
     ``signs`` is the +-1 diagonal of D, ``indices`` the sorted sample set
-    defining R.  ``seed`` records how the operator was drawn (None for
-    hand-built operators).
+    defining R; n is the length of ``signs``.  Both are copied and frozen.
+    ``seed`` records how the operator was drawn (None for hand-built
+    operators).
     """
 
-    dim: HadamardDim
     signs: np.ndarray
     indices: np.ndarray
     seed: object = None
 
     def __post_init__(self):
-        signs = np.ascontiguousarray(self.signs, dtype=np.float64)
-        indices = np.ascontiguousarray(self.indices, dtype=np.int64)
-        n = self.dim.n
-        if signs.shape != (n,):
-            raise ValueError(f"sign vector must have shape ({n},), got {signs.shape}")
-        if indices.ndim != 1:
-            raise ValueError(f"need 1 <= ell <= n sample indices, got shape {indices.shape}")
-        _check_operator_stack(signs[None, :], indices[None, :])
-        signs.setflags(write=False)
-        indices.setflags(write=False)
-        object.__setattr__(self, "signs", signs)
-        object.__setattr__(self, "indices", indices)
+        signs, indices = _operator_stack([self.signs], [self.indices])
+        for name, value in (("signs", signs[0]), ("indices", indices[0])):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:
-        return self.dim.n
+        return int(self.signs.size)
 
     @property
     def ell(self) -> int:
@@ -145,18 +135,11 @@ class SrhtOperator:
         return (self.n / self.ell) ** 0.5
 
 
-def draw_signs_and_indices(n: int, ell: int, seed) -> tuple:
-    """The signs and sorted indices ``draw_srht(n, ell, seed)`` holds, not
-    wrapped in an operator: the one-seed case of ``draw_stack``."""
-    signs, indices = draw_stack(n, ell, [seed])
-    return signs[0], indices[0]
-
-
 def draw_stack(n: int, ell: int, seeds) -> tuple:
     """B x n signs and B x ell sorted indices of one operator per seed.
 
-    Row b is the draw of ``seeds[b]``, bit for bit the one
-    ``draw_signs_and_indices`` makes alone.  Per seed the only calls are the
+    Row b is the draw of ``seeds[b]``, bit for bit the operator
+    ``draw_srht`` draws from that seed alone.  Per seed the only calls are the
     generator's, in a fixed layout: ``derived_rng(seed)``, then n sign bits,
     then the ell sampling offsets in one bounded-integer draw; the shuffle
     writes that seed's picks into row b.  The signs 2 * bit - 1 and the sort
@@ -178,21 +161,13 @@ def draw_stack(n: int, ell: int, seeds) -> tuple:
 def draw_srht(n: int, ell: int, seed) -> SrhtOperator:
     """Draw an SRHT operator: fresh signs, then a uniform ell-subset.
 
-    Identical (n, ell, seed) yield a bit-identical operator.
+    Identical (n, ell, seed) yield a bit-identical operator: the one-seed
+    case of ``draw_stack``.
     """
-    dim = HadamardDim.of_size(n)
-    signs, indices = draw_signs_and_indices(n, ell, seed)
+    hadamard_size(n)
+    signs, indices = draw_stack(n, ell, [seed])
     stored = tuple(int(s) for s in seed) if isinstance(seed, (tuple, list)) else int(seed)
-    return SrhtOperator(dim=dim, signs=signs, indices=indices, seed=stored)
-
-
-def apply_to_vector(op: SrhtOperator, x) -> np.ndarray:
-    """sqrt(n/ell) * R H D x in O(n log n): signwise multiply, fast transform,
-    gather at the sample indices.  Rejects NaN and infinite entries."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (op.n,):
-        raise ValueError(f"vector must have shape ({op.n},), got {x.shape}")
-    return sketch_stack(op.signs[None, :], op.indices[None, :], x)[0]
+    return SrhtOperator(signs=signs[0], indices=indices[0], seed=stored)
 
 
 def apply_to_matrix(op: SrhtOperator, v) -> np.ndarray:
@@ -219,9 +194,7 @@ def sketch_stack(signs, indices, v) -> np.ndarray:
     nonzero weights +-n**-0.5, so a NaN or inf anywhere in a column makes
     every output entry of that column non-finite.
     """
-    signs = np.asarray(signs, dtype=np.float64)
-    indices = np.asarray(indices, dtype=np.int64)
-    _check_operator_stack(signs, indices)
+    signs, indices = _operator_stack(signs, indices)
     (stack, n), ell = signs.shape, indices.shape[1]
     v = np.asarray(v, dtype=np.float64)
     if v.ndim not in (1, 2) or v.shape[0] != n:
@@ -236,16 +209,23 @@ def sketch_stack(signs, indices, v) -> np.ndarray:
     return out.reshape(stack, ell, *v.shape[1:])
 
 
-def _check_operator_stack(signs: np.ndarray, indices: np.ndarray) -> None:
-    """``SrhtOperator``'s rules for B operators at once: B x n signs exactly
-    +-1 with n a power of two, and B x ell indices, 1 <= ell <= n, each row
-    strictly increasing in [0, n)."""
+def _operator_stack(signs, indices) -> tuple:
+    """``signs`` and ``indices`` as float64 and int64 arrays, checked against
+    ``SrhtOperator``'s rules for B operators at once: B x n signs exactly +-1
+    with n a power of two, and B x ell integer indices, 1 <= ell <= n, each
+    row strictly increasing in [0, n).  Indices of a non-integer dtype are a
+    TypeError, not truncated."""
+    indices = np.asarray(indices)
+    if indices.size and indices.dtype.kind not in "iu":
+        raise TypeError(f"sample indices must be integers, got dtype {indices.dtype}")
+    signs = np.asarray(signs, dtype=np.float64)
+    indices = indices.astype(np.int64, copy=False)
     if signs.ndim != 2 or indices.ndim != 2 or signs.shape[0] != indices.shape[0]:
         raise ValueError(
             f"need B x n signs and B x ell indices, got shapes {signs.shape} and {indices.shape}"
         )
     n, ell = signs.shape[1], indices.shape[1]
-    HadamardDim.of_size(n)
+    hadamard_size(n)
     if not 1 <= ell <= n:
         raise ValueError(f"need 1 <= ell <= n sample indices, got {ell}")
     if not np.all(np.abs(signs) == 1.0):
@@ -256,16 +236,17 @@ def _check_operator_stack(signs: np.ndarray, indices: np.ndarray) -> None:
         or np.any(np.diff(indices, axis=1) <= 0)
     ):
         raise ValueError("sample indices must be strictly increasing in [0, n)")
+    return signs, indices
 
 
-def materialize(op: SrhtOperator, cap: int = MATERIALIZE_CAP) -> np.ndarray:
+def materialize(op: SrhtOperator) -> np.ndarray:
     """Dense ell x n form of the operator (testing oracle).
 
     Entry (i, j) = sqrt(n/ell) * H[indices[i], j] * signs[j].  Refuses n
-    beyond ``cap`` to bound memory.
+    beyond ``MATERIALIZE_CAP`` to bound memory.
     """
-    if op.n > cap:
-        raise ValueError(f"materialize capped at n={cap}, got n={op.n}")
+    if op.n > MATERIALIZE_CAP:
+        raise ValueError(f"materialize capped at n={MATERIALIZE_CAP}, got n={op.n}")
     rows = hadamard_matrix(op.n, rows=op.indices)
     return op.scale * rows * op.signs[None, :]
 

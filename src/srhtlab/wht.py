@@ -13,19 +13,19 @@ columns at a time.  Each output is the same product of blocks either way, bit
 for bit.  Every block is already orthonormal, so no final n**-0.5 scaling
 pass is needed.  ``hadamard_entry`` gives the closed-form matrix entry
 n**-0.5 * (-1)**popcount(i & j), which serves as the slow testing oracle.
+``hadamard_size`` is the one check of a transform size n = 2**p.
 """
 
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "HadamardDim",
     "fwht",
     "fwht_inplace",
     "hadamard_entry",
     "hadamard_matrix",
+    "hadamard_size",
     "is_power_of_two",
 ]
 
@@ -34,22 +34,11 @@ def is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
-@dataclass(frozen=True)
-class HadamardDim:
-    """A valid transform size n = 2**p."""
-
-    n: int
-    p: int
-
-    def __post_init__(self):
-        if not is_power_of_two(self.n) or self.n != 1 << self.p:
-            raise ValueError(f"invalid Hadamard dimension n={self.n}, p={self.p}")
-
-    @classmethod
-    def of_size(cls, n: int) -> "HadamardDim":
-        if not isinstance(n, (int, np.integer)) or not is_power_of_two(n):
-            raise ValueError(f"n must be a positive power of two, got {n!r}")
-        return cls(int(n), int(n).bit_length() - 1)
+def hadamard_size(n) -> int:
+    """``n`` as an int, when it is an integer and a positive power of two."""
+    if not isinstance(n, (int, np.integer)) or not is_power_of_two(n):
+        raise ValueError(f"n must be a positive power of two, got {n!r}")
+    return int(n)
 
 
 def fwht_inplace(x: np.ndarray) -> np.ndarray:
@@ -139,12 +128,12 @@ def hadamard_entry(i: int, j: int, n: int) -> float:
     Sylvester ordering: n**-0.5 * (-1)**popcount(i & j).  Every entry has
     magnitude exactly n**-0.5.  A non-integer index is a TypeError.
     """
-    dim = HadamardDim.of_size(n)
+    n = hadamard_size(n)
     i, j = operator.index(i), operator.index(j)
-    if not (0 <= i < dim.n and 0 <= j < dim.n):
-        raise IndexError(f"indices ({i}, {j}) out of range for n={dim.n}")
+    if not (0 <= i < n and 0 <= j < n):
+        raise IndexError(f"indices ({i}, {j}) out of range for n={n}")
     sign = -1.0 if (i & j).bit_count() & 1 else 1.0
-    return sign * dim.n ** -0.5
+    return sign * n ** -0.5
 
 
 def hadamard_matrix(n: int, rows=None) -> np.ndarray:
@@ -155,22 +144,22 @@ def hadamard_matrix(n: int, rows=None) -> np.ndarray:
     n = 4096 stays cheap.  ``rows`` must be integers in [0, n): a row out of
     range is an IndexError and a non-integer row a TypeError.
     """
-    dim = HadamardDim.of_size(n)
-    cols = np.arange(dim.n, dtype=np.uint64)
+    n = hadamard_size(n)
+    cols = np.arange(n, dtype=np.uint64)
     if rows is None:
         rows = cols
     else:
         rows = np.asarray(rows)
         if rows.size and rows.dtype.kind not in "iu":
             raise TypeError(f"rows must be integers, got dtype {rows.dtype}")
-        if rows.size and (rows.min() < 0 or rows.max() >= dim.n):
-            raise IndexError(f"rows out of range for n={dim.n}")
+        if rows.size and (rows.min() < 0 or rows.max() >= n):
+            raise IndexError(f"rows out of range for n={n}")
         rows = rows.astype(np.uint64)
     m = np.bitwise_and.outer(rows, cols)
     for shift in (32, 16, 8, 4, 2, 1):
         m ^= m >> np.uint64(shift)
     parity = (m & np.uint64(1)).astype(bool)
-    return np.where(parity, -1.0, 1.0) * dim.n ** -0.5
+    return np.where(parity, -1.0, 1.0) * n ** -0.5
 
 
 _RADIX = 16

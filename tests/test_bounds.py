@@ -15,7 +15,6 @@ from srhtlab.bounds import (
     coupon_coverage_probability,
     embedding_sample_size,
     hoeffding_component_tail,
-    rademacher_tail,
     row_norm_bound,
     row_sampling_failure_bound,
     row_sampling_worst_ratio,
@@ -112,31 +111,6 @@ def test_embedding_size_composes_row_norm_level(k, n):
 
 
 # --- scalar tails -------------------------------------------------------------
-
-def test_rademacher_tail_values():
-    assert rademacher_tail(1.0, 0.0) == 1.0
-    assert rademacher_tail(2.5, 4.0) == pytest.approx(math.exp(-2.0), rel=1e-15)
-
-
-def test_rademacher_tail_calibration():
-    # at t = sqrt(8 log(beta n)) the bound collapses to 1/(beta n)
-    for beta, n in [(16, 4096), (2, 1024), (7, 64)]:
-        t = math.sqrt(8 * math.log(beta * n))
-        assert rademacher_tail(1.0, t) == pytest.approx(1.0 / (beta * n), rel=1e-12)
-
-
-def test_rademacher_tail_rejects_bad_args():
-    with pytest.raises(ValueError):
-        rademacher_tail(1.0, -0.1)
-    with pytest.raises(ValueError):
-        rademacher_tail(0.0, 1.0)
-
-
-@pytest.mark.parametrize("lipschitz,t", [(1.0, math.nan), (math.nan, 1.0)])
-def test_rademacher_tail_rejects_nan(lipschitz, t):
-    with pytest.raises(ValueError):
-        rademacher_tail(lipschitz, t)
-
 
 def test_hoeffding_rejects_nan_t():
     with pytest.raises(ValueError):

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import srhtlab.experiments as exp_mod
+import srhtlab.linalg as linalg_mod
 from srhtlab.experiments import (
     CSV_COLUMNS,
     TrialPlan,
@@ -109,8 +110,8 @@ def test_rownorm_small_case_passes():
 def test_rownorm_second_pass_keeps_square_bases_orthonormal():
     # one pass of Cholesky QR leaves a defect of 1.6e-6 here, which trips the
     # 1e-8 check; the second pass brings it to rounding level
-    defect = _Recorder(exp_mod.orthonormality_defect)
-    with mock.patch.object(exp_mod, "orthonormality_defect", defect):
+    defect = _Recorder(linalg_mod.orthonormality_defect)
+    with mock.patch.object(linalg_mod, "orthonormality_defect", defect):
         s = run_row_norm_trials(64, 64, 2.0, trials=50, seed=0)
     assert s.passed and len(defect.calls) == 50
     for (w,), _ in defect.calls:
@@ -119,7 +120,7 @@ def test_rownorm_second_pass_keeps_square_bases_orthonormal():
 
 @pytest.mark.parametrize("defect", [1.0000001e-8, math.inf, math.nan])
 def test_rownorm_refuses_a_transformed_basis_past_the_defect_limit(defect):
-    with mock.patch.object(exp_mod, "orthonormality_defect", return_value=defect):
+    with mock.patch.object(linalg_mod, "orthonormality_defect", return_value=defect):
         with pytest.raises(RuntimeError, match="lost orthonormality"):
             run_row_norm_trials(64, 4, 2.0, trials=2)
 

@@ -289,6 +289,20 @@ def test_singular_values_rejects_wide():
         singular_values(np.zeros((2, 3)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_singular_values_refuse_non_finite_input(bad):
+    # one inf used to give NaN singular values, and an all-NaN matrix raised
+    # LinAlgError: SVD did not converge
+    a = np.ones((3, 2))
+    a[1, 0] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        singular_values(a)
+    with pytest.raises(ValueError, match="non-finite"):
+        singular_values(np.stack([np.eye(3, 2), a]))
+    with pytest.raises(ValueError, match="non-finite"):
+        singular_values(np.full((3, 2), bad))
+
+
 def test_full_sample_sketch_has_unit_spectrum():
     n, k = 64, 5
     v = random_orthonormal(n, k, 7)

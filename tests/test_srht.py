@@ -8,11 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from srhtlab.srht import (
+    MATERIALIZE_CAP,
     SrhtOperator,
     apply_to_matrix,
-    apply_to_vector,
     derived_rng,
-    draw_signs_and_indices,
     draw_srht,
     draw_stack,
     materialize,
@@ -20,17 +19,21 @@ from srhtlab.srht import (
     sample_without_replacement,
     sketch_stack,
 )
-from srhtlab.wht import HadamardDim, fwht
+from srhtlab.wht import fwht
 
 
 def make_operator(n, indices, signs=None):
     if signs is None:
         signs = np.ones(n)
     return SrhtOperator(
-        dim=HadamardDim.of_size(n),
         signs=np.asarray(signs, dtype=np.float64),
         indices=np.asarray(indices, dtype=np.int64),
     )
+
+
+def apply_to_vector(op, x):
+    """The sketch of one vector: ``sketch_stack``'s one-operator 1-D case."""
+    return sketch_stack(op.signs[None], op.indices[None], x)[0]
 
 
 def test_draw_is_deterministic():
@@ -181,9 +184,10 @@ def test_materialize_cross_check_many_vectors():
 
 
 def test_materialize_cap():
-    op = draw_srht(16, 4, 0)
-    with pytest.raises(ValueError):
-        materialize(op, cap=8)
+    materialize(draw_srht(MATERIALIZE_CAP, 1, 0))
+    op = draw_srht(2 * MATERIALIZE_CAP, 4, 0)
+    with pytest.raises(ValueError, match="capped"):
+        materialize(op)
 
 
 def test_unbiased_energy():
@@ -336,15 +340,15 @@ def test_sampler_refuses_a_non_integer_sample_size():
 
 def test_operator_draw_refuses_a_non_integer_sample_size():
     for draw in (
-        lambda ell: draw_signs_and_indices(16, ell, 0),
+        lambda ell: draw_stack(16, ell, [0]),
         lambda ell: draw_stack(16, ell, [0, 1]),
         lambda ell: draw_srht(16, ell, 0),
     ):
         with pytest.raises(TypeError):
             draw(2.5)
-    signs, indices = draw_signs_and_indices(16, np.int32(3), 0)
-    assert indices.shape == (3,)
-    assert np.array_equal(indices, draw_signs_and_indices(16, 3, 0)[1])
+    op = draw_srht(16, np.int32(3), 0)
+    assert op.indices.shape == (3,)
+    assert np.array_equal(op.indices, draw_srht(16, 3, 0).indices)
 
 
 @pytest.mark.parametrize("seed", [1.5, 1.0, (1, 1.5), [3, 0.0]])
@@ -384,9 +388,9 @@ def test_block_draw_is_the_per_seed_draw(n, data, stack, tuple_seeds, base):
     ell = data.draw(st.one_of(st.just(1), st.just(n), st.integers(1, n)), label="ell")
     seeds = [(base, 1, 2, b) if tuple_seeds else base + b for b in range(stack)]
     signs, indices = draw_stack(n, ell, seeds)
-    one_at_a_time = [draw_signs_and_indices(n, ell, seed) for seed in seeds]
-    assert np.array_equal(signs, np.stack([s for s, _ in one_at_a_time]))
-    assert np.array_equal(indices, np.stack([i for _, i in one_at_a_time]))
+    one_at_a_time = [draw_stack(n, ell, [seed]) for seed in seeds]
+    assert np.array_equal(signs, np.concatenate([s for s, _ in one_at_a_time]))
+    assert np.array_equal(indices, np.concatenate([i for _, i in one_at_a_time]))
     assert signs.shape == (stack, n) and signs.dtype == np.float64
     assert indices.shape == (stack, ell) and indices.dtype == np.int64
     # and both are the draw the sign and sampler primitives make on the
@@ -412,7 +416,7 @@ def test_block_draw_checks_the_sample_size():
 
 def test_draw_signs_and_indices_is_the_operator_draw():
     for n, ell, seed in [(16, 4, 0), (64, 17, (3, 1, 2, 9)), (1024, 128, 3)]:
-        signs, indices = draw_signs_and_indices(n, ell, seed)
+        (signs,), (indices,) = draw_stack(n, ell, [seed])
         op = draw_srht(n, ell, seed)
         assert np.array_equal(signs, op.signs) and np.array_equal(indices, op.indices)
 
@@ -483,6 +487,18 @@ def test_stack_checks_every_operator():
         sketch_stack(signs[:2], indices, x)
     with pytest.raises(ValueError, match="8 rows"):
         sketch_stack(signs, indices, np.ones((4, 2)))
+
+
+def test_operator_rules_refuse_non_integer_indices():
+    # a cast to int64 used to truncate: [0.5, 2.7] sketched rows [0, 2], and
+    # an operator built from [0.9, 3.2] held [0, 3]
+    for bad in (np.array([[0.5, 2.7]]), np.array([[0.0, 2.0]]), np.array([[True, False]])):
+        with pytest.raises(TypeError, match="integers"):
+            sketch_stack(np.ones((1, 8)), bad, np.ones(8))
+    with pytest.raises(TypeError, match="integers"):
+        SrhtOperator(signs=np.ones(4), indices=[0.9, 3.2])
+    op = SrhtOperator(signs=np.ones(4), indices=np.array([1, 3], dtype=np.uint8))
+    assert op.indices.dtype == np.int64 and np.array_equal(op.indices, [1, 3])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

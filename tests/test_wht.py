@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from srhtlab.wht import HadamardDim, fwht, fwht_inplace, hadamard_entry, hadamard_matrix
+from srhtlab.wht import fwht, fwht_inplace, hadamard_entry, hadamard_matrix, hadamard_size
 
 SIZES = [2, 4, 8, 16, 32, 64, 128, 256]
 
@@ -282,9 +282,7 @@ def test_hadamard_matrix_rows_are_rows_of_h_n():
 
 
 def test_hadamard_dim_validation():
-    d = HadamardDim.of_size(16)
-    assert (d.n, d.p) == (16, 4)
-    with pytest.raises(ValueError):
-        HadamardDim.of_size(12)
-    with pytest.raises(ValueError):
-        HadamardDim(n=12, p=3)
+    assert hadamard_size(16) == 16 and type(hadamard_size(np.int64(16))) is int
+    for bad in (12, 0, -4, 16.0, "16"):
+        with pytest.raises(ValueError, match="n must be a positive power of two, got"):
+            hadamard_size(bad)
