@@ -1,13 +1,14 @@
 """The benchmark's reference summaries, checked in the test suite.
 
-Each CLI call of the benchmark's workloads (``bench/workloads.py``) runs
-through ``srhtlab.cli.main`` at its shapes, at both reference seeds, and its
-timing-free records must pass the benchmark's own check against
-``bench/references/``: counts, trials and ``passed`` exact, bounds, sigma
-extremes and mgf ratios within ``FLOAT_TOLERANCE``.  The criterion-8 sweep
-is not a CLI call and is left to the acceptance suite.  Every function a
-traced run wraps (``bench/metrics.TRACED``) must exist in the package.  The
-bench files are only read.
+Every call of the benchmark's workloads (``bench/workloads.py``) runs at its
+shapes, at both reference seeds: each CLI call through ``srhtlab.cli.main``,
+and the criterion-8 sweep of ``row_sampling_failure_bound`` over k up to
+10^6 (about 0.7 s).  Their timing-free records must pass the benchmark's own
+check against ``bench/references/``: counts, trials, violations and
+``passed`` exact, bounds, sigma extremes, mgf ratios and the sweep's worst
+ratio within ``FLOAT_TOLERANCE``.  Every function a traced run wraps
+(``bench/metrics.TRACED``) must exist in the package.  The bench files are
+only read.
 """
 
 import importlib
@@ -25,19 +26,34 @@ try:
 finally:
     sys.path.remove(str(BENCH))
 
-CALLS = [
-    (name, index, seed)
-    for name, workload in workloads.WORKLOADS.items()
-    for index, call in enumerate(workload.calls)
-    if call != workloads.SWEEP
-    for seed in workloads.REFERENCE_SEEDS
-]
+def _calls(sweep):
+    return [
+        (name, index, seed)
+        for name, workload in workloads.WORKLOADS.items()
+        for index, call in enumerate(workload.calls)
+        if (call == workloads.SWEEP) == sweep
+        for seed in workloads.REFERENCE_SEEDS
+    ]
+
+
+CALLS = _calls(sweep=False)
+SWEEPS = _calls(sweep=True)
 
 
 def test_every_runner_the_benchmark_calls_is_covered():
-    runners = {workloads.WORKLOADS[name].calls[index][1] for name, index, _ in CALLS}
-    assert runners == {"embedding", "coupon", "rownorm", "chernoff", "mgf"}
-    for name, _, seed in CALLS:
+    labels = {
+        workloads.call_label(workloads.WORKLOADS[name].calls[index])
+        for name, index, _ in CALLS + SWEEPS
+    }
+    assert labels == {
+        "experiment embedding",
+        "experiment coupon",
+        "experiment rownorm",
+        "experiment chernoff",
+        "experiment mgf",
+        workloads.SWEEP,
+    }
+    for name, _, seed in CALLS + SWEEPS:
         assert workloads.reference_path(name, seed).exists()
 
 
@@ -49,10 +65,19 @@ def test_every_traced_name_resolves(target):
     assert callable(getattr(importlib.import_module(f"srhtlab.{module_name}"), fn_name))
 
 
-@pytest.mark.parametrize(("name", "index", "seed"), CALLS)
-def test_cli_call_matches_the_bench_reference(name, index, seed):
+def _check_against_reference(name, index, seed):
     checker = workloads.Checker(name, seed)
     assert checker.fields is None  # the seed's own reference, every field
     outcome = workloads.run_call(workloads.WORKLOADS[name].calls[index], seed, Clock())
     checker.check(index, outcome)
     assert checker.failed == 0, checker.problems
+
+
+@pytest.mark.parametrize(("name", "index", "seed"), CALLS)
+def test_cli_call_matches_the_bench_reference(name, index, seed):
+    _check_against_reference(name, index, seed)
+
+
+@pytest.mark.parametrize(("name", "index", "seed"), SWEEPS)
+def test_criterion8_sweep_matches_the_bench_reference(name, index, seed):
+    _check_against_reference(name, index, seed)

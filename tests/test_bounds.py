@@ -1,11 +1,14 @@
 import inspect
 import itertools
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, strategies as st
 
+from srhtlab import bounds
 from srhtlab.bounds import (
     EMBEDDING_SIGMA_MAX,
     EMBEDDING_SIGMA_MIN,
@@ -21,6 +24,8 @@ from srhtlab.bounds import (
 )
 from srhtlab.bounds import _row_sampling_powers
 from srhtlab.experiments import run_chernoff_validation
+
+HEADLINE = (4.0, 5 / 6, 7 / 6)
 
 
 def coverage_by_enumeration(k, ell):
@@ -67,6 +72,16 @@ def test_embedding_inapplicable_when_n_small():
     assert not out.applicable
 
 
+@pytest.mark.parametrize(
+    "k,n", [(2, math.inf), (math.nan, 100), (2, math.nan), (math.inf, math.inf)]
+)
+def test_embedding_sample_size_rejects_non_finite_dimensions(k, n):
+    # (2, inf) raised OverflowError and (nan, 100) failed converting NaN
+    # to an integer, past the range check
+    with pytest.raises(ValueError, match="n < inf"):
+        embedding_sample_size(k, n)
+
+
 @given(st.integers(2, 64), st.integers(0, 10), st.integers(0, 3))
 def test_embedding_size_monotone(k, dk, dlogn):
     n = 1 << 20
@@ -102,6 +117,15 @@ def test_row_norm_bound_rejects_non_finite_beta(beta):
         row_norm_bound(4096, 16, beta)
 
 
+@pytest.mark.parametrize(
+    "n,k", [(16, math.nan), (math.inf, 4), (math.nan, 4), (16, math.inf)]
+)
+def test_row_norm_bound_rejects_non_finite_dimensions(n, k):
+    # each returned a RowNormBound with value nan
+    with pytest.raises(ValueError, match="finite n"):
+        row_norm_bound(n, k, 4.0)
+
+
 @pytest.mark.parametrize("k,n", [(4, 1024), (16, 65536), (32, 4096)])
 def test_embedding_size_composes_row_norm_level(k, n):
     # the sample-size rule is 4 * (sqrt(n) * row-norm level at beta=k)^2 * ln k
@@ -115,6 +139,13 @@ def test_embedding_size_composes_row_norm_level(k, n):
 def test_hoeffding_rejects_nan_t():
     with pytest.raises(ValueError):
         hoeffding_component_tail(64, math.nan)
+
+
+@pytest.mark.parametrize("n", [math.nan, math.inf])
+def test_hoeffding_rejects_non_finite_n(n):
+    # n = nan returned nan
+    with pytest.raises(ValueError, match="finite"):
+        hoeffding_component_tail(n, 0.1)
 
 
 def test_hoeffding_values():
@@ -180,6 +211,13 @@ def test_chernoff_upper_tail_rejects_non_finite_deviation(eta):
 def test_chernoff_params_reject_nan_and_infinite_mu(k, mu_min, mu_max):
     with pytest.raises(ValueError):
         ChernoffParams(k, 0.5, mu_min, mu_max, 0.5)
+
+
+@pytest.mark.parametrize("k", [math.inf, math.nan])
+def test_chernoff_params_reject_non_finite_k(k):
+    # k = inf was accepted
+    with pytest.raises(ValueError, match="finite"):
+        ChernoffParams(k, 0.5, 0.5, 0.5, 0.5)
 
 
 # (lower, upper) at ChernoffParams(2, 0.3, 0.375, 0.375, d), taken from the
@@ -259,6 +297,13 @@ def test_row_sampling_failure_rejects_nan_and_infinite_arguments(k, alpha, eta):
         row_sampling_failure_bound(k, alpha, 0.5, eta)
 
 
+@pytest.mark.parametrize("k", [math.inf, math.nan, -math.inf])
+def test_row_sampling_failure_rejects_non_finite_k(k):
+    # k = inf returned 0.0
+    with pytest.raises(ValueError, match="finite k"):
+        row_sampling_failure_bound(k, *HEADLINE)
+
+
 def test_row_sampling_failure_matches_50_digit_values():
     # k^(1 + 4 a(5/6)) + k^(1 + 4 b(7/6)) at the float inputs, evaluated once
     # with 60-digit mpmath arithmetic and rounded to 50 digits
@@ -305,12 +350,27 @@ def test_row_sampling_worst_ratio_refuses_a_ratio_that_does_not_decrease(alpha):
         row_sampling_worst_ratio(alpha, 5 / 6, 7 / 6)
 
 
-def test_row_sampling_powers_computed_once_per_sweep():
-    _row_sampling_powers.cache_clear()
+@pytest.fixture
+def reset_memo(monkeypatch):
+    # NaN equals nothing, so the next call recomputes the powers
+    def reset():
+        monkeypatch.setattr(bounds, "_row_sampling_memo", (math.nan,) * 5)
+
+    reset()
+    return reset
+
+
+def test_row_sampling_powers_computed_once_per_sweep(reset_memo, monkeypatch):
+    calls = []
+
+    def counting(*constants):
+        calls.append(constants)
+        return _row_sampling_powers(*constants)
+
+    monkeypatch.setattr(bounds, "_row_sampling_powers", counting)
     for k in range(2, 10**4 + 2):
-        row_sampling_failure_bound(k, 4.0, 5 / 6, 7 / 6)
-    info = _row_sampling_powers.cache_info()
-    assert (info.misses, info.hits) == (1, 10**4 - 1)
+        row_sampling_failure_bound(k, *HEADLINE)
+    assert calls == [HEADLINE]
 
 
 def test_row_sampling_bad_delta_raises_every_call():
@@ -322,13 +382,66 @@ def test_row_sampling_bad_delta_raises_every_call():
     assert got == pytest.approx(0.09936017125991976, rel=1e-12)
 
 
-def test_row_sampling_int_and_float_alpha_agree():
-    _row_sampling_powers.cache_clear()
+def test_row_sampling_int_and_float_alpha_agree(reset_memo):
     from_int = row_sampling_failure_bound(1000, 4, 5 / 6, 7 / 6)
-    _row_sampling_powers.cache_clear()
+    reset_memo()
     from_float = row_sampling_failure_bound(1000, 4.0, 5 / 6, 7 / 6)
     assert from_int == from_float
     assert row_sampling_failure_bound(1000, 4, 5 / 6, 7 / 6) == from_float
+
+
+def test_row_sampling_alternating_constants_use_their_own_powers():
+    triples = (HEADLINE, (2, 0.5, 0.5))
+    powers = {t: _row_sampling_powers(*t) for t in triples}
+    for k in range(2, 200):
+        for t in triples:
+            p, q = powers[t]
+            assert row_sampling_failure_bound(k, *t) == k**p + k**q, (k, t)
+
+
+def test_row_sampling_bad_constants_between_good_calls():
+    good = row_sampling_failure_bound(1000, *HEADLINE)
+    for bad, message in (((4.0, 1.5, 7 / 6), "lower-tail"), ((math.nan, 5 / 6, 7 / 6), "alpha")):
+        for _ in range(2):
+            with pytest.raises(ValueError, match=message):
+                row_sampling_failure_bound(1000, *bad)
+    assert row_sampling_failure_bound(1000, *HEADLINE).hex() == good.hex()
+
+
+def test_row_sampling_sweep_is_the_direct_expression_bit_for_bit():
+    p, q = _row_sampling_powers(*HEADLINE)
+    for k in range(2, 10**5 + 1):
+        assert row_sampling_failure_bound(k, *HEADLINE) == k**p + k**q, k
+
+
+def test_row_sampling_memo_under_threads_switching_constants():
+    # more threads than cores, each alternating two triples, with a short
+    # switch interval: a torn memo entry would pair one triple's constants
+    # with the other's powers
+    triples = (HEADLINE, (2, 0.5, 0.5))
+    powers = [_row_sampling_powers(*t) for t in triples]
+    ks = range(2, 2000)
+    wrong = []
+
+    def worker(offset):
+        for k in ks:
+            i = (k + offset) % 2
+            p, q = powers[i]
+            if row_sampling_failure_bound(k, *triples[i]) != k**p + k**q:
+                wrong.append((k, i))
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
 
 
 @given(
