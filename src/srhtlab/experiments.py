@@ -23,27 +23,30 @@ loop cuts the trials into blocks of about ``_BLOCK_BYTES`` (256 KiB) of
 working array each, whatever the trial count, up to ``EXHAUSTIVE_CAP``
 subsets, and fills one row of a per-trial result array (a spectrum, or a
 largest component) per trial.  Every trial still draws from its own
-substream in the same call layout: the generator calls stay per trial.
-Embedding and coupon draw a block of operators with one ``draw_stack``
-call, which runs the rest of the draw (the sign arithmetic, the index rows
-and their sort) once per block, and sketch it with one ``sketch_stack``
-call; flatten is the ell = n case of that map (every index kept, scale 1),
-one sign vector per trial.
-Chernoff and both sides of mgf turn a block of ell-row lists into one Gram
-stack and one eigensolve; the with-replacement side of mgf lists a row once
-per draw, so a repeated row counts twice with no weight.  The block size
-never changes a count: each trial's arithmetic is the one it would get
-alone, except that extremes may move by a few ulp where the transform's
-matrix products run at a different width.
+substream, and each block's draws are one call of the ``srht`` sampler:
+embedding and coupon draw a block of operators with one ``draw_stack``
+call and sketch it with one ``sketch_stack`` call; flatten is the ell = n
+case of that map (every index kept, scale 1), one ``rademacher_signs``
+row per trial.  Chernoff and both sides of mgf turn a block of ell-row
+lists into one Gram stack and one eigensolve; Monte Carlo draws a block of
+subsets with one ``sample_without_replacement`` call, and a block of
+with-replacement lists with one ``draw_integers`` call.  The
+with-replacement side of mgf lists a row once per draw, so a repeated row
+counts twice with no weight.  The block size never changes a count: each
+trial's arithmetic is the one it would get alone, except that extremes may
+move by a few ulp where the transform's matrix products run at a different
+width.
 
 The row-norm runner is the one that goes trial by trial: one of its trials
 is over the block budget (512 KiB at the headline shape), and a stacked
-transform was measured slower there, its array falling out of cache.  It
-never forms its basis.  Each trial draws its Gaussian and its signs from
-the same substreams a ``random_orthonormal`` basis would use, and runs that
-function's CholeskyQR2 routine, ``linalg._cholesky_qr2``, around the
-in-place transform: the first pass's Gram is taken before the transform,
-and the routine's orthonormality check runs on the transformed matrix.
+transform was measured slower there, its array falling out of cache.  Only
+its signs are drawn a block of trials at a time, one ``rademacher_signs``
+call per ``_BLOCK_BYTES`` of signs.  It never forms its basis.  Each trial
+draws its Gaussian and its signs from the same substreams a
+``random_orthonormal`` basis would use, and runs that function's
+CholeskyQR2 routine, ``linalg._cholesky_qr2``, around the in-place
+transform: the first pass's Gram is taken before the transform, and the
+routine's orthonormality check runs on the transformed matrix.
 
 Each runner's keyword defaults are its headline configuration, the one the
 acceptance suite checks; called with only a seed, it runs that configuration.
@@ -52,6 +55,7 @@ acceptance suite checks; called with only a seed, it runs that configuration.
 import itertools
 import json
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 
@@ -77,6 +81,7 @@ from .linalg import (
 )
 from .srht import (
     derived_rng,
+    draw_integers,
     draw_stack,
     rademacher_signs,
     sample_without_replacement,
@@ -117,6 +122,9 @@ class TrialPlan:
 
     Dimensions that do not apply to a given experiment are recorded as 0.
     In exhaustive mode ``trials`` is the number of enumerated subsets.
+    ``trials`` and ``seed`` are integers (a float or bool trial count is a
+    TypeError) and a negative seed is a ValueError, so a bad plan is refused
+    before anything is drawn.
     """
 
     n: int
@@ -131,7 +139,11 @@ class TrialPlan:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.mode == "exhaustive" and not 1 <= self.ell <= self.n:
             raise ValueError(f"need 1 <= ell <= n, got ell={self.ell}, n={self.n}")
-        if self.trials < 1:
+        if isinstance(self.trials, bool):
+            raise TypeError(f"trials must be an integer, got {self.trials!r}")
+        if operator.index(self.seed) < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if operator.index(self.trials) < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.mode == "exhaustive":
             if math.comb(self.n, self.ell) > EXHAUSTIVE_CAP:
@@ -184,7 +196,10 @@ class ExperimentSummary:
 
 
 def monte_carlo_slack(bound: float, trials: int) -> float:
-    """Four binomial standard deviations at success probability min(bound, 1)."""
+    """Four binomial standard deviations at success probability min(bound, 1).
+    A NaN or negative bound, or fewer than one trial, is a ValueError."""
+    if not (bound >= 0.0 and trials >= 1):
+        raise ValueError(f"need bound >= 0 and trials >= 1, got bound={bound}, trials={trials}")
     b = min(bound, 1.0)
     return SLACK_SIGMAS * math.sqrt(b * (1.0 - b) / trials)
 
@@ -294,12 +309,16 @@ def run_row_norm_trials(n=4096, k=16, beta=None, trials=2000, seed=0):
     level = row_norm_bound(n, k, float(k) if beta is None else beta)
     plan = TrialPlan(n=n, k=k, ell=0, trials=trials, seed=seed)
     norms = np.empty(trials)
-    for i in range(trials):
-        g = derived_rng(seed, 0, 0, i).standard_normal((n, k))
-        gram1 = gram(g)
-        g *= rademacher_signs(derived_rng(seed, 1, 0, i), n)[:, None]
-        w = _cholesky_qr2(fwht_inplace(g), gram1)
-        norms[i] = np.sqrt(np.max(np.sum(w * w, axis=1)))
+    size = max(1, _BLOCK_BYTES // (8 * n))
+    for first in range(0, trials, size):
+        block = range(first, min(first + size, trials))
+        signs = rademacher_signs(n, [(seed, 1, 0, i) for i in block])
+        for i, trial_signs in zip(block, signs):
+            g = derived_rng(seed, 0, 0, i).standard_normal((n, k))
+            gram1 = gram(g)
+            g *= trial_signs[:, None]
+            w = _cholesky_qr2(fwht_inplace(g), gram1)
+            norms[i] = np.sqrt(np.max(np.sum(w * w, axis=1)))
     return _one_sided_summary(
         "rownorm", plan, norms >= level.value, level.exceedance_probability, norms, norms,
         time.perf_counter() - start,
@@ -335,13 +354,14 @@ def run_flattening_trials(n=1024, trials=1000, seed=0, direction=None):
     threshold = math.sqrt(math.log(n) / n)
     bound = n * hoeffding_component_tail(n, threshold)
     every_index = np.arange(n)
-    signs = (rademacher_signs(derived_rng(seed, 1, 0, i), n) for i in range(trials))
+    keys = ((seed, 1, 0, i) for i in range(trials))
 
     def block_peaks(block):
         indices = np.broadcast_to(every_index, (len(block), n))
-        return np.max(np.abs(sketch_stack(np.array(block), indices, x)), axis=1)[:, None]
+        signs = rademacher_signs(n, block)
+        return np.max(np.abs(sketch_stack(signs, indices, x)), axis=1)[:, None]
 
-    peaks = _fill_blocks(signs, trials, 1, x.nbytes, block_peaks)[:, 0]
+    peaks = _fill_blocks(keys, trials, 1, x.nbytes, block_peaks)[:, 0]
     return _one_sided_summary(
         "flatten", plan, peaks >= threshold, bound, peaks, peaks, time.perf_counter() - start
     )
@@ -358,8 +378,9 @@ def run_coupon_trials(k=8, ell_grid=(8, 12, 17, 24), trials=10000, seed=0):
     exact probability.  Trial i at grid point gi draws the operator
     ``draw_srht(n, ell, (seed, 1, gi, i))`` would; blocks of trials share one
     ``sketch_stack``, one Gram stack and one eigensolve, and the block size
-    never changes a count.
+    never changes a count.  An empty grid is a ValueError.
     """
+    _check_grid("ell_grid", ell_grid)
     basis = decimated_identity(k)
     n = k * k
     summaries = []
@@ -396,24 +417,31 @@ def _sampled_gram_eigenvalues(w, rows):
     return symmetric_eigenvalues(gram(w[np.asarray(rows, dtype=np.int64), :]))
 
 
-def _gram_spectra(w, ell, row_lists, count):
-    """``count`` x k stack of descending Gram spectra of ``w``, one per
-    ell-row list in ``row_lists``, with one stacked eigensolve per block."""
+def _gram_spectra(w, ell, count, items, rows=None):
+    """``count`` x k stack of descending Gram spectra of ``w``, one per item
+    of ``items``, with one stacked eigensolve per block.  An item is an
+    ell-row list or, when ``rows`` is given, a seed: ``rows`` turns a block of
+    seeds into their B x ell row lists."""
     return _fill_blocks(
-        row_lists, count, w.shape[1], ell * w.shape[1] * 8,
-        lambda block: _sampled_gram_eigenvalues(w, block),
+        items, count, w.shape[1], ell * w.shape[1] * 8,
+        lambda block: _sampled_gram_eigenvalues(w, block if rows is None else rows(block)),
     )
 
 
 def _subsets(n, ell, mode, count, seed):
-    """The ell-subsets a run samples without replacement: every one in
-    lexicographic order (exhaustive), or ``count`` draws, draw i from
-    substream (seed, 1, 0, i) (Monte Carlo)."""
+    """The ell-subsets a run samples without replacement, as ``_gram_spectra``
+    takes them (items, rows): every one in lexicographic order (exhaustive),
+    or ``count`` draws, draw i from substream (seed, 1, 0, i), a block at a
+    time (Monte Carlo)."""
     if mode == "exhaustive":
-        return itertools.combinations(range(n), ell)
-    return (
-        sample_without_replacement(n, ell, derived_rng(seed, 1, 0, i)) for i in range(count)
-    )
+        return itertools.combinations(range(n), ell), None
+    keys = ((seed, 1, 0, i) for i in range(count))
+    return keys, lambda block: sample_without_replacement(n, ell, block)
+
+
+def _check_grid(name, grid):
+    if len(grid) == 0:
+        raise ValueError(f"{name} must not be empty: a run would check nothing")
 
 
 def run_chernoff_validation(
@@ -437,8 +465,10 @@ def run_chernoff_validation(
     a tail's domain is a ValueError at once.  Extremes hold the observed
     extreme singular values (square roots of the extreme Gram eigenvalues).
     Both modes feed their subsets, enumerated or drawn one substream each,
-    through the same loop, one stacked eigensolve per block.
+    through the same loop, one stacked eigensolve per block.  An empty grid
+    is a ValueError.
     """
+    _check_grid("deviation_grid", deviation_grid)
     start = time.perf_counter()
     plan_trials = math.comb(n, ell) if mode == "exhaustive" else trials
     plan = TrialPlan(n=n, k=k, ell=ell, trials=plan_trials, seed=seed, mode=mode)
@@ -447,7 +477,7 @@ def run_chernoff_validation(
     mu = ell / n
     params = [ChernoffParams(k, b_max, mu, mu, d) for d in deviation_grid]
     tails = [(chernoff_lower_tail(p), chernoff_upper_tail(p)) for p in params]
-    eig = _gram_spectra(w, ell, _subsets(n, ell, mode, plan_trials, seed), plan_trials)
+    eig = _gram_spectra(w, ell, plan_trials, *_subsets(n, ell, mode, plan_trials, seed))
     lam_min, lam_max = eig[:, -1], eig[:, 0]
     lows, highs = np.sqrt(np.clip(lam_min, 0.0, None)), np.sqrt(lam_max)
     elapsed = time.perf_counter() - start
@@ -477,7 +507,8 @@ def run_mgf_domination(
     averages over all ell-subsets and, for the with-replacement side, over
     the sorted multisets, weighted by their multinomial counts (reduced from
     the n^ell sequences by exchangeability).  Monte Carlo mode draws subset i
-    as the Chernoff runner does and sequence i from substream (seed, 1, 1, i).
+    as the Chernoff runner does and sequence i, ell draws of range n, from
+    substream (seed, 1, 1, i).
     Both sides, in both modes, are ell-row lists (repeats included on the
     with-replacement side) fed through the Chernoff runner's block loop.
     One summary per theta with empirical = without/with ratio against the
@@ -486,8 +517,9 @@ def run_mgf_domination(
     a four-standard-error allowance on the estimated means, which needs at
     least two trials.  A non-finite theta, or one at which the traces or
     their variance overflow float64 or the traces underflow to 0, is a
-    ValueError.
+    ValueError, as is an empty grid.
     """
+    _check_grid("theta_grid", theta_grid)
     start = time.perf_counter()
     if mode == "monte_carlo" and trials < 2:
         raise ValueError(f"Monte Carlo mgf needs trials >= 2 for a standard error, got {trials}")
@@ -499,7 +531,7 @@ def run_mgf_domination(
     plan = TrialPlan(n=n, k=k, ell=ell, trials=plan_trials, seed=seed, mode=mode)
     w = random_orthonormal(n, k, (seed, 0, 0, 0))
 
-    without_eigs = _gram_spectra(w, ell, _subsets(n, ell, mode, plan_trials, seed), plan_trials)
+    without_eigs = _gram_spectra(w, ell, plan_trials, *_subsets(n, ell, mode, plan_trials, seed))
     if mode == "exhaustive":
         log_seq = ell * math.log(n)
         with_weights = []
@@ -512,11 +544,14 @@ def run_mgf_domination(
         if abs(total - 1.0) > 1e-12:
             raise RuntimeError(f"multinomial weights sum to {total}, expected 1")
         with_weights = np.array(with_weights)
-        sequences = itertools.combinations_with_replacement(range(n), ell)
+        with_side = itertools.combinations_with_replacement(range(n), ell), None
     else:
         with_weights = np.full(trials, 1.0 / trials)
-        sequences = (derived_rng(seed, 1, 1, i).integers(0, n, size=ell) for i in range(trials))
-    with_eigs = _gram_spectra(w, ell, sequences, len(with_weights))
+        with_side = (
+            ((seed, 1, 1, i) for i in range(trials)),
+            lambda block: draw_integers(block, np.full(ell, n)),
+        )
+    with_eigs = _gram_spectra(w, ell, len(with_weights), *with_side)
     elapsed = time.perf_counter() - start
 
     summaries = []

@@ -14,17 +14,28 @@ only the positions it has touched, so a draw costs O(ell), not O(n);
 ``sample_without_replacement`` and the operator draws share it.
 
 ``draw_stack`` draws a block of B operators, one per seed, as the B x n
-signs and B x ell indices ``sketch_stack`` takes.  Per seed it makes only
-the generator calls; the sign arithmetic (2 * bit - 1) and the sort of the
-sampled indices run once per block.  ``draw_srht`` is its one-seed case, so
-an operator is the same bit for bit whatever block it is drawn in.
+signs and B x ell indices ``sketch_stack`` takes.  ``draw_srht`` is its
+one-seed case, so an operator is the same bit for bit whatever block it is
+drawn in.
 
-Randomness is PCG64 seeded through ``numpy.random.SeedSequence``.  A seed may
-be a single integer or a tuple of integers; experiment code derives per-trial
-substreams as (master_seed, domain, stream, trial) tuples so serial and
-parallel runs agree bit for bit.  Within one draw the generator is consumed
-in a fixed call layout (the sign block first, then the sampling offsets), so
-the operator is a stable function of the seed.
+Randomness.  A seed is an integer or a tuple of non-negative integers;
+experiment code derives per-trial substreams as (master_seed, domain,
+stream, trial) tuples, so serial and parallel runs agree bit for bit.
+Every operator draw (``draw_stack``, ``rademacher_signs``,
+``sample_without_replacement``, and the with-replacement draws of the mgf
+runner) goes through one sampler, ``draw_integers``, which uses no numpy
+``Generator`` method.  It rests on three published rules: the
+``SeedSequence`` hash and the PCG64 seeding rule, both covered by numpy's
+stream-stability policy (NEP 19); the PCG64 raw words, each read as its low
+32-bit half and then its high half; and numpy's Lemire rule for a bounded
+integer, which the module restates.  A block's seeds are hashed to their
+PCG64 states in one vectorised pass over uint32 lanes; one ``PCG64`` is
+then set to each row's state and its raw words read with ``random_raw``.
+Row b is, bit for bit, the draw that ``Generator.integers`` calls would
+make from ``derived_rng(seeds[b])``: n sign draws of range 2, then the ell
+sampling offsets of ranges n, n-1, ..., n-ell+1.  ``derived_rng``, a numpy
+``Generator``, is kept for the fixture draws (Gaussian matrices and
+directions), whose bits depend on the numpy version.
 """
 
 import operator
@@ -38,6 +49,7 @@ __all__ = [
     "SrhtOperator",
     "apply_to_matrix",
     "derived_rng",
+    "draw_integers",
     "draw_srht",
     "draw_stack",
     "materialize",
@@ -50,30 +62,249 @@ MATERIALIZE_CAP = 4096
 
 
 def derived_rng(seed, *path) -> np.random.Generator:
-    """Deterministic generator for ``(seed, *path)``.
+    """Deterministic generator for ``(seed, *path)``, for fixture draws.
 
     ``seed`` is an int or tuple of ints; ``path`` extends it.  The mixing is
     numpy's SeedSequence hash of the combined entropy tuple.  An entry that
-    is not an integer (a float, even 1.0) is a TypeError, not truncated.
+    is not an integer (a float, even 1.0) is a TypeError, not truncated; a
+    negative one is a ValueError.
     """
     entropy = (*seed, *path) if isinstance(seed, (tuple, list)) else (seed, *path)
-    return np.random.default_rng(np.random.SeedSequence(tuple(map(operator.index, entropy))))
+    return np.random.default_rng(np.random.SeedSequence(_entropy(entropy)))
 
 
-def rademacher_signs(rng: np.random.Generator, n: int) -> np.ndarray:
-    """n independent +-1.0 entries, one bounded-integer draw from ``rng``."""
-    return 2.0 * rng.integers(0, 2, size=n).astype(np.float64) - 1.0
+def _entropy(seed) -> tuple:
+    """``seed``, an int or a tuple or list of ints, as a tuple of non-negative
+    Python ints: a non-integer entry is a TypeError, a negative one a
+    ValueError, as in ``SeedSequence``."""
+    entropy = tuple(map(operator.index, seed if isinstance(seed, (tuple, list)) else (seed,)))
+    if entropy and min(entropy) < 0:
+        raise ValueError(f"seed entries must be non-negative, got {seed!r}")
+    return entropy
 
 
-def sample_without_replacement(n: int, ell: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform ell-subset of {0, ..., n-1}, returned sorted ascending.
+# SeedSequence's hash (NEP 19): each hashmix call c xors a 32-bit value with
+# _HASH_A[c], multiplies it by _HASH_A[c + 1] and folds its top half down;
+# generate_state's word j does the same with _HASH_B[j] and _HASH_B[j + 1].
+# A pool of four words takes 16 calls, plus four per entropy word past the
+# fourth.
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_POOL = 4
 
-    All ell offsets come from a single bounded-integer draw, keeping the call
-    layout fixed; ``_fisher_yates`` turns them into the subset.
+
+def _hash_constants(init, mult, count) -> np.ndarray:
+    out = [init]
+    for _ in range(count - 1):
+        out.append(out[-1] * mult & _MASK32)
+    return np.array(out, dtype=np.uint32)[:, None]
+
+
+_HASH_A_INIT, _HASH_A_MULT = 0x43B0D7E5, 0x931E8875
+_TABLE_WORDS = 64  # entropy words the precomputed hashmix table covers
+_HASH_A = _hash_constants(_HASH_A_INIT, _HASH_A_MULT, 4 * _TABLE_WORDS + 1)
+_HASH_B = _hash_constants(0x8B51F9DD, 0x58F38DED, 2 * _POOL + 1)
+_MIX_L, _MIX_R, _FOLD = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16)
+# The pool-mixing pass: step s mixes lane s into each other lane d, in
+# increasing d, by hashmix call 4 + 3 s + (d's rank among the other lanes).
+# Lane s itself gets a dummy call 0 and is restored after the step.
+_MIX_CALLS = np.array(
+    [[0 if d == s else 4 + 3 * s + d - (d > s) for d in range(_POOL)] for s in range(_POOL)]
+)
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hashmix(value, xor, mul):
+    value = value ^ xor
+    value *= mul
+    value ^= value >> _FOLD
+    return value
+
+
+def _mix(pool, value):
+    """SeedSequence's mix(x, y) = L x - R y, folded, of every pool lane x."""
+    pool *= _MIX_L
+    pool -= _MIX_R * value
+    pool ^= pool >> _FOLD
+    return pool
+
+
+def _seed_words(seed) -> list:
+    """``SeedSequence``'s entropy words of ``seed``: each entry of
+    ``_entropy(seed)`` as its 32-bit words, least significant first, and 0 as
+    one word."""
+    words = []
+    for x in _entropy(seed):
+        words.append(x & _MASK32)
+        while x := x >> 32:
+            words.append(x & _MASK32)
+    return words
+
+
+def _seed_states(seeds) -> np.ndarray:
+    """4 x B uint64: column b is
+    ``SeedSequence(_entropy(seeds[b])).generate_state(4, np.uint64)``.
+
+    One pass over the block, a uint32 lane per seed: seeds with fewer entropy
+    words than the longest keep their pool while the others mix in the rest.
+    """
+    rows = [_seed_words(seed) for seed in seeds]
+    counts = np.array([len(row) for row in rows], dtype=np.int64)
+    width = max(_POOL, counts.max(initial=0))
+    words = np.array([row + [0] * (width - len(row)) for row in rows], dtype=np.uint32)
+    words = words.reshape(-1, width).T
+    consts = _HASH_A
+    if width > _TABLE_WORDS:
+        consts = _hash_constants(_HASH_A_INIT, _HASH_A_MULT, 4 * width + 1)
+    pool = _hashmix(words[:_POOL], consts[:_POOL], consts[1 : _POOL + 1])
+    for s, calls in enumerate(_MIX_CALLS):
+        lane = pool[s].copy()
+        pool = _mix(pool, _hashmix(lane, consts[calls], consts[calls + 1]))
+        pool[s] = lane
+    for w in range(_POOL, width):
+        calls = 16 + _POOL * (w - _POOL)
+        xor, mul = consts[calls : calls + _POOL], consts[calls + 1 : calls + _POOL + 1]
+        value = _hashmix(words[w], xor, mul)
+        pool = np.where(counts > w, _mix(pool.copy(), value), pool)
+    lanes = np.arange(2 * _POOL) % _POOL
+    state = _hashmix(pool[lanes], _HASH_B[:-1], _HASH_B[1:]).astype(np.uint64)
+    return state[0::2] | state[1::2] << np.uint64(32)
+
+
+def _pcg64_states(seeds) -> list:
+    """``PCG64(SeedSequence(_entropy(seed))).state``'s (state, inc) per seed:
+    from the generated words (s0, s1, i0, i1), inc = 2 (i0 i1) + 1 and state
+    = ((s0 s1) + inc) * multiplier + inc, modulo 2**128."""
+    states = []
+    for s0, s1, i0, i1 in _seed_states(seeds).T.tolist():
+        inc = ((i0 << 64 | i1) << 1 | 1) & _MASK128
+        states.append(((((s0 << 64 | s1) + inc) * _PCG64_MULT + inc) & _MASK128, inc))
+    return states
+
+
+def _seek(bitgen, state):
+    bitgen.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": state[0], "inc": state[1]},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+
+def draw_integers(seeds, highs) -> np.ndarray:
+    """B x m int64 array: entry (b, j) uniform on [0, highs[j]), every highs[j]
+    >= 1, drawn from the PCG64 stream of ``seeds[b]``.
+
+    Row b is, bit for bit, what ``Generator.integers(0, highs[j])`` calls in
+    column order would draw from ``derived_rng(seeds[b])``, but no Generator
+    is made: the row's seeded state comes from ``_pcg64_states`` and its raw
+    words from one reused ``PCG64``.  Each word is read as its low 32-bit
+    half, then its high half, and each range r >= 2 up to 2**32 takes one
+    half by numpy's Lemire rule: u * r >> 32, redrawn while the low 32 bits
+    of u * r fall under (2**32 - r) % r.  A range of 1 takes no word.  A
+    row that rejects a draw, or any row when a range exceeds 2**32 (those
+    take whole words), is redrawn word by word by ``_lemire_row``; a
+    rejection's odds are below r / 2**32 per draw.
+    """
+    highs = np.asarray(highs).reshape(-1)
+    if highs.size and (highs.dtype.kind not in "iu" or highs.min() < 1):
+        raise ValueError(f"every range must be an integer >= 1, got {highs}")
+    highs = highs.astype(np.uint64, copy=False)
+    states = _pcg64_states(seeds)
+    bitgen = np.random.PCG64(0)
+    if highs.size and highs.max() > 1 << 32:
+        out, slow = np.zeros((len(states), highs.size), dtype=np.int64), range(len(states))
+    else:
+        out, slow = _lemire_block(bitgen, states, highs)
+    for b in slow:
+        out[b] = _lemire_row(bitgen, states[b], highs.tolist())
+    return out
+
+
+def _lemire_block(bitgen, states, highs) -> tuple:
+    """``draw_integers`` for ranges up to 2**32, every row at once on the
+    assumption that no draw is rejected: the draws, and the rows where a
+    draw is rejected after all."""
+    drawn = None if highs.min(initial=2) > 1 else np.flatnonzero(highs > 1)
+    ranges = highs if drawn is None else highs[drawn]
+    words = -(-ranges.size // 2)
+    raw = np.empty((len(states), words), dtype="<u8")
+    for b, state in enumerate(states):
+        _seek(bitgen, state)
+        raw[b] = bitgen.random_raw(words)
+    # little-endian words viewed as little-endian halves: low half first on
+    # any machine
+    halves = raw.view("<u4")[:, : ranges.size]
+    scaled = halves.astype(np.uint64)
+    scaled *= ranges
+    # the low 32 bits of u * r, written over u
+    np.multiply(halves, ranges, out=halves, casting="unsafe")
+    slow = ()
+    # as in numpy, the threshold is computed only where they fall under r
+    maybe = halves < ranges
+    if maybe.any():
+        rows, cols = np.nonzero(maybe)
+        low, r = halves[rows, cols].astype(np.uint64), ranges[cols]
+        slow = np.unique(rows[low < (np.uint64(1 << 32) - r) % r])
+    scaled >>= np.uint64(32)
+    if drawn is None:
+        return scaled.view(np.int64), slow
+    out = np.zeros((len(states), highs.size), dtype=np.int64)
+    out[:, drawn] = scaled
+    return out, slow
+
+
+def _lemire_row(bitgen, state, highs) -> list:
+    """One row of ``draw_integers``, a draw at a time from ``state``, as
+    numpy's bounded-integer rule reads the stream: a range r up to 2**32
+    takes 32-bit halves (low half first, the high half kept for the next
+    32-bit draw), a larger one whole 64-bit words, and a draw whose low bits
+    fall under (2**bits - r) % r is redrawn."""
+    _seek(bitgen, state)
+    half = None  # the unread high half of the last word split
+    out = []
+    for r in highs:
+        value = 0
+        bits = 32 if r <= 1 << 32 else 64
+        while r > 1:
+            if bits == 64:
+                u = int(bitgen.random_raw())
+            elif half is None:
+                word = int(bitgen.random_raw())
+                u, half = word & _MASK32, word >> 32
+            else:
+                u, half = half, None
+            scaled = u * r
+            value = scaled >> bits
+            if scaled & ((1 << bits) - 1) >= ((1 << bits) - r) % r:
+                break
+        out.append(value)
+    return out
+
+
+def rademacher_signs(n: int, seeds) -> np.ndarray:
+    """B x n independent +-1.0 entries, row b from the stream of
+    ``seeds[b]``: n draws of range 2."""
+    return _signs(draw_integers(seeds, np.full(operator.index(n), 2)))
+
+
+def _signs(bits) -> np.ndarray:
+    """2 * bits - 1 as float64, with one array made."""
+    signs = bits.astype(np.float64)
+    signs *= 2.0
+    signs -= 1.0
+    return signs
+
+
+def sample_without_replacement(n: int, ell: int, seeds) -> np.ndarray:
+    """B x ell read-only array: row b a uniform ell-subset of {0, ..., n-1}
+    from the stream of ``seeds[b]``, sorted ascending.
+
+    The ell offsets of a row, of ranges n, n-1, ..., n-ell+1, come from one
+    ``draw_integers`` block; ``_fisher_yates`` turns them into the subset.
     """
     n, ell = _sample_size(n, ell)
-    out = np.array(_fisher_yates(rng.integers(0, n - np.arange(ell))), dtype=np.int64)
-    out.sort()
+    out = _subsets(draw_integers(seeds, n - np.arange(ell)), ell)
     out.setflags(write=False)
     return out
 
@@ -86,6 +317,15 @@ def _sample_size(n, ell) -> tuple:
     return n, ell
 
 
+def _subsets(offsets, ell) -> np.ndarray:
+    """B x ell int64: row b the ``_fisher_yates`` picks of offsets row b,
+    sorted."""
+    out = np.array([_fisher_yates(row) for row in offsets.tolist()], dtype=np.int64)
+    out = out.reshape(-1, ell)
+    out.sort(axis=1)
+    return out
+
+
 def _fisher_yates(offsets) -> list:
     """The positions a partial Fisher-Yates shuffle picks, unsorted.
 
@@ -95,7 +335,7 @@ def _fisher_yates(offsets) -> list:
     """
     moved = {}  # position -> the index a swap left there
     picked = []
-    for i, off in enumerate(offsets.tolist()):
+    for i, off in enumerate(offsets):
         j = i + off
         picked.append(moved.get(j, j))
         moved[j] = moved.get(i, i)
@@ -139,23 +379,21 @@ def draw_stack(n: int, ell: int, seeds) -> tuple:
     """B x n signs and B x ell sorted indices of one operator per seed.
 
     Row b is the draw of ``seeds[b]``, bit for bit the operator
-    ``draw_srht`` draws from that seed alone.  Per seed the only calls are the
-    generator's, in a fixed layout: ``derived_rng(seed)``, then n sign bits,
-    then the ell sampling offsets in one bounded-integer draw; the shuffle
-    writes that seed's picks into row b.  The signs 2 * bit - 1 and the sort
-    of every row are computed once for the block.
+    ``draw_srht`` draws from that seed alone.  Each seed's stream gives, in
+    one ``draw_integers`` block, n sign draws of range 2 and then the ell
+    sampling offsets of ranges n, n-1, ..., n-ell+1; the shuffle turns the
+    offsets into that seed's subset.
     """
     n, ell = _sample_size(n, ell)
-    seeds = list(seeds)
-    bits = np.empty((len(seeds), n), dtype=np.int64)
-    indices = np.empty((len(seeds), ell), dtype=np.int64)
-    highs = n - np.arange(ell)
-    for b, seed in enumerate(seeds):
-        rng = derived_rng(seed)
-        bits[b] = rng.integers(0, 2, size=n)
-        indices[b] = _fisher_yates(rng.integers(0, highs))
-    indices.sort(axis=1)
-    return 2.0 * bits - 1.0, indices
+    drawn = draw_integers(seeds, _operator_ranges(n, ell))
+    return _signs(drawn[:, :n]), _subsets(drawn[:, n:], ell)
+
+
+def _operator_ranges(n, ell) -> np.ndarray:
+    """The ranges of one operator draw: n of 2, then n, n-1, ..., n-ell+1."""
+    ranges = np.full(n + ell, 2, dtype=np.uint64)
+    ranges[n:] = np.arange(n, n - ell, -1)
+    return ranges
 
 
 def draw_srht(n: int, ell: int, seed) -> SrhtOperator:

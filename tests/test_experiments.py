@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import generator_oracle as oracle
 import srhtlab.experiments as exp_mod
 import srhtlab.linalg as linalg_mod
 from srhtlab.experiments import (
@@ -46,6 +47,67 @@ def test_trial_plan_validation():
 def test_slack_rule():
     assert monte_carlo_slack(0.5, 100) == pytest.approx(4 * math.sqrt(0.25 / 100))
     assert monte_carlo_slack(7.0, 100) == 0.0  # bound capped at 1
+
+
+@pytest.mark.parametrize(
+    "bound, trials", [(math.nan, 10), (0.5, 0), (0.5, -3), (-0.1, 10), (0.5, math.nan)]
+)
+def test_slack_refuses_a_nan_bound_and_no_trials(bound, trials):
+    # NaN used to come back as the slack, and 0 trials divided by zero
+    with pytest.raises(ValueError, match="bound >= 0 and trials >= 1"):
+        monte_carlo_slack(bound, trials)
+
+
+@pytest.mark.parametrize("trials", [2.5, 3.0, True, "3"])
+def test_trial_plan_refuses_a_non_integer_trial_count(trials):
+    with pytest.raises(TypeError):
+        TrialPlan(16, 2, 3, trials, 0)
+
+
+@pytest.mark.parametrize("seed", [-1, -(2**40)])
+def test_trial_plan_refuses_a_negative_seed(seed):
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        TrialPlan(16, 2, 3, 10, seed)
+    assert TrialPlan(16, 2, 3, np.int64(10), np.uint32(7)).trials == 10
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: run_coupon_trials(ell_grid=(), trials=10),
+        lambda: run_chernoff_validation(deviation_grid=()),
+        lambda: run_chernoff_validation(deviation_grid=[], mode="monte_carlo", trials=10),
+        lambda: run_mgf_domination(theta_grid=()),
+        lambda: run_mgf_domination(theta_grid=np.array([]), mode="monte_carlo", trials=10),
+    ],
+    ids=["coupon", "chernoff", "chernoff-mc", "mgf", "mgf-mc"],
+)
+def test_an_empty_grid_is_refused_before_drawing(run):
+    # each returned [], a run that checked nothing
+    with mock.patch.object(exp_mod, "random_orthonormal", side_effect=AssertionError("drew")), \
+            mock.patch.object(exp_mod, "draw_stack", side_effect=AssertionError("drew")):
+        with pytest.raises(ValueError, match="must not be empty"):
+            run()
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda seed: run_embedding_trials(64, 4, ell=16, trials=3, seed=seed),
+        lambda seed: run_row_norm_trials(64, 4, 2.0, trials=3, seed=seed),
+        lambda seed: run_flattening_trials(64, trials=3, seed=seed),
+        lambda seed: run_coupon_trials(2, (2,), trials=3, seed=seed),
+        lambda seed: run_chernoff_validation(8, 2, 3, [0.5], seed=seed, mode="monte_carlo"),
+        lambda seed: run_mgf_domination(seed=seed, mode="monte_carlo", trials=3),
+    ],
+    ids=["embedding", "rownorm", "flatten", "coupon", "chernoff", "mgf"],
+)
+def test_a_negative_seed_is_refused_before_drawing(run):
+    with mock.patch.object(exp_mod, "random_orthonormal", side_effect=AssertionError("drew")), \
+            mock.patch.object(exp_mod, "derived_rng", side_effect=AssertionError("drew")), \
+            mock.patch.object(exp_mod, "draw_stack", side_effect=AssertionError("drew")):
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            run(-1)
 
 
 # --- embedding ----------------------------------------------------------------
@@ -144,14 +206,14 @@ def _householder_max_row_norms(n, k, trials, seed):
     """Largest row norm per trial by the Householder route: sign-fixed QR of
     the Gaussian from (seed, 0, 0, i), signs from (seed, 1, 0, i), then the
     transform of a copy."""
-    from srhtlab.srht import derived_rng, rademacher_signs
+    from srhtlab.srht import derived_rng
     from srhtlab.wht import fwht
 
     norms = []
     for i in range(trials):
         q, r = np.linalg.qr(derived_rng(seed, 0, 0, i).standard_normal((n, k)))
         basis = q * np.where(np.diag(r) < 0, -1.0, 1.0)
-        signs = rademacher_signs(derived_rng(seed, 1, 0, i), n)
+        signs = oracle.signs(n, (seed, 1, 0, i))
         w = fwht(signs[:, None] * basis)
         norms.append(float(np.sqrt(np.max(np.sum(w * w, axis=1)))))
     return norms
@@ -969,12 +1031,9 @@ def _check_row_list_stacks(calls, w, sides, block):
 
 
 def _without_replacement_lists(n, ell, mode, trials, seed):
-    from srhtlab.srht import derived_rng, sample_without_replacement
-
     if mode == "exhaustive":
         return [list(s) for s in itertools.combinations(range(n), ell)]
-    return [list(sample_without_replacement(n, ell, derived_rng(seed, 1, 0, i)))
-            for i in range(trials)]
+    return [list(oracle.subset(n, ell, (seed, 1, 0, i))) for i in range(trials)]
 
 
 def _recorded_stacks(runner, block_bytes, *args, **kwargs):
@@ -1020,7 +1079,6 @@ def test_stacked_mgf_eigenvalues_equal_each_row_list_alone(mode, shape, block, t
     # the with-replacement side lists a row once per draw: sorted multisets
     # in enumeration order, or the raw draws of substream (seed, 1, 1, i)
     from srhtlab.linalg import random_orthonormal
-    from srhtlab.srht import derived_rng
 
     n, k, ell = shape
     calls = _recorded_stacks(
@@ -1030,7 +1088,7 @@ def test_stacked_mgf_eigenvalues_equal_each_row_list_alone(mode, shape, block, t
     if mode == "exhaustive":
         with_lists = [list(m) for m in itertools.combinations_with_replacement(range(n), ell)]
     else:
-        with_lists = [list(derived_rng(seed, 1, 1, i).integers(0, n, size=ell))
+        with_lists = [list(oracle.with_replacement(n, ell, (seed, 1, 1, i)))
                       for i in range(trials)]
     w = random_orthonormal(n, k, (seed, 0, 0, 0))
     sides = [_without_replacement_lists(n, ell, mode, trials, seed), with_lists]
@@ -1099,7 +1157,7 @@ def test_blocked_embedding_equals_one_trial_at_a_time(shape, block, spare, count
 @example(n=1, block=3, spare=0.0, count="B+1", seed=0)
 @settings(max_examples=30)
 def test_blocked_flatten_equals_one_trial_at_a_time(n, block, spare, count, seed):
-    from srhtlab.srht import derived_rng, rademacher_signs
+    from srhtlab.srht import derived_rng
     from srhtlab.wht import fwht
 
     budget, trials = _trial_counts(block, spare, count, n * 8)
@@ -1110,7 +1168,7 @@ def test_blocked_flatten_equals_one_trial_at_a_time(n, block, spare, count, seed
     g = derived_rng(seed, 0, 0, 0).standard_normal(n)
     x = g / np.linalg.norm(g)
     peaks = np.array([
-        np.max(np.abs(fwht(rademacher_signs(derived_rng(seed, 1, 0, i), n) * x)))
+        np.max(np.abs(fwht(oracle.signs(n, (seed, 1, 0, i)) * x)))
         for i in range(trials)
     ])
     events = peaks >= math.sqrt(math.log(n) / n)

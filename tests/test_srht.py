@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from srhtlab import srht as srht_mod
 from srhtlab.srht import (
     MATERIALIZE_CAP,
     SrhtOperator,
     apply_to_matrix,
     derived_rng,
+    draw_integers,
     draw_srht,
     draw_stack,
     materialize,
@@ -20,6 +22,8 @@ from srhtlab.srht import (
     sketch_stack,
 )
 from srhtlab.wht import fwht
+
+import generator_oracle as oracle
 
 
 def make_operator(n, indices, signs=None):
@@ -58,11 +62,10 @@ def test_scale_invariant():
 
 def test_subset_frequencies_uniform():
     # all 28 2-subsets of 8 elements, 1e5 draws through the sampling core
-    rng = derived_rng(123)
     counts = {}
     draws = 100_000
-    for _ in range(draws):
-        t = tuple(sample_without_replacement(8, 2, rng))
+    for row in sample_without_replacement(8, 2, [(123, i) for i in range(draws)]):
+        t = tuple(row)
         counts[t] = counts.get(t, 0) + 1
     assert len(counts) == 28
     p = 1 / 28
@@ -84,18 +87,16 @@ def test_draw_srht_subsets_uniform():
 
 
 def test_single_draw_frequency():
-    rng = derived_rng(5)
-    hits = sum(sample_without_replacement(2, 1, rng)[0] == 0 for _ in range(10_000))
+    hits = np.sum(sample_without_replacement(2, 1, [(5, i) for i in range(10_000)])[:, 0] == 0)
     sigma = math.sqrt(10_000 * 0.25)
     assert abs(hits - 5000) <= 4 * sigma
 
 
 def test_all_three_subsets_of_five():
-    rng = derived_rng(17)
     draws = 100_000
     counts = {c: 0 for c in itertools.combinations(range(5), 3)}
-    for _ in range(draws):
-        counts[tuple(sample_without_replacement(5, 3, rng))] += 1
+    for row in sample_without_replacement(5, 3, [(17, i) for i in range(draws)]):
+        counts[tuple(row)] += 1
     p = 1 / 10
     sigma = math.sqrt(draws * p * (1 - p))
     for subset, count in counts.items():
@@ -103,12 +104,11 @@ def test_all_three_subsets_of_five():
 
 
 def test_sample_full_and_errors():
-    rng = derived_rng(0)
-    assert np.array_equal(sample_without_replacement(6, 6, rng), np.arange(6))
+    assert np.array_equal(sample_without_replacement(6, 6, [0, 1]), [np.arange(6)] * 2)
     with pytest.raises(ValueError):
-        sample_without_replacement(4, 5, rng)
+        sample_without_replacement(4, 5, [0])
     with pytest.raises(ValueError):
-        sample_without_replacement(4, 0, rng)
+        sample_without_replacement(4, 0, [0])
 
 
 def test_identity_signs_full_sample_is_transform():
@@ -305,37 +305,25 @@ def test_operator_arrays_frozen():
 
 # --- the O(ell) sampler -------------------------------------------------------
 
-def _fisher_yates_over_whole_array(n, ell, rng):
-    """The O(n) sampler the dict-based one replaced: swap entries of a full
-    index array, then keep the first ell."""
-    idx = np.arange(n, dtype=np.int64)
-    offsets = rng.integers(0, n - np.arange(ell))
-    for i, off in enumerate(offsets):
-        j = i + off
-        idx[i], idx[j] = idx[j], idx[i]
-    return np.sort(idx[:ell])
-
-
 @given(st.integers(1, 3000), st.data(), st.integers(0, 2**32 - 1))
 @settings(max_examples=150)
 def test_sampler_matches_whole_array_fisher_yates(n, data, seed):
+    # the O(n) shuffle over a whole index array, on the Generator's offsets
     ell = data.draw(st.one_of(st.just(1), st.just(n), st.integers(1, n)), label="ell")
-    rng, oracle_rng = derived_rng(seed), derived_rng(seed)
-    got = sample_without_replacement(n, ell, rng)
-    assert np.array_equal(got, _fisher_yates_over_whole_array(n, ell, oracle_rng))
-    assert got.dtype == np.int64 and not got.flags.writeable
-    # the same generator calls, so later draws from the stream agree too
-    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+    got = sample_without_replacement(n, ell, [seed, (seed, 1)])
+    assert np.array_equal(got[0], oracle.subset(n, ell, seed))
+    assert np.array_equal(got[1], oracle.subset(n, ell, (seed, 1)))
+    assert got.shape == (2, ell) and got.dtype == np.int64 and not got.flags.writeable
 
 
 def test_sampler_refuses_a_non_integer_sample_size():
     # np.arange(2.5) has three entries, so 2.5 used to give three indices
     with pytest.raises(TypeError):
-        sample_without_replacement(4, 2.5, derived_rng(0))
+        sample_without_replacement(4, 2.5, [0])
     with pytest.raises(TypeError):
-        sample_without_replacement(4, 2.0, derived_rng(0))
-    want = sample_without_replacement(16, 3, derived_rng(7))
-    assert np.array_equal(sample_without_replacement(16, np.int64(3), derived_rng(7)), want)
+        sample_without_replacement(4, 2.0, [0])
+    want = sample_without_replacement(16, 3, [7])
+    assert np.array_equal(sample_without_replacement(16, np.int64(3), [7]), want)
 
 
 def test_operator_draw_refuses_a_non_integer_sample_size():
@@ -374,6 +362,179 @@ def test_derived_rng_takes_numpy_integers_as_their_value():
         assert np.array_equal(derived_rng(seed, *path).integers(0, 2**62, size=4), want)
 
 
+# --- the raw-word sampler: one tripwire per numpy rule it rests on -----------
+#
+# ``draw_integers`` reads PCG64's raw words itself.  Each test below pins one
+# rule it takes from numpy, so a numpy upgrade that changes one fails a named
+# test rather than a scatter of goldens.
+
+def _entropy(seed):
+    return tuple(int(x) for x in seed) if isinstance(seed, (tuple, list)) else (int(seed),)
+
+
+HASH_SEEDS = [
+    0,
+    7,
+    (5, 1, 2, 3),
+    2**32 - 1,
+    2**32,  # two words
+    2**64 + 7,  # three words
+    (1, 2, 3, 4, 5),  # past the four-word pool
+    (0, 1, 0, 2**40, 9, 2**70, 3),
+    tuple(range(70)),  # past the precomputed hash table
+    (),
+    (np.uint8(3), np.int64(2**40)),
+]
+
+
+@pytest.mark.parametrize("seed", HASH_SEEDS, ids=repr)
+def test_seed_hash_is_seedsequence(seed):
+    want = np.random.SeedSequence(_entropy(seed)).generate_state(4, np.uint64)
+    assert np.array_equal(srht_mod._seed_states([seed])[:, 0], want)
+
+
+def test_seed_hash_of_a_block_with_mixed_word_counts():
+    states = srht_mod._seed_states(HASH_SEEDS)
+    for b, seed in enumerate(HASH_SEEDS):
+        want = np.random.SeedSequence(_entropy(seed)).generate_state(4, np.uint64)
+        assert np.array_equal(states[:, b], want), seed
+
+
+def test_seeded_state_is_the_pcg64_state():
+    for seed, (state, inc) in zip(HASH_SEEDS, srht_mod._pcg64_states(HASH_SEEDS)):
+        want = np.random.PCG64(np.random.SeedSequence(_entropy(seed))).state["state"]
+        assert (state, inc) == (want["state"], want["inc"]), seed
+
+
+def test_pcg64_raw_words_fingerprint():
+    raw = np.random.PCG64(np.random.SeedSequence((12345, 1, 0, 7))).random_raw(1000)
+    assert int(raw[0]) == 0xE492BEE363662D01
+    assert hashlib.sha256(raw.astype("<u8").tobytes()).hexdigest() == (
+        "f90aea59058441a72b60095ce3081c8a2afc804c98bebf684d521fa16c6a67e9"
+    )
+
+
+def test_uint32_draws_read_each_word_low_half_first():
+    # a full 32-bit range is one plain 32-bit draw each: the halves in order
+    seed = (12345, 1, 0, 7)
+    raw = np.random.PCG64(np.random.SeedSequence(seed)).random_raw(2)
+    halves = [int(w) >> shift & 0xFFFFFFFF for w in raw for shift in (0, 32)]
+    assert oracle.integers(seed, [2**32] * 4).tolist() == halves
+    assert draw_integers([seed], [2**32] * 4).tolist() == [halves]
+
+
+def test_standard_normal_fingerprint():
+    # fixtures still draw their Gaussians through Generator.standard_normal
+    z = derived_rng(12345, 0, 0, 7).standard_normal(1000)
+    assert z[0] == -0.717503747335971
+    assert hashlib.sha256(z.astype("<f8").tobytes()).hexdigest() == (
+        "59ddc4e4968ca881dd440d9c39b186135893ee6fe5d102d35b3efe4899a9101c"
+    )
+
+
+class _Calls:
+    def __init__(self, fn):
+        self.fn, self.count = fn, 0
+
+    def __call__(self, *args):
+        self.count += 1
+        return self.fn(*args)
+
+
+@pytest.mark.parametrize("high", [2**31 + 1, 2**31 + 3, 3 * 2**30 + 1, 2**32 - 1, 2**32])
+def test_lemire_rule_matches_generator_integers_near_half_range(high, monkeypatch):
+    # at r = 2**31 + 1 about half of all draws are rejected and redrawn
+    seeds = [(9, 1, 0, i) for i in range(40)]
+    highs = [2, high, high - 1, 7, high, 2, high]
+    slow = _Calls(srht_mod._lemire_row)
+    monkeypatch.setattr(srht_mod, "_lemire_row", slow)
+    got = draw_integers(seeds, highs)
+    for b, seed in enumerate(seeds):
+        assert np.array_equal(got[b], oracle.integers(seed, highs)), seed
+    if high <= 2**31 + 3:
+        assert slow.count > 0
+
+
+def test_lemire_rule_takes_whole_words_past_32_bits():
+    seeds = list(range(30))
+    highs = [2, 2**40 + 3, 3, 2**33, 2**32 + 1, 5, 2**62 + 1]
+    got = draw_integers(seeds, highs)
+    for b, seed in enumerate(seeds):
+        assert np.array_equal(got[b], oracle.integers(seed, highs))
+
+
+def test_a_range_of_one_takes_no_word():
+    seeds = [(4, i) for i in range(20)]
+    highs = [1, 5, 1, 1, 7, 2, 1]
+    got = draw_integers(seeds, highs)
+    for b, seed in enumerate(seeds):
+        assert np.array_equal(got[b], oracle.integers(seed, highs))
+    assert np.all(got[:, [0, 2, 3, 6]] == 0)
+    # ell = n: the last offset has range 1
+    for n in (1, 2, 4, 8):
+        signs, indices = draw_stack(n, n, seeds)
+        for b, seed in enumerate(seeds):
+            want_signs, want_indices = oracle.operator_draw(n, n, seed)
+            assert np.array_equal(signs[b], want_signs)
+            assert np.array_equal(indices[b], want_indices)
+
+
+@pytest.mark.parametrize("n, ell", [(1, 1), (3, 2), (5, 5), (7, 3)])
+def test_odd_sign_count_carries_the_high_half_into_the_offsets(n, ell):
+    seeds = [(11, i) for i in range(20)]
+    signs, indices = draw_stack(n, ell, seeds)
+    for b, seed in enumerate(seeds):
+        want_signs, want_indices = oracle.operator_draw(n, ell, seed)
+        assert np.array_equal(signs[b], want_signs)
+        assert np.array_equal(indices[b], want_indices)
+
+
+def test_draw_integers_refuses_bad_ranges_and_seeds():
+    for highs in ([0], [3, -1], [2.0], [2, 1.5]):
+        with pytest.raises(ValueError, match="range"):
+            draw_integers([0], highs)
+    assert draw_integers([0, 1], []).shape == (2, 0)
+    assert draw_integers([], [3, 4]).shape == (0, 2)
+
+
+@pytest.mark.parametrize("seed", [-1, (3, -1), (0, 1, 0, -(2**40))])
+def test_a_negative_seed_is_refused(seed):
+    for draw in (
+        lambda: draw_integers([0, seed], [5]),
+        lambda: draw_stack(8, 3, [seed]),
+        lambda: rademacher_signs(8, [seed]),
+        lambda: sample_without_replacement(8, 3, [1, seed]),
+        lambda: derived_rng(seed),
+    ):
+        with pytest.raises(ValueError, match="non-negative"):
+            draw()
+
+
+def _seeds():
+    entry = st.one_of(
+        st.integers(0, 2**32 - 1),
+        st.integers(2**32, 2**96),
+        st.builds(np.uint32, st.integers(0, 2**32 - 1)),
+        st.builds(np.int64, st.integers(0, 2**63 - 1)),
+    )
+    return st.one_of(entry, st.tuples(entry), st.lists(entry, min_size=2, max_size=6).map(tuple))
+
+
+@given(st.integers(1, 300), st.data(), st.lists(_seeds(), min_size=1, max_size=6))
+@settings(max_examples=80)
+def test_every_operator_draw_is_the_generator_draw(n, data, seeds):
+    ell = data.draw(st.one_of(st.just(1), st.just(n), st.integers(1, n)), label="ell")
+    signs, indices = draw_stack(n, ell, seeds)
+    alone_signs = rademacher_signs(n, seeds)
+    alone_subsets = sample_without_replacement(n, ell, seeds)
+    for b, seed in enumerate(seeds):
+        want_signs, want_indices = oracle.operator_draw(n, ell, seed)
+        assert np.array_equal(signs[b], want_signs)
+        assert np.array_equal(indices[b], want_indices)
+        assert np.array_equal(alone_signs[b], oracle.signs(n, seed))
+        assert np.array_equal(alone_subsets[b], oracle.subset(n, ell, seed))
+
+
 # --- the block draw -----------------------------------------------------------
 
 @given(
@@ -393,12 +554,12 @@ def test_block_draw_is_the_per_seed_draw(n, data, stack, tuple_seeds, base):
     assert np.array_equal(indices, np.concatenate([i for _, i in one_at_a_time]))
     assert signs.shape == (stack, n) and signs.dtype == np.float64
     assert indices.shape == (stack, ell) and indices.dtype == np.int64
-    # and both are the draw the sign and sampler primitives make on the
-    # seed's generator, the sampler checked against the O(n) shuffle
+    # and both are the draw the Generator makes on the seed's stream, the
+    # subset checked against the O(n) shuffle
     for b, seed in enumerate(seeds):
-        rng = derived_rng(seed)
-        assert np.array_equal(signs[b], rademacher_signs(rng, n))
-        assert np.array_equal(indices[b], _fisher_yates_over_whole_array(n, ell, rng))
+        want_signs, want_indices = oracle.operator_draw(n, ell, seed)
+        assert np.array_equal(signs[b], want_signs)
+        assert np.array_equal(indices[b], want_indices)
 
 
 def test_block_draw_of_no_seeds_is_empty():
