@@ -13,7 +13,6 @@ from .bounds import (
     chernoff_upper_tail,
     coupon_coverage_probability,
     embedding_sample_size,
-    hoeffding_component_tail,
     row_norm_bound,
     row_sampling_failure_bound,
     row_sampling_worst_ratio,
@@ -54,7 +53,6 @@ __all__ = [
     "gram",
     "hadamard_entry",
     "hadamard_matrix",
-    "hoeffding_component_tail",
     "materialize",
     "orthonormality_defect",
     "random_orthonormal",

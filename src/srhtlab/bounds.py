@@ -8,13 +8,15 @@ convention.
 
 Raw bound values are returned unclamped (they may exceed 1) so that
 dominance comparisons see the actual expressions.  Range checks are written
-so that NaN fails them, and dimensions must be finite.  The row-sampling
-failure bound is evaluated as two powers k^p + k^q; p and q are checked and
-computed for the last valid (alpha, delta, eta) and kept in a one-entry memo.
-A sweep over k at fixed constants then costs about 0.25 us per call,
-against about 0.4 us with a cache keyed by the tuple of constants, which
-builds and hashes that tuple on every call (one core of a 2-core Xeon VM).
-Calls that alternate constants recompute the powers each time, about 0.9 us.
+so that NaN fails them, and dimensions must be finite; the sample-size
+rule and the row-norm level take only whole-number dimensions.  The
+row-sampling failure bound is evaluated as two powers k^p + k^q; p and q
+are checked and computed for the last valid (alpha, delta, eta) and kept in
+a one-entry memo.  A sweep over k at fixed constants then costs about
+0.25 us per call, against about 0.4 us with a cache keyed by the tuple of
+constants, which builds and hashes that tuple on every call (one core of a
+2-core Xeon VM).  Calls that alternate constants recompute the powers each
+time, about 0.9 us.
 """
 
 import math
@@ -30,7 +32,6 @@ __all__ = [
     "chernoff_upper_tail",
     "coupon_coverage_probability",
     "embedding_sample_size",
-    "hoeffding_component_tail",
     "row_norm_bound",
     "row_sampling_failure_bound",
     "row_sampling_worst_ratio",
@@ -64,10 +65,10 @@ def embedding_sample_size(k: int, n: int) -> SampleSizeBound:
     Sampling at least this many coordinates keeps every singular value of the
     sketched orthonormal matrix inside [1/sqrt(6), sqrt(13/6)] except with
     probability 3/k.  For k < 2 the log(k) factor vanishes and the result is
-    the flagged sentinel ell=1.
+    the flagged sentinel ell=1.  k and n must be whole numbers.
     """
-    if not 1 <= k <= n < math.inf:
-        raise ValueError(f"need 1 <= k <= n < inf, got k={k}, n={n}")
+    if not (1 <= k <= n < math.inf and k % 1 == 0 and n % 1 == 0):
+        raise ValueError(f"need whole numbers 1 <= k <= n < inf, got k={k}, n={n}")
     if k < 2:
         return SampleSizeBound(1, False, EMBEDDING_SIGMA_MIN, EMBEDDING_SIGMA_MAX, 3.0)
     raw = 4.0 * (math.sqrt(k) + math.sqrt(8.0 * math.log(k * n))) ** 2 * math.log(k)
@@ -92,24 +93,15 @@ def row_norm_bound(n: int, k: int, beta: float) -> RowNormBound:
 
     After a random sign flip and the orthogonal Walsh-Hadamard transform, the
     largest row norm of an n x k orthonormal-column matrix exceeds this value
-    with probability at most 1/beta.
+    with probability at most 1/beta, a vacuous guarantee when beta <= 1.
+    n and k must be whole numbers with 1 <= k <= n.
     """
-    if not (1 <= n < math.inf and 1 <= k < math.inf):
-        raise ValueError(f"need finite n >= 1 and k >= 1, got n={n}, k={k}")
+    if not (1 <= k <= n < math.inf and k % 1 == 0 and n % 1 == 0):
+        raise ValueError(f"need finite n >= 1 and whole numbers 1 <= k <= n, got n={n}, k={k}")
     if not (math.isfinite(beta) and beta * n > 1.0):
         raise ValueError(f"need a finite beta with beta * n > 1, got beta={beta}, n={n}")
     value = math.sqrt(k / n) + math.sqrt(8.0 * math.log(beta * n) / n)
     return RowNormBound(value=value, exceedance_probability=1.0 / beta)
-
-
-def hoeffding_component_tail(n: int, t: float) -> float:
-    """Hoeffding bound 2*exp(-n t^2 / 2) for one component of a sign-flipped,
-    Hadamard-transformed unit vector to exceed t in magnitude."""
-    if not 1 <= n < math.inf:
-        raise ValueError(f"n must be finite and >= 1, got {n}")
-    if not t >= 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
-    return 2.0 * math.exp(-n * t * t / 2.0)
 
 
 @dataclass(frozen=True)
@@ -132,8 +124,8 @@ class ChernoffParams:
     def __post_init__(self):
         if not 1 <= self.k < math.inf:
             raise ValueError(f"k must be finite and >= 1, got {self.k}")
-        if not self.b_max > 0:
-            raise ValueError(f"b_max must be positive, got {self.b_max}")
+        if not 0 < self.b_max < math.inf:
+            raise ValueError(f"b_max must be positive and finite, got {self.b_max}")
         if not 0 <= self.mu_min <= self.mu_max < math.inf:
             raise ValueError(f"need 0 <= mu_min <= mu_max < inf, got {self.mu_min, self.mu_max}")
 

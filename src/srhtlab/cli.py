@@ -14,7 +14,6 @@ import inspect
 import json
 import re
 import sys
-from dataclasses import dataclass
 
 from . import bounds as bounds_mod
 from . import experiments as exp_mod
@@ -28,13 +27,12 @@ from .srht import apply_to_matrix, draw_srht
 RUNNERS = {
     "embedding": "run_embedding_trials",
     "rownorm": "run_row_norm_trials",
-    "flatten": "run_flattening_trials",
     "coupon": "run_coupon_trials",
     "chernoff": "run_chernoff_validation",
     "mgf": "run_mgf_domination",
 }
 
-# CliConfig field of each experiment flag -> the runner keyword it sets.
+# Namespace field of each experiment flag -> the runner keyword it sets.
 _RUNNER_KEYWORDS = {
     "n": "n",
     "k": "k",
@@ -47,28 +45,16 @@ _RUNNER_KEYWORDS = {
 }
 
 
-@dataclass(frozen=True)
-class CliConfig:
-    subcommand: str
-    experiment_name: str = ""
-    n: int | None = None
-    k: int | None = None
-    ell: int | None = None
-    trials: int | None = None
-    seed: int = 0
-    format: str = "json"
-    output_path: str = ""
-    exhaustive: bool = False
-    beta: float | None = None
-    deltas: list | None = None
-    thetas: list | None = None
-    ells: list | None = None
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="srhtlab",
         description="Subsampled randomized Hadamard transform toolkit",
+    )
+    # every subcommand's echo carries the same fields: one that a subcommand
+    # has no flag for is echoed with its default here
+    parser.set_defaults(
+        experiment_name="", n=None, k=None, ell=None, trials=None, exhaustive=False,
+        beta=None, deltas=None, thetas=None, ells=None,
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
@@ -114,13 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse(argv) -> CliConfig:
-    ns = _build_parser().parse_args(argv)
-    fields = {f.name for f in dataclasses.fields(CliConfig)}
-    return CliConfig(**{k: v for k, v in vars(ns).items() if k in fields})
-
-
-def _emit(text: str, config: CliConfig) -> None:
+def _emit(text: str, config: argparse.Namespace) -> None:
     if config.output_path:
         with open(config.output_path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -134,7 +114,7 @@ def _matrix_record(a) -> dict:
     return {"rows": int(a.shape[0]), "cols": int(a.shape[1]), "data": a.tolist()}
 
 
-def _run_sketch(config: CliConfig) -> int:
+def _run_sketch(config: argparse.Namespace) -> int:
     op = draw_srht(config.n, config.ell, (config.seed, 1, 0, 0))
     basis = random_orthonormal(config.n, config.k, (config.seed, 0, 0, 0))
     sketch = apply_to_matrix(op, basis)
@@ -142,7 +122,7 @@ def _run_sketch(config: CliConfig) -> int:
     if config.format == "json":
         doc = {
             "schema": exp_mod.SCHEMA_VERSION,
-            "config": dataclasses.asdict(config),
+            "config": vars(config),
             "operator": {"n": op.n, "l": op.ell, "seed": op.seed},
             "sketch": _matrix_record(sketch),
             "singular_values": spectrum.tolist(),
@@ -153,13 +133,13 @@ def _run_sketch(config: CliConfig) -> int:
     return 0
 
 
-def _run_bounds(config: CliConfig) -> int:
+def _run_bounds(config: argparse.Namespace) -> int:
     k, n = config.k, config.n
     beta = float(k) if config.beta is None else config.beta
     rule = {"alpha": 4.0, "delta": 5.0 / 6.0, "eta": 7.0 / 6.0}
     report = {
         "schema": exp_mod.SCHEMA_VERSION,
-        "config": dataclasses.asdict(config),
+        "config": vars(config),
         "embedding": dataclasses.asdict(bounds_mod.embedding_sample_size(k, n)),
         "row_norm": {
             "beta": beta,
@@ -188,7 +168,7 @@ def _run_bounds(config: CliConfig) -> int:
     return 0
 
 
-def _experiment_calls(config: CliConfig) -> list:
+def _experiment_calls(config: argparse.Namespace) -> list:
     """(runner name, keyword arguments) of each call an experiment makes.
 
     Only flags that were given become keywords, so a value is never replaced
@@ -234,7 +214,7 @@ def _single(values):
     return values.pop() if len(values) == 1 else 0
 
 
-def _run_experiment(config: CliConfig) -> int:
+def _run_experiment(config: argparse.Namespace) -> int:
     summaries, betas = [], set()
     for runner_name, kwargs in _experiment_calls(config):
         runner = getattr(exp_mod, runner_name)
@@ -247,13 +227,13 @@ def _run_experiment(config: CliConfig) -> int:
     # n, k and ell as every summary's plan has them (0 where a dimension does
     # not apply or differs across the summaries), beta as the row-norm runner
     # used it
-    ran = dataclasses.replace(
-        config,
+    ran = {
+        **vars(config),
         **{dim: _single({getattr(s.plan, dim) for s in summaries}) for dim in ("n", "k", "ell")},
-        beta=float(_single(betas)),
-    )
+        "beta": float(_single(betas)),
+    }
     if config.format == "json":
-        _emit(exp_mod.summaries_to_json(summaries, dataclasses.asdict(ran)), config)
+        _emit(exp_mod.summaries_to_json(summaries, ran), config)
     else:
         _emit(exp_mod.summaries_to_csv(summaries), config)
     return 0 if all(s.passed for s in summaries) else 1
@@ -261,7 +241,7 @@ def _run_experiment(config: CliConfig) -> int:
 
 def main(argv=None) -> int:
     try:
-        config = _parse(argv)
+        config = _build_parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         if code in (0, None):

@@ -1,13 +1,13 @@
 """Monte Carlo and exhaustive validation of the sketching guarantees.
 
 Each runner draws its randomness from substreams keyed as
-(master_seed, domain, stream, index), domain 0 for fixtures (test matrices,
-directions) and domain 1 for per-trial draws, so reruns and any trial
+(master_seed, domain, stream, index), domain 0 for fixtures (test
+matrices) and domain 1 for per-trial draws, so reruns and any trial
 ordering produce identical numbers.  Exhaustive runs enumerate subsets in
 lexicographic order and are seed-independent except for the fixture matrix.
 
-Every bound check (embedding, row norms, flatten, both Chernoff tails)
-passes by one one-sided rule, ``_one_sided_summary``: over every subset
+Every bound check (embedding, row norms, both Chernoff tails) passes by
+one one-sided rule, ``_one_sided_summary``: over every subset
 (exhaustive) the frequency must not exceed the bound; by Monte Carlo it may
 exceed it by four binomial standard deviations at the bound capped at 1
 (``monte_carlo_slack``), which keeps spurious failures around the 1e-4
@@ -21,16 +21,14 @@ standard errors of the two means by Monte Carlo.
 Every runner except the row-norm one computes its trials in blocks.  One
 loop cuts the trials into blocks of about ``_BLOCK_BYTES`` (256 KiB) of
 working array each, whatever the trial count, up to ``EXHAUSTIVE_CAP``
-subsets, and fills one row of a per-trial result array (a spectrum, or a
-largest component) per trial.  Every trial still draws from its own
-substream, and each block's draws are one call of the ``srht`` sampler:
-embedding and coupon draw a block of operators with one ``draw_stack``
-call and sketch it with one ``sketch_stack`` call; flatten is the ell = n
-case of that map (every index kept, scale 1), one ``rademacher_signs``
-row per trial.  Chernoff and both sides of mgf turn a block of ell-row
-lists into one Gram stack and one eigensolve; Monte Carlo draws a block of
-subsets with one ``sample_without_replacement`` call, and a block of
-with-replacement lists with one ``draw_integers`` call.  The
+subsets, and fills one row of a per-trial spectrum array per trial.  Every
+trial still draws from its own substream, and each block's draws are one
+call of the ``srht`` sampler: embedding and coupon draw a block of
+operators with one ``draw_stack`` call and sketch it with one
+``sketch_stack`` call.  Chernoff and both sides of mgf turn a block of
+ell-row lists into one Gram stack and one eigensolve; Monte Carlo draws a
+block of subsets with one ``sample_without_replacement`` call, and a block
+of with-replacement lists with one ``draw_integers`` call.  The
 with-replacement side of mgf lists a row once per draw, so a repeated row
 counts twice with no weight.  The block size never changes a count: each
 trial's arithmetic is the one it would get alone, except that extremes may
@@ -67,7 +65,6 @@ from .bounds import (
     chernoff_upper_tail,
     coupon_coverage_probability,
     embedding_sample_size,
-    hoeffding_component_tail,
     row_norm_bound,
 )
 from .linalg import (
@@ -99,7 +96,6 @@ __all__ = [
     "run_chernoff_validation",
     "run_coupon_trials",
     "run_embedding_trials",
-    "run_flattening_trials",
     "run_mgf_domination",
     "run_row_norm_trials",
     "summaries_to_csv",
@@ -300,7 +296,9 @@ def run_row_norm_trials(n=4096, k=16, beta=None, trials=2000, seed=0):
     The exceedance frequency of the analytic level is compared against
     1/beta (``beta`` defaults to k).  Extremes hold the (min, max) observed
     max row norm.  Column orthonormality of the transformed matrix is
-    verified every trial.
+    verified every trial.  At k = 1 a trial flattens one unit vector
+    x = G / |G| and records max_i |(H D x)_i|, the single-vector check; a
+    beta <= 1, the default at k = 1, makes its bound 1/beta >= 1 vacuous.
     """
     start = time.perf_counter()
     hadamard_size(n)
@@ -322,48 +320,6 @@ def run_row_norm_trials(n=4096, k=16, beta=None, trials=2000, seed=0):
     return _one_sided_summary(
         "rownorm", plan, norms >= level.value, level.exceedance_probability, norms, norms,
         time.perf_counter() - start,
-    )
-
-
-def run_flattening_trials(n=1024, trials=1000, seed=0, direction=None):
-    """Check how well random signs plus the transform flatten one vector.
-
-    For a fixed unit vector x (random unless ``direction`` is supplied), each
-    trial draws fresh signs from substream (seed, 1, 0, i) and records
-    max_i |(H D x)_i|.  The exceedance frequency of t = sqrt(log(n)/n) is
-    compared against the union bound n * 2 exp(-n t^2 / 2), recorded as-is
-    even when it is vacuous (> 1).  Extremes hold the (min, max) observed max
-    component magnitude.  H D x is the sketch with every index kept (ell = n,
-    scale 1), so blocks of trials share one ``sketch_stack``; the block size
-    never changes a count.  A direction that is not finite, is zero, or
-    whose norm leaves the float64 range is a ValueError.
-    """
-    start = time.perf_counter()
-    hadamard_size(n)
-    plan = TrialPlan(n=n, k=0, ell=0, trials=trials, seed=seed)
-    if direction is None:
-        g = derived_rng(seed, 0, 0, 0).standard_normal(n)
-    else:
-        g = np.asarray(direction, dtype=np.float64)
-        if g.shape != (n,):
-            raise ValueError(f"direction must have shape ({n},), got {g.shape}")
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        x = g / np.linalg.norm(g)
-    if not (np.isfinite(x).all() and x.any()):
-        raise ValueError("direction must be finite and nonzero, with a finite norm")
-    threshold = math.sqrt(math.log(n) / n)
-    bound = n * hoeffding_component_tail(n, threshold)
-    every_index = np.arange(n)
-    keys = ((seed, 1, 0, i) for i in range(trials))
-
-    def block_peaks(block):
-        indices = np.broadcast_to(every_index, (len(block), n))
-        signs = rademacher_signs(n, block)
-        return np.max(np.abs(sketch_stack(signs, indices, x)), axis=1)[:, None]
-
-    peaks = _fill_blocks(keys, trials, 1, x.nbytes, block_peaks)[:, 0]
-    return _one_sided_summary(
-        "flatten", plan, peaks >= threshold, bound, peaks, peaks, time.perf_counter() - start
     )
 
 

@@ -34,8 +34,8 @@ then set to each row's state and its raw words read with ``random_raw``.
 Row b is, bit for bit, the draw that ``Generator.integers`` calls would
 make from ``derived_rng(seeds[b])``: n sign draws of range 2, then the ell
 sampling offsets of ranges n, n-1, ..., n-ell+1.  ``derived_rng``, a numpy
-``Generator``, is kept for the fixture draws (Gaussian matrices and
-directions), whose bits depend on the numpy version.
+``Generator``, is kept for the fixture draws (Gaussian matrices), whose
+bits depend on the numpy version.
 """
 
 import operator

@@ -17,7 +17,6 @@ from srhtlab.bounds import (
     chernoff_upper_tail,
     coupon_coverage_probability,
     embedding_sample_size,
-    hoeffding_component_tail,
     row_norm_bound,
     row_sampling_failure_bound,
     row_sampling_worst_ratio,
@@ -82,6 +81,13 @@ def test_embedding_sample_size_rejects_non_finite_dimensions(k, n):
         embedding_sample_size(k, n)
 
 
+@pytest.mark.parametrize("k,n", [(2.5, 100), (2, 100.5), (4, 2)])
+def test_embedding_sample_size_rejects_fractional_dimensions_and_k_above_n(k, n):
+    # (2.5, 100) returned ell = 249
+    with pytest.raises(ValueError, match="whole numbers 1 <= k <= n"):
+        embedding_sample_size(k, n)
+
+
 @given(st.integers(2, 64), st.integers(0, 10), st.integers(0, 3))
 def test_embedding_size_monotone(k, dk, dlogn):
     n = 1 << 20
@@ -126,40 +132,19 @@ def test_row_norm_bound_rejects_non_finite_dimensions(n, k):
         row_norm_bound(n, k, 4.0)
 
 
+@pytest.mark.parametrize("n,k", [(16, 32), (16.5, 2), (16, 2.5), (16, 0)])
+def test_row_norm_bound_rejects_k_above_n_and_fractional_dimensions(n, k):
+    # (16, 32) and (16.5, 2) each returned a level
+    with pytest.raises(ValueError, match="whole numbers 1 <= k <= n"):
+        row_norm_bound(n, k, 4.0)
+
+
 @pytest.mark.parametrize("k,n", [(4, 1024), (16, 65536), (32, 4096)])
 def test_embedding_size_composes_row_norm_level(k, n):
     # the sample-size rule is 4 * (sqrt(n) * row-norm level at beta=k)^2 * ln k
     level = row_norm_bound(n, k, float(k)).value
     raw = 4.0 * (math.sqrt(n) * level) ** 2 * math.log(k)
     assert embedding_sample_size(k, n).ell == math.ceil(raw)
-
-
-# --- scalar tails -------------------------------------------------------------
-
-def test_hoeffding_rejects_nan_t():
-    with pytest.raises(ValueError):
-        hoeffding_component_tail(64, math.nan)
-
-
-@pytest.mark.parametrize("n", [math.nan, math.inf])
-def test_hoeffding_rejects_non_finite_n(n):
-    # n = nan returned nan
-    with pytest.raises(ValueError, match="finite"):
-        hoeffding_component_tail(n, 0.1)
-
-
-def test_hoeffding_values():
-    assert hoeffding_component_tail(8, 0.0) == 2.0
-    t = math.sqrt(math.log(1024) / 1024)
-    assert hoeffding_component_tail(1024, t) == pytest.approx(0.0625, rel=1e-14)
-
-
-def test_hoeffding_doubling_squares_ratio():
-    t = 0.05
-    for n in (64, 256, 1024):
-        r1 = hoeffding_component_tail(n, t) / 2
-        r2 = hoeffding_component_tail(2 * n, t) / 2
-        assert r2 == pytest.approx(r1**2, rel=1e-12)
 
 
 # --- matrix Chernoff tails ------------------------------------------------
@@ -195,6 +180,9 @@ def test_chernoff_deviation_ranges():
         chernoff_upper_tail(ChernoffParams(2, 1.0, 1.0, 1.0, -0.1))
     with pytest.raises(ValueError):
         ChernoffParams(2, 0.0, 1.0, 1.0, 0.5)
+    # b_max = inf made the lower tail exactly k, a vacuous bound as a value
+    with pytest.raises(ValueError, match="b_max must be positive and finite"):
+        ChernoffParams(2, math.inf, 1.0, 1.0, 0.5)
 
 
 @pytest.mark.parametrize("eta", [math.nan, math.inf])

@@ -200,6 +200,9 @@ def test_invalid_dimension_is_usage_error(capsys):
 def test_unknown_experiment_rejected(capsys):
     code, _, _ = run_cli(capsys, "experiment", "nonsense")
     assert code == 2
+    # there is no flatten experiment: rownorm --k 1 is the single-vector check
+    code, _, err = run_cli(capsys, "experiment", "flatten")
+    assert code == 2 and "invalid choice: 'flatten'" in err
 
 
 def test_sketch_output_file_byte_identical(tmp_path, capsys):
@@ -215,7 +218,7 @@ def test_sketch_output_file_byte_identical(tmp_path, capsys):
 
 def test_experiment_output_identical_modulo_timing(tmp_path, capsys):
     path = tmp_path / "run.json"
-    argv = ["experiment", "flatten", "--n", "64", "--trials", "50", "--seed", "2",
+    argv = ["experiment", "rownorm", "--n", "64", "--k", "1", "--trials", "50", "--seed", "2",
             "--output", str(path)]
     texts = []
     for _ in range(2):
@@ -242,7 +245,6 @@ def test_numeric_flags_echoed(capsys):
 TINY = {
     "embedding": ("--n", "64", "--k", "4", "--l", "32", "--trials", "5"),
     "rownorm": ("--n", "64", "--k", "4", "--trials", "5"),
-    "flatten": ("--n", "64", "--trials", "5"),
     "coupon": ("--k", "2", "--ells", "2", "4", "--trials", "5"),
     "chernoff": ("--n", "8", "--k", "2", "--l", "3", "--deltas", "0.5", "--trials", "5"),
     "mgf": ("--n", "8", "--k", "2", "--l", "3", "--thetas", "1", "--trials", "5"),
@@ -300,7 +302,7 @@ def test_experiment_all_takes_no_configuration_flag(capsys, flags):
         ("chernoff", "--exhaustive", "--n", "8", "--k", "2", "--l", "0"),
         ("mgf", "--exhaustive", "--n", "8", "--k", "2", "--l", "0"),
         ("coupon", "--k", "0", "--ells", "2", "--trials", "2"),
-        ("flatten", "--n", "0", "--trials", "2"),
+        ("rownorm", "--n", "0", "--k", "1", "--trials", "2"),
     ],
 )
 def test_zero_flags_reach_the_runner_checks(capsys, argv):
@@ -341,7 +343,7 @@ def test_rownorm_dimensions_are_checked_at_the_boundary(capsys, n, k, message):
 
 
 @pytest.mark.parametrize(
-    "argv", [("coupon", "--l", "3"), ("embedding", "--exhaustive"), ("flatten", "--k", "4")]
+    "argv", [("coupon", "--l", "3"), ("embedding", "--exhaustive"), ("rownorm", "--l", "4")]
 )
 def test_flag_the_runner_does_not_take_is_usage_error(capsys, argv):
     code, _, err = run_cli(capsys, "experiment", *argv)

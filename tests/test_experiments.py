@@ -26,7 +26,6 @@ from srhtlab.experiments import (
     run_chernoff_validation,
     run_coupon_trials,
     run_embedding_trials,
-    run_flattening_trials,
     run_mgf_domination,
     run_row_norm_trials,
     summaries_to_csv,
@@ -95,12 +94,12 @@ def test_an_empty_grid_is_refused_before_drawing(run):
     [
         lambda seed: run_embedding_trials(64, 4, ell=16, trials=3, seed=seed),
         lambda seed: run_row_norm_trials(64, 4, 2.0, trials=3, seed=seed),
-        lambda seed: run_flattening_trials(64, trials=3, seed=seed),
+        lambda seed: run_row_norm_trials(64, 1, 16.0, trials=3, seed=seed),
         lambda seed: run_coupon_trials(2, (2,), trials=3, seed=seed),
         lambda seed: run_chernoff_validation(8, 2, 3, [0.5], seed=seed, mode="monte_carlo"),
         lambda seed: run_mgf_domination(seed=seed, mode="monte_carlo", trials=3),
     ],
-    ids=["embedding", "rownorm", "flatten", "coupon", "chernoff", "mgf"],
+    ids=["embedding", "rownorm", "rownorm-k1", "coupon", "chernoff", "mgf"],
 )
 def test_a_negative_seed_is_refused_before_drawing(run):
     with mock.patch.object(exp_mod, "random_orthonormal", side_effect=AssertionError("drew")), \
@@ -254,37 +253,39 @@ def test_rownorm_equals_the_householder_route(shape, log_beta_n, trials, seed):
     assert abs(s.extreme_sigma_max - max(norms)) <= 1e-12
 
 
-# --- flattening -----------------------------------------------------------
-
-def test_flatten_basis_vector_direction():
-    # x = e_1: components of the transformed vector all have magnitude
-    # n**-0.5 < sqrt(log n / n), so no trial exceeds
-    n = 64
-    e1 = np.zeros(n)
-    e1[0] = 1.0
-    s = run_flattening_trials(n, trials=50, seed=6, direction=e1)
-    assert s.empirical_frequency == 0.0
-    assert s.extreme_sigma_max == pytest.approx(n**-0.5, rel=1e-12)
-    assert s.passed
-
-
+# log(beta n) puts the level among the trials' peaks, so some exceed it
 @pytest.mark.parametrize(
-    "direction",
-    [np.full(64, np.nan), np.zeros(64), np.r_[np.inf, np.ones(63)], np.full(64, 1e200)],
-    ids=["nan", "zero", "inf", "norm-overflows"],
+    "n, log_beta_n, seed", [(1024, 1.0, 0), (64, 0.45, 7), (2, 0.005, 3)]
 )
-def test_flatten_rejects_a_bad_direction_before_drawing(direction):
-    # each once passed with frequency 0; the first three with extremes
-    # inf / -inf, which are not JSON
-    with mock.patch.object(exp_mod, "derived_rng", side_effect=AssertionError("drew")):
-        with pytest.raises(ValueError, match="direction must be finite and nonzero"):
-            run_flattening_trials(64, trials=5, direction=direction)
+def test_rownorm_at_k1_is_the_single_vector_check(n, log_beta_n, seed):
+    # trial i flattens one unit vector x_i = g_i / |g_i|: its largest row norm
+    # is max_j |(H D_i x_i)_j|
+    from srhtlab.bounds import row_norm_bound
+    from srhtlab.srht import derived_rng
+    from srhtlab.wht import fwht
+
+    trials, beta = 40, math.exp(log_beta_n) / n
+    peaks = []
+    for i in range(trials):
+        g = derived_rng(seed, 0, 0, i).standard_normal(n)
+        x = g / np.linalg.norm(g)
+        peaks.append(np.max(np.abs(fwht(oracle.signs(n, (seed, 1, 0, i)) * x))))
+    bases = _Recorder(exp_mod._cholesky_qr2)
+    with mock.patch.object(exp_mod, "_cholesky_qr2", bases):
+        s = run_row_norm_trials(n, 1, beta, trials=trials, seed=seed)
+    norms = [np.sqrt(np.max(np.sum(w * w, axis=1))) for _, w in bases.calls]
+    assert np.max(np.abs(np.array(norms) - peaks)) <= 1e-12
+    exceed = sum(p >= row_norm_bound(n, 1, beta).value for p in peaks)
+    assert 0 < exceed < trials
+    assert round(s.empirical_frequency * trials) == exceed
 
 
-def test_flatten_union_bound_recorded_raw():
-    s = run_flattening_trials(1024, trials=10, seed=7)
-    assert s.analytic_bound == pytest.approx(64.0)  # vacuous, recorded as-is
-    assert s.passed
+def test_rownorm_at_k1_checks_one_vector_against_one_in_sixteen():
+    # srhtlab experiment rownorm --n 1024 --k 1 --beta 16: the default beta = k
+    # would make the bound 1, which nothing can exceed
+    s = run_row_norm_trials(1024, 1, 16.0, trials=1000, seed=0)
+    assert s.analytic_bound == 1 / 16
+    assert (s.plan.n, s.plan.k, s.empirical_frequency, s.passed) == (1024, 1, 0.0, True)
 
 
 # --- coupons -------------------------------------------------------------
@@ -335,19 +336,6 @@ def test_coupon_grid_elapsed_is_per_point():
     wall = time.perf_counter() - start
     assert all(s.elapsed_seconds > 0.0 for s in out)
     assert sum(s.elapsed_seconds for s in out) <= wall
-
-
-def test_flatten_rejects_a_dimension_that_is_not_a_power_of_two():
-    for n in (0, 12):
-        with pytest.raises(ValueError, match=f"n must be a positive power of two, got {n}"):
-            run_flattening_trials(n, trials=2)
-
-
-def test_flatten_one_point():
-    # n = 1: |H D x| = 1 always reaches the threshold sqrt(log(1)/1) = 0, and
-    # the union bound is 1 * 2 exp(0)
-    s = run_flattening_trials(1, trials=5, seed=0)
-    assert (s.empirical_frequency, s.analytic_bound, s.passed) == (1.0, 2.0, True)
 
 
 # --- chernoff -------------------------------------------------------------
@@ -592,12 +580,12 @@ def test_timing_free_csv_drops_elapsed_and_is_byte_identical():
 
 
 def test_json_records_roundtrip():
-    s = run_flattening_trials(64, trials=20, seed=24)
+    s = run_row_norm_trials(64, 1, 16.0, trials=20, seed=24)
     doc = json.loads(summaries_to_json([s], {"seed": 24}))
     assert doc["schema"] == 1 and doc["config"] == {"seed": 24}
     (record,) = doc["summaries"]
-    assert record["name"] == "flatten"
-    assert record["n"] == 64
+    assert record["name"] == "rownorm"
+    assert (record["n"], record["k"]) == (64, 1)
     assert record["passed"] is True
     assert set(record) >= {"empirical", "bound", "seed", "mode", "elapsed_seconds"}
 
@@ -607,9 +595,8 @@ def test_json_records_roundtrip():
 # SHA-256 of summaries_to_json(summaries, {}, include_timing=False).  The
 # coupon and Chernoff hashes were recorded when every trial and subset was
 # computed on its own; the blocked runners must reproduce them byte for byte.
-# The embedding and flatten hashes were recorded with blocked trials; the
-# per-trial records they replaced are pinned as literals in
-# GOLDEN_EMBEDDING_FLATTEN.
+# The embedding hashes were recorded with blocked trials; the per-trial
+# records they replaced are pinned as literals in GOLDEN_EMBEDDING.
 # The row-norm hashes were recorded with CholeskyQR2 bases; the Householder
 # records they replaced are pinned as literals in GOLDEN_ROWNORM.  The mgf
 # hashes were recorded with repeated rows on the with-replacement side; the
@@ -622,7 +609,6 @@ GOLDEN_RUNS = {
     "embedding_256x8": lambda seed: [
         run_embedding_trials(256, 8, ell=64, trials=300, seed=seed)
     ],
-    "flatten_1024": lambda seed: [run_flattening_trials(1024, trials=1000, seed=seed)],
     "rownorm_256x8": lambda seed: [run_row_norm_trials(256, 8, 8.0, trials=200, seed=seed)],
     "rownorm_64x64": lambda seed: [run_row_norm_trials(64, 64, 2.0, trials=20, seed=seed)],
     "coupon_k4": lambda seed: run_coupon_trials(4, (4, 6, 8, 10), trials=400, seed=seed),
@@ -643,10 +629,6 @@ GOLDEN_SUMMARY_SHA256 = {
         "2d471e5d1ed3e1123df771fda7b277b57488dbfcec8f905f5d56ce3260b0b898",
     ("embedding_256x8", 12345):
         "91ffcadb062de6d6f559c8a22d5ee1589ed2ef715e8a8895ed9d578b2d8978e2",
-    ("flatten_1024", 0):
-        "4606d4a6f469f323a22b44fb02e10ce6361d848675fa3fdaeb43bd75addcd356",
-    ("flatten_1024", 12345):
-        "f8a2c52b30d30713dcff0bf8738e62ba8991cd585d6bb5dbe903b6c48899e172",
     ("coupon_k4", 0): "261da3a9c32f67a1d8f61dc23664606c57ea9e8feb7525ee33c164b6ae88957c",
     ("coupon_k4", 12345): "f506f3a7df1620e10bc110740e15b12c662e0ad6deb67387d90730cf08208771",
     ("coupon_k2", 0): "52251dee150d8188c084816b755c105f3c972bde6e5280b07dc63fc6ff20a93d",
@@ -704,23 +686,19 @@ def test_rownorm_matches_the_householder_records(run, seed):
     assert abs(s.extreme_sigma_max - hi) <= 1e-12
 
 
-# (events, min, max) when every embedding trial went through draw_srht ->
-# apply_to_matrix and every flatten trial through fwht: violations with
-# (min sigma_k, max sigma_1), and exceedances with the extreme largest
-# component.  Blocked trials must keep the counts exactly and the extremes
-# within 1e-12.
-GOLDEN_EMBEDDING_FLATTEN = {
+# (violations, min sigma_k, max sigma_1) when every embedding trial went
+# through draw_srht -> apply_to_matrix.  Blocked trials must keep the counts
+# exactly and the extremes within 1e-12.
+GOLDEN_EMBEDDING = {
     ("embedding_256x8", 0): (0, 0.5827189186450306, 1.3854659139912489),
     ("embedding_256x8", 12345): (0, 0.6020560241974291, 1.3697713721660179),
-    ("flatten_1024", 0): (1000, 0.08411740976580556, 0.15765887668519013),
-    ("flatten_1024", 12345): (1000, 0.08439661896151567, 0.16470750621077945),
 }
 
 
-@pytest.mark.parametrize("run, seed", sorted(GOLDEN_EMBEDDING_FLATTEN))
-def test_embedding_and_flatten_match_the_per_trial_records(run, seed):
+@pytest.mark.parametrize("run, seed", sorted(GOLDEN_EMBEDDING))
+def test_embedding_matches_the_per_trial_records(run, seed):
     (s,) = GOLDEN_RUNS[run](seed)
-    count, lo, hi = GOLDEN_EMBEDDING_FLATTEN[(run, seed)]
+    count, lo, hi = GOLDEN_EMBEDDING[(run, seed)]
     assert s.empirical_frequency * s.plan.trials == count
     assert abs(s.extreme_sigma_min - lo) <= 1e-12
     assert abs(s.extreme_sigma_max - hi) <= 1e-12
@@ -1146,35 +1124,6 @@ def test_blocked_embedding_equals_one_trial_at_a_time(shape, block, spare, count
     _check_against_oracle(s, trials, violations, bot, top, block, sketches)
 
 
-@given(
-    n=st.sampled_from([2**e for e in range(11)]),
-    block=st.integers(1, 6),
-    spare=st.floats(0.0, 0.99),
-    count=st.sampled_from(["B-1", "B", "B+1", "2B+3"]),
-    seed=st.integers(0, 2**32 - 1),
-)
-@example(n=1024, block=1, spare=0.0, count="2B+3", seed=0)
-@example(n=1, block=3, spare=0.0, count="B+1", seed=0)
-@settings(max_examples=30)
-def test_blocked_flatten_equals_one_trial_at_a_time(n, block, spare, count, seed):
-    from srhtlab.srht import derived_rng
-    from srhtlab.wht import fwht
-
-    budget, trials = _trial_counts(block, spare, count, n * 8)
-    sketches = _Recorder(exp_mod.sketch_stack)
-    with mock.patch.object(exp_mod, "_BLOCK_BYTES", budget), \
-            mock.patch.object(exp_mod, "sketch_stack", sketches):
-        s = run_flattening_trials(n, trials=trials, seed=seed)
-    g = derived_rng(seed, 0, 0, 0).standard_normal(n)
-    x = g / np.linalg.norm(g)
-    peaks = np.array([
-        np.max(np.abs(fwht(oracle.signs(n, (seed, 1, 0, i)) * x)))
-        for i in range(trials)
-    ])
-    events = peaks >= math.sqrt(math.log(n) / n)
-    _check_against_oracle(s, trials, events, peaks, peaks, block, sketches)
-
-
 def test_coupon_memory_is_bounded_by_the_block_budget():
     # Peak traced allocation of a 4000-trial run: the k-eigenvalue spectra,
     # their clipped square roots, and a few 256 KiB blocks.
@@ -1214,7 +1163,6 @@ def test_embedding_memory_is_the_basis_and_one_sketch_array():
 HEADLINE_DEFAULTS = {
     run_embedding_trials: {"n": 65536, "k": 16, "ell": None, "trials": 200},
     run_row_norm_trials: {"n": 4096, "k": 16, "beta": None, "trials": 2000},
-    run_flattening_trials: {"n": 1024, "trials": 1000},
     run_coupon_trials: {"k": 8, "ell_grid": (8, 12, 17, 24), "trials": 10000},
     run_chernoff_validation: {
         "n": 16,
