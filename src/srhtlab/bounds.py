@@ -9,17 +9,20 @@ convention.
 Raw bound values are returned unclamped (they may exceed 1) so that
 dominance comparisons see the actual expressions.  Range checks are written
 so that NaN fails them, and dimensions must be finite; the sample-size
-rule and the row-norm level take only whole-number dimensions.  The
-row-sampling failure bound is evaluated as two powers k^p + k^q; p and q
-are checked and computed for the last valid (alpha, delta, eta) and kept in
-a one-entry memo.  A sweep over k at fixed constants then costs about
-0.25 us per call, against about 0.4 us with a cache keyed by the tuple of
-constants, which builds and hashes that tuple on every call (one core of a
-2-core Xeon VM).  Calls that alternate constants recompute the powers each
-time, about 0.9 us.
+rule, the row-norm level and the Chernoff k take only whole-number
+dimensions, and the coupon oracle only integers.  A bool is not a
+dimension: True and False would pass every numeric check as 1 and 0, so
+they are a TypeError.  The row-sampling failure bound is evaluated as two
+powers k^p + k^q; p and q are checked and computed for the last valid
+(alpha, delta, eta) and kept in a one-entry memo.  A sweep over k at fixed
+constants then costs about 0.25 us per call, against about 0.4 us with a
+cache keyed by the tuple of constants, which builds and hashes that tuple
+on every call (one core of a 2-core Xeon VM).  Calls that alternate
+constants recompute the powers each time, about 0.9 us.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 __all__ = [
@@ -59,6 +62,12 @@ class SampleSizeBound:
     failure_bound: float
 
 
+def _refuse_bools(**values):
+    for name, value in values.items():
+        if isinstance(value, bool):
+            raise TypeError(f"{name} must be a number, not a bool, got {value!r}")
+
+
 def embedding_sample_size(k: int, n: int) -> SampleSizeBound:
     """Smallest ell with 4*(sqrt(k) + sqrt(8 log(k n)))^2 * log(k) <= ell.
 
@@ -67,6 +76,7 @@ def embedding_sample_size(k: int, n: int) -> SampleSizeBound:
     probability 3/k.  For k < 2 the log(k) factor vanishes and the result is
     the flagged sentinel ell=1.  k and n must be whole numbers.
     """
+    _refuse_bools(k=k, n=n)
     if not (1 <= k <= n < math.inf and k % 1 == 0 and n % 1 == 0):
         raise ValueError(f"need whole numbers 1 <= k <= n < inf, got k={k}, n={n}")
     if k < 2:
@@ -96,6 +106,7 @@ def row_norm_bound(n: int, k: int, beta: float) -> RowNormBound:
     with probability at most 1/beta, a vacuous guarantee when beta <= 1.
     n and k must be whole numbers with 1 <= k <= n.
     """
+    _refuse_bools(n=n, k=k)
     if not (1 <= k <= n < math.inf and k % 1 == 0 and n % 1 == 0):
         raise ValueError(f"need finite n >= 1 and whole numbers 1 <= k <= n, got n={n}, k={k}")
     if not (math.isfinite(beta) and beta * n > 1.0):
@@ -112,7 +123,7 @@ class ChernoffParams:
     ``b_max`` uniformly bounds the summands' largest eigenvalue; ``mu_min``
     and ``mu_max`` are ell times the extreme eigenvalues of the expected
     summand; ``deviation`` is the relative deviation (delta for the lower
-    tail, eta for the upper).
+    tail, eta for the upper).  ``k`` must be a whole number.
     """
 
     k: int
@@ -122,8 +133,9 @@ class ChernoffParams:
     deviation: float
 
     def __post_init__(self):
-        if not 1 <= self.k < math.inf:
-            raise ValueError(f"k must be finite and >= 1, got {self.k}")
+        _refuse_bools(k=self.k)
+        if not (1 <= self.k < math.inf and self.k % 1 == 0):
+            raise ValueError(f"k must be a finite whole number >= 1, got {self.k}")
         if not 0 < self.b_max < math.inf:
             raise ValueError(f"b_max must be positive and finite, got {self.b_max}")
         if not 0 <= self.mu_min <= self.mu_max < math.inf:
@@ -235,8 +247,11 @@ def coupon_coverage_probability(k: int, ell: int) -> float:
     the result is the float nearest the true probability.  The integers
     grow with k, and so does the cost: one call took up to about 0.5 ms at
     k=32, 10 ms at k=64 and 250 ms at k=128, the most near ell = k^2 / 2
-    (one core of a 2-core Xeon VM).
+    (one core of a 2-core Xeon VM).  k and ell must be integers.
     """
+    _refuse_bools(k=k, ell=ell)
+    if not (isinstance(k, numbers.Integral) and isinstance(ell, numbers.Integral)):
+        raise TypeError(f"k and ell must be integers, got k={k!r}, ell={ell!r}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if not 1 <= ell <= k * k:

@@ -6,6 +6,14 @@ carries "schema": 1.  An experiment flag left out takes the runner's default,
 and the echo of an experiment carries the n, k, ell and beta it ran with.
 Exit codes: 0 when everything passed, 1 when an experiment criterion failed,
 2 on usage errors or invalid dimensions.
+
+Each experiment is a subcommand of ``experiment`` whose flags are read from
+its runner's signature when the parser is built: one flag per keyword the
+runner takes (``_FLAGS``), ``--exhaustive`` where it has a ``mode``, and
+``--seed``, ``--format`` and ``--output``.  ``experiment all`` takes only
+those three.  So argparse itself refuses a flag the runner does not take,
+and ``srhtlab experiment <name> --help`` lists that runner's flags.  The
+parser is built once per process.
 """
 
 import argparse
@@ -32,17 +40,22 @@ RUNNERS = {
     "mgf": "run_mgf_domination",
 }
 
-# Namespace field of each experiment flag -> the runner keyword it sets.
-_RUNNER_KEYWORDS = {
-    "n": "n",
-    "k": "k",
-    "ell": "ell",
-    "beta": "beta",
-    "trials": "trials",
-    "ells": "ell_grid",
-    "deltas": "deviation_grid",
-    "thetas": "theta_grid",
+# Runner keyword -> (namespace field, flag, argparse options) of the
+# experiment flag that sets it.  Each experiment gets the flags of the keywords
+# its runner takes, so argparse refuses any other.
+_FLAGS = {
+    "n": ("n", "--n", {"type": int}),
+    "k": ("k", "--k", {"type": int}),
+    "ell": ("ell", "--l", {"type": int}),
+    "trials": ("trials", "--trials", {"type": int}),
+    "beta": ("beta", "--beta", {"type": float, "help": "row-norm beta (default: k)"}),
+    "ell_grid": ("ells", "--ells", {"type": int, "nargs": "+"}),
+    "deviation_grid": ("deltas", "--deltas", {"type": float, "nargs": "+"}),
+    "theta_grid": ("thetas", "--thetas", {"type": float, "nargs": "+"}),
 }
+# argparse before Python 3.14 takes only "-1" and "-.5" shapes for negative
+# numbers, so a grid value such as -1e-3 would be read as an unknown option
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -53,8 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
     # every subcommand's echo carries the same fields: one that a subcommand
     # has no flag for is echoed with its default here
     parser.set_defaults(
-        experiment_name="", n=None, k=None, ell=None, trials=None, exhaustive=False,
-        beta=None, deltas=None, thetas=None, ells=None,
+        experiment_name="", exhaustive=False, **{field: None for field, _, _ in _FLAGS.values()}
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
@@ -79,24 +91,22 @@ def _build_parser() -> argparse.ArgumentParser:
         "experiment",
         help="run a validation experiment; a flag left out takes the runner's default",
     )
-    p_exp.add_argument(
-        "experiment_name",
-        choices=(*RUNNERS, "all"),
-        help="'all' runs every experiment at its defaults",
+    experiments = p_exp.add_subparsers(
+        dest="experiment_name", required=True, help="'all' runs every experiment at its defaults"
     )
-    p_exp.add_argument("--n", type=int)
-    p_exp.add_argument("--k", type=int)
-    p_exp.add_argument("--l", dest="ell", type=int)
-    p_exp.add_argument("--trials", type=int)
-    p_exp.add_argument("--exhaustive", action="store_true", help="default: Monte Carlo")
-    p_exp.add_argument("--beta", type=float, help="row-norm beta (default: k)")
-    p_exp.add_argument("--deltas", type=float, nargs="+")
-    p_exp.add_argument("--thetas", type=float, nargs="+")
-    p_exp.add_argument("--ells", type=int, nargs="+")
-    add_common(p_exp)
-    # argparse before Python 3.14 takes only "-1" and "-.5" shapes for negative
-    # numbers, so a grid value such as -1e-3 would be read as an unknown option
-    p_exp._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+    for name, runner_name in RUNNERS.items():
+        p = experiments.add_parser(name)
+        params = inspect.signature(getattr(exp_mod, runner_name)).parameters
+        # an exhaustive run enumerates every subset, so it takes no trial count
+        exclusive = p.add_mutually_exclusive_group() if "mode" in params else p
+        if "mode" in params:
+            exclusive.add_argument("--exhaustive", action="store_true", help="default: Monte Carlo")
+        for keyword, (field, flag, options) in _FLAGS.items():
+            if keyword in params:
+                (exclusive if keyword == "trials" else p).add_argument(flag, dest=field, **options)
+        add_common(p)
+        p._negative_number_matcher = _NEGATIVE_NUMBER
+    add_common(experiments.add_parser("all"))
     return parser
 
 
@@ -172,40 +182,19 @@ def _experiment_calls(config: argparse.Namespace) -> list:
     """(runner name, keyword arguments) of each call an experiment makes.
 
     Only flags that were given become keywords, so a value is never replaced
-    by a default and reaches the runner's own checks.  A flag the runner has
-    no parameter for is a usage error, and ``all`` takes none.  So is
-    ``--trials`` with ``--exhaustive``, whose trial count is the number of
-    subsets.
+    by a default and reaches the runner's own checks.  The parser has
+    already refused a flag the runner has no parameter for.
     """
     name = config.experiment_name
+    if name == "all":
+        return [(runner, {}) for runner in RUNNERS.values()]
     given = {
         keyword: getattr(config, field)
-        for field, keyword in _RUNNER_KEYWORDS.items()
+        for keyword, (field, _, _) in _FLAGS.items()
         if getattr(config, field) is not None
     }
-    if name == "all":
-        if given or config.exhaustive:
-            raise ValueError(
-                "experiment all runs every default; it takes no dimension, trial, grid "
-                "or --exhaustive flag"
-            )
-        return [(runner, {}) for runner in RUNNERS.values()]
-    params = inspect.signature(getattr(exp_mod, RUNNERS[name])).parameters
-    unused = [
-        field
-        for field, keyword in _RUNNER_KEYWORDS.items()
-        if keyword in given and keyword not in params
-    ]
-    if "mode" in params:
+    if "mode" in inspect.signature(getattr(exp_mod, RUNNERS[name])).parameters:
         given["mode"] = "exhaustive" if config.exhaustive else "monte_carlo"
-        if config.exhaustive and "trials" in given:
-            raise ValueError(
-                f"experiment {name} --exhaustive enumerates every subset; it takes no trials"
-            )
-    elif config.exhaustive:
-        unused.append("exhaustive")
-    if unused:
-        raise ValueError(f"experiment {name} takes no {', '.join(unused)}")
     return [(RUNNERS[name], given)]
 
 
@@ -239,9 +228,13 @@ def _run_experiment(config: argparse.Namespace) -> int:
     return 0 if all(s.passed for s in summaries) else 1
 
 
+# built once: the parser reads every runner's signature
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        config = _build_parser().parse_args(argv)
+        config = _PARSER.parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         if code in (0, None):

@@ -18,29 +18,28 @@ frequency with a bound: the without-replacement mean must not exceed the
 with-replacement one, up to 1e-10 relative over every subset or four
 standard errors of the two means by Monte Carlo.
 
-Every runner except the row-norm one computes its trials in blocks.  One
-loop cuts the trials into blocks of about ``_BLOCK_BYTES`` (256 KiB) of
-working array each, whatever the trial count, up to ``EXHAUSTIVE_CAP``
-subsets, and fills one row of a per-trial spectrum array per trial.  Every
-trial still draws from its own substream, and each block's draws are one
-call of the ``srht`` sampler: embedding and coupon draw a block of
-operators with one ``draw_stack`` call and sketch it with one
-``sketch_stack`` call.  Chernoff and both sides of mgf turn a block of
-ell-row lists into one Gram stack and one eigensolve; Monte Carlo draws a
-block of subsets with one ``sample_without_replacement`` call, and a block
-of with-replacement lists with one ``draw_integers`` call.  The
-with-replacement side of mgf lists a row once per draw, so a repeated row
-counts twice with no weight.  The block size never changes a count: each
-trial's arithmetic is the one it would get alone, except that extremes may
-move by a few ulp where the transform's matrix products run at a different
-width.
+Every runner computes its trials in blocks.  One loop, ``_fill_blocks``,
+cuts the trials into blocks of about ``_BLOCK_BYTES`` (256 KiB) of working
+array each, whatever the trial count, up to ``EXHAUSTIVE_CAP`` subsets, and
+fills one row of a per-trial result array per trial.  Every trial still
+draws from its own substream, and each block's draws are one call of the
+``srht`` sampler: embedding and coupon draw a block of operators with one
+``draw_stack`` call and sketch it with one ``sketch_stack`` call.
+Chernoff and both sides of mgf turn a block of ell-row lists into one Gram
+stack and one eigensolve; Monte Carlo draws a block of subsets with one
+``sample_without_replacement`` call, and a block of with-replacement lists
+with one ``draw_integers`` call.  The with-replacement side of mgf lists a
+row once per draw, so a repeated row counts twice with no weight.  The
+block size never changes a count: each trial's arithmetic is the one it
+would get alone, except that extremes may move by a few ulp where the
+transform's matrix products run at a different width.
 
-The row-norm runner is the one that goes trial by trial: one of its trials
-is over the block budget (512 KiB at the headline shape), and a stacked
-transform was measured slower there, its array falling out of cache.  Only
-its signs are drawn a block of trials at a time, one ``rademacher_signs``
-call per ``_BLOCK_BYTES`` of signs.  It never forms its basis.  Each trial
-draws its Gaussian and its signs from the same substreams a
+The row-norm runner's blocks are ``_BLOCK_BYTES`` of signs (8 trials at
+n = 4096), one ``rademacher_signs`` call each, but it transforms each
+trial of a block on its own: one of its trials is over the block budget
+(512 KiB at the headline shape), and a stacked transform was measured
+slower there, its array falling out of cache.  It never forms its basis.
+Each trial draws its Gaussian and its signs from the same substreams a
 ``random_orthonormal`` basis would use, and runs that function's
 CholeskyQR2 routine, ``linalg._cholesky_qr2``, around the in-place
 transform: the first pass's Gram is taken before the transform, and the
@@ -148,6 +147,24 @@ class TrialPlan:
                 )
 
 
+# The fields of a summary record, in the order of a CSV row.
+CSV_COLUMNS = (
+    "name",
+    "n",
+    "k",
+    "ell",
+    "trials",
+    "mode",
+    "seed",
+    "empirical",
+    "bound",
+    "extreme_sigma_min",
+    "extreme_sigma_max",
+    "passed",
+    "elapsed_seconds",
+)
+
+
 @dataclass
 class ExperimentSummary:
     """Aggregate result of one experiment (or one grid point of one).
@@ -172,23 +189,15 @@ class ExperimentSummary:
     elapsed_seconds: float = field(compare=False, default=0.0)
 
     def to_record(self, include_timing: bool = True) -> dict:
-        record = {
-            "name": self.name,
-            "n": self.plan.n,
-            "k": self.plan.k,
-            "ell": self.plan.ell,
-            "trials": self.plan.trials,
-            "seed": self.plan.seed,
-            "mode": self.plan.mode,
+        """The record of ``CSV_COLUMNS``, in that order, without
+        ``elapsed_seconds`` unless ``include_timing``."""
+        values = {
+            **vars(self.plan),
+            **vars(self),
             "empirical": self.empirical_frequency,
             "bound": self.analytic_bound,
-            "extreme_sigma_min": self.extreme_sigma_min,
-            "extreme_sigma_max": self.extreme_sigma_max,
-            "passed": self.passed,
         }
-        if include_timing:
-            record["elapsed_seconds"] = self.elapsed_seconds
-        return record
+        return {c: values[c] for c in CSV_COLUMNS if include_timing or c != "elapsed_seconds"}
 
 
 def monte_carlo_slack(bound: float, trials: int) -> float:
@@ -306,17 +315,24 @@ def run_row_norm_trials(n=4096, k=16, beta=None, trials=2000, seed=0):
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     level = row_norm_bound(n, k, float(k) if beta is None else beta)
     plan = TrialPlan(n=n, k=k, ell=0, trials=trials, seed=seed)
-    norms = np.empty(trials)
-    size = max(1, _BLOCK_BYTES // (8 * n))
-    for first in range(0, trials, size):
-        block = range(first, min(first + size, trials))
+    # one array holds every trial's Gaussian and its transform: a fresh
+    # array per trial was faulted in again whenever the allocator had
+    # returned its pages (12k to 29k minor faults against 6k for 200 trials
+    # at n = 4096, k = 16)
+    buffer = np.empty((n, k))
+
+    def block_norms(block):
         signs = rademacher_signs(n, [(seed, 1, 0, i) for i in block])
+        norms = []
         for i, trial_signs in zip(block, signs):
-            g = derived_rng(seed, 0, 0, i).standard_normal((n, k))
+            g = derived_rng(seed, 0, 0, i).standard_normal(out=buffer)
             gram1 = gram(g)
             g *= trial_signs[:, None]
             w = _cholesky_qr2(fwht_inplace(g), gram1)
-            norms[i] = np.sqrt(np.max(np.sum(w * w, axis=1)))
+            norms.append([np.sqrt(np.max(np.sum(w * w, axis=1)))])
+        return norms
+
+    norms = _fill_blocks(range(trials), trials, 1, 8 * n, block_norms)[:, 0]
     return _one_sided_summary(
         "rownorm", plan, norms >= level.value, level.exceedance_probability, norms, norms,
         time.perf_counter() - start,
@@ -543,23 +559,6 @@ def run_mgf_domination(
     return summaries
 
 
-CSV_COLUMNS = (
-    "name",
-    "n",
-    "k",
-    "ell",
-    "trials",
-    "mode",
-    "seed",
-    "empirical",
-    "bound",
-    "extreme_sigma_min",
-    "extreme_sigma_max",
-    "passed",
-    "elapsed_seconds",
-)
-
-
 def summaries_to_json(summaries, config: dict, include_timing: bool = True) -> str:
     """The report document ``{"schema": 1, "config": config, "summaries":
     [record, ...]}``, keys sorted; ``config`` echoes what was run."""
@@ -577,9 +576,6 @@ def summaries_to_csv(summaries, include_timing: bool = True) -> str:
 
     buf = io.StringIO()
     writer = csv.writer(buf)
-    columns = [c for c in CSV_COLUMNS if include_timing or c != "elapsed_seconds"]
-    writer.writerow(columns)
-    for s in summaries:
-        record = s.to_record(include_timing=include_timing)
-        writer.writerow([record[c] for c in columns])
+    writer.writerow(c for c in CSV_COLUMNS if include_timing or c != "elapsed_seconds")
+    writer.writerows(s.to_record(include_timing=include_timing).values() for s in summaries)
     return buf.getvalue()

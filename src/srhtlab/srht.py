@@ -61,7 +61,7 @@ __all__ = [
 MATERIALIZE_CAP = 4096
 
 
-def derived_rng(seed, *path) -> np.random.Generator:
+def derived_rng(seed, *path) -> "np.random.Generator":
     """Deterministic generator for ``(seed, *path)``, for fixture draws.
 
     ``seed`` is an int or tuple of ints; ``path`` extends it.  The mixing is

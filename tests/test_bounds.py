@@ -5,6 +5,7 @@ import sys
 import threading
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -139,6 +140,20 @@ def test_row_norm_bound_rejects_k_above_n_and_fractional_dimensions(n, k):
         row_norm_bound(n, k, 4.0)
 
 
+@pytest.mark.parametrize("k,n", [(True, 4), (2, True), (False, 4), (1, True)])
+def test_embedding_sample_size_rejects_bool_dimensions(k, n):
+    # (True, 4) returned the k < 2 sentinel and (1, True) a size for n = 1
+    with pytest.raises(TypeError, match="not a bool"):
+        embedding_sample_size(k, n)
+
+
+@pytest.mark.parametrize("n,k", [(16, True), (True, True), (True, 1)])
+def test_row_norm_bound_rejects_bool_dimensions(n, k):
+    # (16, True) returned the level of k = 1
+    with pytest.raises(TypeError, match="not a bool"):
+        row_norm_bound(n, k, 4.0)
+
+
 @pytest.mark.parametrize("k,n", [(4, 1024), (16, 65536), (32, 4096)])
 def test_embedding_size_composes_row_norm_level(k, n):
     # the sample-size rule is 4 * (sqrt(n) * row-norm level at beta=k)^2 * ln k
@@ -206,6 +221,19 @@ def test_chernoff_params_reject_non_finite_k(k):
     # k = inf was accepted
     with pytest.raises(ValueError, match="finite"):
         ChernoffParams(k, 0.5, 0.5, 0.5, 0.5)
+
+
+@pytest.mark.parametrize("k, error", [(2.5, ValueError), (True, TypeError), (False, TypeError)])
+def test_chernoff_params_reject_fractional_and_bool_k(k, error):
+    # k = 2.5 gave a lower tail of 2.06, and True passed as k = 1
+    with pytest.raises(error, match="k must be"):
+        ChernoffParams(k, 0.3, 0.375, 0.375, 0.5)
+
+
+def test_chernoff_params_take_a_whole_float_k():
+    assert chernoff_lower_tail(ChernoffParams(2.0, 0.3, 0.375, 0.375, 0.5)) == (
+        chernoff_lower_tail(ChernoffParams(2, 0.3, 0.375, 0.375, 0.5))
+    )
 
 
 # (lower, upper) at ChernoffParams(2, 0.3, 0.375, 0.375, d), taken from the
@@ -493,6 +521,27 @@ def test_coupon_large_k_equals_exact_rationals(k):
             for i in range(k + 1)
         )
         assert coupon_coverage_probability(k, ell) == float(exact), (k, ell)
+
+
+@pytest.mark.parametrize(
+    "k, ell, message",
+    [
+        (2.5, 3, "must be integers"),
+        (2, 2.5, "must be integers"),
+        (2.0, 2, "must be integers"),
+        (3, 4.0, "must be integers"),
+        (True, 1, "k must be a number, not a bool"),
+        (2, True, "ell must be a number, not a bool"),
+    ],
+)
+def test_coupon_rejects_non_integer_and_bool_arguments(k, ell, message):
+    # 2.5 raised from inside math.comb, and k = True returned 1.0
+    with pytest.raises(TypeError, match=message):
+        coupon_coverage_probability(k, ell)
+
+
+def test_coupon_takes_numpy_integers():
+    assert coupon_coverage_probability(np.int64(2), np.int32(2)) == coupon_coverage_probability(2, 2)
 
 
 def test_coupon_rejects_bad_ell():

@@ -1,3 +1,6 @@
+import contextlib
+import inspect
+import io
 import json
 import pathlib
 import re
@@ -8,7 +11,7 @@ import pytest
 
 import srhtlab.experiments as exp_mod
 from srhtlab.bounds import embedding_sample_size, row_sampling_failure_bound
-from srhtlab.cli import RUNNERS, _build_parser, main
+from srhtlab.cli import _FLAGS, _PARSER, RUNNERS, _build_parser, main
 from srhtlab.experiments import ExperimentSummary, TrialPlan
 from srhtlab.linalg import random_orthonormal
 from srhtlab.srht import apply_to_matrix, draw_srht
@@ -348,7 +351,7 @@ def test_rownorm_dimensions_are_checked_at_the_boundary(capsys, n, k, message):
 def test_flag_the_runner_does_not_take_is_usage_error(capsys, argv):
     code, _, err = run_cli(capsys, "experiment", *argv)
     assert code == 2
-    assert "takes no" in err
+    assert f"unrecognized arguments: {argv[1]}" in err
 
 
 def test_echo_carries_the_dimensions_that_ran(capsys):
@@ -391,4 +394,72 @@ def test_trials_with_exhaustive_is_usage_error(capsys, name):
         "--trials", "5",
     )
     assert code == 2
-    assert out == "" and "takes no trials" in err
+    assert out == "" and "not allowed with argument --exhaustive" in err
+
+
+# A value each experiment flag parses, by the runner keyword it sets.
+FLAG_VALUES = {
+    "n": "8", "k": "2", "ell": "3", "trials": "5", "beta": "2",
+    "ell_grid": "2", "deviation_grid": "0.5", "theta_grid": "1",
+}
+
+
+def _runner_parameters(name):
+    return inspect.signature(getattr(exp_mod, RUNNERS[name])).parameters
+
+
+def _parse_status(argv):
+    """0 when the module parser takes ``argv``, else argparse's exit code."""
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            _PARSER.parse_args(argv)
+    except SystemExit as exc:
+        return exc.code
+    return 0
+
+
+def test_flag_table_covers_every_runner_keyword():
+    # every keyword parameter of a runner, bar seed and mode, has its flag
+    keywords = {p for name in RUNNERS for p in _runner_parameters(name)} - {"seed", "mode"}
+    assert keywords == set(_FLAGS) == set(FLAG_VALUES)
+
+
+@pytest.mark.parametrize("keyword", sorted(_FLAGS))
+@pytest.mark.parametrize("name", [*RUNNERS, "all"])
+def test_each_experiment_takes_exactly_its_runners_flags(name, keyword):
+    flag = _FLAGS[keyword][1]
+    takes = name != "all" and keyword in _runner_parameters(name)
+    status = _parse_status(["experiment", name, flag, FLAG_VALUES[keyword]])
+    assert status == (0 if takes else 2)
+
+
+@pytest.mark.parametrize("name", [*RUNNERS, "all"])
+def test_exhaustive_only_where_the_runner_has_a_mode(name):
+    has_mode = name != "all" and "mode" in _runner_parameters(name)
+    assert _parse_status(["experiment", name, "--exhaustive"]) == (0 if has_mode else 2)
+    if has_mode:
+        for order in (("--exhaustive", "--trials", "5"), ("--trials", "5", "--exhaustive")):
+            assert _parse_status(["experiment", name, *order]) == 2
+
+
+@pytest.mark.parametrize("name", [*RUNNERS, "all"])
+def test_experiment_help_lists_exactly_its_runners_flags(capsys, name):
+    code, out, _ = run_cli(capsys, "experiment", name, "--help")
+    assert code == 0
+    params = () if name == "all" else _runner_parameters(name)
+    expected = {flag for keyword, (_, flag, _) in _FLAGS.items() if keyword in params}
+    expected |= {"--exhaustive"} if "mode" in params else set()
+    options = out.split("options:", 1)[1]
+    assert set(re.findall(r"--\w+", options)) == expected | {"--help", "--seed", "--format", "--output"}
+
+
+def test_module_parser_is_reused_across_calls(capsys):
+    # main parses with one parser per process; a refused call leaves it as it was
+    argv = ("experiment", "coupon", "--k", "2", "--ells", "2", "--trials", "5")
+    texts = []
+    for refused in (("experiment", "coupon", "--l", "3"), ("experiment", "all", "--n", "4")):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        texts.append(re.sub(r'"elapsed_seconds": [0-9.e+-]+', "", out))
+        assert run_cli(capsys, *refused)[0] == 2
+    assert texts[0] == texts[1]

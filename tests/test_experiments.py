@@ -579,6 +579,19 @@ def test_timing_free_csv_drops_elapsed_and_is_byte_identical():
     assert all(len(row) == len(header) for row in csv.reader(a.splitlines()))
 
 
+def test_record_fields_are_the_csv_columns_in_order():
+    (s,) = run_coupon_trials(2, [2], trials=20, seed=23)
+    record = s.to_record()
+    assert list(record) == list(CSV_COLUMNS)
+    assert list(s.to_record(include_timing=False)) == list(CSV_COLUMNS[:-1])
+    assert record == {
+        "name": s.name, "n": 4, "k": 2, "ell": 2, "trials": 20, "mode": "monte_carlo",
+        "seed": 23, "empirical": s.empirical_frequency, "bound": s.analytic_bound,
+        "extreme_sigma_min": s.extreme_sigma_min, "extreme_sigma_max": s.extreme_sigma_max,
+        "passed": s.passed, "elapsed_seconds": s.elapsed_seconds,
+    }
+
+
 def test_json_records_roundtrip():
     s = run_row_norm_trials(64, 1, 16.0, trials=20, seed=24)
     doc = json.loads(summaries_to_json([s], {"seed": 24}))
@@ -910,7 +923,9 @@ def test_one_sided_rule_reads_its_slack_from_the_mode(mode, count, passed):
 
 
 class _Recorder:
-    """Wraps a function and keeps each call's arguments and result."""
+    """Wraps a function and keeps each call's arguments and result.  An
+    array result is kept as a copy, because the caller may reuse its array
+    (rownorm transforms every trial in one)."""
 
     def __init__(self, fn):
         self.fn = fn
@@ -918,7 +933,7 @@ class _Recorder:
 
     def __call__(self, *args):
         result = self.fn(*args)
-        self.calls.append((args, result))
+        self.calls.append((args, result.copy() if isinstance(result, np.ndarray) else result))
         return result
 
 

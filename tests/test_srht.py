@@ -1,12 +1,17 @@
 import hashlib
 import itertools
 import math
+import os
+import pathlib
+import subprocess
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import srhtlab
 from srhtlab import srht as srht_mod
 from srhtlab.srht import (
     MATERIALIZE_CAP,
@@ -672,3 +677,15 @@ def test_stack_rejects_non_finite_like_apply_to_matrix(bad):
     with pytest.raises(ValueError) as stacked:
         sketch_stack(*_stack(ops), v)
     assert str(stacked.value) == str(one.value)
+
+
+def test_import_srhtlab_leaves_numpy_random_unimported():
+    # numpy.random costs about 10 ms to import; derived_rng's annotation was
+    # once the only thing that made ``import srhtlab`` load it
+    script = "import sys, srhtlab; print('numpy.random' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(srhtlab.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True,
+        timeout=120,
+    )
+    assert done.stdout == "False\n"
