@@ -95,7 +95,9 @@ def _build_parser() -> argparse.ArgumentParser:
         dest="experiment_name", required=True, help="'all' runs every experiment at its defaults"
     )
     for name, runner_name in RUNNERS.items():
-        p = experiments.add_parser(name)
+        # a prefix of a flag is not taken for it, so a new flag cannot change
+        # what an old call means
+        p = experiments.add_parser(name, allow_abbrev=False)
         params = inspect.signature(getattr(exp_mod, runner_name)).parameters
         # an exhaustive run enumerates every subset, so it takes no trial count
         exclusive = p.add_mutually_exclusive_group() if "mode" in params else p
@@ -106,7 +108,7 @@ def _build_parser() -> argparse.ArgumentParser:
                 (exclusive if keyword == "trials" else p).add_argument(flag, dest=field, **options)
         add_common(p)
         p._negative_number_matcher = _NEGATIVE_NUMBER
-    add_common(experiments.add_parser("all"))
+    add_common(experiments.add_parser("all", allow_abbrev=False))
     return parser
 
 

@@ -18,28 +18,29 @@ frequency with a bound: the without-replacement mean must not exceed the
 with-replacement one, up to 1e-10 relative over every subset or four
 standard errors of the two means by Monte Carlo.
 
-Every runner computes its trials in blocks.  One loop, ``_fill_blocks``,
-cuts the trials into blocks of about ``_BLOCK_BYTES`` (256 KiB) of working
-array each, whatever the trial count, up to ``EXHAUSTIVE_CAP`` subsets, and
-fills one row of a per-trial result array per trial.  Every trial still
-draws from its own substream, and each block's draws are one call of the
-``srht`` sampler: embedding and coupon draw a block of operators with one
-``draw_stack`` call and sketch it with one ``sketch_stack`` call.
-Chernoff and both sides of mgf turn a block of ell-row lists into one Gram
-stack and one eigensolve; Monte Carlo draws a block of subsets with one
-``sample_without_replacement`` call, and a block of with-replacement lists
-with one ``draw_integers`` call.  The with-replacement side of mgf lists a
-row once per draw, so a repeated row counts twice with no weight.  The
-block size never changes a count: each trial's arithmetic is the one it
-would get alone, except that extremes may move by a few ulp where the
-transform's matrix products run at a different width.
+Every runner except the row-norm one computes its trials in blocks.  One
+loop cuts the trials into blocks of about ``_BLOCK_BYTES`` (256 KiB) of
+working array each, whatever the trial count, up to ``EXHAUSTIVE_CAP``
+subsets, and fills one row of a per-trial spectrum array per trial.  Every
+trial still draws from its own substream, and each block's draws are one
+call of the ``srht`` sampler: embedding and coupon draw a block of
+operators with one ``draw_stack`` call and sketch it with one
+``sketch_stack`` call.  Chernoff and both sides of mgf turn a block of
+ell-row lists into one Gram stack and one eigensolve; Monte Carlo draws a
+block of subsets with one ``sample_without_replacement`` call, and a block
+of with-replacement lists with one ``draw_integers`` call.  The
+with-replacement side of mgf lists a row once per draw, so a repeated row
+counts twice with no weight.  The block size never changes a count: each
+trial's arithmetic is the one it would get alone, except that extremes may
+move by a few ulp where the transform's matrix products run at a different
+width.
 
-The row-norm runner's blocks are ``_BLOCK_BYTES`` of signs (8 trials at
-n = 4096), one ``rademacher_signs`` call each, but it transforms each
-trial of a block on its own: one of its trials is over the block budget
-(512 KiB at the headline shape), and a stacked transform was measured
-slower there, its array falling out of cache.  It never forms its basis.
-Each trial draws its Gaussian and its signs from the same substreams a
+The row-norm runner is the one that goes trial by trial: one of its trials
+is over the block budget (512 KiB at the headline shape), and a stacked
+transform was measured slower there, its array falling out of cache.  Only
+its signs are drawn a block of trials at a time, one ``rademacher_signs``
+call per ``_BLOCK_BYTES`` of signs.  It never forms its basis.  Each trial
+draws its Gaussian and its signs from the same substreams a
 ``random_orthonormal`` basis would use, and runs that function's
 CholeskyQR2 routine, ``linalg._cholesky_qr2``, around the in-place
 transform: the first pass's Gram is taken before the transform, and the
@@ -191,13 +192,14 @@ class ExperimentSummary:
     def to_record(self, include_timing: bool = True) -> dict:
         """The record of ``CSV_COLUMNS``, in that order, without
         ``elapsed_seconds`` unless ``include_timing``."""
-        values = {
-            **vars(self.plan),
-            **vars(self),
-            "empirical": self.empirical_frequency,
-            "bound": self.analytic_bound,
-        }
-        return {c: values[c] for c in CSV_COLUMNS if include_timing or c != "elapsed_seconds"}
+        p = self.plan
+        values = (
+            self.name, p.n, p.k, p.ell, p.trials, p.mode, p.seed,
+            self.empirical_frequency, self.analytic_bound,
+            self.extreme_sigma_min, self.extreme_sigma_max, self.passed,
+            self.elapsed_seconds,
+        )
+        return dict(zip(CSV_COLUMNS[: None if include_timing else -1], values))
 
 
 def monte_carlo_slack(bound: float, trials: int) -> float:
@@ -315,24 +317,17 @@ def run_row_norm_trials(n=4096, k=16, beta=None, trials=2000, seed=0):
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     level = row_norm_bound(n, k, float(k) if beta is None else beta)
     plan = TrialPlan(n=n, k=k, ell=0, trials=trials, seed=seed)
-    # one array holds every trial's Gaussian and its transform: a fresh
-    # array per trial was faulted in again whenever the allocator had
-    # returned its pages (12k to 29k minor faults against 6k for 200 trials
-    # at n = 4096, k = 16)
-    buffer = np.empty((n, k))
-
-    def block_norms(block):
+    norms = np.empty(trials)
+    size = max(1, _BLOCK_BYTES // (8 * n))
+    for first in range(0, trials, size):
+        block = range(first, min(first + size, trials))
         signs = rademacher_signs(n, [(seed, 1, 0, i) for i in block])
-        norms = []
         for i, trial_signs in zip(block, signs):
-            g = derived_rng(seed, 0, 0, i).standard_normal(out=buffer)
+            g = derived_rng(seed, 0, 0, i).standard_normal((n, k))
             gram1 = gram(g)
             g *= trial_signs[:, None]
             w = _cholesky_qr2(fwht_inplace(g), gram1)
-            norms.append([np.sqrt(np.max(np.sum(w * w, axis=1)))])
-        return norms
-
-    norms = _fill_blocks(range(trials), trials, 1, 8 * n, block_norms)[:, 0]
+            norms[i] = np.sqrt(np.max(np.sum(w * w, axis=1)))
     return _one_sided_summary(
         "rownorm", plan, norms >= level.value, level.exceedance_probability, norms, norms,
         time.perf_counter() - start,

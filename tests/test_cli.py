@@ -354,6 +354,23 @@ def test_flag_the_runner_does_not_take_is_usage_error(capsys, argv):
     assert f"unrecognized arguments: {argv[1]}" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("chernoff", "--e"),
+        ("coupon", "--e", "2"),
+        ("embedding", "--tri", "2"),
+        ("all", "--s", "3"),
+    ],
+)
+def test_experiment_refuses_flag_prefixes(capsys, argv):
+    # a prefix is never taken for a flag, so adding a flag cannot change what
+    # an old call means
+    code, out, err = run_cli(capsys, "experiment", *argv)
+    assert code == 2 and out == ""
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in err
+
+
 def test_echo_carries_the_dimensions_that_ran(capsys):
     code, out, _ = run_cli(capsys, "experiment", "mgf", "--exhaustive")
     assert code == 0

@@ -923,9 +923,7 @@ def test_one_sided_rule_reads_its_slack_from_the_mode(mode, count, passed):
 
 
 class _Recorder:
-    """Wraps a function and keeps each call's arguments and result.  An
-    array result is kept as a copy, because the caller may reuse its array
-    (rownorm transforms every trial in one)."""
+    """Wraps a function and keeps each call's arguments and result."""
 
     def __init__(self, fn):
         self.fn = fn
@@ -933,7 +931,7 @@ class _Recorder:
 
     def __call__(self, *args):
         result = self.fn(*args)
-        self.calls.append((args, result.copy() if isinstance(result, np.ndarray) else result))
+        self.calls.append((args, result))
         return result
 
 

@@ -681,11 +681,16 @@ def test_stack_rejects_non_finite_like_apply_to_matrix(bad):
 
 def test_import_srhtlab_leaves_numpy_random_unimported():
     # numpy.random costs about 10 ms to import; derived_rng's annotation was
-    # once the only thing that made ``import srhtlab`` load it
-    script = "import sys, srhtlab; print('numpy.random' in sys.modules)"
+    # once the only thing that made ``import srhtlab`` load it.  NumPy 1.x
+    # imports it with numpy itself, so the baseline is a bare ``import numpy``
+    script = (
+        "import sys, numpy; before = 'numpy.random' in sys.modules; import srhtlab; "
+        "print(before, 'numpy.random' in sys.modules)"
+    )
     env = {**os.environ, "PYTHONPATH": str(pathlib.Path(srhtlab.__file__).parents[1])}
     done = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True,
         timeout=120,
     )
-    assert done.stdout == "False\n"
+    before, after = done.stdout.split()
+    assert after == before
