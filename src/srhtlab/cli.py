@@ -12,8 +12,8 @@ its runner's signature when the parser is built: one flag per keyword the
 runner takes (``_FLAGS``), ``--exhaustive`` where it has a ``mode``, and
 ``--seed``, ``--format`` and ``--output``.  ``experiment all`` takes only
 those three.  So argparse itself refuses a flag the runner does not take,
-and ``srhtlab experiment <name> --help`` lists that runner's flags.  The
-parser is built once per process.
+or a prefix of any flag, and ``srhtlab experiment <name> --help`` lists
+that runner's flags.  The parser is built once per process.
 """
 
 import argparse
