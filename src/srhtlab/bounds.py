@@ -63,6 +63,8 @@ class SampleSizeBound:
 
 
 def _refuse_bools(**values):
+    """A TypeError for the first of ``values`` that is a bool, which
+    ``operator.index`` and arithmetic would take as 0 or 1."""
     for name, value in values.items():
         if isinstance(value, bool):
             raise TypeError(f"{name} must be a number, not a bool, got {value!r}")
@@ -104,9 +106,10 @@ def row_norm_bound(n: int, k: int, beta: float) -> RowNormBound:
     After a random sign flip and the orthogonal Walsh-Hadamard transform, the
     largest row norm of an n x k orthonormal-column matrix exceeds this value
     with probability at most 1/beta, a vacuous guarantee when beta <= 1.
-    n and k must be whole numbers with 1 <= k <= n.
+    n and k must be whole numbers with 1 <= k <= n, and none of n, k and
+    beta a bool.
     """
-    _refuse_bools(n=n, k=k)
+    _refuse_bools(n=n, k=k, beta=beta)
     if not (1 <= k <= n < math.inf and k % 1 == 0 and n % 1 == 0):
         raise ValueError(f"need finite n >= 1 and whole numbers 1 <= k <= n, got n={n}, k={k}")
     if not (math.isfinite(beta) and beta * n > 1.0):

@@ -12,8 +12,9 @@ its runner's signature when the parser is built: one flag per keyword the
 runner takes (``_FLAGS``), ``--exhaustive`` where it has a ``mode``, and
 ``--seed``, ``--format`` and ``--output``.  ``experiment all`` takes only
 those three.  So argparse itself refuses a flag the runner does not take,
-or a prefix of any flag, and ``srhtlab experiment <name> --help`` lists
-that runner's flags.  The parser is built once per process.
+or a prefix of any flag, under the experiment's own usage line, and
+``srhtlab experiment <name> --help`` lists that runner's flags.  The parser
+is built once per process.
 """
 
 import argparse
@@ -58,6 +59,18 @@ _FLAGS = {
 _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
 
+class _ExperimentParser(argparse.ArgumentParser):
+    """An experiment's parser, which refuses an argument it does not take
+    itself: a subparser would hand it to the top-level parser, whose error
+    shows the top-level usage line instead of the experiment's."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="srhtlab",
@@ -92,7 +105,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run a validation experiment; a flag left out takes the runner's default",
     )
     experiments = p_exp.add_subparsers(
-        dest="experiment_name", required=True, help="'all' runs every experiment at its defaults"
+        dest="experiment_name",
+        required=True,
+        help="'all' runs every experiment at its defaults",
+        parser_class=_ExperimentParser,
     )
     for name, runner_name in RUNNERS.items():
         # a prefix of a flag is not taken for it, so a new flag cannot change

@@ -3,8 +3,10 @@
 Each runner draws its randomness from substreams keyed as
 (master_seed, domain, stream, index), domain 0 for fixtures (test
 matrices) and domain 1 for per-trial draws, so reruns and any trial
-ordering produce identical numbers.  Exhaustive runs enumerate subsets in
-lexicographic order and are seed-independent except for the fixture matrix.
+ordering produce identical numbers.  Exhaustive runs enumerate row lists in
+lexicographic order (the ell-subsets, and every ell-sequence on the
+with-replacement side of mgf) and are seed-independent except for the
+fixture matrix.
 
 Every bound check (embedding, row norms, both Chernoff tails) passes by
 one one-sided rule, ``_one_sided_summary``: over every subset
@@ -21,19 +23,19 @@ standard errors of the two means by Monte Carlo.
 Every runner except the row-norm one computes its trials in blocks.  One
 loop cuts the trials into blocks of about ``_BLOCK_BYTES`` (256 KiB) of
 working array each, whatever the trial count, up to ``EXHAUSTIVE_CAP``
-subsets, and fills one row of a per-trial spectrum array per trial.  Every
+row lists, and fills one row of a per-trial spectrum array per trial.  Every
 trial still draws from its own substream, and each block's draws are one
 call of the ``srht`` sampler: embedding and coupon draw a block of
 operators with one ``draw_stack`` call and sketch it with one
-``sketch_stack`` call.  Chernoff and both sides of mgf turn a block of
-ell-row lists into one Gram stack and one eigensolve; Monte Carlo draws a
-block of subsets with one ``sample_without_replacement`` call, and a block
-of with-replacement lists with one ``draw_integers`` call.  The
-with-replacement side of mgf lists a row once per draw, so a repeated row
-counts twice with no weight.  The block size never changes a count: each
-trial's arithmetic is the one it would get alone, except that extremes may
-move by a few ulp where the transform's matrix products run at a different
-width.
+``sketch_stack`` call.  Chernoff and both sides of mgf get their ell-row
+lists from one helper, ``_row_list_spectra``, which turns a block of them
+into one Gram stack and one eigensolve; Monte Carlo draws a block of
+subsets with one ``sample_without_replacement`` call, and a block of
+with-replacement lists with one ``draw_integers`` call.  A with-replacement
+list holds a row once per draw, so a repeated row counts twice.  The block
+size never changes a count: each trial's arithmetic is the one it would get
+alone, except that extremes may move by a few ulp where the transform's
+matrix products run at a different width.
 
 The row-norm runner is the one that goes trial by trial: one of its trials
 is over the block budget (512 KiB at the headline shape), and a stacked
@@ -384,26 +386,32 @@ def _sampled_gram_eigenvalues(w, rows):
     return symmetric_eigenvalues(gram(w[np.asarray(rows, dtype=np.int64), :]))
 
 
-def _gram_spectra(w, ell, count, items, rows=None):
-    """``count`` x k stack of descending Gram spectra of ``w``, one per item
-    of ``items``, with one stacked eigensolve per block.  An item is an
-    ell-row list or, when ``rows`` is given, a seed: ``rows`` turns a block of
-    seeds into their B x ell row lists."""
-    return _fill_blocks(
-        items, count, w.shape[1], ell * w.shape[1] * 8,
-        lambda block: _sampled_gram_eigenvalues(w, block if rows is None else rows(block)),
-    )
-
-
-def _subsets(n, ell, mode, count, seed):
-    """The ell-subsets a run samples without replacement, as ``_gram_spectra``
-    takes them (items, rows): every one in lexicographic order (exhaustive),
-    or ``count`` draws, draw i from substream (seed, 1, 0, i), a block at a
-    time (Monte Carlo)."""
+def _row_list_spectra(w, ell, mode, trials, seed, replace=False):
+    """Stack of descending Gram spectra of ``w``, one per ell-row list, with
+    one stacked eigensolve per block of lists.  Exhaustive mode takes every
+    list in lexicographic order: the ell-subsets of range(n), or with
+    ``replace`` all n^ell sequences.  Monte Carlo takes ``trials`` lists,
+    list i drawn from substream (seed, 1, 0, i) without replacement or
+    (seed, 1, 1, i) with it, one draw per block."""
+    n, k = w.shape
     if mode == "exhaustive":
-        return itertools.combinations(range(n), ell), None
-    keys = ((seed, 1, 0, i) for i in range(count))
-    return keys, lambda block: sample_without_replacement(n, ell, block)
+        if replace:
+            items, count = itertools.product(range(n), repeat=ell), n**ell
+        else:
+            items, count = itertools.combinations(range(n), ell), math.comb(n, ell)
+    else:
+        items, count = ((seed, 1, int(replace), i) for i in range(trials)), trials
+
+    def rows(block):
+        if mode == "exhaustive":
+            return block
+        if replace:
+            return draw_integers(block, np.full(ell, n))
+        return sample_without_replacement(n, ell, block)
+
+    return _fill_blocks(
+        items, count, k, ell * k * 8, lambda block: _sampled_gram_eigenvalues(w, rows(block))
+    )
 
 
 def _check_grid(name, grid):
@@ -431,9 +439,9 @@ def run_chernoff_validation(
     Carlo.  Every tail is evaluated before any subset, so a deviation outside
     a tail's domain is a ValueError at once.  Extremes hold the observed
     extreme singular values (square roots of the extreme Gram eigenvalues).
-    Both modes feed their subsets, enumerated or drawn one substream each,
-    through the same loop, one stacked eigensolve per block.  An empty grid
-    is a ValueError.
+    Both modes get their subsets, enumerated or drawn one substream each,
+    from ``_row_list_spectra``, one stacked eigensolve per block.  An empty
+    grid is a ValueError.
     """
     _check_grid("deviation_grid", deviation_grid)
     start = time.perf_counter()
@@ -444,7 +452,7 @@ def run_chernoff_validation(
     mu = ell / n
     params = [ChernoffParams(k, b_max, mu, mu, d) for d in deviation_grid]
     tails = [(chernoff_lower_tail(p), chernoff_upper_tail(p)) for p in params]
-    eig = _gram_spectra(w, ell, plan_trials, *_subsets(n, ell, mode, plan_trials, seed))
+    eig = _row_list_spectra(w, ell, mode, trials, seed)
     lam_min, lam_max = eig[:, -1], eig[:, 0]
     lows, highs = np.sqrt(np.clip(lam_min, 0.0, None)), np.sqrt(lam_max)
     elapsed = time.perf_counter() - start
@@ -470,14 +478,14 @@ def run_mgf_domination(
     replacement vs with replacement.
 
     For the same rank-one family as the Chernoff validation, computes
-    E tr exp(theta * sum X_j) under both sampling models.  Exhaustive mode
-    averages over all ell-subsets and, for the with-replacement side, over
-    the sorted multisets, weighted by their multinomial counts (reduced from
-    the n^ell sequences by exchangeability).  Monte Carlo mode draws subset i
-    as the Chernoff runner does and sequence i, ell draws of range n, from
-    substream (seed, 1, 1, i).
-    Both sides, in both modes, are ell-row lists (repeats included on the
-    with-replacement side) fed through the Chernoff runner's block loop.
+    E tr exp(theta * sum X_j) under both sampling models, each side the
+    plain mean over its ell-row lists.  Exhaustive mode takes every
+    ell-subset and every one of the n^ell ordered sequences (at most
+    ``EXHAUSTIVE_CAP``).  Monte Carlo mode draws subset i as the Chernoff
+    runner does and sequence i, ell draws of range n, from substream
+    (seed, 1, 1, i).  Both sides, in both modes, go through the Chernoff
+    runner's ``_row_list_spectra``, repeats included on the with-replacement
+    side.
     One summary per theta with empirical = without/with ratio against the
     domination threshold 1; extremes hold (without, with).  Exhaustive passes
     need without <= with up to 1e-10 relative; Monte Carlo replaces that with
@@ -498,27 +506,8 @@ def run_mgf_domination(
     plan = TrialPlan(n=n, k=k, ell=ell, trials=plan_trials, seed=seed, mode=mode)
     w = random_orthonormal(n, k, (seed, 0, 0, 0))
 
-    without_eigs = _gram_spectra(w, ell, plan_trials, *_subsets(n, ell, mode, plan_trials, seed))
-    if mode == "exhaustive":
-        log_seq = ell * math.log(n)
-        with_weights = []
-        for multiset in itertools.combinations_with_replacement(range(n), ell):
-            log_weight = math.lgamma(ell + 1) - log_seq
-            for _, run in itertools.groupby(multiset):
-                log_weight -= math.lgamma(len(list(run)) + 1)
-            with_weights.append(math.exp(log_weight))
-        total = math.fsum(with_weights)
-        if abs(total - 1.0) > 1e-12:
-            raise RuntimeError(f"multinomial weights sum to {total}, expected 1")
-        with_weights = np.array(with_weights)
-        with_side = itertools.combinations_with_replacement(range(n), ell), None
-    else:
-        with_weights = np.full(trials, 1.0 / trials)
-        with_side = (
-            ((seed, 1, 1, i) for i in range(trials)),
-            lambda block: draw_integers(block, np.full(ell, n)),
-        )
-    with_eigs = _gram_spectra(w, ell, len(with_weights), *with_side)
+    without_eigs = _row_list_spectra(w, ell, mode, trials, seed)
+    with_eigs = _row_list_spectra(w, ell, mode, trials, seed, replace=True)
     elapsed = time.perf_counter() - start
 
     summaries = []
@@ -530,7 +519,7 @@ def run_mgf_domination(
             wo_values = np.exp(theta * without_eigs).sum(axis=1)
             wi_values = np.exp(theta * with_eigs).sum(axis=1)
             without = float(np.mean(wo_values))
-            with_repl = float(with_weights @ wi_values)
+            with_repl = float(np.mean(wi_values))
             if mode == "exhaustive":
                 limit = with_repl * (1.0 + 1e-10)
             else:

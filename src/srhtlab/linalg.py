@@ -103,12 +103,12 @@ def symmetric_eigenvalues(s) -> np.ndarray:
     """All eigenvalues of a symmetric matrix, sorted descending.
 
     LAPACK's symmetric eigensolver on the symmetrized input.  Matrices may be
-    stacked along a leading axis.  Raises ValueError on a non-finite entry
-    and on a visibly non-symmetric input.
+    stacked along a leading axis.  Raises ValueError on a 0 x 0 matrix, on a
+    non-finite entry and on a visibly non-symmetric input.
     """
     a = np.asarray(s, dtype=np.float64)
-    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
-        raise ValueError(f"expected square matrices, got shape {a.shape}")
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2] or a.shape[-1] == 0:
+        raise ValueError(f"expected square matrices of at least 1 x 1, got shape {a.shape}")
     at = np.swapaxes(a, -1, -2)
     # one temporary the size of the input, reused, so a long stack does not
     # cost three copies of itself

@@ -43,6 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import _refuse_bools
 from .wht import fwht_inplace, hadamard_matrix, hadamard_size
 
 __all__ = [
@@ -76,8 +77,12 @@ def derived_rng(seed, *path) -> "np.random.Generator":
 def _entropy(seed) -> tuple:
     """``seed``, an int or a tuple or list of ints, as a tuple of non-negative
     Python ints: a non-integer entry is a TypeError, a negative one a
-    ValueError, as in ``SeedSequence``."""
-    entropy = tuple(map(operator.index, seed if isinstance(seed, (tuple, list)) else (seed,)))
+    ValueError, as in ``SeedSequence``.  A bool entry is a TypeError too,
+    checked before ``operator.index`` would take it as 0 or 1."""
+    entries = seed if isinstance(seed, (tuple, list)) else (seed,)
+    if bool in map(type, entries):
+        raise TypeError(f"seed entries must be integers, not bools, got {seed!r}")
+    entropy = tuple(map(operator.index, entries))
     if entropy and min(entropy) < 0:
         raise ValueError(f"seed entries must be non-negative, got {seed!r}")
     return entropy
@@ -310,7 +315,9 @@ def sample_without_replacement(n: int, ell: int, seeds) -> np.ndarray:
 
 
 def _sample_size(n, ell) -> tuple:
-    """(n, ell) as ints with 1 <= ell <= n; a non-integer is a TypeError."""
+    """(n, ell) as ints with 1 <= ell <= n; a non-integer or bool is a
+    TypeError."""
+    _refuse_bools(n=n, ell=ell)
     n, ell = operator.index(n), operator.index(ell)
     if not 1 <= ell <= n:
         raise ValueError(f"need 1 <= ell <= n, got ell={ell}, n={n}")

@@ -20,6 +20,8 @@ import operator
 
 import numpy as np
 
+from .bounds import _refuse_bools
+
 __all__ = [
     "fwht",
     "fwht_inplace",
@@ -35,7 +37,9 @@ def is_power_of_two(n: int) -> bool:
 
 
 def hadamard_size(n) -> int:
-    """``n`` as an int, when it is an integer and a positive power of two."""
+    """``n`` as an int, when it is an integer and a positive power of two.
+    A bool is a TypeError."""
+    _refuse_bools(n=n)
     if not isinstance(n, (int, np.integer)) or not is_power_of_two(n):
         raise ValueError(f"n must be a positive power of two, got {n!r}")
     return int(n)
@@ -126,9 +130,10 @@ def hadamard_entry(i: int, j: int, n: int) -> float:
     """Entry (i, j) of the orthogonal n x n Walsh-Hadamard matrix.
 
     Sylvester ordering: n**-0.5 * (-1)**popcount(i & j).  Every entry has
-    magnitude exactly n**-0.5.  A non-integer index is a TypeError.
+    magnitude exactly n**-0.5.  A non-integer or bool index is a TypeError.
     """
     n = hadamard_size(n)
+    _refuse_bools(i=i, j=j)
     i, j = operator.index(i), operator.index(j)
     if not (0 <= i < n and 0 <= j < n):
         raise IndexError(f"indices ({i}, {j}) out of range for n={n}")

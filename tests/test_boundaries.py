@@ -1,0 +1,45 @@
+"""Bad inputs at the public entry points: each is refused with the package's
+own ValueError or TypeError, with no other exception or warning (the test
+configuration turns warnings into errors)."""
+
+import numpy as np
+import pytest
+
+import srhtlab
+
+# operator.index(True) is 1, so a bool has to be refused before an integer
+# is taken from it.
+BAD_INPUTS = {
+    "hadamard_entry-bool-n": (lambda: srhtlab.hadamard_entry(0, 0, True), TypeError, "not a bool"),
+    "hadamard_entry-bool-index": (
+        lambda: srhtlab.hadamard_entry(True, 1, 2), TypeError, "not a bool"
+    ),
+    "draw_srht-bool-n": (lambda: srhtlab.draw_srht(True, 1, 0), TypeError, "not a bool"),
+    "draw_srht-bool-seed": (lambda: srhtlab.draw_srht(4, 2, True), TypeError, "not bools"),
+    "draw_srht-bool-seed-entry": (
+        lambda: srhtlab.draw_srht(4, 2, (0, 1, False, 3)), TypeError, "not bools"
+    ),
+    "sample_without_replacement-bool-n": (
+        lambda: srhtlab.sample_without_replacement(True, 1, [0]), TypeError, "not a bool"
+    ),
+    "sample_without_replacement-bool-ell": (
+        lambda: srhtlab.sample_without_replacement(4, True, [0]), TypeError, "not a bool"
+    ),
+    "row_norm_bound-bool-beta": (
+        lambda: srhtlab.row_norm_bound(4096, 16, True), TypeError, "not a bool"
+    ),
+    "symmetric_eigenvalues-0x0": (
+        lambda: srhtlab.symmetric_eigenvalues(np.zeros((0, 0))), ValueError, "at least 1 x 1"
+    ),
+    "symmetric_eigenvalues-stack-of-0x0": (
+        lambda: srhtlab.symmetric_eigenvalues(np.zeros((3, 0, 0))), ValueError, "at least 1 x 1"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_is_refused(case):
+    call, error, message = BAD_INPUTS[case]
+    with pytest.raises(error, match=message) as caught:
+        call()
+    assert type(caught.value) is error

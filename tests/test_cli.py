@@ -360,8 +360,11 @@ def test_rownorm_dimensions_are_checked_at_the_boundary(capsys, n, k, message):
     ],
 )
 def test_flag_the_runner_does_not_take_is_usage_error(capsys, argv):
-    code, _, err = run_cli(capsys, "experiment", *argv)
+    code, out, err = run_cli(capsys, "experiment", *argv)
     assert code == 2
+    assert out == ""
+    # the experiment's own usage line, not the top-level one
+    assert err.startswith(f"usage: srhtlab experiment {argv[0]} ")
     assert f"unrecognized arguments: {argv[1]}" in err
 
 

@@ -433,9 +433,12 @@ def test_mgf_theta_zero_gives_dimension():
 
 
 def test_mgf_single_draw_models_coincide():
+    # at ell = 1 both sides list the same n one-row lists in the same blocks,
+    # so the two means are the same float and the ratio is exactly 1
     out = run_mgf_domination(6, 2, 1, [0.7, 1.3], seed=15, mode="exhaustive")
     for s in out:
-        assert s.extreme_sigma_min == pytest.approx(s.extreme_sigma_max, rel=1e-12)
+        assert s.extreme_sigma_min == s.extreme_sigma_max
+        assert s.empirical_frequency == 1.0
         assert s.passed
 
 
@@ -448,8 +451,8 @@ def test_mgf_exhaustive_domination_holds():
 
 
 def test_mgf_with_replacement_matches_sequence_enumeration():
-    # the multiset-weighted average must equal brute force over all n^ell
-    # ordered sequences
+    # the with-replacement mean must equal a brute force over all n^ell
+    # ordered sequences, summed as outer products and solved by numpy
     import itertools
 
     from srhtlab.linalg import random_orthonormal
@@ -463,6 +466,34 @@ def test_mgf_with_replacement_matches_sequence_enumeration():
         values.append(np.sum(np.exp(theta * np.linalg.eigvalsh(y))))
     brute = float(np.mean(values))
     assert out[0].extreme_sigma_max == pytest.approx(brute, rel=1e-12)
+
+
+def _multiset_weighted_mean(w, ell, theta):
+    """E tr exp(theta * Y) for Y the Gram of ell rows of ``w`` drawn with
+    replacement, averaged over the sorted multisets of rows, each weighted by
+    its multinomial count ell! / prod(m_i!) of the n^ell sequences."""
+    n = w.shape[0]
+    total = 0.0
+    for multiset in itertools.combinations_with_replacement(range(n), ell):
+        count = math.factorial(ell)
+        for _, run in itertools.groupby(multiset):
+            count //= math.factorial(len(list(run)))
+        rows = w[list(multiset)]
+        total += count * float(np.sum(np.exp(theta * np.linalg.eigvalsh(rows.T @ rows))))
+    return total / n**ell
+
+
+@pytest.mark.parametrize("n, k, ell", [(8, 2, 3), (6, 3, 2), (4, 2, 3)])
+def test_mgf_with_replacement_mean_equals_the_weighted_multisets(n, k, ell):
+    # an oracle that reaches the same mean through exchangeability: one
+    # term per multiset instead of one per sequence
+    from srhtlab.linalg import random_orthonormal
+
+    thetas, seed = [0.5, 1.3, 2.0], 27
+    out = run_mgf_domination(n, k, ell, thetas, seed=seed, mode="exhaustive")
+    w = random_orthonormal(n, k, (seed, 0, 0, 0))
+    for s, theta in zip(out, thetas):
+        assert abs(s.extreme_sigma_max - _multiset_weighted_mean(w, ell, theta)) <= 1e-12
 
 
 def test_mgf_monte_carlo_mode():
@@ -617,7 +648,12 @@ def test_json_records_roundtrip():
 # literals in GOLDEN_MGF.  The Chernoff, mgf and seed-0 embedding hashes were
 # re-recorded when the fixture basis moved from Householder QR to CholeskyQR2;
 # the records they replaced are pinned as literals in
-# GOLDEN_HOUSEHOLDER_RECORDS.
+# GOLDEN_HOUSEHOLDER_RECORDS.  The mgf hashes were re-recorded again when
+# both sides became a plain mean over their row lists, the exhaustive
+# with-replacement side every ell-sequence instead of the sorted multisets
+# weighted by their multinomial counts: the means moved by about 1e-14 and
+# every passed flag held.  The hashes they replaced are
+# GOLDEN_MGF_MULTISET_SHA256.
 GOLDEN_RUNS = {
     "embedding_256x8": lambda seed: [
         run_embedding_trials(256, 8, ell=64, trials=300, seed=seed)
@@ -662,6 +698,17 @@ GOLDEN_SUMMARY_SHA256 = {
         "9aca153b4af13e5ac3de6bd7248a40650e46b585f780daf007991c07aea4f429",
     ("rownorm_64x64", 12345):
         "e54baf75e40a47b55490996ef3dcef75bef3d4e0d7c0558850be080e31aeaf4b",
+    ("mgf_exhaustive", 0):
+        "f775c7fdb1f38a1dbdbf3c2b16b0ee665b033d0f0b8c48466e77422484b7ab6f",
+    ("mgf_exhaustive", 12345):
+        "3c2afb17aa65e978b413d5fc54fbee50455c33145dd93e344ecfd187c7170fd4",
+    ("mgf_monte_carlo", 0):
+        "c89b96ddc000ef2a669719876d55361303d86fbcd0bf5bf388771da09f3b3743",
+    ("mgf_monte_carlo", 12345):
+        "4d1bf1b6d428c6ae81b88b55768a93ed416a625ec3f32dc785feda9539472564",
+}
+
+GOLDEN_MGF_MULTISET_SHA256 = {
     ("mgf_exhaustive", 0):
         "ebd063178cb6c5119673584b45c9d8b186ba439d105283bbed1f7146a05de84f",
     ("mgf_exhaustive", 12345):
@@ -1067,8 +1114,8 @@ def test_stacked_chernoff_eigenvalues_equal_each_subset_alone(mode, shape, block
 )
 @settings(max_examples=30)
 def test_stacked_mgf_eigenvalues_equal_each_row_list_alone(mode, shape, block, trials, seed):
-    # the with-replacement side lists a row once per draw: sorted multisets
-    # in enumeration order, or the raw draws of substream (seed, 1, 1, i)
+    # the with-replacement side lists a row once per draw: every ell-sequence
+    # in lexicographic order, or the raw draws of substream (seed, 1, 1, i)
     from srhtlab.linalg import random_orthonormal
 
     n, k, ell = shape
@@ -1077,7 +1124,7 @@ def test_stacked_mgf_eigenvalues_equal_each_row_list_alone(mode, shape, block, t
         n, k, ell, [0.5], seed=seed, mode=mode, trials=trials,
     )
     if mode == "exhaustive":
-        with_lists = [list(m) for m in itertools.combinations_with_replacement(range(n), ell)]
+        with_lists = [list(m) for m in itertools.product(range(n), repeat=ell)]
     else:
         with_lists = [list(oracle.with_replacement(n, ell, (seed, 1, 1, i)))
                       for i in range(trials)]
