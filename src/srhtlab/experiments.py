@@ -40,13 +40,19 @@ matrix products run at a different width.
 The row-norm runner is the one that goes trial by trial: one of its trials
 is over the block budget (512 KiB at the headline shape), and a stacked
 transform was measured slower there, its array falling out of cache.  Only
-its signs are drawn a block of trials at a time, one ``rademacher_signs``
-call per ``_BLOCK_BYTES`` of signs.  It never forms its basis.  Each trial
-draws its Gaussian and its signs from the same substreams a
-``random_orthonormal`` basis would use, and runs that function's
-CholeskyQR2 routine, ``linalg._cholesky_qr2``, around the in-place
-transform: the first pass's Gram is taken before the transform, and the
-routine's orthonormality check runs on the transformed matrix.
+its draws are made a block of trials at a time, per ``_BLOCK_BYTES`` of
+signs: one ``rademacher_signs`` call for the signs, and one
+``srht._pcg64_states`` call for the seeded states of the fixture streams.
+One PCG64 generator and one n x k buffer serve the whole run: each trial
+sets the generator to its state and draws its Gaussian into the buffer, bit
+for bit the matrix its own ``derived_rng`` would give, with no generator
+built per trial.  It never forms its basis.  Each trial draws its Gaussian
+and its signs from the same substreams a ``random_orthonormal`` basis would
+use, and runs that function's CholeskyQR2 routine, ``linalg._cholesky_qr2``,
+around the in-place transform: the first pass's Gram is taken before the
+transform, and the routine's orthonormality check runs on the transformed
+matrix.  The squared row norms are one ``einsum`` pass, with no n x k
+temporary.
 
 Each runner's keyword defaults are its headline configuration, the one the
 acceptance suite checks; called with only a seed, it runs that configuration.
@@ -63,6 +69,7 @@ import numpy as np
 
 from .bounds import (
     ChernoffParams,
+    _refuse_bools,
     chernoff_lower_tail,
     chernoff_upper_tail,
     coupon_coverage_probability,
@@ -79,7 +86,8 @@ from .linalg import (
     symmetric_eigenvalues,
 )
 from .srht import (
-    derived_rng,
+    _pcg64_states,
+    _seek,
     draw_integers,
     draw_stack,
     rademacher_signs,
@@ -120,9 +128,9 @@ class TrialPlan:
 
     Dimensions that do not apply to a given experiment are recorded as 0.
     In exhaustive mode ``trials`` is the number of enumerated subsets.
-    ``trials`` and ``seed`` are integers (a float or bool trial count is a
-    TypeError) and a negative seed is a ValueError, so a bad plan is refused
-    before anything is drawn.
+    ``trials`` and ``seed`` are integers (a float or bool trial count, or a
+    bool seed, is a TypeError) and a negative seed is a ValueError, so a bad
+    plan is refused before anything is drawn.
     """
 
     n: int
@@ -137,8 +145,7 @@ class TrialPlan:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.mode == "exhaustive" and not 1 <= self.ell <= self.n:
             raise ValueError(f"need 1 <= ell <= n, got ell={self.ell}, n={self.n}")
-        if isinstance(self.trials, bool):
-            raise TypeError(f"trials must be an integer, got {self.trials!r}")
+        _refuse_bools(trials=self.trials, seed=self.seed)
         if operator.index(self.seed) < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if operator.index(self.trials) < 1:
@@ -300,6 +307,9 @@ def run_row_norm_trials(n=4096, k=16, beta=None, trials=2000, seed=0):
     and signs D from (seed, 1, 0, i), and records the largest row norm of
     H D V, where V = G R^-1 is G's orthonormal factor (R with positive
     diagonal: the basis ``random_orthonormal`` returns).  V is not formed.
+    G is drawn into one buffer per run, from one PCG64 generator set to each
+    trial's seeded state; the states, like the signs, come a block of trials
+    at a time.  G is bit for bit ``derived_rng(seed, 0, 0, i)``'s.
     Two passes of Cholesky QR (CholeskyQR2, ``linalg._cholesky_qr2``) run
     around the in-place transform: R_1 from the Gram of G, W_1 = H D G
     R_1^-1, R_2 from the Gram of W_1, and W = W_1 R_2^-1.  H D is
@@ -308,10 +318,11 @@ def run_row_norm_trials(n=4096, k=16, beta=None, trials=2000, seed=0):
     inputs visibly non-orthonormal.
     The exceedance frequency of the analytic level is compared against
     1/beta (``beta`` defaults to k).  Extremes hold the (min, max) observed
-    max row norm.  Column orthonormality of the transformed matrix is
-    verified every trial.  At k = 1 a trial flattens one unit vector
-    x = G / |G| and records max_i |(H D x)_i|, the single-vector check; a
-    beta <= 1, the default at k = 1, makes its bound 1/beta >= 1 vacuous.
+    max row norm, each row's squared norm summed in one ``einsum`` pass.
+    Column orthonormality of the transformed matrix is verified every trial.
+    At k = 1 a trial flattens one unit vector x = G / |G| and records
+    max_i |(H D x)_i|, the single-vector check; a beta <= 1, the default at
+    k = 1, makes its bound 1/beta >= 1 vacuous.
     """
     start = time.perf_counter()
     hadamard_size(n)
@@ -320,16 +331,21 @@ def run_row_norm_trials(n=4096, k=16, beta=None, trials=2000, seed=0):
     level = row_norm_bound(n, k, float(k) if beta is None else beta)
     plan = TrialPlan(n=n, k=k, ell=0, trials=trials, seed=seed)
     norms = np.empty(trials)
+    bitgen = np.random.PCG64(0)
+    normals = np.random.Generator(bitgen)
+    g = np.empty((n, k))
     size = max(1, _BLOCK_BYTES // (8 * n))
     for first in range(0, trials, size):
         block = range(first, min(first + size, trials))
         signs = rademacher_signs(n, [(seed, 1, 0, i) for i in block])
-        for i, trial_signs in zip(block, signs):
-            g = derived_rng(seed, 0, 0, i).standard_normal((n, k))
+        states = _pcg64_states([(seed, 0, 0, i) for i in block])
+        for i, state, trial_signs in zip(block, states, signs):
+            _seek(bitgen, state)
+            normals.standard_normal(out=g)
             gram1 = gram(g)
             g *= trial_signs[:, None]
             w = _cholesky_qr2(fwht_inplace(g), gram1)
-            norms[i] = np.sqrt(np.max(np.sum(w * w, axis=1)))
+            norms[i] = np.sqrt(np.max(np.einsum("ij,ij->i", w, w)))
     return _one_sided_summary(
         "rownorm", plan, norms >= level.value, level.exceedance_probability, norms, norms,
         time.perf_counter() - start,

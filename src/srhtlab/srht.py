@@ -33,9 +33,13 @@ PCG64 states in one vectorised pass over uint32 lanes; one ``PCG64`` is
 then set to each row's state and its raw words read with ``random_raw``.
 Row b is, bit for bit, the draw that ``Generator.integers`` calls would
 make from ``derived_rng(seeds[b])``: n sign draws of range 2, then the ell
-sampling offsets of ranges n, n-1, ..., n-ell+1.  ``derived_rng``, a numpy
-``Generator``, is kept for the fixture draws (Gaussian matrices), whose
-bits depend on the numpy version.
+sampling offsets of ranges n, n-1, ..., n-ell+1.  The fixture draws
+(Gaussian matrices), whose bits depend on the numpy version, still come
+from ``Generator.standard_normal``: ``derived_rng`` makes a ``Generator``
+for one seed (``random_orthonormal``), and the row-norm runner sets one
+``PCG64`` to each trial's ``_pcg64_states`` state with ``_seek`` and draws
+through one ``Generator`` on it, bit for bit what ``derived_rng`` would
+draw.
 """
 
 import operator
@@ -289,7 +293,8 @@ def _lemire_row(bitgen, state, highs) -> list:
 
 def rademacher_signs(n: int, seeds) -> np.ndarray:
     """B x n independent +-1.0 entries, row b from the stream of
-    ``seeds[b]``: n draws of range 2."""
+    ``seeds[b]``: n draws of range 2.  A bool n is a TypeError."""
+    _refuse_bools(n=n)
     return _signs(draw_integers(seeds, np.full(operator.index(n), 2)))
 
 

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 import srhtlab
+from srhtlab.experiments import TrialPlan
+from srhtlab.srht import rademacher_signs
 
 # operator.index(True) is 1, so a bool has to be refused before an integer
 # is taken from it.
@@ -24,6 +26,10 @@ BAD_INPUTS = {
     ),
     "sample_without_replacement-bool-ell": (
         lambda: srhtlab.sample_without_replacement(4, True, [0]), TypeError, "not a bool"
+    ),
+    "rademacher_signs-bool-n": (lambda: rademacher_signs(True, [0]), TypeError, "not a bool"),
+    "TrialPlan-bool-seed": (
+        lambda: TrialPlan(8, 2, 3, trials=5, seed=True), TypeError, "not a bool"
     ),
     "row_norm_bound-bool-beta": (
         lambda: srhtlab.row_norm_bound(4096, 16, True), TypeError, "not a bool"

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import hashlib
 import inspect
@@ -102,11 +103,21 @@ def test_an_empty_grid_is_refused_before_drawing(run):
     ids=["embedding", "rownorm", "rownorm-k1", "coupon", "chernoff", "mgf"],
 )
 def test_a_negative_seed_is_refused_before_drawing(run):
-    with mock.patch.object(exp_mod, "random_orthonormal", side_effect=AssertionError("drew")), \
-            mock.patch.object(exp_mod, "derived_rng", side_effect=AssertionError("drew")), \
-            mock.patch.object(exp_mod, "draw_stack", side_effect=AssertionError("drew")):
+    with _no_draws():
         with pytest.raises(ValueError, match="seed must be non-negative"):
             run(-1)
+
+
+@contextlib.contextmanager
+def _no_draws():
+    """Every first draw of a runner patched to raise: the fixture basis, the
+    row-norm runner's fixture states and signs, and the operator stacks."""
+    with contextlib.ExitStack() as stack:
+        for name in ("random_orthonormal", "_pcg64_states", "rademacher_signs", "draw_stack"):
+            stack.enter_context(
+                mock.patch.object(exp_mod, name, side_effect=AssertionError("drew"))
+            )
+        yield
 
 
 # --- embedding ----------------------------------------------------------------
@@ -196,7 +207,7 @@ def test_rownorm_refuses_a_transformed_basis_past_the_defect_limit(defect):
     ],
 )
 def test_rownorm_rejects_bad_dimensions_before_drawing(n, k, message):
-    with mock.patch.object(exp_mod, "derived_rng", side_effect=AssertionError("drew")):
+    with _no_draws():
         with pytest.raises(ValueError, match=message):
             run_row_norm_trials(n, k, 2.0, trials=2)
 
@@ -653,7 +664,10 @@ def test_json_records_roundtrip():
 # with-replacement side every ell-sequence instead of the sorted multisets
 # weighted by their multinomial counts: the means moved by about 1e-14 and
 # every passed flag held.  The hashes they replaced are
-# GOLDEN_MGF_MULTISET_SHA256.
+# GOLDEN_MGF_MULTISET_SHA256.  The seed-0 rownorm_64x64 hash was re-recorded
+# when a trial's squared row norms moved from np.sum(w * w, axis=1) to one
+# einsum pass: its extreme_sigma_min moved from 1.0 to 1.0000000000000002, one
+# ulp.  The hash it replaced is GOLDEN_ROWNORM_ROW_SUM_SHA256.
 GOLDEN_RUNS = {
     "embedding_256x8": lambda seed: [
         run_embedding_trials(256, 8, ell=64, trials=300, seed=seed)
@@ -695,7 +709,7 @@ GOLDEN_SUMMARY_SHA256 = {
     ("rownorm_256x8", 12345):
         "e78e198a4ab04f2cace8241c1f6b23e88f362c522acce5192332b47d51561482",
     ("rownorm_64x64", 0):
-        "9aca153b4af13e5ac3de6bd7248a40650e46b585f780daf007991c07aea4f429",
+        "4a7dda3aba98af235b64b5bb2a784b4cdb165381760028aa2abaf8c7f968df39",
     ("rownorm_64x64", 12345):
         "e54baf75e40a47b55490996ef3dcef75bef3d4e0d7c0558850be080e31aeaf4b",
     ("mgf_exhaustive", 0):
@@ -717,6 +731,11 @@ GOLDEN_MGF_MULTISET_SHA256 = {
         "7eadcc8421198c37c229f5a4b95d5a16f149b499e1ce0173826835390129e3a3",
     ("mgf_monte_carlo", 12345):
         "78bb77260179ae7d6a715a6a768e63bb85f1ba39215551a4e220a49b3fa268ac",
+}
+
+GOLDEN_ROWNORM_ROW_SUM_SHA256 = {
+    ("rownorm_64x64", 0):
+        "9aca153b4af13e5ac3de6bd7248a40650e46b585f780daf007991c07aea4f429",
 }
 
 
@@ -970,7 +989,8 @@ def test_one_sided_rule_reads_its_slack_from_the_mode(mode, count, passed):
 
 
 class _Recorder:
-    """Wraps a function and keeps each call's arguments and result."""
+    """Wraps a function and keeps each call's arguments and result, an array
+    as a copy: a runner may write its next trial over the same buffer."""
 
     def __init__(self, fn):
         self.fn = fn
@@ -978,8 +998,12 @@ class _Recorder:
 
     def __call__(self, *args):
         result = self.fn(*args)
-        self.calls.append((args, result))
+        self.calls.append((tuple(map(_copied, args)), _copied(result)))
         return result
+
+
+def _copied(value):
+    return value.copy() if isinstance(value, np.ndarray) else value
 
 
 def _trial_counts(block, spare, shape, trial_bytes):
@@ -1182,6 +1206,85 @@ def test_blocked_embedding_equals_one_trial_at_a_time(shape, block, spare, count
     size = embedding_sample_size(k, n)
     violations = (bot < size.sigma_min) | (top > size.sigma_max)
     _check_against_oracle(s, trials, violations, bot, top, block, sketches)
+
+
+def _rownorm_one_trial_at_a_time(n, k, trials, seed):
+    """Fixture Gaussians and largest row norms, one trial at a time: a fresh
+    generator from derived_rng(seed, 0, 0, i), signs from (seed, 1, 0, i),
+    CholeskyQR2 around the in-place transform, and the squared row norms as
+    np.sum(w * w, axis=1)."""
+    from srhtlab.linalg import _cholesky_qr2, gram
+    from srhtlab.srht import derived_rng
+    from srhtlab.wht import fwht_inplace
+
+    gaussians, norms = [], []
+    for i in range(trials):
+        g = derived_rng(seed, 0, 0, i).standard_normal((n, k))
+        gaussians.append(g.copy())
+        gram1 = gram(g)
+        g *= oracle.signs(n, (seed, 1, 0, i))[:, None]
+        w = _cholesky_qr2(fwht_inplace(g), gram1)
+        norms.append(float(np.sqrt(np.max(np.sum(w * w, axis=1)))))
+    return gaussians, norms
+
+
+@given(
+    shape=_rownorm_shapes(),
+    block=st.integers(1, 6),
+    spare=st.floats(0.0, 0.99),
+    count=st.sampled_from(["B-1", "B", "B+1", "2B+3"]),
+    log_beta_n=st.floats(-5.0, 1.6).map(lambda e: 10.0**e),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(shape=(4096, 16), block=8, spare=0.0, count="2B+3", log_beta_n=0.9, seed=0)
+@example(shape=(2, 1), block=3, spare=0.5, count="B+1", log_beta_n=0.02, seed=1)
+@settings(max_examples=30)
+def test_blocked_rownorm_equals_one_trial_at_a_time(shape, block, spare, count, log_beta_n, seed):
+    # the fixture states and the signs are drawn once per block of trials,
+    # each trial's Gaussian is the one derived_rng gives, and the counts and
+    # extremes are the per-trial oracle's
+    from srhtlab.bounds import row_norm_bound
+
+    n, k = shape
+    budget, trials = _trial_counts(block, spare, count, n * 8)
+    beta = math.exp(log_beta_n) / n
+    gaussians = _Recorder(exp_mod.gram)
+    states = _Recorder(exp_mod._pcg64_states)
+    signs = _Recorder(exp_mod.rademacher_signs)
+    with mock.patch.object(exp_mod, "_BLOCK_BYTES", budget), \
+            mock.patch.object(exp_mod, "gram", gaussians), \
+            mock.patch.object(exp_mod, "_pcg64_states", states), \
+            mock.patch.object(exp_mod, "rademacher_signs", signs):
+        s = run_row_norm_trials(n, k, beta, trials=trials, seed=seed)
+    drawn, norms = _rownorm_one_trial_at_a_time(n, k, trials, seed)
+    assert len(gaussians.calls) == trials
+    for ((g,), _), want in zip(gaussians.calls, drawn):
+        assert np.array_equal(g, want)
+    blocks = [range(first, min(first + block, trials)) for first in range(0, trials, block)]
+    assert [args for args, _ in states.calls] == [([(seed, 0, 0, i) for i in b],) for b in blocks]
+    assert [args for args, _ in signs.calls] == [(n, [(seed, 1, 0, i) for i in b]) for b in blocks]
+    level = row_norm_bound(n, k, beta).value
+    assert round(s.empirical_frequency * trials) == sum(m >= level for m in norms)
+    assert abs(s.extreme_sigma_min - min(norms)) <= 1e-15
+    assert abs(s.extreme_sigma_max - max(norms)) <= 1e-15
+
+
+def test_rownorm_memory_is_one_trial_and_a_block_of_signs():
+    # Peak traced allocation of a 20-trial run at the headline shape: the
+    # 512 KiB Gaussian buffer beside either CholeskyQR2's first-pass matrix
+    # (512 KiB) or a block of signs being drawn next to the last block
+    # (256 KiB each, plus the draw's own arrays).  A fresh Gaussian per
+    # trial, or an n x k temporary for the squared row norms, would add
+    # another 512 KiB.
+    n, k, budget = 4096, 16, 256 * 1024
+    run_row_norm_trials(n, k, trials=2)  # first-use allocations out of the way
+    tracemalloc.start()
+    try:
+        run_row_norm_trials(n, k, trials=20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * n * k * 8 + 2 * budget
 
 
 def test_coupon_memory_is_bounded_by_the_block_budget():
