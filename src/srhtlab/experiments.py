@@ -37,6 +37,19 @@ size never changes a count: each trial's arithmetic is the one it would get
 alone, except that extremes may move by a few ulp where the transform's
 matrix products run at a different width.
 
+The embedding runner sketches in float32 when its float64 basis is larger
+than the transform's piece size, ``wht._PIECE_BYTES`` (512 KiB).  The basis
+is cast to float32 once per run, and each trial's sign flip and transform
+run in float32, on half the bytes; the gather, the scaling, the SVD and the
+basis itself stay float64.  Float32 singular values measured within 3e-8 of
+the float64 ones at n = 4096 and 65536 but up to 8e-8 at n = 64, near the
+1e-7 that the tests and the reference comparisons allow, so a smaller basis
+stays float64 and its outputs are unchanged.  Counts stay the float64
+counts: a trial whose float32 sigma_k lies within ``_FLOAT32_MARGIN`` (1e-6)
+of 1/sqrt(6), or whose sigma_1 lies that close to sqrt(13/6), is redrawn
+from its own substream and sketched again from the float64 basis, and its
+float64 spectrum replaces the float32 one.
+
 The row-norm runner is the one that goes trial by trial: one of its trials
 is over the block budget (512 KiB at the headline shape), and a stacked
 transform was measured slower there, its array falling out of cache.  Only
@@ -94,7 +107,7 @@ from .srht import (
     sample_without_replacement,
     sketch_stack,
 )
-from .wht import fwht_inplace, hadamard_size
+from .wht import _PIECE_BYTES, fwht_inplace, hadamard_size
 
 __all__ = [
     "CSV_COLUMNS",
@@ -120,6 +133,11 @@ SCHEMA_VERSION = 1
 # the k=8 coupon benchmark (1000 trials per ell) a 1 MiB block was no faster
 # and raised peak resident memory from 40.6 to 43.0 MB.
 _BLOCK_BYTES = 256 * 1024
+# An embedding trial sketched in float32 is sketched again in float64 when
+# its sigma_k or sigma_1 lies this close to its edge of the window.  Float32
+# singular values measured within 3e-8 of the float64 ones at n = 4096 and
+# 65536 (seeds 0 and 12345); the margin is over 30 times that.
+_FLOAT32_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -277,7 +295,11 @@ def run_embedding_trials(n=65536, k=16, ell=None, trials=200, seed=0):
     violation frequency is 3/k.  If ``ell`` is omitted the explicit-constant
     sample size is used.  Trials are sketched in blocks, one
     ``sketch_stack`` and one stacked SVD per block; the block size never
-    changes a count.
+    changes a count.  A basis above ``wht._PIECE_BYTES`` as float64 is
+    flipped and transformed in float32 (see the module docstring); a trial
+    whose sigma_k or sigma_1 then lies within ``_FLOAT32_MARGIN`` of its
+    window edge is sketched again in float64, so counts equal the float64
+    ones and extremes move by a few 1e-8 at most.
     """
     start = time.perf_counter()
     size = embedding_sample_size(k, n)
@@ -291,7 +313,15 @@ def run_embedding_trials(n=65536, k=16, ell=None, trials=200, seed=0):
         raise ValueError(f"need 1 <= ell <= n, got ell={ell}, n={n}")
     plan = TrialPlan(n=n, k=k, ell=ell, trials=trials, seed=seed)
     basis = random_orthonormal(n, k, (seed, 0, 0, 0))
-    spectra = _sketch_spectra(basis, ell, 0, trials, seed, singular_values)
+    sketched = basis if basis.nbytes <= _PIECE_BYTES else basis.astype(np.float32)
+    spectra = _sketch_spectra(sketched, ell, 0, trials, seed, singular_values)
+    if sketched is not basis:
+        near = (np.abs(spectra[:, -1] - size.sigma_min) <= _FLOAT32_MARGIN) | (
+            np.abs(spectra[:, 0] - size.sigma_max) <= _FLOAT32_MARGIN
+        )
+        for i in np.flatnonzero(near):
+            signs, indices = draw_stack(n, ell, [(seed, 1, 0, i)])
+            spectra[i] = singular_values(sketch_stack(signs, indices, basis))[0]
     sigma_top, sigma_bot = spectra[:, 0], spectra[:, -1]
     violations = (sigma_bot < size.sigma_min) | (sigma_top > size.sigma_max)
     return _one_sided_summary(

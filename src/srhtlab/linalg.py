@@ -4,7 +4,10 @@ Matrices are plain row-major float64 numpy arrays.  Spectra come from LAPACK
 through numpy: singular values from the SVD of the matrix itself, symmetric
 eigenvalues from the symmetric eigensolver.  Both sit far inside the 1e-7
 tolerance that the oracle tests and the reference comparisons allow, and
-both refuse a non-finite entry with a ValueError.  Orthonormal bases come
+both refuse a non-finite entry with a ValueError.  The float32 transform of
+a large embedding sketch (see ``experiments``) spends up to 3e-8 of that
+budget before the SVD; a float32 transform at n = 64 measured up to 8e-8,
+which is why small sketches stay float64.  Orthonormal bases come
 from one routine, ``_cholesky_qr2``: two passes of Cholesky QR and one
 orthonormality check, shared by ``random_orthonormal`` and the row-norm
 runner.

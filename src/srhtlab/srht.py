@@ -7,10 +7,13 @@ sorted index set); ``materialize`` builds the dense ell x n matrix as a
 testing oracle.  ``sketch_stack`` applies a stack of B operators, given as
 B x n signs and B x ell indices, to one input (a vector or a matrix) in a
 single transform of an n x B x k array; ``apply_to_matrix`` is its B = 1
-case for an operator.  ``_operator_stack`` holds the operator rules, and
-both ``SrhtOperator`` and ``sketch_stack`` go through it.  The ell-subset
-comes from a partial Fisher-Yates shuffle, ``_fisher_yates``, that keeps
-only the positions it has touched, so a draw costs O(ell), not O(n);
+case for an operator.  The sign flip and the transform follow the input's
+dtype: float32 for a float32 input, float64 for any other.  The gather, the
+sqrt(n/ell) scaling and the result are float64 either way.
+``_operator_stack`` holds the operator rules, and both ``SrhtOperator`` and
+``sketch_stack`` go through it.  The ell-subset comes from a partial
+Fisher-Yates shuffle, ``_fisher_yates``, that keeps only the positions it
+has touched, so a draw costs O(ell), not O(n);
 ``sample_without_replacement`` and the operator draws share it.
 
 ``draw_stack`` draws a block of B operators, one per seed, as the B x n
@@ -439,21 +442,34 @@ def sketch_stack(signs, indices, v) -> np.ndarray:
     ``fwht_inplace`` of an n x B x k array; each operator then gathers its
     rows and scales them by sqrt(n/ell).
 
+    The flip and the transform run in the dtype of ``v`` when it is float32,
+    and in float64 for any other input.  The gathered rows are cast to
+    float64 before the scaling, so the result is float64 either way.  A
+    float32 transform puts each entry within about 1e-7 of its column's norm
+    of the float64 one (times the scale); it is exact when every value is
+    dyadic, as for columns of H at n a power of 16.
+
     Finiteness is checked on the sampled rows, not on the n input rows:
     every output entry of a column is a sum of all that column's inputs with
     nonzero weights +-n**-0.5, so a NaN or inf anywhere in a column makes
-    every output entry of that column non-finite.
+    every output entry of that column non-finite.  So does a float32
+    transform that overflows float32 on finite input.
     """
     signs, indices = _operator_stack(signs, indices)
     (stack, n), ell = signs.shape, indices.shape[1]
-    v = np.asarray(v, dtype=np.float64)
+    v = np.asarray(v)
+    if v.dtype != np.float32:
+        v = np.asarray(v, dtype=np.float64)
     if v.ndim not in (1, 2) or v.shape[0] != n:
         raise ValueError(f"input must be a vector or matrix with {n} rows, got shape {v.shape}")
     cols = v.shape[1] if v.ndim == 2 else 1
-    y = np.multiply(signs.T[:, :, None], v.reshape(n, 1, cols), order="C")
+    # float64 signs would upcast a float32 flip; +-1 is exact in float32
+    signs = signs.T.astype(v.dtype, copy=False)
+    y = np.multiply(signs[:, :, None], v.reshape(n, 1, cols), order="C")
     with np.errstate(invalid="ignore", over="ignore"):
         fwht_inplace(y)
-        out = (n / ell) ** 0.5 * y[indices, np.arange(stack)[:, None]]
+        out = y[indices, np.arange(stack)[:, None]].astype(np.float64, copy=False)
+        out *= (n / ell) ** 0.5
     if not np.isfinite(out).all():
         raise ValueError("input has non-finite entries (or its sketch overflows)")
     return out.reshape(stack, ell, *v.shape[1:])

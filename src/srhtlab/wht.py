@@ -11,7 +11,10 @@ made: first the low stages on each contiguous run of c = 16**j rows that
 fits 512 KiB, then the remaining n/c-point stages across the runs, a slab of
 columns at a time.  Each output is the same product of blocks either way, bit
 for bit.  Every block is already orthonormal, so no final n**-0.5 scaling
-pass is needed.  ``hadamard_entry`` gives the closed-form matrix entry
+pass is needed.  float64 and float32 arrays are accepted, each transformed
+in its own dtype with blocks of that dtype.  A float32 array above 512 KiB
+is cut into the runs and slabs of a float64 one of its shape, in half the
+bytes.  ``hadamard_entry`` gives the closed-form matrix entry
 n**-0.5 * (-1)**popcount(i & j), which serves as the slow testing oracle.
 ``hadamard_size`` is the one check of a transform size n = 2**p.
 """
@@ -48,19 +51,21 @@ def hadamard_size(n) -> int:
 def fwht_inplace(x: np.ndarray) -> np.ndarray:
     """Apply the orthogonal Walsh-Hadamard transform along axis 0, in place.
 
-    ``x`` must be a writeable, C-contiguous float64 array whose leading
-    dimension is a power of two.  Higher-dimensional inputs are transformed
-    column-wise.  Returns ``x`` for convenience.  An array of at most
-    512 KiB, or of at most 16 rows, takes one scratch buffer of its own
-    size.  A larger one takes at most 512 KiB, or 1/128 of its own size if
-    that is more, and up to 16 of its rows when a row is wider than 4096
-    columns.  Results are reproducible for a fixed shape, but a column may
-    differ in the last bit from the same column transformed beside a
-    different number of others: ``np.matmul`` takes a matrix-vector path for
-    one column and a matrix-matrix path for several.
+    ``x`` must be a writeable, C-contiguous float64 or float32 array whose
+    leading dimension is a power of two; it is transformed in its own dtype.
+    A float32 result is within about 1e-7 of each column's norm of the
+    float64 one.  Higher-dimensional inputs are transformed column-wise.
+    Returns ``x`` for convenience.  An array of at most 512 KiB, or of at
+    most 16 rows, takes one scratch buffer of its own size.  A larger one
+    takes at most 512 KiB, or 1/128 of its own size if that is more, and up
+    to 16 of its rows when a row is wider than 4096 columns.  Results are
+    reproducible for a fixed shape, but a column may differ in the last bit
+    from the same column transformed beside a different number of others:
+    ``np.matmul`` takes a matrix-vector path for one column and a
+    matrix-matrix path for several.
     """
-    if not isinstance(x, np.ndarray) or x.dtype != np.float64:
-        raise ValueError("fwht_inplace requires a float64 ndarray")
+    if not isinstance(x, np.ndarray) or x.dtype not in _BLOCKS:
+        raise ValueError("fwht_inplace requires a float64 or float32 ndarray")
     if x.ndim == 0:
         raise ValueError("fwht_inplace requires at least one dimension")
     if not x.flags.c_contiguous:
@@ -72,17 +77,18 @@ def fwht_inplace(x: np.ndarray) -> np.ndarray:
         raise ValueError(f"leading dimension must be a power of two, got {n}")
     m = x.size // n
     a = x.reshape(n, m)
+    blocks = _BLOCKS[x.dtype]
     if x.nbytes <= _PIECE_BYTES or n <= _RADIX:
-        _transform(a, a, np.empty_like(a))
+        _transform(a, a, np.empty_like(a), blocks)
         return x
     # runs of c = 16**j < n rows, at least 16 so that c*m is a multiple of 16
     c = _RADIX
     while _RADIX * c * m * 8 <= _PIECE_BYTES:
         c *= _RADIX
-    scratch = np.empty((c, m))
+    scratch = np.empty((c, m), dtype=x.dtype)
     for i in range(0, n, c):
         run = a[i : i + c]
-        _transform(run, run, scratch)
+        _transform(run, run, scratch, blocks)
     del scratch  # the slab buffers below take its place in the budget
     # The rest is an n/c-point transform of the n/c x c*m view, a slab of
     # columns at a time through two buffers that share the piece budget.
@@ -93,14 +99,14 @@ def fwht_inplace(x: np.ndarray) -> np.ndarray:
     rows, cols = n // c, c * m
     y = x.reshape(rows, cols)
     width = max(_RADIX, _PIECE_BYTES // (2 * rows * 8) // _RADIX * _RADIX)
-    buffers = np.empty((2, rows * min(width, cols)))
+    buffers = np.empty((2, rows * min(width, cols)), dtype=x.dtype)
     for lo in range(0, cols, width):
         slab = y[:, lo : lo + width]
-        _transform(slab, *(b[: slab.size].reshape(slab.shape) for b in buffers))
+        _transform(slab, *(b[: slab.size].reshape(slab.shape) for b in buffers), blocks)
     return x
 
 
-def _transform(a, work, spare):
+def _transform(a, work, spare, blocks):
     """Transform the 2-D array ``a`` along axis 0 in place.
 
     The first stage reads ``a``; the stages write alternately to ``spare``
@@ -113,7 +119,7 @@ def _transform(a, work, spare):
     while h < n:
         r = min(_RADIX, n // h)
         shape = (n // (r * h), r, h * m)
-        np.matmul(_BLOCKS[r], src.reshape(shape), out=dst.reshape(shape))
+        np.matmul(blocks[r], src.reshape(shape), out=dst.reshape(shape))
         src, dst = dst, (work if dst is spare else spare)
         h *= r
     if src is not a:
@@ -170,9 +176,12 @@ def hadamard_matrix(n: int, rows=None) -> np.ndarray:
 _RADIX = 16
 # Arrays above this many bytes are transformed in pieces of about this size.
 _PIECE_BYTES = 512 * 1024
-# Dense orthonormal blocks H_2 .. H_16, built once: rebuilding H_16 on every
-# call costs more than a whole small transform.
-_BLOCKS = {r: hadamard_matrix(r) for r in (2, 4, 8, _RADIX)}
-for _block in _BLOCKS.values():
+# Dense orthonormal blocks H_2 .. H_16 per accepted dtype, built once:
+# rebuilding H_16 on every call costs more than a whole small transform.
+_BLOCKS = {
+    np.dtype(dtype): {r: hadamard_matrix(r).astype(dtype) for r in (2, 4, 8, _RADIX)}
+    for dtype in (np.float64, np.float32)
+}
+for _block in (b for blocks in _BLOCKS.values() for b in blocks.values()):
     _block.setflags(write=False)
 del _block

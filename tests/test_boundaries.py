@@ -7,7 +7,15 @@ import pytest
 
 import srhtlab
 from srhtlab.experiments import TrialPlan
-from srhtlab.srht import rademacher_signs
+from srhtlab.srht import draw_stack, rademacher_signs, sketch_stack
+
+
+def _float32_ones_with(value):
+    """A float32 64 x 2 matrix of ones with ``value`` at (5, 1)."""
+    v = np.ones((64, 2), dtype=np.float32)
+    v[5, 1] = value
+    return v
+
 
 # operator.index(True) is 1, so a bool has to be refused before an integer
 # is taken from it.
@@ -33,6 +41,20 @@ BAD_INPUTS = {
     ),
     "row_norm_bound-bool-beta": (
         lambda: srhtlab.row_norm_bound(4096, 16, True), TypeError, "not a bool"
+    ),
+    "sketch_stack-float32-nan": (
+        lambda: sketch_stack(*draw_stack(64, 8, [0, 1]), _float32_ones_with(np.nan)),
+        ValueError, "non-finite",
+    ),
+    "sketch_stack-float32-inf": (
+        lambda: sketch_stack(*draw_stack(64, 8, [0, 1]), _float32_ones_with(-np.inf)),
+        ValueError, "non-finite",
+    ),
+    # finite in float32, but all +1 signs sum each column into row 0 of the
+    # float32 transform: 8 * 3e38 is past float32's 3.4e38
+    "sketch_stack-float32-overflow": (
+        lambda: sketch_stack(np.ones((1, 64)), [[0]], np.full((64, 2), 3e38, dtype=np.float32)),
+        ValueError, "its sketch overflows",
     ),
     "symmetric_eigenvalues-0x0": (
         lambda: srhtlab.symmetric_eigenvalues(np.zeros((0, 0))), ValueError, "at least 1 x 1"

@@ -1187,25 +1187,100 @@ def _embedding_shapes(draw):
 @example(shape=(64, 16, 16), block=4, spare=0.5, count="B+1", seed=0)
 @settings(max_examples=30)
 def test_blocked_embedding_equals_one_trial_at_a_time(shape, block, spare, count, seed):
-    from srhtlab.bounds import embedding_sample_size
-    from srhtlab.linalg import random_orthonormal, singular_values
-    from srhtlab.srht import apply_to_matrix, draw_srht
-
     n, k, ell = shape
     budget, trials = _trial_counts(block, spare, count, n * k * 8)
     sketches = _Recorder(exp_mod.sketch_stack)
     with mock.patch.object(exp_mod, "_BLOCK_BYTES", budget), \
             mock.patch.object(exp_mod, "sketch_stack", sketches):
         s = run_embedding_trials(n, k, ell=ell, trials=trials, seed=seed)
+    spectra = _embedding_one_trial_at_a_time(n, k, ell, trials, seed)
+    top, bot = spectra[:, 0], spectra[:, -1]
+    violations = _embedding_violations(spectra, exp_mod.embedding_sample_size(k, n))
+    _check_against_oracle(s, trials, violations, bot, top, block, sketches)
+
+
+def _embedding_one_trial_at_a_time(n, k, ell, trials, seed):
+    """trials x k float64 spectra: draw_srht -> apply_to_matrix ->
+    singular_values on the float64 basis, one trial at a time."""
+    from srhtlab.linalg import random_orthonormal, singular_values
+    from srhtlab.srht import apply_to_matrix, draw_srht
+
     basis = random_orthonormal(n, k, (seed, 0, 0, 0))
-    spectra = np.array([
+    return np.array([
         singular_values(apply_to_matrix(draw_srht(n, ell, (seed, 1, 0, i)), basis))
         for i in range(trials)
     ])
-    top, bot = spectra[:, 0], spectra[:, -1]
-    size = embedding_sample_size(k, n)
-    violations = (bot < size.sigma_min) | (top > size.sigma_max)
-    _check_against_oracle(s, trials, violations, bot, top, block, sketches)
+
+
+def _embedding_violations(spectra, size):
+    return (spectra[:, -1] < size.sigma_min) | (spectra[:, 0] > size.sigma_max)
+
+
+def _recorded_embedding(n, k, ell, trials, seed, size=None):
+    """The summary and the recorded ``sketch_stack`` calls of an embedding
+    run, with the sample-size rule's window replaced by ``size`` if given."""
+    sketches = _Recorder(exp_mod.sketch_stack)
+    patch_size = (
+        contextlib.nullcontext() if size is None
+        else mock.patch.object(exp_mod, "embedding_sample_size", lambda k, n: size)
+    )
+    with patch_size, mock.patch.object(exp_mod, "sketch_stack", sketches):
+        s = run_embedding_trials(n, k, ell=ell, trials=trials, seed=seed)
+    return s, sketches.calls
+
+
+@pytest.mark.parametrize("seed", [0, 12345])
+def test_embedding_at_the_piece_size_stays_float64_and_bit_identical(seed):
+    # 4096 x 16 float64 is exactly wht._PIECE_BYTES: not above it
+    n, k, ell, trials = 4096, 16, 700, 4
+    assert n * k * 8 == exp_mod._PIECE_BYTES
+    s, calls = _recorded_embedding(n, k, ell, trials, seed)
+    assert [args[2].dtype for args, _ in calls] == [np.float64] * trials
+    spectra = _embedding_one_trial_at_a_time(n, k, ell, trials, seed)
+    size = exp_mod.embedding_sample_size(k, n)
+    assert s.empirical_frequency * trials == np.count_nonzero(_embedding_violations(spectra, size))
+    assert (s.extreme_sigma_min, s.extreme_sigma_max) == (spectra[:, -1].min(), spectra[:, 0].max())
+
+
+@pytest.mark.parametrize("seed", [0, 12345])
+def test_embedding_above_the_piece_size_sketches_in_float32(seed):
+    n, k, ell, trials = 4096, 17, 700, 4
+    s, calls = _recorded_embedding(n, k, ell, trials, seed)
+    assert [args[2].dtype for args, _ in calls] == [np.float32] * trials
+    spectra = _embedding_one_trial_at_a_time(n, k, ell, trials, seed)
+    size = exp_mod.embedding_sample_size(k, n)
+    assert s.empirical_frequency * trials == np.count_nonzero(_embedding_violations(spectra, size))
+    assert abs(s.extreme_sigma_min - spectra[:, -1].min()) <= 1e-7
+    assert abs(s.extreme_sigma_max - spectra[:, 0].max()) <= 1e-7
+
+
+@pytest.mark.parametrize("edge", ["sigma_min", "sigma_max"])
+@pytest.mark.parametrize("seed", [0, 12345])
+def test_embedding_rechecks_a_near_threshold_trial_in_float64(edge, seed):
+    # The window edge is planted 5e-10 inside the float64 sigma of the trial
+    # with the extreme sigma_k (or sigma_1): the oracle counts it a
+    # violation, and its float32 sigma, about 1e-8 away, may fall either side.
+    import dataclasses
+
+    n, k, ell, trials = 4096, 17, 700, 4
+    spectra = _embedding_one_trial_at_a_time(n, k, ell, trials, seed)
+    side = ("sigma_min", "sigma_max").index(edge)
+    sigmas = spectra[:, -1 + side]  # sigma_k, or sigma_1
+    planted = int((np.argmin, np.argmax)[side](sigmas))
+    size = dataclasses.replace(
+        exp_mod.embedding_sample_size(k, n), **{edge: sigmas[planted] + (5e-10, -5e-10)[side]}
+    )
+    s, calls = _recorded_embedding(n, k, ell, trials, seed, size)
+    rechecks = [args for args, _ in calls if args[2].dtype == np.float64]
+    assert len(rechecks) == 1 and len(calls) == trials + 1
+    signs, indices = exp_mod.draw_stack(n, ell, [(seed, 1, 0, planted)])
+    assert np.array_equal(rechecks[0][0], signs) and np.array_equal(rechecks[0][1], indices)
+    violations = _embedding_violations(spectra, size)
+    assert violations[planted] and s.empirical_frequency * trials == np.count_nonzero(violations)
+    extremes = (s.extreme_sigma_min, s.extreme_sigma_max)
+    oracle_extremes = (spectra[:, -1].min(), spectra[:, 0].max())
+    assert extremes[side] == oracle_extremes[side]
+    assert abs(extremes[1 - side] - oracle_extremes[1 - side]) <= 1e-7
 
 
 def _rownorm_one_trial_at_a_time(n, k, trials, seed):
@@ -1304,8 +1379,9 @@ def test_coupon_memory_is_bounded_by_the_block_budget():
 
 
 def test_embedding_memory_is_the_basis_and_one_sketch_array():
-    # At the headline shape a block is one trial: the 8 MiB basis, its 8 MiB
-    # sign-flipped copy transformed in place, and small pieces beside them.
+    # At the headline shape a block is one trial: the 8 MiB basis, its 4 MiB
+    # float32 copy, its 4 MiB float32 sign-flipped copy transformed in place,
+    # and small pieces beside them.  The basis draw holds two 8 MiB arrays.
     # A full-size transform scratch, or a third array in the basis draw,
     # would add another 8 MiB.
     n, k, ell = 65536, 16, 2342

@@ -26,7 +26,7 @@ from srhtlab.srht import (
     sample_without_replacement,
     sketch_stack,
 )
-from srhtlab.wht import fwht
+from srhtlab.wht import fwht, hadamard_matrix
 
 import generator_oracle as oracle
 
@@ -677,6 +677,49 @@ def test_stack_rejects_non_finite_like_apply_to_matrix(bad):
     with pytest.raises(ValueError) as stacked:
         sketch_stack(*_stack(ops), v)
     assert str(stacked.value) == str(one.value)
+
+
+# 65536 x 16, the headline embedding shape, and 4096 x 17, just above the
+# 512 KiB a float64 basis may take before the embedding runner sketches it in
+# float32.
+@pytest.mark.parametrize("n, k, ell", [(65536, 16, 2342), (4096, 17, 700)])
+def test_float32_sketch_of_hadamard_columns_is_bit_identical(n, k, ell):
+    # The first k columns of H have entries +-n**-0.5, a power of two at
+    # these n, and every block entry of the radix-16 stages is +-1/4: every
+    # value of the float32 flip and transform is exact.  A float32 block one
+    # ulp off, measured, shows here.
+    v = hadamard_matrix(n, rows=range(k)).T
+    signs, indices = draw_stack(n, ell, [(7, 1, 0, 0), (7, 1, 0, 1)])
+    want = sketch_stack(signs, indices, v)
+    got = sketch_stack(signs, indices, v.astype(np.float32))
+    assert got.dtype == want.dtype == np.float64
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "dtype, transformed",
+    [(np.float64, np.float64), (np.float32, np.float32), (np.float16, np.float64),
+     (np.int64, np.float64)],
+)
+def test_sketch_transforms_in_the_dtype_of_its_input(monkeypatch, dtype, transformed):
+    seen, transform = [], srht_mod.fwht_inplace
+
+    def recording_fwht(y):
+        seen.append(y.dtype)
+        return transform(y)
+
+    monkeypatch.setattr(srht_mod, "fwht_inplace", recording_fwht)
+    signs, indices = draw_stack(256, 40, [0, 1, 2])
+    v = np.random.default_rng(4).integers(-8, 9, size=(256, 3)).astype(dtype)
+    got = sketch_stack(signs, indices, v)
+    monkeypatch.undo()
+    want = sketch_stack(signs, indices, v.astype(np.float64))
+    assert seen == [transformed] and got.dtype == np.float64
+    # float32 rounds the transform to about 1e-7 of each column's norm
+    tol = 0.0 if transformed == np.float64 else 1e-6 * (256 / 40) ** 0.5 * np.max(
+        np.linalg.norm(v.astype(np.float64), axis=0)
+    )
+    assert np.max(np.abs(got - want)) <= tol
 
 
 def test_import_srhtlab_leaves_numpy_random_unimported():
