@@ -64,9 +64,10 @@ class SampleSizeBound:
 
 def _refuse_bools(**values):
     """A TypeError for the first of ``values`` that is a bool, which
-    ``operator.index`` and arithmetic would take as 0 or 1."""
+    ``operator.index`` and arithmetic would take as 0 or 1: a Python bool, or
+    anything of numpy's bool dtype."""
     for name, value in values.items():
-        if isinstance(value, bool):
+        if isinstance(value, bool) or getattr(value, "dtype", None) == bool:
             raise TypeError(f"{name} must be a number, not a bool, got {value!r}")
 
 
@@ -126,7 +127,8 @@ class ChernoffParams:
     ``b_max`` uniformly bounds the summands' largest eigenvalue; ``mu_min``
     and ``mu_max`` are ell times the extreme eigenvalues of the expected
     summand; ``deviation`` is the relative deviation (delta for the lower
-    tail, eta for the upper).  ``k`` must be a whole number.
+    tail, eta for the upper).  ``k`` must be a whole number, and no field a
+    bool.
     """
 
     k: int
@@ -136,7 +138,7 @@ class ChernoffParams:
     deviation: float
 
     def __post_init__(self):
-        _refuse_bools(k=self.k)
+        _refuse_bools(**vars(self))
         if not (1 <= self.k < math.inf and self.k % 1 == 0):
             raise ValueError(f"k must be a finite whole number >= 1, got {self.k}")
         if not 0 < self.b_max < math.inf:
@@ -181,6 +183,11 @@ def _upper_log_base(d):
 
 
 def _row_sampling_powers(alpha, delta, eta):
+    """The exponents (p, q) of ``row_sampling_failure_bound``.  A bool
+    constant is a TypeError here, off the bound's per-call path, so a bool
+    equal to the memo's last valid constant (True to 1.0) still hits the
+    memo until the memo is dropped."""
+    _refuse_bools(alpha=alpha, delta=delta, eta=eta)
     if not 0.0 < alpha < math.inf:
         raise ValueError(f"alpha must be positive and finite, got {alpha}")
     return 1.0 + alpha * _lower_log_base(delta), 1.0 + alpha * _upper_log_base(eta)

@@ -12,9 +12,10 @@ its runner's signature when the parser is built: one flag per keyword the
 runner takes (``_FLAGS``), ``--exhaustive`` where it has a ``mode``, and
 ``--seed``, ``--format`` and ``--output``.  ``experiment all`` takes only
 those three.  So argparse itself refuses a flag the runner does not take,
-or a prefix of any flag, under the experiment's own usage line, and
-``srhtlab experiment <name> --help`` lists that runner's flags.  The parser
-is built once per process.
+and ``srhtlab experiment <name> --help`` lists that runner's flags.  Every
+subcommand, ``sketch`` and ``bounds`` included, takes a flag only by its
+full name and refuses one it does not take under its own usage line.  The
+parser is built once per process.
 """
 
 import argparse
@@ -59,10 +60,15 @@ _FLAGS = {
 _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
 
-class _ExperimentParser(argparse.ArgumentParser):
-    """An experiment's parser, which refuses an argument it does not take
+class _SubcommandParser(argparse.ArgumentParser):
+    """A subcommand's parser, which refuses an argument it does not take
     itself: a subparser would hand it to the top-level parser, whose error
-    shows the top-level usage line instead of the experiment's."""
+    shows the top-level usage line instead of the subcommand's.  A prefix of
+    a flag is not taken for it, so a new flag cannot change what an old call
+    means."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def parse_known_args(self, args=None, namespace=None):
         namespace, extras = super().parse_known_args(args, namespace)
@@ -81,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.set_defaults(
         experiment_name="", exhaustive=False, **{field: None for field, _, _ in _FLAGS.values()}
     )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+    sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_SubcommandParser)
 
     def add_common(p):
         p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
@@ -108,12 +114,9 @@ def _build_parser() -> argparse.ArgumentParser:
         dest="experiment_name",
         required=True,
         help="'all' runs every experiment at its defaults",
-        parser_class=_ExperimentParser,
     )
     for name, runner_name in RUNNERS.items():
-        # a prefix of a flag is not taken for it, so a new flag cannot change
-        # what an old call means
-        p = experiments.add_parser(name, allow_abbrev=False)
+        p = experiments.add_parser(name)
         params = inspect.signature(getattr(exp_mod, runner_name)).parameters
         # an exhaustive run enumerates every subset, so it takes no trial count
         exclusive = p.add_mutually_exclusive_group() if "mode" in params else p
@@ -124,7 +127,7 @@ def _build_parser() -> argparse.ArgumentParser:
                 (exclusive if keyword == "trials" else p).add_argument(flag, dest=field, **options)
         add_common(p)
         p._negative_number_matcher = _NEGATIVE_NUMBER
-    add_common(experiments.add_parser("all", allow_abbrev=False))
+    add_common(experiments.add_parser("all"))
     return parser
 
 

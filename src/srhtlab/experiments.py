@@ -20,22 +20,22 @@ frequency with a bound: the without-replacement mean must not exceed the
 with-replacement one, up to 1e-10 relative over every subset or four
 standard errors of the two means by Monte Carlo.
 
-Every runner except the row-norm one computes its trials in blocks.  One
-loop cuts the trials into blocks of about ``_BLOCK_BYTES`` (256 KiB) of
-working array each, whatever the trial count, up to ``EXHAUSTIVE_CAP``
-row lists, and fills one row of a per-trial spectrum array per trial.  Every
-trial still draws from its own substream, and each block's draws are one
-call of the ``srht`` sampler: embedding and coupon draw a block of
-operators with one ``draw_stack`` call and sketch it with one
-``sketch_stack`` call.  Chernoff and both sides of mgf get their ell-row
-lists from one helper, ``_row_list_spectra``, which turns a block of them
-into one Gram stack and one eigensolve; Monte Carlo draws a block of
-subsets with one ``sample_without_replacement`` call, and a block of
-with-replacement lists with one ``draw_integers`` call.  A with-replacement
-list holds a row once per draw, so a repeated row counts twice.  The block
-size never changes a count: each trial's arithmetic is the one it would get
-alone, except that extremes may move by a few ulp where the transform's
-matrix products run at a different width.
+Every runner computes its trials in blocks.  One loop, ``_fill_blocks``,
+cuts the trials into blocks of about ``_BLOCK_BYTES`` (256 KiB) of working
+array each, whatever the trial count, up to ``EXHAUSTIVE_CAP`` row lists,
+and fills one row of a per-trial result array per trial.  Every trial still
+draws from its own substream, and each block's draws are one call of each
+``srht`` sampler it uses: embedding and coupon draw a block of operators
+with one ``draw_stack`` call and sketch it with one ``sketch_stack`` call.
+Chernoff and both sides of mgf get their ell-row lists from one helper,
+``_row_list_spectra``, which turns a block of them into one Gram stack and
+one eigensolve; Monte Carlo draws a block of subsets with one
+``sample_without_replacement`` call, and a block of with-replacement lists
+with one ``draw_integers`` call.  A with-replacement list holds a row once
+per draw, so a repeated row counts twice.  The block size never changes a
+count: each trial's arithmetic is the one it would get alone, except that
+extremes may move by a few ulp where the transform's matrix products run at
+a different width.
 
 The embedding runner sketches in float32 when its float64 basis is larger
 than the transform's piece size, ``wht._PIECE_BYTES`` (512 KiB).  The basis
@@ -50,22 +50,14 @@ of 1/sqrt(6), or whose sigma_1 lies that close to sqrt(13/6), is redrawn
 from its own substream and sketched again from the float64 basis, and its
 float64 spectrum replaces the float32 one.
 
-The row-norm runner is the one that goes trial by trial: one of its trials
-is over the block budget (512 KiB at the headline shape), and a stacked
-transform was measured slower there, its array falling out of cache.  Only
-its draws are made a block of trials at a time, per ``_BLOCK_BYTES`` of
-signs: one ``rademacher_signs`` call for the signs, and one
-``srht._pcg64_states`` call for the seeded states of the fixture streams.
-One PCG64 generator and one n x k buffer serve the whole run: each trial
-sets the generator to its state and draws its Gaussian into the buffer, bit
-for bit the matrix its own ``derived_rng`` would give, with no generator
-built per trial.  It never forms its basis.  Each trial draws its Gaussian
-and its signs from the same substreams a ``random_orthonormal`` basis would
-use, and runs that function's CholeskyQR2 routine, ``linalg._cholesky_qr2``,
-around the in-place transform: the first pass's Gram is taken before the
-transform, and the routine's orthonormality check runs on the transformed
-matrix.  The squared row norms are one ``einsum`` pass, with no n x k
-temporary.
+The row-norm runner draws a block at a time, per ``_BLOCK_BYTES`` of
+signs, but transforms one trial at a time: a trial is over the block budget
+(512 KiB at the headline shape), and a stacked transform was measured
+slower there, its array falling out of cache.  Each trial draws its
+Gaussian into one n x k buffer kept for the whole run, from the stream a
+``random_orthonormal`` basis would use, and runs that function's
+CholeskyQR2 routine, ``linalg._cholesky_qr2``, around the in-place
+transform; it never forms its basis.
 
 Each runner's keyword defaults are its headline configuration, the one the
 acceptance suite checks; called with only a seed, it runs that configuration.
@@ -99,13 +91,12 @@ from .linalg import (
     symmetric_eigenvalues,
 )
 from .srht import (
-    _pcg64_states,
-    _seek,
     draw_integers,
     draw_stack,
     rademacher_signs,
     sample_without_replacement,
     sketch_stack,
+    standard_normals,
 )
 from .wht import _PIECE_BYTES, fwht_inplace, hadamard_size
 
@@ -231,7 +222,9 @@ class ExperimentSummary:
 
 def monte_carlo_slack(bound: float, trials: int) -> float:
     """Four binomial standard deviations at success probability min(bound, 1).
-    A NaN or negative bound, or fewer than one trial, is a ValueError."""
+    A NaN or negative bound, or fewer than one trial, is a ValueError; a
+    bool for either is a TypeError."""
+    _refuse_bools(bound=bound, trials=trials)
     if not (bound >= 0.0 and trials >= 1):
         raise ValueError(f"need bound >= 0 and trials >= 1, got bound={bound}, trials={trials}")
     b = min(bound, 1.0)
@@ -337,9 +330,9 @@ def run_row_norm_trials(n=4096, k=16, beta=None, trials=2000, seed=0):
     and signs D from (seed, 1, 0, i), and records the largest row norm of
     H D V, where V = G R^-1 is G's orthonormal factor (R with positive
     diagonal: the basis ``random_orthonormal`` returns).  V is not formed.
-    G is drawn into one buffer per run, from one PCG64 generator set to each
-    trial's seeded state; the states, like the signs, come a block of trials
-    at a time.  G is bit for bit ``derived_rng(seed, 0, 0, i)``'s.
+    Trials run through ``_fill_blocks``: each block of trials draws its
+    signs with one ``rademacher_signs`` call and its Gaussians with one
+    ``standard_normals`` call, into one n x k buffer kept for the run.
     Two passes of Cholesky QR (CholeskyQR2, ``linalg._cholesky_qr2``) run
     around the in-place transform: R_1 from the Gram of G, W_1 = H D G
     R_1^-1, R_2 from the Gram of W_1, and W = W_1 R_2^-1.  H D is
@@ -360,26 +353,28 @@ def run_row_norm_trials(n=4096, k=16, beta=None, trials=2000, seed=0):
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     level = row_norm_bound(n, k, float(k) if beta is None else beta)
     plan = TrialPlan(n=n, k=k, ell=0, trials=trials, seed=seed)
-    norms = np.empty(trials)
-    bitgen = np.random.PCG64(0)
-    normals = np.random.Generator(bitgen)
-    g = np.empty((n, k))
-    size = max(1, _BLOCK_BYTES // (8 * n))
-    for first in range(0, trials, size):
-        block = range(first, min(first + size, trials))
+    buffer = np.empty((n, k))
+
+    def max_row_norms(block):
         signs = rademacher_signs(n, [(seed, 1, 0, i) for i in block])
-        states = _pcg64_states([(seed, 0, 0, i) for i in block])
-        for i, state, trial_signs in zip(block, states, signs):
-            _seek(bitgen, state)
-            normals.standard_normal(out=g)
-            gram1 = gram(g)
-            g *= trial_signs[:, None]
-            w = _cholesky_qr2(fwht_inplace(g), gram1)
-            norms[i] = np.sqrt(np.max(np.einsum("ij,ij->i", w, w)))
+        gaussians = standard_normals([(seed, 0, 0, i) for i in block], buffer)
+        return [[_max_row_norm(g, trial_signs)] for g, trial_signs in zip(gaussians, signs)]
+
+    norms = _fill_blocks(range(trials), trials, 1, 8 * n, max_row_norms)[:, 0]
     return _one_sided_summary(
         "rownorm", plan, norms >= level.value, level.exceedance_probability, norms, norms,
         time.perf_counter() - start,
     )
+
+
+def _max_row_norm(g, signs):
+    """Largest row norm of W = H D G R^-1, computed over ``g``: CholeskyQR2
+    around the in-place sign flip and transform, and each row's squared norm
+    summed in one ``einsum`` pass, with no n x k temporary."""
+    gram1 = gram(g)
+    g *= signs[:, None]
+    w = _cholesky_qr2(fwht_inplace(g), gram1)
+    return np.sqrt(np.max(np.einsum("ij,ij->i", w, w)))
 
 
 def run_coupon_trials(k=8, ell_grid=(8, 12, 17, 24), trials=10000, seed=0):
@@ -394,6 +389,15 @@ def run_coupon_trials(k=8, ell_grid=(8, 12, 17, 24), trials=10000, seed=0):
     ``draw_srht(n, ell, (seed, 1, gi, i))`` would; blocks of trials share one
     ``sketch_stack``, one Gram stack and one eigensolve, and the block size
     never changes a count.  An empty grid is a ValueError.
+
+    Each column of this input has one nonzero, so D V = V S for a diagonal
+    sign matrix S, and rank depends only on the sampled rows: this check
+    cannot see the signs D, and with every sign +1 the counts are
+    identical.  It sees a gross sampler defect (every Fisher-Yates swap into
+    the lower half of [i, n) leaves no sketch full rank at any ell), but a
+    subtle one passes: with every swap kept short of the last position,
+    seed 0 reads 0.0033, 0.1428, 0.5196 and 0.8621 against exact 0.0038,
+    0.1433, 0.5142 and 0.8646, all within the slack.
     """
     _check_grid("ell_grid", ell_grid)
     basis = decimated_identity(k)

@@ -10,12 +10,12 @@ budget before the SVD; a float32 transform at n = 64 measured up to 8e-8,
 which is why small sketches stay float64.  Orthonormal bases come
 from one routine, ``_cholesky_qr2``: two passes of Cholesky QR and one
 orthonormality check, shared by ``random_orthonormal`` and the row-norm
-runner.
+runner.  Both draw their Gaussians from ``srht.standard_normals``.
 """
 
 import numpy as np
 
-from .srht import derived_rng
+from .srht import standard_normals
 from .wht import is_power_of_two
 
 __all__ = [
@@ -52,7 +52,7 @@ def random_orthonormal(n: int, k: int, seed) -> np.ndarray:
     """
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    g = derived_rng(seed).standard_normal((n, k))
+    (g,) = standard_normals([seed], np.empty((n, k)))
     return _cholesky_qr2(g, gram(g))
 
 

@@ -38,11 +38,12 @@ Row b is, bit for bit, the draw that ``Generator.integers`` calls would
 make from ``derived_rng(seeds[b])``: n sign draws of range 2, then the ell
 sampling offsets of ranges n, n-1, ..., n-ell+1.  The fixture draws
 (Gaussian matrices), whose bits depend on the numpy version, still come
-from ``Generator.standard_normal``: ``derived_rng`` makes a ``Generator``
-for one seed (``random_orthonormal``), and the row-norm runner sets one
-``PCG64`` to each trial's ``_pcg64_states`` state with ``_seek`` and draws
-through one ``Generator`` on it, bit for bit what ``derived_rng`` would
-draw.
+from ``Generator.standard_normal``, through one sampler,
+``standard_normals``: it hashes a block of seeds the same way, sets one
+``PCG64`` to each state and draws through one ``Generator`` on it.  No
+other module names ``numpy.random``.  ``derived_rng`` makes a
+``Generator`` for one seed; the program draws nothing through it, and the
+tests keep it as the oracle of every stream.
 """
 
 import operator
@@ -64,13 +65,15 @@ __all__ = [
     "rademacher_signs",
     "sample_without_replacement",
     "sketch_stack",
+    "standard_normals",
 ]
 
 MATERIALIZE_CAP = 4096
 
 
 def derived_rng(seed, *path) -> "np.random.Generator":
-    """Deterministic generator for ``(seed, *path)``, for fixture draws.
+    """Deterministic generator for ``(seed, *path)``: the oracle of every
+    stream the samplers draw from.
 
     ``seed`` is an int or tuple of ints; ``path`` extends it.  The mixing is
     numpy's SeedSequence hash of the combined entropy tuple.  An entry that
@@ -201,6 +204,21 @@ def _seek(bitgen, state):
         "has_uint32": 0,
         "uinteger": 0,
     }
+
+
+def standard_normals(seeds, out):
+    """Yield ``out`` once per seed, filled with ``seeds[b]``'s fixture normals.
+
+    The float64 array ``out`` holds, bit for bit, what
+    ``derived_rng(seeds[b]).standard_normal(out.shape)`` would draw.  The
+    block's states come from one ``_pcg64_states`` call; one ``PCG64`` is
+    set to each in turn and drawn through one ``Generator``, so no
+    generator is built per seed.  Each yield writes over the last.
+    """
+    normals = np.random.Generator(np.random.PCG64(0))
+    for state in _pcg64_states(seeds):
+        _seek(normals.bit_generator, state)
+        yield normals.standard_normal(out=out)
 
 
 def draw_integers(seeds, highs) -> np.ndarray:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import srhtlab
-from srhtlab.experiments import TrialPlan
+from srhtlab.experiments import TrialPlan, monte_carlo_slack, run_row_norm_trials
 from srhtlab.srht import draw_stack, rademacher_signs, sketch_stack
 
 
@@ -42,6 +42,32 @@ BAD_INPUTS = {
     "row_norm_bound-bool-beta": (
         lambda: srhtlab.row_norm_bound(4096, 16, True), TypeError, "not a bool"
     ),
+    "row_norm_bound-numpy-bool-beta": (
+        lambda: srhtlab.row_norm_bound(16, 2, np.True_), TypeError, "not a bool"
+    ),
+    "run_row_norm_trials-numpy-bool-beta": (
+        lambda: run_row_norm_trials(16, 1, np.True_, trials=3), TypeError, "not a bool"
+    ),
+    "embedding_sample_size-numpy-bool-k": (
+        lambda: srhtlab.embedding_sample_size(np.True_, 16), TypeError, "not a bool"
+    ),
+    "ChernoffParams-numpy-bool-k": (
+        lambda: srhtlab.ChernoffParams(np.True_, 0.5, 1.0, 1.0, 0.5), TypeError, "not a bool"
+    ),
+    "ChernoffParams-bool-b_max": (
+        lambda: srhtlab.ChernoffParams(2, True, 1.0, 1.0, 0.5), TypeError, "not a bool"
+    ),
+    "ChernoffParams-bool-deviation": (
+        lambda: srhtlab.ChernoffParams(2, 0.5, 1.0, 1.0, True), TypeError, "not a bool"
+    ),
+    # the first call leaves alpha = 4 in the memo, so True (1) misses it
+    "row_sampling_failure_bound-bool-alpha": (
+        lambda: [
+            srhtlab.row_sampling_failure_bound(4, alpha, 5 / 6, 7 / 6) for alpha in (4.0, True)
+        ],
+        TypeError, "not a bool",
+    ),
+    "monte_carlo_slack-bool-bound": (lambda: monte_carlo_slack(True, 5), TypeError, "not a bool"),
     "sketch_stack-float32-nan": (
         lambda: sketch_stack(*draw_stack(64, 8, [0, 1]), _float32_ones_with(np.nan)),
         ValueError, "non-finite",

@@ -357,14 +357,18 @@ def test_rownorm_dimensions_are_checked_at_the_boundary(capsys, n, k, message):
         ("coupon", "--e", "2"),
         ("embedding", "--tri", "2"),
         ("all", "--s", "3"),
+        # nor by the subcommands outside ``experiment``
+        ("bounds", "--be", "2", "--form", "csv", "--k", "4", "--n", "16"),
+        ("sketch", "--se", "3", "--form", "csv", "--n", "16", "--l", "4", "--k", "2"),
     ],
 )
 def test_flag_the_runner_does_not_take_is_usage_error(capsys, argv):
-    code, out, err = run_cli(capsys, "experiment", *argv)
+    command = [argv[0]] if argv[0] in ("bounds", "sketch") else ["experiment", argv[0]]
+    code, out, err = run_cli(capsys, *command[:-1], *argv)
     assert code == 2
     assert out == ""
-    # the experiment's own usage line, not the top-level one
-    assert err.startswith(f"usage: srhtlab experiment {argv[0]} ")
+    # the subcommand's own usage line, not the top-level one
+    assert err.startswith(f"usage: srhtlab {' '.join(command)} ")
     assert f"unrecognized arguments: {argv[1]}" in err
 
 

@@ -111,9 +111,9 @@ def test_a_negative_seed_is_refused_before_drawing(run):
 @contextlib.contextmanager
 def _no_draws():
     """Every first draw of a runner patched to raise: the fixture basis, the
-    row-norm runner's fixture states and signs, and the operator stacks."""
+    row-norm runner's fixture normals and signs, and the operator stacks."""
     with contextlib.ExitStack() as stack:
-        for name in ("random_orthonormal", "_pcg64_states", "rademacher_signs", "draw_stack"):
+        for name in ("random_orthonormal", "standard_normals", "rademacher_signs", "draw_stack"):
             stack.enter_context(
                 mock.patch.object(exp_mod, name, side_effect=AssertionError("drew"))
             )
@@ -339,6 +339,23 @@ def test_coupon_full_rank_frequencies_match_golden(seed):
     assert [s.empirical_frequency for s in out] == [
         c / 400 for c in GOLDEN_COUPON_COUNTS[seed]
     ]
+
+
+def test_coupon_fails_a_sampler_that_swaps_only_into_the_lower_half():
+    # a planted sampler defect: each Fisher-Yates swap lands in the lower half
+    # of [i, n).  At the headline configuration no sketch reaches full rank,
+    # against exact 0.0038, 0.1433, 0.5142 and 0.8646; ell = 8 needs the full
+    # 10 000 trials, since at 1000 its slack exceeds 0.0038
+    from srhtlab import srht as srht_mod
+
+    fisher_yates = srht_mod._fisher_yates
+    with mock.patch.object(
+        srht_mod, "_fisher_yates", lambda offsets: fisher_yates([off // 2 for off in offsets])
+    ):
+        out = run_coupon_trials(seed=0)
+    assert [s.plan.ell for s in out] == [8, 12, 17, 24]
+    assert [s.empirical_frequency for s in out] == [0.0] * 4
+    assert not any(s.passed for s in out)
 
 
 def test_coupon_grid_elapsed_is_per_point():
@@ -1315,7 +1332,7 @@ def _rownorm_one_trial_at_a_time(n, k, trials, seed):
 @example(shape=(2, 1), block=3, spare=0.5, count="B+1", log_beta_n=0.02, seed=1)
 @settings(max_examples=30)
 def test_blocked_rownorm_equals_one_trial_at_a_time(shape, block, spare, count, log_beta_n, seed):
-    # the fixture states and the signs are drawn once per block of trials,
+    # the fixture normals and the signs are drawn once per block of trials,
     # each trial's Gaussian is the one derived_rng gives, and the counts and
     # extremes are the per-trial oracle's
     from srhtlab.bounds import row_norm_bound
@@ -1324,11 +1341,11 @@ def test_blocked_rownorm_equals_one_trial_at_a_time(shape, block, spare, count, 
     budget, trials = _trial_counts(block, spare, count, n * 8)
     beta = math.exp(log_beta_n) / n
     gaussians = _Recorder(exp_mod.gram)
-    states = _Recorder(exp_mod._pcg64_states)
+    normals = _Recorder(exp_mod.standard_normals)
     signs = _Recorder(exp_mod.rademacher_signs)
     with mock.patch.object(exp_mod, "_BLOCK_BYTES", budget), \
             mock.patch.object(exp_mod, "gram", gaussians), \
-            mock.patch.object(exp_mod, "_pcg64_states", states), \
+            mock.patch.object(exp_mod, "standard_normals", normals), \
             mock.patch.object(exp_mod, "rademacher_signs", signs):
         s = run_row_norm_trials(n, k, beta, trials=trials, seed=seed)
     drawn, norms = _rownorm_one_trial_at_a_time(n, k, trials, seed)
@@ -1336,7 +1353,8 @@ def test_blocked_rownorm_equals_one_trial_at_a_time(shape, block, spare, count, 
     for ((g,), _), want in zip(gaussians.calls, drawn):
         assert np.array_equal(g, want)
     blocks = [range(first, min(first + block, trials)) for first in range(0, trials, block)]
-    assert [args for args, _ in states.calls] == [([(seed, 0, 0, i) for i in b],) for b in blocks]
+    keys = [[(seed, 0, 0, i) for i in b] for b in blocks]
+    assert [seeds for (seeds, _), _ in normals.calls] == keys
     assert [args for args, _ in signs.calls] == [(n, [(seed, 1, 0, i) for i in b]) for b in blocks]
     level = row_norm_bound(n, k, beta).value
     assert round(s.empirical_frequency * trials) == sum(m >= level for m in norms)

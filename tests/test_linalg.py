@@ -157,12 +157,18 @@ def _ill_conditioned(n, k, cond, seed):
 def test_ill_conditioned_draw_raises_instead_of_returning_a_basis(n, k, cond):
     g = _ill_conditioned(n, k, cond, 1)
     assert np.linalg.cond(g) >= 1e10
-    rng = mock.Mock()
-    rng.standard_normal.return_value = g
-    with mock.patch.object(linalg_mod, "derived_rng", return_value=rng):
+
+    def ill_conditioned_normals(seeds, out):
+        out[...] = g
+        yield out
+
+    draws = mock.Mock(side_effect=ill_conditioned_normals)
+    with mock.patch.object(linalg_mod, "standard_normals", draws):
         with pytest.raises(RuntimeError, match="CholeskyQR2"):
             random_orthonormal(n, k, 0)
-    rng.standard_normal.assert_called_once_with((n, k))
+    draws.assert_called_once()
+    seeds, out = draws.call_args.args
+    assert seeds == [0] and out.shape == (n, k)
 
 
 @pytest.mark.parametrize("defect", [1.0000001e-8, 1.0, np.inf, np.nan])

@@ -1,8 +1,10 @@
+import ast
 import hashlib
 import itertools
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -428,6 +430,18 @@ def test_uint32_draws_read_each_word_low_half_first():
     assert draw_integers([seed], [2**32] * 4).tolist() == [halves]
 
 
+@pytest.mark.parametrize("shape", [(7,), (64, 3)])
+def test_standard_normals_are_each_seeds_own_generator_draws(shape):
+    # one buffer, filled once per seed, with what that seed's own Generator
+    # would draw
+    out = np.empty(shape)
+    drawn = list(map(np.copy, srht_mod.standard_normals(HASH_SEEDS, out)))
+    assert len(drawn) == len(HASH_SEEDS)
+    for seed, got in zip(HASH_SEEDS, drawn):
+        assert np.array_equal(got, derived_rng(seed).standard_normal(shape))
+    assert all(g is out for g in srht_mod.standard_normals([0, 1], out))
+
+
 def test_standard_normal_fingerprint():
     # fixtures still draw their Gaussians through Generator.standard_normal
     z = derived_rng(12345, 0, 0, 7).standard_normal(1000)
@@ -737,3 +751,22 @@ def test_import_srhtlab_leaves_numpy_random_unimported():
     )
     before, after = done.stdout.split()
     assert after == before
+
+
+MODULES_BESIDE_SRHT = sorted(
+    path for path in pathlib.Path(srhtlab.__file__).parent.glob("*.py") if path.name != "srht.py"
+)
+
+
+@pytest.mark.parametrize("path", MODULES_BESIDE_SRHT, ids=lambda path: path.name)
+def test_every_seeded_draw_goes_through_srht(path):
+    # srht owns the rule from a seed to its stream: no other module names
+    # numpy.random, or reaches past srht's public samplers
+    source = path.read_text()
+    assert not re.search(r"\b(np|numpy)\.random\b", source)
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+            assert not (node.module == "numpy" and "random" in names)
+            if node.module in ("srht", "srhtlab.srht"):
+                assert not [name for name in names if name.startswith("_")]
