@@ -26,7 +26,6 @@ from .linalg import (
     symmetric_eigenvalues,
 )
 from .srht import (
-    SrhtOperator,
     apply_to_matrix,
     draw_srht,
     materialize,
@@ -40,7 +39,6 @@ __all__ = [
     "ChernoffParams",
     "EMBEDDING_SIGMA_MAX",
     "EMBEDDING_SIGMA_MIN",
-    "SrhtOperator",
     "apply_to_matrix",
     "chernoff_lower_tail",
     "chernoff_upper_tail",

@@ -28,7 +28,7 @@ import sys
 from . import bounds as bounds_mod
 from . import experiments as exp_mod
 from .linalg import matrix_to_csv, random_orthonormal, singular_values
-from .srht import apply_to_matrix, draw_srht
+from .srht import draw_stack, sketch_stack
 
 # Experiment name -> name of its runner in srhtlab.experiments.  The runner is
 # looked up when it is called, so a wrapper patched onto that module attribute
@@ -56,7 +56,7 @@ _FLAGS = {
     "theta_grid": ("thetas", "--thetas", {"type": float, "nargs": "+"}),
 }
 # argparse before Python 3.14 takes only "-1" and "-.5" shapes for negative
-# numbers, so a grid value such as -1e-3 would be read as an unknown option
+# numbers, so a value such as -1e-3 would be read as an unknown option
 _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
 
@@ -65,10 +65,11 @@ class _SubcommandParser(argparse.ArgumentParser):
     itself: a subparser would hand it to the top-level parser, whose error
     shows the top-level usage line instead of the subcommand's.  A prefix of
     a flag is not taken for it, so a new flag cannot change what an old call
-    means."""
+    means.  A negative number in exponent form is a value, not a flag."""
 
     def __init__(self, **kwargs):
         super().__init__(allow_abbrev=False, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
     def parse_known_args(self, args=None, namespace=None):
         namespace, extras = super().parse_known_args(args, namespace)
@@ -126,7 +127,6 @@ def _build_parser() -> argparse.ArgumentParser:
             if keyword in params:
                 (exclusive if keyword == "trials" else p).add_argument(flag, dest=field, **options)
         add_common(p)
-        p._negative_number_matcher = _NEGATIVE_NUMBER
     add_common(experiments.add_parser("all"))
     return parser
 
@@ -146,15 +146,16 @@ def _matrix_record(a) -> dict:
 
 
 def _run_sketch(config: argparse.Namespace) -> int:
-    op = draw_srht(config.n, config.ell, (config.seed, 1, 0, 0))
+    seed = (config.seed, 1, 0, 0)
+    signs, indices = draw_stack(config.n, config.ell, [seed])
     basis = random_orthonormal(config.n, config.k, (config.seed, 0, 0, 0))
-    sketch = apply_to_matrix(op, basis)
+    (sketch,) = sketch_stack(signs, indices, basis)
     spectrum = singular_values(sketch)
     if config.format == "json":
         doc = {
             "schema": exp_mod.SCHEMA_VERSION,
             "config": vars(config),
-            "operator": {"n": op.n, "l": op.ell, "seed": op.seed},
+            "operator": {"n": config.n, "l": config.ell, "seed": seed},
             "sketch": _matrix_record(sketch),
             "singular_values": spectrum.tolist(),
         }

@@ -282,8 +282,8 @@ def run_embedding_trials(n=65536, k=16, ell=None, trials=200, seed=0):
     """Check the singular-value window of sketched orthonormal columns.
 
     One orthonormal V is fixed per run; each trial applies an independent
-    SRHT, drawn from substream (seed, 1, 0, i) as ``draw_srht`` would, and
-    records sigma_k and sigma_1 of the sketch.  A trial is a violation when
+    SRHT, row 0 of ``draw_stack(n, ell, [(seed, 1, 0, i)])``, and records
+    sigma_k and sigma_1 of the sketch.  A trial is a violation when
     sigma_k < 1/sqrt(6) or sigma_1 > sqrt(13/6); the analytic bound on the
     violation frequency is 3/k.  If ``ell`` is omitted the explicit-constant
     sample size is used.  Trials are sketched in blocks, one
@@ -385,8 +385,8 @@ def run_coupon_trials(k=8, ell_grid=(8, 12, 17, 24), trials=10000, seed=0):
     sketch keeps rank k exactly when the sample hits every class, so the
     full-rank frequency must track the coupon-coverage oracle.  One summary
     per ell; passes when |empirical - exact| <= 4 binomial sigmas at the
-    exact probability.  Trial i at grid point gi draws the operator
-    ``draw_srht(n, ell, (seed, 1, gi, i))`` would; blocks of trials share one
+    exact probability.  Trial i at grid point gi draws the operator in row 0
+    of ``draw_stack(n, ell, [(seed, 1, gi, i)])``; blocks of trials share one
     ``sketch_stack``, one Gram stack and one eigensolve, and the block size
     never changes a count.  An empty grid is a ValueError.
 

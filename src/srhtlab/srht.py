@@ -2,24 +2,22 @@
 
 The operator is sqrt(n/ell) * R H D: a Rademacher sign diagonal D, the
 orthogonal Walsh-Hadamard matrix H, and a restriction R to ell coordinates
-drawn uniformly without replacement.  It is kept implicit (sign vector +
-sorted index set); ``materialize`` builds the dense ell x n matrix as a
-testing oracle.  ``sketch_stack`` applies a stack of B operators, given as
-B x n signs and B x ell indices, to one input (a vector or a matrix) in a
-single transform of an n x B x k array; ``apply_to_matrix`` is its B = 1
-case for an operator.  The sign flip and the transform follow the input's
-dtype: float32 for a float32 input, float64 for any other.  The gather, the
-sqrt(n/ell) scaling and the result are float64 either way.
-``_operator_stack`` holds the operator rules, and both ``SrhtOperator`` and
-``sketch_stack`` go through it.  The ell-subset comes from a partial
-Fisher-Yates shuffle, ``_fisher_yates``, that keeps only the positions it
-has touched, so a draw costs O(ell), not O(n);
-``sample_without_replacement`` and the operator draws share it.
-
-``draw_stack`` draws a block of B operators, one per seed, as the B x n
-signs and B x ell indices ``sketch_stack`` takes.  ``draw_srht`` is its
-one-seed case, so an operator is the same bit for bit whatever block it is
-drawn in.
+drawn uniformly without replacement.  It is kept implicit, and a stack of B
+operators has one representation: B x n signs and B x ell sorted indices.
+``draw_stack`` draws one operator per seed in that form, read-only;
+``sketch_stack`` applies such a stack to one input (a vector or a matrix)
+in a single transform of an n x B x k array.  One operator is the B = 1
+stack: ``draw_srht`` draws it and ``apply_to_matrix`` applies it, and
+``materialize`` builds its dense ell x n matrix as a testing oracle.  The
+sign flip and the transform follow the input's dtype: float32 for a
+float32 input, float64 for any other.  The gather, the sqrt(n/ell) scaling
+and the result are float64 either way.  ``_operator_stack`` holds the
+operator rules, and every function that takes an operator goes through
+it.  The ell-subset comes from a partial Fisher-Yates shuffle,
+``_fisher_yates``, that keeps only the positions it has touched, so a draw
+costs O(ell), not O(n); ``sample_without_replacement`` and the operator
+draws share it.  Row b of a block depends on ``seeds[b]`` alone, so an
+operator is the same bit for bit whatever block it is drawn in.
 
 Randomness.  A seed is an integer or a tuple of non-negative integers;
 experiment code derives per-trial substreams as (master_seed, domain,
@@ -47,7 +45,6 @@ tests keep it as the oracle of every stream.
 """
 
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,7 +52,6 @@ from .bounds import _refuse_bools
 from .wht import fwht_inplace, hadamard_matrix, hadamard_size
 
 __all__ = [
-    "SrhtOperator",
     "apply_to_matrix",
     "derived_rng",
     "draw_integers",
@@ -375,51 +371,21 @@ def _fisher_yates(offsets) -> list:
     return picked
 
 
-@dataclass(frozen=True)
-class SrhtOperator:
-    """Implicit sketching operator sqrt(n/ell) * R H D.
-
-    ``signs`` is the +-1 diagonal of D, ``indices`` the sorted sample set
-    defining R; n is the length of ``signs``.  Both are copied and frozen.
-    ``seed`` records how the operator was drawn (None for hand-built
-    operators).
-    """
-
-    signs: np.ndarray
-    indices: np.ndarray
-    seed: object = None
-
-    def __post_init__(self):
-        signs, indices = _operator_stack([self.signs], [self.indices])
-        for name, value in (("signs", signs[0]), ("indices", indices[0])):
-            value.setflags(write=False)
-            object.__setattr__(self, name, value)
-
-    @property
-    def n(self) -> int:
-        return int(self.signs.size)
-
-    @property
-    def ell(self) -> int:
-        return int(self.indices.size)
-
-    @property
-    def scale(self) -> float:
-        return (self.n / self.ell) ** 0.5
-
-
 def draw_stack(n: int, ell: int, seeds) -> tuple:
-    """B x n signs and B x ell sorted indices of one operator per seed.
+    """One operator per seed: read-only B x n signs and B x ell sorted indices.
 
-    Row b is the draw of ``seeds[b]``, bit for bit the operator
-    ``draw_srht`` draws from that seed alone.  Each seed's stream gives, in
-    one ``draw_integers`` block, n sign draws of range 2 and then the ell
-    sampling offsets of ranges n, n-1, ..., n-ell+1; the shuffle turns the
-    offsets into that seed's subset.
+    Row b is the draw of ``seeds[b]``, bit for bit the operator that seed
+    gives alone.  Each seed's stream gives, in one ``draw_integers`` block,
+    n sign draws of range 2 and then the ell sampling offsets of ranges n,
+    n-1, ..., n-ell+1; the shuffle turns the offsets into that seed's
+    subset.  An n that is not a power of two is refused before any draw.
     """
-    n, ell = _sample_size(n, ell)
+    n, ell = _sample_size(hadamard_size(n), ell)
     drawn = draw_integers(seeds, _operator_ranges(n, ell))
-    return _signs(drawn[:, :n]), _subsets(drawn[:, n:], ell)
+    signs, indices = _signs(drawn[:, :n]), _subsets(drawn[:, n:], ell)
+    signs.setflags(write=False)
+    indices.setflags(write=False)
+    return signs, indices
 
 
 def _operator_ranges(n, ell) -> np.ndarray:
@@ -429,36 +395,31 @@ def _operator_ranges(n, ell) -> np.ndarray:
     return ranges
 
 
-def draw_srht(n: int, ell: int, seed) -> SrhtOperator:
-    """Draw an SRHT operator: fresh signs, then a uniform ell-subset.
-
-    Identical (n, ell, seed) yield a bit-identical operator: the one-seed
-    case of ``draw_stack``.
-    """
-    hadamard_size(n)
-    signs, indices = draw_stack(n, ell, [seed])
-    stored = tuple(int(s) for s in seed) if isinstance(seed, (tuple, list)) else int(seed)
-    return SrhtOperator(signs=signs[0], indices=indices[0], seed=stored)
+def draw_srht(n: int, ell: int, seed) -> tuple:
+    """Draw one SRHT operator, the B = 1 stack ``draw_stack(n, ell, [seed])``:
+    1 x n signs and 1 x ell sorted indices."""
+    return draw_stack(n, ell, [seed])
 
 
-def apply_to_matrix(op: SrhtOperator, v) -> np.ndarray:
-    """Column-wise application: returns the ell x k sketch of an n x k matrix.
-    Rejects NaN and infinite entries."""
+def apply_to_matrix(op, v) -> np.ndarray:
+    """Column-wise application of one operator, a (signs, indices) pair as
+    ``draw_srht`` returns: the ell x k sketch of an n x k matrix, in
+    float64.  Rejects NaN and infinite entries."""
     v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 2 or v.shape[0] != op.n:
-        raise ValueError(f"matrix must have {op.n} rows, got shape {v.shape}")
-    return sketch_stack(op.signs[None, :], op.indices[None, :], v)[0]
+    if v.ndim != 2:
+        raise ValueError(f"need an n x k matrix, got shape {v.shape}")
+    return sketch_stack(*_one_operator(op), v)[0]
 
 
 def sketch_stack(signs, indices, v) -> np.ndarray:
     """Sketches of one input under a stack of B operators, in one transform.
 
     Operator b is row b of ``signs`` (B x n) and of ``indices`` (B x ell),
-    under ``SrhtOperator``'s rules, which are checked for the whole stack at
-    once.  ``v`` is an n-vector or an n x k matrix; the result is B x ell or
-    B x ell x k.  The B sign-flipped copies of ``v`` go through one
-    ``fwht_inplace`` of an n x B x k array; each operator then gathers its
-    rows and scales them by sqrt(n/ell).
+    as ``draw_stack`` returns them; ``_operator_stack``'s rules are checked
+    for the whole stack at once.  ``v`` is an n-vector or an n x k matrix;
+    the result is B x ell or B x ell x k.  The B sign-flipped copies of
+    ``v`` go through one ``fwht_inplace`` of an n x B x k array; each
+    operator then gathers its rows and scales them by sqrt(n/ell).
 
     The flip and the transform run in the dtype of ``v`` when it is float32,
     and in float64 for any other input.  The gathered rows are cast to
@@ -495,7 +456,7 @@ def sketch_stack(signs, indices, v) -> np.ndarray:
 
 def _operator_stack(signs, indices) -> tuple:
     """``signs`` and ``indices`` as float64 and int64 arrays, checked against
-    ``SrhtOperator``'s rules for B operators at once: B x n signs exactly +-1
+    the operator rules for B operators at once: B x n signs exactly +-1
     with n a power of two, and B x ell integer indices, 1 <= ell <= n, each
     row strictly increasing in [0, n).  Indices of a non-integer dtype are a
     TypeError, not truncated."""
@@ -523,14 +484,24 @@ def _operator_stack(signs, indices) -> tuple:
     return signs, indices
 
 
-def materialize(op: SrhtOperator) -> np.ndarray:
-    """Dense ell x n form of the operator (testing oracle).
+def _one_operator(op) -> tuple:
+    """The 1 x n signs and 1 x ell indices of ``op``, checked: one operator,
+    not a stack of several."""
+    signs, indices = _operator_stack(*op)
+    if signs.shape[0] != 1:
+        raise ValueError(f"need one operator, got a stack of {signs.shape[0]}")
+    return signs, indices
+
+
+def materialize(op) -> np.ndarray:
+    """Dense ell x n form of one operator, a (signs, indices) pair as
+    ``draw_srht`` returns (testing oracle).
 
     Entry (i, j) = sqrt(n/ell) * H[indices[i], j] * signs[j].  Refuses n
     beyond ``MATERIALIZE_CAP`` to bound memory.
     """
-    if op.n > MATERIALIZE_CAP:
-        raise ValueError(f"materialize capped at n={MATERIALIZE_CAP}, got n={op.n}")
-    rows = hadamard_matrix(op.n, rows=op.indices)
-    return op.scale * rows * op.signs[None, :]
-
+    (signs,), (indices,) = _one_operator(op)
+    n, ell = signs.size, indices.size
+    if n > MATERIALIZE_CAP:
+        raise ValueError(f"materialize capped at n={MATERIALIZE_CAP}, got n={n}")
+    return (n / ell) ** 0.5 * hadamard_matrix(n, rows=indices) * signs[None, :]

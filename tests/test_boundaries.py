@@ -7,12 +7,12 @@ import pytest
 
 import srhtlab
 from srhtlab.experiments import TrialPlan, monte_carlo_slack, run_row_norm_trials
-from srhtlab.srht import draw_stack, rademacher_signs, sketch_stack
+from srhtlab.srht import MATERIALIZE_CAP, draw_stack, rademacher_signs, sketch_stack
 
 
-def _float32_ones_with(value):
-    """A float32 64 x 2 matrix of ones with ``value`` at (5, 1)."""
-    v = np.ones((64, 2), dtype=np.float32)
+def _ones_with(n, value, dtype=np.float64):
+    """An n x 2 matrix of ones with ``value`` at (5, 1)."""
+    v = np.ones((n, 2), dtype=dtype)
     v[5, 1] = value
     return v
 
@@ -28,6 +28,51 @@ BAD_INPUTS = {
     "draw_srht-bool-seed": (lambda: srhtlab.draw_srht(4, 2, True), TypeError, "not bools"),
     "draw_srht-bool-seed-entry": (
         lambda: srhtlab.draw_srht(4, 2, (0, 1, False, 3)), TypeError, "not bools"
+    ),
+    "draw_srht-bool-ell": (lambda: srhtlab.draw_srht(4, True, 0), TypeError, "not a bool"),
+    "draw_srht-fractional-ell": (lambda: srhtlab.draw_srht(16, 2.5, 0), TypeError, "integer"),
+    "draw_srht-n-12": (lambda: srhtlab.draw_srht(12, 4, 0), ValueError, "power of two"),
+    # one operator is a 1 x n and 1 x ell pair; the (signs, indices) of a
+    # stack of two is not one
+    "apply_to_matrix-two-row-op": (
+        lambda: srhtlab.apply_to_matrix(draw_stack(16, 4, [0, 1]), np.eye(16)),
+        ValueError, "one operator",
+    ),
+    "apply_to_matrix-n-12": (
+        lambda: srhtlab.apply_to_matrix((np.ones((1, 12)), [[0, 5]]), np.eye(12)),
+        ValueError, "power of two",
+    ),
+    "apply_to_matrix-fractional-indices": (
+        lambda: srhtlab.apply_to_matrix((np.ones((1, 16)), [[0.0, 5.0]]), np.eye(16)),
+        TypeError, "integers",
+    ),
+    "apply_to_matrix-nan-matrix": (
+        lambda: srhtlab.apply_to_matrix(srhtlab.draw_srht(16, 4, 0), _ones_with(16, np.nan)),
+        ValueError, "non-finite",
+    ),
+    "apply_to_matrix-vector": (
+        lambda: srhtlab.apply_to_matrix(srhtlab.draw_srht(16, 4, 0), np.ones(16)),
+        ValueError, "n x k matrix",
+    ),
+    "apply_to_matrix-wrong-rows": (
+        lambda: srhtlab.apply_to_matrix(srhtlab.draw_srht(16, 4, 0), np.ones((8, 2))),
+        ValueError, "16 rows",
+    ),
+    "materialize-two-row-op": (
+        lambda: srhtlab.materialize(draw_stack(16, 4, [0, 1])), ValueError, "one operator"
+    ),
+    "materialize-n-12": (
+        lambda: srhtlab.materialize((np.ones((1, 12)), [[0, 5]])), ValueError, "power of two"
+    ),
+    "materialize-fractional-indices": (
+        lambda: srhtlab.materialize((np.ones((1, 16)), [[0.5, 5.0]])), TypeError, "integers"
+    ),
+    "materialize-bad-sign": (
+        lambda: srhtlab.materialize((np.full((1, 16), 0.5), [[0, 5]])), ValueError, "exactly"
+    ),
+    "materialize-above-cap": (
+        lambda: srhtlab.materialize(srhtlab.draw_srht(2 * MATERIALIZE_CAP, 4, 0)),
+        ValueError, "capped",
     ),
     "sample_without_replacement-bool-n": (
         lambda: srhtlab.sample_without_replacement(True, 1, [0]), TypeError, "not a bool"
@@ -69,11 +114,11 @@ BAD_INPUTS = {
     ),
     "monte_carlo_slack-bool-bound": (lambda: monte_carlo_slack(True, 5), TypeError, "not a bool"),
     "sketch_stack-float32-nan": (
-        lambda: sketch_stack(*draw_stack(64, 8, [0, 1]), _float32_ones_with(np.nan)),
+        lambda: sketch_stack(*draw_stack(64, 8, [0, 1]), _ones_with(64, np.nan, np.float32)),
         ValueError, "non-finite",
     ),
     "sketch_stack-float32-inf": (
-        lambda: sketch_stack(*draw_stack(64, 8, [0, 1]), _float32_ones_with(-np.inf)),
+        lambda: sketch_stack(*draw_stack(64, 8, [0, 1]), _ones_with(64, -np.inf, np.float32)),
         ValueError, "non-finite",
     ),
     # finite in float32, but all +1 signs sum each column into row 0 of the

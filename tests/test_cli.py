@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import inspect
 import io
 import json
@@ -102,6 +103,22 @@ def test_grid_values_in_exponent_notation_may_be_negative(capsys):
     assert (code, err) == (0, "")
     names = [s["name"] for s in json.loads(out)["summaries"]]
     assert names == ["mgf_domination(theta=-0.001)", "mgf_domination(theta=0.5)"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("bounds", "--k", "4", "--n", "16", "--beta", "-1e-3"), "finite beta with beta * n > 1"),
+        (("sketch", "--n", "16", "--l", "4", "--k", "2", "--seed", "-1e3"), "invalid int"),
+    ],
+)
+def test_negative_exponent_values_reach_every_subcommand(capsys, argv, message):
+    # only the experiment parsers read "-1e-3" as a value; bounds refused it
+    # as "expected one argument"
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == "" and message in err
+    assert "expected one argument" not in err
 
 
 def _readme_cli_lines():
@@ -217,6 +234,26 @@ def test_sketch_output_file_byte_identical(tmp_path, capsys):
         snapshots.append(path.read_bytes())
     capsys.readouterr()
     assert snapshots[0] == snapshots[1]
+
+
+# SHA-256 of ``srhtlab sketch --n 16 --l 5 --k 3 --seed 9`` on stdout, as the
+# operator object's draw and sketch wrote it (numpy 2.4.6): the operator
+# record, the sketch and its spectrum, bit for bit.
+SKETCH_SHA256 = {
+    "json": "13f01a22e9ff2ea335234e244034bb703e7acf44f8c00eb8e38a5b3f11199b2a",
+    "csv": "b3fabcfba14e879354d77056a5e05073175f5df725c66cb3eb4cfa0d7d721355",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(SKETCH_SHA256))
+def test_sketch_output_is_pinned_byte_for_byte(capsys, fmt):
+    code, out, err = run_cli(
+        capsys, "sketch", "--n", "16", "--l", "5", "--k", "3", "--seed", "9", "--format", fmt
+    )
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == SKETCH_SHA256[fmt]
+    if fmt == "json":
+        assert json.loads(out)["operator"] == {"n": 16, "l": 5, "seed": [9, 1, 0, 0]}
 
 
 def test_experiment_output_identical_modulo_timing(tmp_path, capsys):

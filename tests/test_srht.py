@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ import srhtlab
 from srhtlab import srht as srht_mod
 from srhtlab.srht import (
     MATERIALIZE_CAP,
-    SrhtOperator,
     apply_to_matrix,
     derived_rng,
     draw_integers,
@@ -34,37 +34,39 @@ import generator_oracle as oracle
 
 
 def make_operator(n, indices, signs=None):
+    """A hand-built operator: the 1 x n signs and 1 x ell indices pair, unchecked
+    until it is used."""
     if signs is None:
         signs = np.ones(n)
-    return SrhtOperator(
-        signs=np.asarray(signs, dtype=np.float64),
-        indices=np.asarray(indices, dtype=np.int64),
-    )
+    return np.asarray(signs, dtype=np.float64)[None], np.asarray(indices, dtype=np.int64)[None]
 
 
 def apply_to_vector(op, x):
     """The sketch of one vector: ``sketch_stack``'s one-operator 1-D case."""
-    return sketch_stack(op.signs[None], op.indices[None], x)[0]
+    return sketch_stack(*op, x)[0]
 
 
 def test_draw_is_deterministic():
-    a = draw_srht(64, 9, 42)
-    b = draw_srht(64, 9, 42)
-    assert np.array_equal(a.signs, b.signs)
-    assert np.array_equal(a.indices, b.indices)
-    c = draw_srht(64, 9, 43)
-    assert not (np.array_equal(a.signs, c.signs) and np.array_equal(a.indices, c.indices))
+    a_signs, a_indices = draw_srht(64, 9, 42)
+    b_signs, b_indices = draw_srht(64, 9, 42)
+    assert np.array_equal(a_signs, b_signs)
+    assert np.array_equal(a_indices, b_indices)
+    c_signs, c_indices = draw_srht(64, 9, 43)
+    assert not (np.array_equal(a_signs, c_signs) and np.array_equal(a_indices, c_indices))
 
 
 def test_full_sample_is_whole_index_set():
     for seed in range(5):
-        op = draw_srht(4, 4, seed)
-        assert np.array_equal(op.indices, [0, 1, 2, 3])
+        _, indices = draw_srht(4, 4, seed)
+        assert np.array_equal(indices, [[0, 1, 2, 3]])
 
 
 def test_scale_invariant():
-    op = draw_srht(32, 5, 0)
-    assert abs(op.scale**2 * op.ell - op.n) <= 1e-12 * op.n
+    # scale**2 * ell == n: the sketch of each coordinate vector has ell
+    # entries of magnitude sqrt(n/ell) * n**-0.5, so unit norm
+    sketch = apply_to_matrix(draw_srht(32, 5, 0), np.eye(32))
+    assert sketch.shape == (5, 32)
+    assert np.max(np.abs(np.sum(sketch**2, axis=0) - 1.0)) <= 1e-12
 
 
 def test_subset_frequencies_uniform():
@@ -85,7 +87,7 @@ def test_draw_srht_subsets_uniform():
     counts = {}
     draws = 10_000
     for i in range(draws):
-        t = tuple(draw_srht(8, 2, (99, i)).indices)
+        t = tuple(draw_srht(8, 2, (99, i))[1][0])
         counts[t] = counts.get(t, 0) + 1
     p = 1 / 28
     sigma = math.sqrt(draws * p * (1 - p))
@@ -177,7 +179,7 @@ def test_materialize_small_case():
 def test_materialize_row_norms():
     op = draw_srht(64, 9, 3)
     norms = np.linalg.norm(materialize(op), axis=1)
-    expected = op.scale
+    expected = (64 / 9) ** 0.5
     assert np.max(np.abs(norms - expected)) <= 1e-12 * expected
 
 
@@ -216,20 +218,23 @@ def test_thread_schedule_independence():
     serial = [draw_srht(32, 8, s) for s in seeds]
     with ThreadPoolExecutor(max_workers=8) as pool:
         parallel = list(pool.map(lambda s: draw_srht(32, 8, s), seeds))
-    for a, b in zip(serial, parallel):
-        assert np.array_equal(a.signs, b.signs)
-        assert np.array_equal(a.indices, b.indices)
+    for (a_signs, a_indices), (b_signs, b_indices) in zip(serial, parallel):
+        assert np.array_equal(a_signs, b_signs)
+        assert np.array_equal(a_indices, b_indices)
 
 
 def test_operator_validation():
-    with pytest.raises(ValueError):
-        make_operator(4, [0, 0, 1])  # duplicate indices
-    with pytest.raises(ValueError):
-        make_operator(4, [2, 1])  # not sorted
-    with pytest.raises(ValueError):
-        make_operator(4, [0, 4])  # out of range
-    with pytest.raises(ValueError):
-        make_operator(4, [0], signs=[0.5, 1, 1, 1])  # bad sign value
+    for op in (
+        make_operator(4, [0, 0, 1]),  # duplicate indices
+        make_operator(4, [2, 1]),  # not sorted
+        make_operator(4, [0, 4]),  # out of range
+        make_operator(4, [0], signs=[0.5, 1, 1, 1]),  # bad sign value
+    ):
+        for use in (materialize, lambda op: apply_to_matrix(op, np.eye(4))):
+            with pytest.raises(ValueError):
+                use(op)
+        with pytest.raises(ValueError):
+            apply_to_vector(op, np.ones(4))
     with pytest.raises(ValueError):
         draw_srht(12, 3, 0)  # n not a power of two
     with pytest.raises(ValueError):
@@ -274,7 +279,7 @@ def test_apply_to_matrix_rejects_non_finite_at_headline_size():
 
 def test_apply_rejects_sketch_that_overflows():
     op = draw_srht(2, 2, 0)
-    x = op.signs * 1.7e308  # finite, but H D x has an entry sqrt(2) * 1.7e308
+    x = op[0][0] * 1.7e308  # finite, but H D x has an entry sqrt(2) * 1.7e308
     with pytest.raises(ValueError, match="non-finite"):
         apply_to_vector(op, x)
 
@@ -297,17 +302,18 @@ GOLDEN_DRAWS = [
 
 @pytest.mark.parametrize("n, ell, seed, signs_sha, indices_sha", GOLDEN_DRAWS)
 def test_draw_matches_golden_fingerprint(n, ell, seed, signs_sha, indices_sha):
-    op = draw_srht(n, ell, seed)
-    assert hashlib.sha256(op.signs.astype("<i1").tobytes()).hexdigest() == signs_sha
-    assert hashlib.sha256(op.indices.astype("<i8").tobytes()).hexdigest() == indices_sha
+    # the one-seed draw and the same seed's row of a block
+    for signs, indices in (draw_srht(n, ell, seed), draw_stack(n, ell, [7, seed])):
+        assert hashlib.sha256(signs[-1].astype("<i1").tobytes()).hexdigest() == signs_sha
+        assert hashlib.sha256(indices[-1].astype("<i8").tobytes()).hexdigest() == indices_sha
 
 
 def test_operator_arrays_frozen():
-    op = draw_srht(8, 3, 0)
-    with pytest.raises(ValueError):
-        op.signs[0] = -op.signs[0]
-    with pytest.raises(ValueError):
-        op.indices[0] = 7
+    for signs, indices in (draw_srht(8, 3, 0), draw_stack(8, 3, [0, 1])):
+        with pytest.raises(ValueError):
+            signs[0, 0] = -signs[0, 0]
+        with pytest.raises(ValueError):
+            indices[0, 0] = 7
 
 
 # --- the O(ell) sampler -------------------------------------------------------
@@ -341,9 +347,9 @@ def test_operator_draw_refuses_a_non_integer_sample_size():
     ):
         with pytest.raises(TypeError):
             draw(2.5)
-    op = draw_srht(16, np.int32(3), 0)
-    assert op.indices.shape == (3,)
-    assert np.array_equal(op.indices, draw_srht(16, 3, 0).indices)
+    _, indices = draw_srht(16, np.int32(3), 0)
+    assert indices.shape == (1, 3)
+    assert np.array_equal(indices, draw_srht(16, 3, 0)[1])
 
 
 @pytest.mark.parametrize("seed", [1.5, 1.0, (1, 1.5), [3, 0.0]])
@@ -498,10 +504,21 @@ def test_a_range_of_one_takes_no_word():
             assert np.array_equal(indices[b], want_indices)
 
 
+def _operator_layout(n, ell, seeds):
+    """``draw_stack``'s draw without its transform-size check, so that any n,
+    an odd one included, tests the raw-word layout: n sign draws, then the
+    ell offsets, in one ``draw_integers`` block."""
+    drawn = draw_integers(seeds, srht_mod._operator_ranges(n, ell))
+    return srht_mod._signs(drawn[:, :n]), srht_mod._subsets(drawn[:, n:], ell)
+
+
 @pytest.mark.parametrize("n, ell", [(1, 1), (3, 2), (5, 5), (7, 3)])
 def test_odd_sign_count_carries_the_high_half_into_the_offsets(n, ell):
+    # n = 1 is the one odd transform size draw_stack takes
     seeds = [(11, i) for i in range(20)]
-    signs, indices = draw_stack(n, ell, seeds)
+    signs, indices = _operator_layout(n, ell, seeds)
+    if n == 1:
+        assert all(map(np.array_equal, draw_stack(n, ell, seeds), (signs, indices)))
     for b, seed in enumerate(seeds):
         want_signs, want_indices = oracle.operator_draw(n, ell, seed)
         assert np.array_equal(signs[b], want_signs)
@@ -543,7 +560,9 @@ def _seeds():
 @settings(max_examples=80)
 def test_every_operator_draw_is_the_generator_draw(n, data, seeds):
     ell = data.draw(st.one_of(st.just(1), st.just(n), st.integers(1, n)), label="ell")
-    signs, indices = draw_stack(n, ell, seeds)
+    signs, indices = _operator_layout(n, ell, seeds)
+    if n & (n - 1) == 0:
+        assert all(map(np.array_equal, draw_stack(n, ell, seeds), (signs, indices)))
     alone_signs = rademacher_signs(n, seeds)
     alone_subsets = sample_without_replacement(n, ell, seeds)
     for b, seed in enumerate(seeds):
@@ -557,7 +576,7 @@ def test_every_operator_draw_is_the_generator_draw(n, data, seeds):
 # --- the block draw -----------------------------------------------------------
 
 @given(
-    st.integers(1, 1 << 10),
+    st.integers(0, 10).map(lambda p: 1 << p),
     st.data(),
     st.sampled_from([1, 2, 7, 64]),
     st.booleans(),
@@ -592,17 +611,28 @@ def test_block_draw_checks_the_sample_size():
             draw_stack(n, ell, [0])
 
 
+@pytest.mark.parametrize("n", [12, 0, -4, 3])
+def test_block_draw_refuses_a_transform_size_before_drawing(monkeypatch, n):
+    # draw_stack(12, 4, [0]) once drew a 1 x 12 "operator" no sketch could use
+    monkeypatch.setattr(srht_mod, "draw_integers", mock.Mock(side_effect=AssertionError("drew")))
+    for draw in (lambda: draw_stack(n, 2, [0, 1]), lambda: draw_srht(n, 2, 0)):
+        with pytest.raises(ValueError, match="power of two"):
+            draw()
+
+
 # --- the stacked sketch -------------------------------------------------------
 
 def test_draw_signs_and_indices_is_the_operator_draw():
+    # one operator is the B = 1 stack, the same seed's row of any block
     for n, ell, seed in [(16, 4, 0), (64, 17, (3, 1, 2, 9)), (1024, 128, 3)]:
-        (signs,), (indices,) = draw_stack(n, ell, [seed])
-        op = draw_srht(n, ell, seed)
-        assert np.array_equal(signs, op.signs) and np.array_equal(indices, op.indices)
+        signs, indices = draw_stack(n, ell, [5, seed, (5, 1)])
+        op_signs, op_indices = draw_srht(n, ell, seed)
+        assert op_signs.shape == (1, n) and op_indices.shape == (1, ell)
+        assert np.array_equal(signs[1:2], op_signs) and np.array_equal(indices[1:2], op_indices)
 
 
 def _stack(ops):
-    return np.array([op.signs for op in ops]), np.array([op.indices for op in ops])
+    return np.concatenate([signs for signs, _ in ops]), np.concatenate([i for _, i in ops])
 
 
 @given(st.integers(0, 10), st.integers(1, 6), st.integers(1, 4), st.integers(0, 2**32 - 1))
@@ -617,7 +647,7 @@ def test_stack_equals_one_operator_at_a_time(p, stack, k, seed):
     ops = [draw_srht(n, ell, (seed, b)) for b in range(stack)]
     signs, indices = _stack(ops)
     v = rng.standard_normal((n, k))
-    tol = 1e-12 * ops[0].scale * np.linalg.norm(v, axis=0)
+    tol = 1e-12 * (n / ell) ** 0.5 * np.linalg.norm(v, axis=0)
     sketches = sketch_stack(signs, indices, v)
     assert sketches.shape == (stack, ell, k)
     vectors = sketch_stack(signs, indices, v[:, 0])
@@ -675,10 +705,12 @@ def test_operator_rules_refuse_non_integer_indices():
     for bad in (np.array([[0.5, 2.7]]), np.array([[0.0, 2.0]]), np.array([[True, False]])):
         with pytest.raises(TypeError, match="integers"):
             sketch_stack(np.ones((1, 8)), bad, np.ones(8))
-    with pytest.raises(TypeError, match="integers"):
-        SrhtOperator(signs=np.ones(4), indices=[0.9, 3.2])
-    op = SrhtOperator(signs=np.ones(4), indices=np.array([1, 3], dtype=np.uint8))
-    assert op.indices.dtype == np.int64 and np.array_equal(op.indices, [1, 3])
+    for use in (materialize, lambda op: apply_to_matrix(op, np.eye(4))):
+        with pytest.raises(TypeError, match="integers"):
+            use((np.ones((1, 4)), [[0.9, 3.2]]))
+        # unsigned indices are taken as their int64 values
+        narrow = use((np.ones((1, 4)), np.array([[1, 3]], dtype=np.uint8)))
+        assert np.array_equal(narrow, use(make_operator(4, [1, 3])))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -751,6 +783,24 @@ def test_import_srhtlab_leaves_numpy_random_unimported():
     )
     before, after = done.stdout.split()
     assert after == before
+
+
+PUBLIC_NAMES = {
+    "ChernoffParams", "EMBEDDING_SIGMA_MAX", "EMBEDDING_SIGMA_MIN", "apply_to_matrix",
+    "chernoff_lower_tail", "chernoff_upper_tail", "coupon_coverage_probability",
+    "decimated_identity", "draw_srht", "embedding_sample_size", "fwht", "fwht_inplace", "gram",
+    "hadamard_entry", "hadamard_matrix", "materialize", "orthonormality_defect",
+    "random_orthonormal", "row_norm_bound", "row_sampling_failure_bound",
+    "row_sampling_worst_ratio", "sample_without_replacement", "singular_values",
+    "symmetric_eigenvalues",
+}
+
+
+def test_package_exports_exactly_its_public_names():
+    # an operator is the (signs, indices) pair, so no operator class is exported
+    assert len(srhtlab.__all__) == len(PUBLIC_NAMES) and set(srhtlab.__all__) == PUBLIC_NAMES
+    for name in srhtlab.__all__:
+        assert getattr(srhtlab, name) is not None
 
 
 MODULES_BESIDE_SRHT = sorted(
