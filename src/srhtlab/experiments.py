@@ -55,9 +55,9 @@ signs, but transforms one trial at a time: a trial is over the block budget
 (512 KiB at the headline shape), and a stacked transform was measured
 slower there, its array falling out of cache.  Each trial draws its
 Gaussian into one n x k buffer kept for the whole run, from the stream a
-``random_orthonormal`` basis would use, and runs that function's
-CholeskyQR2 routine, ``linalg._cholesky_qr2``, around the in-place
-transform; it never forms its basis.
+``random_orthonormal`` basis would use, and runs that function's Cholesky
+QR routine, ``linalg._cholesky_qr``, around the in-place transform; it never
+forms its basis.  A tall trial takes one pass, a square one two.
 
 Each runner's keyword defaults are its headline configuration, the one the
 acceptance suite checks; called with only a seed, it runs that configuration.
@@ -83,7 +83,7 @@ from .bounds import (
 )
 from .linalg import (
     RANK_RTOL,
-    _cholesky_qr2,
+    _cholesky_qr,
     decimated_identity,
     gram,
     random_orthonormal,
@@ -333,12 +333,14 @@ def run_row_norm_trials(n=4096, k=16, beta=None, trials=2000, seed=0):
     Trials run through ``_fill_blocks``: each block of trials draws its
     signs with one ``rademacher_signs`` call and its Gaussians with one
     ``standard_normals`` call, into one n x k buffer kept for the run.
-    Two passes of Cholesky QR (CholeskyQR2, ``linalg._cholesky_qr2``) run
-    around the in-place transform: R_1 from the Gram of G, W_1 = H D G
-    R_1^-1, R_2 from the Gram of W_1, and W = W_1 R_2^-1.  H D is
-    orthogonal, so the second pass may be measured after it, and it also
-    corrects the transform's own rounding; one pass alone leaves square
-    inputs visibly non-orthonormal.
+    Cholesky QR (``linalg._cholesky_qr``) runs around the in-place
+    transform: R_1 from the Gram of G and W_1 = H D G R_1^-1.  W_1 is W
+    when its orthonormality defect is at most ``linalg.ONE_PASS_DEFECT``
+    (1e-14), as at every tall shape measured, the transform's own rounding
+    included (at most 1.1e-15 at 4096 x 16).  Else, as for square inputs,
+    which one pass leaves visibly non-orthonormal, R_2 comes from the Gram
+    of W_1 and W = W_1 R_2^-1; H D is orthogonal, so that second pass may
+    be measured after it.
     The exceedance frequency of the analytic level is compared against
     1/beta (``beta`` defaults to k).  Extremes hold the (min, max) observed
     max row norm, each row's squared norm summed in one ``einsum`` pass.
@@ -368,12 +370,13 @@ def run_row_norm_trials(n=4096, k=16, beta=None, trials=2000, seed=0):
 
 
 def _max_row_norm(g, signs):
-    """Largest row norm of W = H D G R^-1, computed over ``g``: CholeskyQR2
-    around the in-place sign flip and transform, and each row's squared norm
-    summed in one ``einsum`` pass, with no n x k temporary."""
+    """Largest row norm of W = H D G R^-1, computed over ``g``: one or two
+    passes of Cholesky QR around the in-place sign flip and transform, and
+    each row's squared norm summed in one ``einsum`` pass, with no n x k
+    temporary."""
     gram1 = gram(g)
     g *= signs[:, None]
-    w = _cholesky_qr2(fwht_inplace(g), gram1)
+    w = _cholesky_qr(fwht_inplace(g), gram1)
     return np.sqrt(np.max(np.einsum("ij,ij->i", w, w)))
 
 

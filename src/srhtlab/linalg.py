@@ -8,13 +8,18 @@ both refuse a non-finite entry with a ValueError.  The float32 transform of
 a large embedding sketch (see ``experiments``) spends up to 3e-8 of that
 budget before the SVD; a float32 transform at n = 64 measured up to 8e-8,
 which is why small sketches stay float64.  Orthonormal bases come
-from one routine, ``_cholesky_qr2``: two passes of Cholesky QR and one
-orthonormality check, shared by ``random_orthonormal`` and the row-norm
-runner.  Both draw their Gaussians from ``srht.standard_normals``.
+from one routine, ``_cholesky_qr``, shared by ``random_orthonormal`` and the
+row-norm runner: one pass of Cholesky QR, kept when its basis is orthonormal
+to ``ONE_PASS_DEFECT`` (1e-14), as every tall Gaussian draw measured; else
+a second pass (CholeskyQR2) and an orthonormality check at 1e-8.  Both
+callers draw their Gaussians from ``srht.standard_normals``.
 """
+
+import math
 
 import numpy as np
 
+from .bounds import _refuse_bools
 from .srht import standard_normals
 from .wht import is_power_of_two
 
@@ -39,37 +44,55 @@ def random_orthonormal(n: int, k: int, seed) -> np.ndarray:
     """n x k matrix with orthonormal columns, deterministic per seed.
 
     The orthonormal factor Q = G R^-1 of a standard-normal matrix G (R with
-    positive diagonal), by two passes of Cholesky QR (CholeskyQR2): R_1 from
-    the Gram of G and Q_1 = G R_1^-1, then R_2 from the Gram of Q_1 and
-    Q = Q_1 R_2^-1.  One pass loses orthogonality as cond(G)^2; the second
+    positive diagonal), by Cholesky QR (see ``_cholesky_qr``): R_1 from the
+    Gram of G and Q_1 = G R_1^-1.  A tall draw has cond(G) near 1, so Q_1 is
+    already orthonormal to rounding and is returned.  A square n x n draw
+    has cond(G) near n, one pass loses orthogonality as cond(G)^2, and a
+    second pass (CholeskyQR2), R_2 from the Gram of Q_1 and Q = Q_1 R_2^-1,
     brings it to rounding level while cond(G) stays below about 1e8
     (Fukaya, Nakatsukasa, Yanagisawa and Yamamoto 2014; Yamamoto et al.
-    2015).  A tall Gaussian draw has cond(G) near 1 and a square n x n one
-    near n, so this limit is passed only with tiny probability.  A draw past
-    it raises RuntimeError and never returns a bad basis (see
-    ``_cholesky_qr2``).  Q overwrites G, so at most two n x k arrays are held
-    at once.
+    2015).  That limit is passed only with tiny probability; a draw past it
+    raises RuntimeError and never returns a bad basis.  Q overwrites G, so
+    at most two n x k arrays are held at once.  n and k must be whole
+    numbers with 1 <= k <= n, not bools; they are checked before the draw.
     """
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    (g,) = standard_normals([seed], np.empty((n, k)))
-    return _cholesky_qr2(g, gram(g))
+    _refuse_bools(n=n, k=k)
+    if not (1 <= k <= n < math.inf and k % 1 == 0 and n % 1 == 0):
+        raise ValueError(f"need whole numbers 1 <= k <= n < inf, got k={k}, n={n}")
+    (g,) = standard_normals([seed], np.empty((int(n), int(k))))
+    return _cholesky_qr(g, gram(g))
 
 
-def _cholesky_qr2(g, gram1):
-    """G R_1^-1 R_2^-1, written over ``g`` and returned.
+# Largest first-pass defect max|Q_1^T Q_1 - I| accepted without a second
+# pass: rounding level, about 45 ulp of 1.  Tall Gaussian draws measured at
+# most 1.1e-15 (4096 x 16 after the transform, 400 draws) and 1.6e-15
+# (65536 x 16); square ones 5.5e-13 in the median and up to 1.6e-6 at
+# 64 x 64 (400 draws), 7.2e-12 in the median at 256 x 256, so they take both.
+ONE_PASS_DEFECT = 1e-14
+
+
+def _cholesky_qr(g, gram1):
+    """G R^-1, written over ``g`` and returned, by one or two passes of
+    Cholesky QR.
 
     R_1 is the Cholesky factor of ``gram1``: gram(G), or the Gram of the
     matrix ``g`` held before an orthogonal map was applied to it in place,
-    which in exact arithmetic is the same.  R_2 is the factor of the Gram of
-    Q_1 = G R_1^-1.  RuntimeError when a factorization fails, or when the
-    result's orthonormality defect exceeds 1e-8 or is not a number.
+    which in exact arithmetic is the same.  Q_1 = G R_1^-1 is returned when
+    its defect, read from the Gram of Q_1 that a second pass would factor,
+    is at most ``ONE_PASS_DEFECT``.  Else R_2 is the factor of that Gram and
+    Q_1 R_2^-1 is returned.  Each pass writes over ``g`` (numpy copies it
+    first), so at most two n x k arrays are held.  RuntimeError when a
+    factorization fails, or when the two-pass result's orthonormality defect
+    exceeds 1e-8 or is not a number.
     """
-    q1 = g @ np.linalg.inv(_cholesky_r(gram1))
-    q = np.matmul(q1, np.linalg.inv(_cholesky_r(gram(q1))), out=g)
+    q = np.matmul(g, np.linalg.inv(_cholesky_r(gram1)), out=g)
+    gram2 = gram(q)
+    if _gram_defect(gram2) <= ONE_PASS_DEFECT:
+        return q
+    np.matmul(q, np.linalg.inv(_cholesky_r(gram2)), out=q)
     defect = orthonormality_defect(q)
     if not defect <= 1e-8:
-        raise RuntimeError(f"CholeskyQR2 basis lost orthonormality: defect {defect}")
+        raise RuntimeError(f"Cholesky QR basis lost orthonormality: defect {defect}")
     return q
 
 
@@ -82,7 +105,7 @@ def _cholesky_r(s):
     try:
         return np.linalg.cholesky(s).T
     except np.linalg.LinAlgError as exc:
-        raise RuntimeError(f"matrix too ill-conditioned for CholeskyQR2: {exc}") from exc
+        raise RuntimeError(f"matrix too ill-conditioned for Cholesky QR: {exc}") from exc
 
 
 def gram(a) -> np.ndarray:
@@ -99,7 +122,14 @@ def orthonormality_defect(v) -> float:
     v = np.asarray(v, dtype=np.float64)
     if v.ndim == 1:
         v = v[:, None]
-    return float(np.max(np.abs(gram(v) - np.eye(v.shape[1]))))
+    if v.shape[1] == 0:
+        raise ValueError(f"need at least one column, got shape {v.shape}")
+    return _gram_defect(gram(v))
+
+
+def _gram_defect(s) -> float:
+    """max |(S - I)_ij| of a k x k Gram matrix S, k >= 1."""
+    return float(np.max(np.abs(s - np.eye(s.shape[0]))))
 
 
 def symmetric_eigenvalues(s) -> np.ndarray:

@@ -127,6 +127,27 @@ BAD_INPUTS = {
         lambda: sketch_stack(np.ones((1, 64)), [[0]], np.full((64, 2), 3e38, dtype=np.float32)),
         ValueError, "its sketch overflows",
     ),
+    "random_orthonormal-bool-n": (
+        lambda: srhtlab.random_orthonormal(True, 1, 0), TypeError, "not a bool"
+    ),
+    "random_orthonormal-numpy-bool-k": (
+        lambda: srhtlab.random_orthonormal(4, np.True_, 0), TypeError, "not a bool"
+    ),
+    "random_orthonormal-fractional-n": (
+        lambda: srhtlab.random_orthonormal(16.5, 2, 0), ValueError, "whole numbers"
+    ),
+    "random_orthonormal-fractional-k": (
+        lambda: srhtlab.random_orthonormal(16, 2.5, 0), ValueError, "whole numbers"
+    ),
+    "random_orthonormal-inf-n": (
+        lambda: srhtlab.random_orthonormal(np.inf, 2, 0), ValueError, "whole numbers"
+    ),
+    "random_orthonormal-nan-k": (
+        lambda: srhtlab.random_orthonormal(16, np.nan, 0), ValueError, "whole numbers"
+    ),
+    "orthonormality_defect-no-columns": (
+        lambda: srhtlab.orthonormality_defect(np.zeros((4, 0))), ValueError, "one column"
+    ),
     "symmetric_eigenvalues-0x0": (
         lambda: srhtlab.symmetric_eigenvalues(np.zeros((0, 0))), ValueError, "at least 1 x 1"
     ),

@@ -236,13 +236,30 @@ def test_sketch_output_file_byte_identical(tmp_path, capsys):
     assert snapshots[0] == snapshots[1]
 
 
-# SHA-256 of ``srhtlab sketch --n 16 --l 5 --k 3 --seed 9`` on stdout, as the
-# operator object's draw and sketch wrote it (numpy 2.4.6): the operator
-# record, the sketch and its spectrum, bit for bit.
+# SHA-256 of ``srhtlab sketch --n 16 --l 5 --k 3 --seed 9`` on stdout (numpy
+# 2.4.6): the operator record, the sketch and its spectrum, bit for bit.
+# Re-recorded when the tall 16 x 3 basis began to take one Cholesky QR pass
+# instead of two; the hashes of the two-pass output are SKETCH_TWO_PASS_SHA256,
+# and its values are SKETCH_TWO_PASS.
 SKETCH_SHA256 = {
+    "json": "4d015f8df85fe86269a08025d077fdff1582aae637972b397677a62515bdd622",
+    "csv": "8712ea38fa847c96bf04045f5a8a1ca73896f60ded1392e37b447586c92c9fab",
+}
+SKETCH_TWO_PASS_SHA256 = {
     "json": "13f01a22e9ff2ea335234e244034bb703e7acf44f8c00eb8e38a5b3f11199b2a",
     "csv": "b3fabcfba14e879354d77056a5e05073175f5df725c66cb3eb4cfa0d7d721355",
 }
+# (sketch, singular values) of the same command with a two-pass basis
+SKETCH_TWO_PASS = (
+    [
+        [0.295839028002099, -0.302278185450253, 0.7101094947506701],
+        [-0.35695467589663893, 0.2617233026164151, -0.19723230171397949],
+        [0.3399349045055782, -0.0075630334570712795, -0.03793110784995039],
+        [-0.30333710392150254, -0.9816287286241888, 0.31440412973402976],
+        [0.08479299840234267, 1.0193056054267238, 0.6078527025183464],
+    ],
+    [1.4796155081713063, 1.0386568701511603, 0.5805714347833173],
+)
 
 
 @pytest.mark.parametrize("fmt", sorted(SKETCH_SHA256))
@@ -254,6 +271,25 @@ def test_sketch_output_is_pinned_byte_for_byte(capsys, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == SKETCH_SHA256[fmt]
     if fmt == "json":
         assert json.loads(out)["operator"] == {"n": 16, "l": 5, "seed": [9, 1, 0, 0]}
+
+
+@pytest.mark.parametrize("fmt", sorted(SKETCH_SHA256))
+def test_sketch_keeps_the_two_pass_values(capsys, fmt):
+    # every value within 1e-14 of the two-pass one, relative to its own size
+    code, out, _ = run_cli(
+        capsys, "sketch", "--n", "16", "--l", "5", "--k", "3", "--seed", "9", "--format", fmt
+    )
+    assert code == 0
+    if fmt == "json":
+        record = json.loads(out)
+        got = (record["sketch"]["data"], record["singular_values"])
+    else:  # the sketch's 5 x 3 block, then the spectrum's 1 x 3 block
+        rows = [[float(x) for x in line.split(",")] for line in out.splitlines()]
+        got = (rows[1:6], rows[7])
+    for values, want in zip(got, SKETCH_TWO_PASS, strict=True):
+        values, want = np.array(values), np.array(want)
+        assert values.shape == want.shape
+        assert np.all(np.abs(values - want) <= 1e-14 * np.abs(want))
 
 
 def test_experiment_output_identical_modulo_timing(tmp_path, capsys):

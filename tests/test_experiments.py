@@ -180,8 +180,9 @@ def test_rownorm_small_case_passes():
 
 
 def test_rownorm_second_pass_keeps_square_bases_orthonormal():
-    # one pass of Cholesky QR leaves a defect of 1.6e-6 here, which trips the
-    # 1e-8 check; the second pass brings it to rounding level
+    # one pass of Cholesky QR leaves a defect of up to 1.6e-6 here, far above
+    # linalg.ONE_PASS_DEFECT and past the 1e-8 check; every trial takes the
+    # second pass, which brings it to rounding level
     defect = _Recorder(linalg_mod.orthonormality_defect)
     with mock.patch.object(linalg_mod, "orthonormality_defect", defect):
         s = run_row_norm_trials(64, 64, 2.0, trials=50, seed=0)
@@ -190,9 +191,22 @@ def test_rownorm_second_pass_keeps_square_bases_orthonormal():
         assert np.max(np.abs(np.sqrt(np.sum(w * w, axis=1)) - 1.0)) <= 1e-10
 
 
+@pytest.mark.parametrize("n, k", [(4096, 16), (1024, 1)])
+def test_rownorm_tall_bases_take_one_pass_after_the_transform(n, k):
+    bases = _Recorder(exp_mod._cholesky_qr)
+    with mock.patch.object(exp_mod, "_cholesky_qr", bases), mock.patch.object(
+        linalg_mod, "_cholesky_r", wraps=linalg_mod._cholesky_r
+    ) as factor:
+        run_row_norm_trials(n, k, 16.0, trials=20, seed=0)
+    assert factor.call_count == len(bases.calls) == 20
+    for _, w in bases.calls:
+        assert linalg_mod.orthonormality_defect(w) <= linalg_mod.ONE_PASS_DEFECT
+
+
 @pytest.mark.parametrize("defect", [1.0000001e-8, math.inf, math.nan])
 def test_rownorm_refuses_a_transformed_basis_past_the_defect_limit(defect):
-    with mock.patch.object(linalg_mod, "orthonormality_defect", return_value=defect):
+    # every defect, the first pass's included, reads past the limit
+    with mock.patch.object(linalg_mod, "_gram_defect", return_value=defect):
         with pytest.raises(RuntimeError, match="lost orthonormality"):
             run_row_norm_trials(64, 4, 2.0, trials=2)
 
@@ -281,8 +295,8 @@ def test_rownorm_at_k1_is_the_single_vector_check(n, log_beta_n, seed):
         g = derived_rng(seed, 0, 0, i).standard_normal(n)
         x = g / np.linalg.norm(g)
         peaks.append(np.max(np.abs(fwht(oracle.signs(n, (seed, 1, 0, i)) * x))))
-    bases = _Recorder(exp_mod._cholesky_qr2)
-    with mock.patch.object(exp_mod, "_cholesky_qr2", bases):
+    bases = _Recorder(exp_mod._cholesky_qr)
+    with mock.patch.object(exp_mod, "_cholesky_qr", bases):
         s = run_row_norm_trials(n, 1, beta, trials=trials, seed=seed)
     norms = [np.sqrt(np.max(np.sum(w * w, axis=1))) for _, w in bases.calls]
     assert np.max(np.abs(np.array(norms) - peaks)) <= 1e-12
@@ -684,7 +698,11 @@ def test_json_records_roundtrip():
 # GOLDEN_MGF_MULTISET_SHA256.  The seed-0 rownorm_64x64 hash was re-recorded
 # when a trial's squared row norms moved from np.sum(w * w, axis=1) to one
 # einsum pass: its extreme_sigma_min moved from 1.0 to 1.0000000000000002, one
-# ulp.  The hash it replaced is GOLDEN_ROWNORM_ROW_SUM_SHA256.
+# ulp.  The hash it replaced is GOLDEN_ROWNORM_ROW_SUM_SHA256.  The hashes
+# of the runs whose bases are tall were re-recorded when such a basis began
+# to take one Cholesky QR pass instead of two (linalg.ONE_PASS_DEFECT); the
+# hashes they replaced are GOLDEN_TWO_PASS_SUMMARY_SHA256, and their records
+# are pinned as literals in GOLDEN_TWO_PASS_RECORDS.
 GOLDEN_RUNS = {
     "embedding_256x8": lambda seed: [
         run_embedding_trials(256, 8, ell=64, trials=300, seed=seed)
@@ -706,7 +724,7 @@ GOLDEN_RUNS = {
 }
 GOLDEN_SUMMARY_SHA256 = {
     ("embedding_256x8", 0):
-        "2d471e5d1ed3e1123df771fda7b277b57488dbfcec8f905f5d56ce3260b0b898",
+        "6e42cc18cb87914dc421c6a86ce70d3a67b30ebbd54b19cd4017f1cc23cb5bb7",
     ("embedding_256x8", 12345):
         "91ffcadb062de6d6f559c8a22d5ee1589ed2ef715e8a8895ed9d578b2d8978e2",
     ("coupon_k4", 0): "261da3a9c32f67a1d8f61dc23664606c57ea9e8feb7525ee33c164b6ae88957c",
@@ -714,15 +732,15 @@ GOLDEN_SUMMARY_SHA256 = {
     ("coupon_k2", 0): "52251dee150d8188c084816b755c105f3c972bde6e5280b07dc63fc6ff20a93d",
     ("coupon_k2", 12345): "9821cbbe6a5f73022d538a4bd7a3dec09d826fec762228e26435966d40fd1751",
     ("chernoff_exhaustive", 0):
-        "9afe702acbed0228b9a72381f17a8d945300c24b001a7b1a6108ce684c0c0f27",
+        "2480fae6e2a8f382299762b57eee5537e85d2c8105b176ec237f896b479216c5",
     ("chernoff_exhaustive", 12345):
         "3112cd0d513120737dfffbaa2850348061459300bf9f1ba137e806d042be9ce7",
     ("chernoff_monte_carlo", 0):
-        "b6d9515df74c1396648d503bb6ee5e86ec7d557d800dfbec6aa7bffdff7c5d2e",
+        "a4f0fdadb5025e28337a73746dae4b9860f4c2c4a75ab6437474da267e0f7992",
     ("chernoff_monte_carlo", 12345):
-        "7b97dece783b81f1fc54b54ded8de98d9b50bd17a3bb2cf0b3ec47aa51ebab4c",
+        "4df9fefcdd54b56e05767aa3edd14778046270a9167daf092eacb0f5d617c3f8",
     ("rownorm_256x8", 0):
-        "78d1b4fc10814b8b5f19d60f6964da128822562d957e28f6f5b5fc4d7ff7e936",
+        "5fc23797e9398c6a580c4c03b126001f1056c81f02feda5c736e71bea4692bc1",
     ("rownorm_256x8", 12345):
         "e78e198a4ab04f2cace8241c1f6b23e88f362c522acce5192332b47d51561482",
     ("rownorm_64x64", 0):
@@ -730,7 +748,7 @@ GOLDEN_SUMMARY_SHA256 = {
     ("rownorm_64x64", 12345):
         "e54baf75e40a47b55490996ef3dcef75bef3d4e0d7c0558850be080e31aeaf4b",
     ("mgf_exhaustive", 0):
-        "f775c7fdb1f38a1dbdbf3c2b16b0ee665b033d0f0b8c48466e77422484b7ab6f",
+        "09eb501ddc0d6640602d4c5afe2546b5cf99318f94ab6b4464278f001c3a3eed",
     ("mgf_exhaustive", 12345):
         "3c2afb17aa65e978b413d5fc54fbee50455c33145dd93e344ecfd187c7170fd4",
     ("mgf_monte_carlo", 0):
@@ -755,6 +773,21 @@ GOLDEN_ROWNORM_ROW_SUM_SHA256 = {
         "9aca153b4af13e5ac3de6bd7248a40650e46b585f780daf007991c07aea4f429",
 }
 
+GOLDEN_TWO_PASS_SUMMARY_SHA256 = {
+    ("chernoff_exhaustive", 0):
+        "9afe702acbed0228b9a72381f17a8d945300c24b001a7b1a6108ce684c0c0f27",
+    ("chernoff_monte_carlo", 0):
+        "b6d9515df74c1396648d503bb6ee5e86ec7d557d800dfbec6aa7bffdff7c5d2e",
+    ("chernoff_monte_carlo", 12345):
+        "7b97dece783b81f1fc54b54ded8de98d9b50bd17a3bb2cf0b3ec47aa51ebab4c",
+    ("embedding_256x8", 0):
+        "2d471e5d1ed3e1123df771fda7b277b57488dbfcec8f905f5d56ce3260b0b898",
+    ("mgf_exhaustive", 0):
+        "f775c7fdb1f38a1dbdbf3c2b16b0ee665b033d0f0b8c48466e77422484b7ab6f",
+    ("rownorm_256x8", 0):
+        "78d1b4fc10814b8b5f19d60f6964da128822562d957e28f6f5b5fc4d7ff7e936",
+}
+
 
 @pytest.mark.parametrize("run, seed", sorted(GOLDEN_SUMMARY_SHA256))
 def test_timing_free_summaries_match_golden(run, seed):
@@ -763,7 +796,7 @@ def test_timing_free_summaries_match_golden(run, seed):
 
 
 # (exceedances, min, max of the largest row norm) when each basis came from a
-# sign-fixed Householder QR; CholeskyQR2 must keep the counts exactly and the
+# sign-fixed Householder QR; Cholesky QR must keep the counts exactly and the
 # extremes within 1e-12.
 GOLDEN_ROWNORM = {
     ("rownorm_256x8", 0): (0, 0.2673887350499593, 0.38852011088791466),
@@ -841,7 +874,7 @@ def test_mgf_matches_the_weighted_unique_row_records(run, seed):
 
 # (events, passed, bound, min, max) per record, in output order, when the
 # fixture basis came from a sign-fixed Householder QR; events is the count
-# behind the frequency, or the mgf ratio.  CholeskyQR2 must keep every count
+# behind the frequency, or the mgf ratio.  Cholesky QR must keep every count
 # and passed flag exactly and every float within 1e-12.
 GOLDEN_HOUSEHOLDER_RECORDS = {
     ("chernoff_exhaustive", 0): [
@@ -962,6 +995,101 @@ def test_fixture_basis_runs_match_the_householder_records(run, seed):
         assert s.passed is passed
         got = (s.analytic_bound, s.extreme_sigma_min, s.extreme_sigma_max)
         assert max(abs(a - b) for a, b in zip(got, floats)) <= 1e-12
+
+
+# (events, passed, bound, min, max) per record, in output order, when every
+# basis took two Cholesky QR passes; events is the count behind the
+# frequency, or the mgf ratio.  A one-pass basis must keep every count and
+# passed flag exactly and every float within 1e-14 relative.
+GOLDEN_TWO_PASS_RECORDS = {
+    ("chernoff_exhaustive", 0): [
+        (50, True, 1.9941936742874078, 0.06576678087743802, 0.9677034537609378),
+        (40, True, 1.9945682514274055, 0.06576678087743802, 0.9677034537609378),
+        (48, True, 1.9760062784073076, 0.06576678087743802, 0.9677034537609378),
+        (40, True, 1.9790048509179814, 0.06576678087743802, 0.9677034537609378),
+        (48, True, 1.944248280085453, 0.06576678087743802, 0.9677034537609378),
+        (40, True, 1.954381735938203, 0.06576678087743802, 0.9677034537609378),
+        (45, True, 1.8976579212598024, 0.06576678087743802, 0.9677034537609378),
+        (36, True, 1.9217345830017385, 0.06576678087743802, 0.9677034537609378),
+        (42, True, 1.8348432719538157, 0.06576678087743802, 0.9677034537609378),
+        (34, True, 1.8820593200184959, 0.06576678087743802, 0.9677034537609378),
+        (37, True, 1.7541535780128246, 0.06576678087743802, 0.9677034537609378),
+        (33, True, 1.8363081188361958, 0.06576678087743802, 0.9677034537609378),
+        (29, True, 1.6533770119453042, 0.06576678087743802, 0.9677034537609378),
+        (33, True, 1.7853855329568542, 0.06576678087743802, 0.9677034537609378),
+        (21, True, 1.5289251185095065, 0.06576678087743802, 0.9677034537609378),
+        (29, True, 1.7301451433454176, 0.06576678087743802, 0.9677034537609378),
+        (9, True, 1.3728876375828827, 0.06576678087743802, 0.9677034537609378),
+        (27, True, 1.671386895855885, 0.06576678087743802, 0.9677034537609378),
+    ],
+    ("chernoff_monte_carlo", 0): [
+        (253, True, 1.9911991888640117, 0.1168630623366222, 0.9295997538556068),
+        (233, True, 1.9917665468130101, 0.1168630623366222, 0.9295997538556068),
+        (246, True, 1.9637177808511155, 0.1168630623366222, 0.9295997538556068),
+        (217, True, 1.9682397018614999, 0.1168630623366222, 0.9295997538556068),
+        (222, True, 1.9160440671792909, 0.1168630623366222, 0.9295997538556068),
+        (200, True, 1.931212575183512, 0.1168630623366222, 0.9295997538556068),
+        (185, True, 1.8468308859573235, 0.1168630623366222, 0.9295997538556068),
+        (176, True, 1.8824900930620514, 0.1168630623366222, 0.9295997538556068),
+        (141, True, 1.7548989915706064, 0.1168630623366222, 0.9295997538556068),
+        (164, True, 1.8238526070095447, 0.1168630623366222, 0.9295997538556068),
+        (78, True, 1.639176255326175, 0.1168630623366222, 0.9295997538556068),
+        (136, True, 1.757024595706064, 0.1168630623366222, 0.9295997538556068),
+        (45, True, 1.4984721443443376, 0.1168630623366222, 0.9295997538556068),
+        (97, True, 1.683648873659364, 0.1168630623366222, 0.9295997538556068),
+        (12, True, 1.3307513894700962, 0.1168630623366222, 0.9295997538556068),
+        (53, True, 1.60526631424642, 0.1168630623366222, 0.9295997538556068),
+        (5, True, 1.1302683245354788, 0.1168630623366222, 0.9295997538556068),
+        (26, True, 1.5233008357840874, 0.1168630623366222, 0.9295997538556068),
+    ],
+    ("chernoff_monte_carlo", 12345): [
+        (250, True, 1.9909122029886583, 0.1722055298036976, 0.9263171486109874),
+        (231, True, 1.9914980224028493, 0.1722055298036976, 0.9263171486109874),
+        (221, True, 1.9625431280819312, 0.1722055298036976, 0.9263171486109874),
+        (198, True, 1.967210222976379, 0.1722055298036976, 0.9263171486109874),
+        (196, True, 1.9133603999844673, 0.1722055298036976, 0.9263171486109874),
+        (161, True, 1.9290047449528116, 0.1722055298036976, 0.9263171486109874),
+        (165, True, 1.8420278408327055, 0.1722055298036976, 0.9263171486109874),
+        (131, True, 1.8787682596253077, 0.1722055298036976, 0.9263171486109874),
+        (137, True, 1.7474164951303084, 0.1722055298036976, 0.9263171486109874),
+        (101, True, 1.8183650980497212, 0.1722055298036976, 0.9263171486109874),
+        (95, True, 1.6285521395476177, 0.1722055298036976, 0.9263171486109874),
+        (77, True, 1.7496022551514718, 0.1722055298036976, 0.9263171486109874),
+        (47, True, 1.4843994585844384, 0.1722055298036976, 0.9263171486109874),
+        (62, True, 1.6742006649281282, 0.1722055298036976, 0.9263171486109874),
+        (14, True, 1.3131494484273993, 0.1722055298036976, 0.9263171486109874),
+        (50, True, 1.5937727138080329, 0.1722055298036976, 0.9263171486109874),
+        (1, True, 1.109381780720439, 0.1722055298036976, 0.9263171486109874),
+        (35, True, 1.5098056807989466, 0.1722055298036976, 0.9263171486109874),
+    ],
+    ("embedding_256x8", 0): [
+        (0, True, 0.375, 0.5827189186450307, 1.3854659139912493),
+    ],
+    ("mgf_exhaustive", 0): [
+        (0.9949070689529147, True, 1.0, 2.439547735823932, 2.4520357850019328),
+        (0.9766623566304823, True, 1.0, 3.0442543202661025, 3.116997700995543),
+        (0.8837650856086058, True, 1.0, 5.072491231635622, 5.739637505754649),
+    ],
+    ("rownorm_256x8", 0): [
+        (0, True, 0.125, 0.26738873504995925, 0.3885201108879146),
+    ],
+}
+
+
+@pytest.mark.parametrize("run, seed", sorted(GOLDEN_TWO_PASS_RECORDS))
+def test_one_pass_bases_keep_the_two_pass_records(run, seed):
+    out = GOLDEN_RUNS[run](seed)
+    assert len(out) == len(GOLDEN_TWO_PASS_RECORDS[(run, seed)])
+    for s, (events, passed, *floats) in zip(out, GOLDEN_TWO_PASS_RECORDS[(run, seed)]):
+        got = [s.analytic_bound, s.extreme_sigma_min, s.extreme_sigma_max]
+        if isinstance(events, int):
+            assert s.empirical_frequency == events / s.plan.trials
+        else:
+            got.append(s.empirical_frequency)
+            floats.append(events)
+        assert s.passed is passed
+        for a, b in zip(got, floats, strict=True):
+            assert abs(a - b) <= 1e-14 * abs(b)
 
 
 def _recomputed_passed(record):
@@ -1303,9 +1431,9 @@ def test_embedding_rechecks_a_near_threshold_trial_in_float64(edge, seed):
 def _rownorm_one_trial_at_a_time(n, k, trials, seed):
     """Fixture Gaussians and largest row norms, one trial at a time: a fresh
     generator from derived_rng(seed, 0, 0, i), signs from (seed, 1, 0, i),
-    CholeskyQR2 around the in-place transform, and the squared row norms as
+    Cholesky QR around the in-place transform, and the squared row norms as
     np.sum(w * w, axis=1)."""
-    from srhtlab.linalg import _cholesky_qr2, gram
+    from srhtlab.linalg import _cholesky_qr, gram
     from srhtlab.srht import derived_rng
     from srhtlab.wht import fwht_inplace
 
@@ -1315,7 +1443,7 @@ def _rownorm_one_trial_at_a_time(n, k, trials, seed):
         gaussians.append(g.copy())
         gram1 = gram(g)
         g *= oracle.signs(n, (seed, 1, 0, i))[:, None]
-        w = _cholesky_qr2(fwht_inplace(g), gram1)
+        w = _cholesky_qr(fwht_inplace(g), gram1)
         norms.append(float(np.sqrt(np.max(np.sum(w * w, axis=1)))))
     return gaussians, norms
 
@@ -1364,8 +1492,9 @@ def test_blocked_rownorm_equals_one_trial_at_a_time(shape, block, spare, count, 
 
 def test_rownorm_memory_is_one_trial_and_a_block_of_signs():
     # Peak traced allocation of a 20-trial run at the headline shape: the
-    # 512 KiB Gaussian buffer beside either CholeskyQR2's first-pass matrix
-    # (512 KiB) or a block of signs being drawn next to the last block
+    # 512 KiB Gaussian buffer beside either numpy's copy of it while Cholesky
+    # QR writes its basis over it (512 KiB) or a block of signs being drawn
+    # next to the last block
     # (256 KiB each, plus the draw's own arrays).  A fresh Gaussian per
     # trial, or an n x k temporary for the squared row norms, would add
     # another 512 KiB.

@@ -114,6 +114,21 @@ def test_random_orthonormal_rejects_wide():
         random_orthonormal(3, 4, 0)
 
 
+@pytest.mark.parametrize(
+    "n, k, error",
+    [(True, 1, TypeError), (4, np.True_, TypeError), (16.5, 2, ValueError),
+     (16, 2.5, ValueError), (np.inf, 2, ValueError), (16, np.nan, ValueError)],
+)
+def test_random_orthonormal_refuses_bad_sizes_before_drawing(n, k, error):
+    with mock.patch.object(linalg_mod, "standard_normals", side_effect=AssertionError("drew")):
+        with pytest.raises(error):
+            random_orthonormal(n, k, 0)
+
+
+def test_random_orthonormal_takes_whole_float_sizes():
+    assert np.array_equal(random_orthonormal(16.0, 2.0, 0), random_orthonormal(16, 2, 0))
+
+
 # square shapes, where one Cholesky QR pass alone is visibly not orthonormal,
 # and tall ones up to the headline embedding's
 @pytest.mark.parametrize("n, k", [(4, 4), (64, 64), (16, 2), (4096, 64), (65536, 16)])
@@ -129,8 +144,9 @@ def test_basis_is_the_sign_fixed_orthonormal_factor_of_its_draw(n, k, seed):
 
 
 def test_basis_holds_two_arrays_of_its_size():
-    # the draw, the first-pass factor, and the result written over the draw;
-    # a third n x k array would put the peak at 24 MiB
+    # the draw, with the basis written over it, and numpy's copy of it while
+    # each pass writes over it; a third n x k array would put the peak at
+    # 24 MiB
     n, k = 65536, 16
     random_orthonormal(n, k, 0)  # first-use allocations out of the way
     tracemalloc.start()
@@ -164,7 +180,7 @@ def test_ill_conditioned_draw_raises_instead_of_returning_a_basis(n, k, cond):
 
     draws = mock.Mock(side_effect=ill_conditioned_normals)
     with mock.patch.object(linalg_mod, "standard_normals", draws):
-        with pytest.raises(RuntimeError, match="CholeskyQR2"):
+        with pytest.raises(RuntimeError, match="Cholesky QR"):
             random_orthonormal(n, k, 0)
     draws.assert_called_once()
     seeds, out = draws.call_args.args
@@ -173,9 +189,68 @@ def test_ill_conditioned_draw_raises_instead_of_returning_a_basis(n, k, cond):
 
 @pytest.mark.parametrize("defect", [1.0000001e-8, 1.0, np.inf, np.nan])
 def test_basis_past_the_defect_limit_raises(defect):
-    with mock.patch.object(linalg_mod, "orthonormality_defect", return_value=defect):
+    # every defect, the first pass's included, reads past the limit
+    with mock.patch.object(linalg_mod, "_gram_defect", return_value=defect):
         with pytest.raises(RuntimeError, match="lost orthonormality"):
             random_orthonormal(16, 4, 0)
+
+
+def _counted_factorizations():
+    return mock.patch.object(linalg_mod, "_cholesky_r", wraps=linalg_mod._cholesky_r)
+
+
+# tall draws, from the headline embedding's down to the exhaustive fixtures'
+# and one column
+@pytest.mark.parametrize("n, k", [(65536, 16), (16, 2), (8, 2), (1024, 1), (2, 1)])
+@pytest.mark.parametrize("seed", [0, (12345, 0, 0, 0)])
+def test_tall_draws_take_one_pass(n, k, seed):
+    with _counted_factorizations() as factor:
+        v = random_orthonormal(n, k, seed)
+    assert factor.call_count == 1
+    assert orthonormality_defect(v) <= linalg_mod.ONE_PASS_DEFECT
+
+
+# square Gaussian draws, and ill-conditioned tall ones that still factor
+@pytest.mark.parametrize(
+    "g",
+    [
+        derived_rng(0).standard_normal((64, 64)),
+        derived_rng(1).standard_normal((256, 256)),
+        _ill_conditioned(64, 8, 1e2, 1),
+        _ill_conditioned(256, 16, 1e3, 1),
+        _ill_conditioned(256, 16, 1e6, 1),
+    ],
+    ids=["64x64", "256x256", "64x8-cond1e2", "256x16-cond1e3", "256x16-cond1e6"],
+)
+def test_square_and_ill_conditioned_draws_take_two_passes(g):
+    with _counted_factorizations() as factor:
+        v = linalg_mod._cholesky_qr(g.copy(), gram(g))
+    assert factor.call_count == 2
+    assert orthonormality_defect(v) <= 1e-12
+    q, r = np.linalg.qr(g)
+    assert np.max(np.abs(v - q * np.where(np.diag(r) < 0, -1.0, 1.0))) <= 1e-12 * np.linalg.cond(g)
+
+
+@pytest.mark.parametrize(
+    "planted, passes",
+    [(linalg_mod.ONE_PASS_DEFECT, 1), (np.nextafter(linalg_mod.ONE_PASS_DEFECT, 1.0), 2)],
+)
+def test_first_pass_defect_past_the_bound_takes_the_second_pass(planted, passes):
+    # the first pass's defect is planted; every later one is measured
+    g = derived_rng(3).standard_normal((64, 4))
+    q1 = g @ np.linalg.inv(np.linalg.cholesky(gram(g)).T)
+    two_pass = q1 @ np.linalg.inv(np.linalg.cholesky(gram(q1)).T)
+    defects = [planted]
+    real = linalg_mod._gram_defect
+
+    def planted_first(s):
+        return defects.pop() if defects else real(s)
+
+    with _counted_factorizations() as factor, \
+            mock.patch.object(linalg_mod, "_gram_defect", side_effect=planted_first):
+        v = linalg_mod._cholesky_qr(g.copy(), gram(g))
+    assert factor.call_count == passes
+    assert np.array_equal(v, q1 if passes == 1 else two_pass)
 
 
 # --- gram ---------------------------------------------------------------
