@@ -1,9 +1,13 @@
 """Command-line interface: draw sketches, evaluate bounds, run experiments.
 
-Output is a single JSON document (default) or CSV, written to stdout unless
---output is given.  Every run echoes its configuration under "config" and
-carries "schema": 1.  An experiment flag left out takes the runner's default,
-and the echo of an experiment carries the n, k, ell and beta it ran with.
+Every subcommand's document goes through one writer, ``write_report``:
+one JSON document (default) or CSV, to stdout unless --output is given, the
+same bytes either way, final newline included.  JSON is the envelope
+``{"schema": 1, "config": echo, **sections}``; CSV is the subcommand's rows,
+or the document's fields as ``key,value`` rows, through one ``csv.writer``
+with "\\n" line endings.  An experiment flag left out takes the runner's
+default, and the echo of an experiment carries the n, k, ell and beta it
+ran with.
 Exit codes: 0 when everything passed, 1 when an experiment criterion failed,
 2 on usage errors or invalid dimensions.
 
@@ -19,16 +23,20 @@ parser is built once per process.
 """
 
 import argparse
+import csv
 import dataclasses
 import inspect
+import io
 import json
 import re
 import sys
 
 from . import bounds as bounds_mod
 from . import experiments as exp_mod
-from .linalg import matrix_to_csv, random_orthonormal, singular_values
+from .linalg import random_orthonormal, singular_values
 from .srht import draw_stack, sketch_stack
+
+SCHEMA_VERSION = 1
 
 # Experiment name -> name of its runner in srhtlab.experiments.  The runner is
 # looked up when it is called, so a wrapper patched onto that module attribute
@@ -131,18 +139,38 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, config: argparse.Namespace) -> None:
-    if config.output_path:
-        with open(config.output_path, "w", encoding="utf-8") as fh:
+def write_report(fmt: str, path: str, echo: dict, sections: dict, rows=None) -> None:
+    """Write one document to the file ``path``, or to stdout when ``path`` is
+    empty: the same bytes either way.
+
+    ``fmt`` "json" writes ``{"schema": SCHEMA_VERSION, "config": echo,
+    **sections}``, keys sorted, and a final newline.  "csv" writes ``rows``
+    through one ``csv.writer`` with "\\n" line endings; without ``rows``,
+    the document's fields as ``key,value`` rows, nested keys dotted.
+    """
+    doc = {"schema": SCHEMA_VERSION, "config": echo, **sections}
+    if fmt == "json":
+        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    else:
+        buf = io.StringIO()
+        rows = [("key", "value"), *_fields(doc)] if rows is None else rows
+        csv.writer(buf, lineterminator="\n").writerows(rows)
+        text = buf.getvalue()
+    if path:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
 
 
-def _matrix_record(a) -> dict:
-    return {"rows": int(a.shape[0]), "cols": int(a.shape[1]), "data": a.tolist()}
+def _fields(doc, prefix=""):
+    """(dotted key, str(value)) of each leaf of a nested dict, keys sorted."""
+    for key, value in sorted(doc.items()):
+        name = f"{prefix}.{key}" if prefix else key
+        if isinstance(value, dict):
+            yield from _fields(value, name)
+        else:
+            yield name, str(value)
 
 
 def _run_sketch(config: argparse.Namespace) -> int:
@@ -150,18 +178,17 @@ def _run_sketch(config: argparse.Namespace) -> int:
     signs, indices = draw_stack(config.n, config.ell, [seed])
     basis = random_orthonormal(config.n, config.k, (config.seed, 0, 0, 0))
     (sketch,) = sketch_stack(signs, indices, basis)
-    spectrum = singular_values(sketch)
-    if config.format == "json":
-        doc = {
-            "schema": exp_mod.SCHEMA_VERSION,
-            "config": vars(config),
-            "operator": {"n": config.n, "l": config.ell, "seed": seed},
-            "sketch": _matrix_record(sketch),
-            "singular_values": spectrum.tolist(),
-        }
-        _emit(json.dumps(doc, indent=2, sort_keys=True), config)
-    else:
-        _emit(matrix_to_csv(sketch) + matrix_to_csv(spectrum), config)
+    spectrum = singular_values(sketch).tolist()
+    data = sketch.tolist()
+    sections = {
+        "operator": {"n": config.n, "l": config.ell, "seed": seed},
+        "sketch": {"rows": config.ell, "cols": config.k, "data": data},
+        "singular_values": spectrum,
+    }
+    # two blocks, the sketch and its spectrum: a "rows,cols" line, then one
+    # line per row
+    rows = [(config.ell, config.k), *data, (1, config.k), spectrum]
+    write_report(config.format, config.output_path, vars(config), sections, rows)
     return 0
 
 
@@ -169,9 +196,7 @@ def _run_bounds(config: argparse.Namespace) -> int:
     k, n = config.k, config.n
     beta = float(k) if config.beta is None else config.beta
     rule = {"alpha": 4.0, "delta": 5.0 / 6.0, "eta": 7.0 / 6.0}
-    report = {
-        "schema": exp_mod.SCHEMA_VERSION,
-        "config": vars(config),
+    sections = {
         "embedding": dataclasses.asdict(bounds_mod.embedding_sample_size(k, n)),
         "row_norm": {
             "beta": beta,
@@ -183,20 +208,7 @@ def _run_bounds(config: argparse.Namespace) -> int:
             "worst_ratio": bounds_mod.row_sampling_worst_ratio(**rule),
         },
     }
-    if config.format == "json":
-        _emit(json.dumps(report, indent=2, sort_keys=True), config)
-    else:
-        lines = ["key,value"]
-
-        def flatten(prefix, obj):
-            if isinstance(obj, dict):
-                for key, val in sorted(obj.items()):
-                    flatten(f"{prefix}.{key}" if prefix else key, val)
-            else:
-                lines.append(f"{prefix},{obj}")
-
-        flatten("", report)
-        _emit("\n".join(lines) + "\n", config)
+    write_report(config.format, config.output_path, vars(config), sections)
     return 0
 
 
@@ -243,10 +255,9 @@ def _run_experiment(config: argparse.Namespace) -> int:
         **{dim: _single({getattr(s.plan, dim) for s in summaries}) for dim in ("n", "k", "ell")},
         "beta": float(_single(betas)),
     }
-    if config.format == "json":
-        _emit(exp_mod.summaries_to_json(summaries, ran), config)
-    else:
-        _emit(exp_mod.summaries_to_csv(summaries), config)
+    records = [s.to_record() for s in summaries]
+    rows = [exp_mod.CSV_COLUMNS, *(record.values() for record in records)]
+    write_report(config.format, config.output_path, ran, {"summaries": records}, rows)
     return 0 if all(s.passed for s in summaries) else 1
 
 

@@ -61,10 +61,13 @@ forms its basis.  A tall trial takes one pass, a square one two.
 
 Each runner's keyword defaults are its headline configuration, the one the
 acceptance suite checks; called with only a seed, it runs that configuration.
+Runners only compute.  A result is a list of ``ExperimentSummary`` (or one),
+whose ``to_record`` gives the fields of ``CSV_COLUMNS`` in that order, and
+is the one place that drops ``elapsed_seconds`` from a timing-free record.
+Writing records as JSON or CSV is ``cli.write_report``'s job.
 """
 
 import itertools
-import json
 import math
 import operator
 import time
@@ -104,7 +107,6 @@ __all__ = [
     "CSV_COLUMNS",
     "EXHAUSTIVE_CAP",
     "ExperimentSummary",
-    "SCHEMA_VERSION",
     "TrialPlan",
     "monte_carlo_slack",
     "run_chernoff_validation",
@@ -112,14 +114,11 @@ __all__ = [
     "run_embedding_trials",
     "run_mgf_domination",
     "run_row_norm_trials",
-    "summaries_to_csv",
-    "summaries_to_json",
 ]
 
 EXHAUSTIVE_CAP = 10**7
 MODES = ("monte_carlo", "exhaustive")
 SLACK_SIGMAS = 4.0
-SCHEMA_VERSION = 1
 # Bytes of working array per block of stacked trials.  Small on purpose: on
 # the k=8 coupon benchmark (1000 trials per ell) a 1 MiB block was no faster
 # and raised peak resident memory from 40.6 to 43.0 MB.
@@ -129,6 +128,11 @@ _BLOCK_BYTES = 256 * 1024
 # singular values measured within 3e-8 of the float64 ones at n = 4096 and
 # 65536 (seeds 0 and 12345); the margin is over 30 times that.
 _FLOAT32_MARGIN = 1e-6
+
+
+def _check_ell(ell, n):
+    if not 1 <= ell <= n:
+        raise ValueError(f"need 1 <= ell <= n, got ell={ell}, n={n}")
 
 
 @dataclass(frozen=True)
@@ -152,8 +156,8 @@ class TrialPlan:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.mode == "exhaustive" and not 1 <= self.ell <= self.n:
-            raise ValueError(f"need 1 <= ell <= n, got ell={self.ell}, n={self.n}")
+        if self.mode == "exhaustive":
+            _check_ell(self.ell, self.n)
         _refuse_bools(trials=self.trials, seed=self.seed)
         if operator.index(self.seed) < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
@@ -223,10 +227,12 @@ class ExperimentSummary:
 def monte_carlo_slack(bound: float, trials: int) -> float:
     """Four binomial standard deviations at success probability min(bound, 1).
     A NaN or negative bound, or fewer than one trial, is a ValueError; a
-    bool for either is a TypeError."""
+    bool for either, or a trial count that is not an integer, is a
+    TypeError."""
     _refuse_bools(bound=bound, trials=trials)
     if not (bound >= 0.0 and trials >= 1):
         raise ValueError(f"need bound >= 0 and trials >= 1, got bound={bound}, trials={trials}")
+    operator.index(trials)
     b = min(bound, 1.0)
     return SLACK_SIGMAS * math.sqrt(b * (1.0 - b) / trials)
 
@@ -302,8 +308,7 @@ def run_embedding_trials(n=65536, k=16, ell=None, trials=200, seed=0):
         if not size.applicable:
             raise ValueError(f"required sample size {size.ell} exceeds n={n}")
         ell = size.ell
-    if not 1 <= ell <= n:
-        raise ValueError(f"need 1 <= ell <= n, got ell={ell}, n={n}")
+    _check_ell(ell, n)
     plan = TrialPlan(n=n, k=k, ell=ell, trials=trials, seed=seed)
     basis = random_orthonormal(n, k, (seed, 0, 0, 0))
     sketched = basis if basis.nbytes <= _PIECE_BYTES else basis.astype(np.float32)
@@ -494,9 +499,10 @@ def run_chernoff_validation(
     extreme singular values (square roots of the extreme Gram eigenvalues).
     Both modes get their subsets, enumerated or drawn one substream each,
     from ``_row_list_spectra``, one stacked eigensolve per block.  An empty
-    grid is a ValueError.
+    grid, or an ell outside [1, n], is a ValueError before anything is drawn.
     """
     _check_grid("deviation_grid", deviation_grid)
+    _check_ell(ell, n)
     start = time.perf_counter()
     plan_trials = math.comb(n, ell) if mode == "exhaustive" else trials
     plan = TrialPlan(n=n, k=k, ell=ell, trials=plan_trials, seed=seed, mode=mode)
@@ -545,9 +551,11 @@ def run_mgf_domination(
     a four-standard-error allowance on the estimated means, which needs at
     least two trials.  A non-finite theta, or one at which the traces or
     their variance overflow float64 or the traces underflow to 0, is a
-    ValueError, as is an empty grid.
+    ValueError, as are an empty grid and an ell outside [1, n], both before
+    anything is drawn.
     """
     _check_grid("theta_grid", theta_grid)
+    _check_ell(ell, n)
     start = time.perf_counter()
     if mode == "monte_carlo" and trials < 2:
         raise ValueError(f"Monte Carlo mgf needs trials >= 2 for a standard error, got {trials}")
@@ -595,24 +603,3 @@ def run_mgf_domination(
         )
     return summaries
 
-
-def summaries_to_json(summaries, config: dict, include_timing: bool = True) -> str:
-    """The report document ``{"schema": 1, "config": config, "summaries":
-    [record, ...]}``, keys sorted; ``config`` echoes what was run."""
-    doc = {
-        "schema": SCHEMA_VERSION,
-        "config": config,
-        "summaries": [s.to_record(include_timing=include_timing) for s in summaries],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True)
-
-
-def summaries_to_csv(summaries, include_timing: bool = True) -> str:
-    import csv
-    import io
-
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(c for c in CSV_COLUMNS if include_timing or c != "elapsed_seconds")
-    writer.writerows(s.to_record(include_timing=include_timing).values() for s in summaries)
-    return buf.getvalue()

@@ -26,7 +26,6 @@ from .wht import is_power_of_two
 __all__ = [
     "decimated_identity",
     "gram",
-    "matrix_to_csv",
     "orthonormality_defect",
     "random_orthonormal",
     "singular_values",
@@ -187,12 +186,3 @@ def decimated_identity(k: int) -> np.ndarray:
     w[np.arange(k) * k, np.arange(k)] = 1.0
     return w
 
-
-def matrix_to_csv(a) -> str:
-    """A matrix as CSV text: header line ``rows,cols`` then one row per line,
-    each entry as the shortest repr that reads back to the same float64.  A
-    1-D input is one row."""
-    a = np.atleast_2d(np.asarray(a, dtype=np.float64))
-    lines = [f"{a.shape[0]},{a.shape[1]}"]
-    lines += [",".join(repr(float(x)) for x in row) for row in a]
-    return "\n".join(lines) + "\n"

@@ -5,6 +5,8 @@ failure).  The heavyweight runs are module-scoped fixtures so the
 determinism criterion can rerun them once more instead of twice more.
 """
 
+import contextlib
+import io
 import itertools
 import math
 import time
@@ -20,13 +22,13 @@ from srhtlab.bounds import (
     row_sampling_failure_bound,
     row_sampling_worst_ratio,
 )
+from srhtlab.cli import write_report
 from srhtlab.experiments import (
     run_chernoff_validation,
     run_coupon_trials,
     run_embedding_trials,
     run_mgf_domination,
     run_row_norm_trials,
-    summaries_to_json,
 )
 from srhtlab.wht import fwht, hadamard_entry, hadamard_matrix
 
@@ -201,6 +203,15 @@ def test_criterion_8_failure_constant_sweep():
     )
 
 
+def _timing_free_document(summaries):
+    """The JSON bytes the report writer prints for timing-free records."""
+    records = [s.to_record(include_timing=False) for s in summaries]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        write_report("json", "", {}, {"summaries": records})
+    return out.getvalue().encode()
+
+
 def test_criterion_9_determinism(embedding_run, rownorm_run, coupon_runs):
     rerun_embedding = run_embedding_trials(65536, 16, ell=2342, trials=200, seed=SEED)
     rerun_rownorm = run_row_norm_trials(4096, 16, 16.0, trials=2000, seed=SEED)
@@ -212,10 +223,7 @@ def test_criterion_9_determinism(embedding_run, rownorm_run, coupon_runs):
     second = [rerun_embedding, rerun_rownorm, *rerun_coupon[0], *rerun_coupon[1]]
     equal_fields = first == second
     # byte-for-byte on the serialized summaries, wall-clock timing excluded
-    equal_bytes = (
-        summaries_to_json(first, {}, include_timing=False).encode()
-        == summaries_to_json(second, {}, include_timing=False).encode()
-    )
+    equal_bytes = _timing_free_document(first) == _timing_free_document(second)
     ok = equal_fields and equal_bytes
     assert report(
         "criterion 9 (determinism of criteria 3, 4, 7 reruns)",

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 import srhtlab
-from srhtlab.experiments import TrialPlan, monte_carlo_slack, run_row_norm_trials
+from srhtlab.experiments import (
+    TrialPlan,
+    monte_carlo_slack,
+    run_chernoff_validation,
+    run_mgf_domination,
+    run_row_norm_trials,
+)
 from srhtlab.srht import MATERIALIZE_CAP, draw_stack, rademacher_signs, sketch_stack
 
 
@@ -113,6 +119,24 @@ BAD_INPUTS = {
         TypeError, "not a bool",
     ),
     "monte_carlo_slack-bool-bound": (lambda: monte_carlo_slack(True, 5), TypeError, "not a bool"),
+    # 2.5 trials once gave a slack of 1.26, and infinitely many gave 0.0
+    "monte_carlo_slack-fractional-trials": (
+        lambda: monte_carlo_slack(0.5, 2.5), TypeError, "integer"
+    ),
+    "monte_carlo_slack-inf-trials": (
+        lambda: monte_carlo_slack(0.5, float("inf")), TypeError, "integer"
+    ),
+    # ell = 0 by Monte Carlo once divided by zero in the block-size rule
+    "run_chernoff_validation-monte-carlo-ell-0": (
+        lambda: run_chernoff_validation(ell=0, mode="monte_carlo"), ValueError, "1 <= ell <= n"
+    ),
+    "run_mgf_domination-monte-carlo-ell-0": (
+        lambda: run_mgf_domination(ell=0, mode="monte_carlo"), ValueError, "1 <= ell <= n"
+    ),
+    # math.comb's own message once answered this
+    "run_chernoff_validation-exhaustive-ell-negative": (
+        lambda: run_chernoff_validation(ell=-1), ValueError, "1 <= ell <= n"
+    ),
     "sketch_stack-float32-nan": (
         lambda: sketch_stack(*draw_stack(64, 8, [0, 1]), _ones_with(64, np.nan, np.float32)),
         ValueError, "non-finite",

@@ -1,4 +1,7 @@
+import ast
 import contextlib
+import csv
+import dataclasses
 import hashlib
 import inspect
 import io
@@ -10,6 +13,7 @@ import shlex
 import numpy as np
 import pytest
 
+import srhtlab.cli as cli_mod
 import srhtlab.experiments as exp_mod
 from srhtlab.bounds import embedding_sample_size, row_sampling_failure_bound
 from srhtlab.cli import _FLAGS, _PARSER, RUNNERS, _build_parser, main
@@ -292,6 +296,67 @@ def test_sketch_keeps_the_two_pass_values(capsys, fmt):
         assert np.all(np.abs(values - want) <= 1e-14 * np.abs(want))
 
 
+# A run of each subcommand that writes a document.
+OUTPUT_COMMANDS = {
+    "sketch": ("sketch", "--n", "16", "--l", "5", "--k", "3", "--seed", "9"),
+    "bounds": ("bounds", "--k", "4", "--n", "64"),
+    "coupon": ("experiment", "coupon", "--k", "2", "--ells", "2", "3", "--trials", "50"),
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("command", sorted(OUTPUT_COMMANDS))
+def test_output_file_holds_the_stdout_bytes(tmp_path, capsys, monkeypatch, command, fmt):
+    # a JSON file once lacked the final newline of its stdout copy, and
+    # experiment CSV once ended its lines in "\r\n"; the echo of --output
+    # itself is the one field that may differ
+    original = exp_mod.run_coupon_trials
+    monkeypatch.setattr(
+        exp_mod, "run_coupon_trials",
+        lambda **kwargs: [dataclasses.replace(s, elapsed_seconds=0.0) for s in original(**kwargs)],
+    )
+    argv = [*OUTPUT_COMMANDS[command], "--format", fmt]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.endswith("\n") and "\r" not in out
+    path = tmp_path / f"report.{fmt}"
+    assert run_cli(capsys, *argv, "--output", str(path)) == (0, "", "")
+    echoed, blank = {
+        "json": (f'"output_path": {json.dumps(str(path))}', '"output_path": ""'),
+        "csv": (f"config.output_path,{path}\n", "config.output_path,\n"),
+    }[fmt]
+    assert path.read_bytes().replace(echoed.encode(), blank.encode()) == out.encode()
+
+
+def test_bounds_csv_to_a_path_with_a_comma_reads_back_as_two_fields(tmp_path, capsys):
+    # the echoed path was once written unquoted, which made its row three fields
+    path = tmp_path / "a,b.csv"
+    code, out, _ = run_cli(
+        capsys, "bounds", "--k", "4", "--n", "64", "--format", "csv", "--output", str(path)
+    )
+    assert (code, out) == (0, "")
+    rows = list(csv.reader(path.read_text().splitlines()))
+    assert rows[0] == ["key", "value"] and ["config.output_path", str(path)] in rows
+    assert all(len(row) == 2 for row in rows)
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in pathlib.Path(cli_mod.__file__).parent.glob("*.py") if p.name != "cli.py"),
+    ids=lambda p: p.name,
+)
+def test_only_the_cli_imports_a_serializer(path):
+    # one report writer: json, csv and io are imported by cli alone
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            modules = {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = {node.module.split(".")[0]}
+        else:
+            continue
+        assert not modules & {"json", "csv", "io"}
+
+
 def test_experiment_output_identical_modulo_timing(tmp_path, capsys):
     path = tmp_path / "run.json"
     argv = ["experiment", "rownorm", "--n", "64", "--k", "1", "--trials", "50", "--seed", "2",
@@ -497,6 +562,25 @@ FLAG_VALUES = {
 
 def _runner_parameters(name):
     return inspect.signature(getattr(exp_mod, RUNNERS[name])).parameters
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize(
+    "name, flag",
+    [
+        (name, _FLAGS[keyword][1])
+        for name in RUNNERS
+        for keyword in ("n", "k", "ell", "trials")
+        if keyword in _runner_parameters(name)
+    ],
+)
+def test_integer_flag_below_one_is_usage_error(capsys, name, flag, value):
+    # chernoff and mgf at --l 0, by Monte Carlo, once divided by zero and
+    # exited 1 with a traceback
+    code, out, err = run_cli(capsys, "experiment", name, flag, value)
+    assert (code, out) == (2, "")
+    (line,) = err.splitlines()
+    assert line.startswith("srhtlab: error: ")
 
 
 def _parse_status(argv):

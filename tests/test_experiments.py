@@ -2,6 +2,7 @@ import contextlib
 import csv
 import hashlib
 import inspect
+import io
 import itertools
 import json
 import math
@@ -20,6 +21,7 @@ from hypothesis import example, given, settings, strategies as st
 import generator_oracle as oracle
 import srhtlab.experiments as exp_mod
 import srhtlab.linalg as linalg_mod
+from srhtlab.cli import main, write_report
 from srhtlab.experiments import (
     CSV_COLUMNS,
     TrialPlan,
@@ -29,8 +31,6 @@ from srhtlab.experiments import (
     run_embedding_trials,
     run_mgf_domination,
     run_row_norm_trials,
-    summaries_to_csv,
-    summaries_to_json,
 )
 
 
@@ -590,6 +590,18 @@ def test_mgf_rejects_underflowed_traces():
 
 # --- reproducibility and serialization --------------------------------------
 
+def _report(summaries, fmt="json", include_timing=False, echo=None):
+    """The document ``write_report`` prints for ``summaries``: their records
+    under "summaries" in JSON, or a header and one row per record in CSV.
+    Timing-free unless ``include_timing``."""
+    records = [s.to_record(include_timing=include_timing) for s in summaries]
+    rows = [list(records[0]), *(record.values() for record in records)]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        write_report(fmt, "", {} if echo is None else echo, {"summaries": records}, rows)
+    return out.getvalue()
+
+
 def test_summaries_reproducible():
     a = run_embedding_trials(64, 4, ell=32, trials=15, seed=21)
     b = run_embedding_trials(64, 4, ell=32, trials=15, seed=21)
@@ -601,9 +613,7 @@ def test_coupon_reproducible_across_runs():
     a = run_coupon_trials(2, [2, 3], trials=500, seed=22)
     b = run_coupon_trials(2, [2, 3], trials=500, seed=22)
     assert a == b
-    assert summaries_to_json(a, {}, include_timing=False) == summaries_to_json(
-        b, {}, include_timing=False
-    )
+    assert _report(a) == _report(b)
 
 
 # One headline-shape embedding (the fixture basis at its largest) and one
@@ -617,9 +627,10 @@ _THREADED_RUNS = {
 @pytest.mark.parametrize("run", sorted(_THREADED_RUNS))
 def test_timing_free_output_does_not_depend_on_the_blas_thread_count(run):
     script = (
-        "import sys\n"
+        "from srhtlab.cli import write_report\n"
         "from srhtlab.experiments import *\n"
-        f"sys.stdout.write(summaries_to_json([{_THREADED_RUNS[run]}], {{}}, include_timing=False))"
+        f"records = [{_THREADED_RUNS[run]}.to_record(include_timing=False)]\n"
+        "write_report('json', '', {}, {'summaries': records})"
     )
     src = str(pathlib.Path(exp_mod.__file__).resolve().parents[1])
     outputs = []
@@ -633,9 +644,11 @@ def test_timing_free_output_does_not_depend_on_the_blas_thread_count(run):
     assert outputs[0] == outputs[1]
 
 
-def test_csv_has_spec_columns():
-    out = run_coupon_trials(2, [2], trials=100, seed=23)
-    text = summaries_to_csv(out)
+def test_csv_has_spec_columns(capsys):
+    main(["experiment", "coupon", "--k", "2", "--ells", "2", "--trials", "100", "--seed", "23",
+          "--format", "csv"])
+    text = capsys.readouterr().out
+    assert "\r" not in text  # one line ending, "\n", in every CSV
     header = text.splitlines()[0]
     assert header == ",".join(CSV_COLUMNS)
     assert len(text.splitlines()) == 2
@@ -644,8 +657,8 @@ def test_csv_has_spec_columns():
 
 
 def test_timing_free_csv_drops_elapsed_and_is_byte_identical():
-    a = summaries_to_csv(run_coupon_trials(2, [2, 3], trials=200, seed=25), include_timing=False)
-    b = summaries_to_csv(run_coupon_trials(2, [2, 3], trials=200, seed=25), include_timing=False)
+    a = _report(run_coupon_trials(2, [2, 3], trials=200, seed=25), fmt="csv")
+    b = _report(run_coupon_trials(2, [2, 3], trials=200, seed=25), fmt="csv")
     assert a == b
     header = a.splitlines()[0].split(",")
     assert header == [c for c in CSV_COLUMNS if c != "elapsed_seconds"]
@@ -667,7 +680,7 @@ def test_record_fields_are_the_csv_columns_in_order():
 
 def test_json_records_roundtrip():
     s = run_row_norm_trials(64, 1, 16.0, trials=20, seed=24)
-    doc = json.loads(summaries_to_json([s], {"seed": 24}))
+    doc = json.loads(_report([s], include_timing=True, echo={"seed": 24}))
     assert doc["schema"] == 1 and doc["config"] == {"seed": 24}
     (record,) = doc["summaries"]
     assert record["name"] == "rownorm"
@@ -678,7 +691,9 @@ def test_json_records_roundtrip():
 
 # --- blocked trials ---------------------------------------------------------
 
-# SHA-256 of summaries_to_json(summaries, {}, include_timing=False).  The
+# SHA-256 of the timing-free document ``_report(summaries)``, without the
+# final newline it gained when every document began to go through one
+# writer; the hashes were recorded before that.  The
 # coupon and Chernoff hashes were recorded when every trial and subset was
 # computed on its own; the blocked runners must reproduce them byte for byte.
 # The embedding hashes were recorded with blocked trials; the per-trial
@@ -791,8 +806,9 @@ GOLDEN_TWO_PASS_SUMMARY_SHA256 = {
 
 @pytest.mark.parametrize("run, seed", sorted(GOLDEN_SUMMARY_SHA256))
 def test_timing_free_summaries_match_golden(run, seed):
-    text = summaries_to_json(GOLDEN_RUNS[run](seed), {}, include_timing=False)
-    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SUMMARY_SHA256[(run, seed)]
+    text = _report(GOLDEN_RUNS[run](seed))
+    assert text.endswith("}\n")
+    assert hashlib.sha256(text[:-1].encode()).hexdigest() == GOLDEN_SUMMARY_SHA256[(run, seed)]
 
 
 # (exceedances, min, max of the largest row norm) when each basis came from a
@@ -1109,7 +1125,7 @@ def _recomputed_passed(record):
 @pytest.mark.parametrize("run", sorted(set(GOLDEN_RUNS) - {"mgf_monte_carlo"}))
 @pytest.mark.parametrize("seed", [0, 12345])
 def test_passed_is_recomputable_from_the_record(run, seed):
-    records = json.loads(summaries_to_json(GOLDEN_RUNS[run](seed), {}, include_timing=False))
+    records = json.loads(_report(GOLDEN_RUNS[run](seed)))
     for record in records["summaries"]:
         assert record["passed"] is _recomputed_passed(record)
 
