@@ -87,6 +87,25 @@ BAD_INPUTS = {
         lambda: srhtlab.sample_without_replacement(4, True, [0]), TypeError, "not a bool"
     ),
     "rademacher_signs-bool-n": (lambda: rademacher_signs(True, [0]), TypeError, "not a bool"),
+    # a two-seed block of plain-looking entries builds its words as one
+    # array; a bad entry must still meet the per-seed refusal
+    "draw_stack-two-seed-block-bool": (
+        lambda: draw_stack(8, 3, [(0, 1, 0, 0), (0, 1, 0, True)]), TypeError, "not bools"
+    ),
+    "sample_without_replacement-two-seed-block-bool": (
+        lambda: srhtlab.sample_without_replacement(8, 3, [0, False]), TypeError, "not bools"
+    ),
+    "draw_stack-two-seed-block-numpy-bool": (
+        lambda: draw_stack(8, 3, [(0, 1, 0, 0), (0, 1, 0, np.True_)]),
+        TypeError, "'numpy.bool' object cannot be interpreted as an integer",
+    ),
+    "rademacher_signs-two-seed-block-float": (
+        lambda: rademacher_signs(8, [1, 2.0]),
+        TypeError, "'float' object cannot be interpreted as an integer",
+    ),
+    "draw_stack-two-seed-block-negative": (
+        lambda: draw_stack(8, 3, [(0, 1, 0, 0), (0, 1, -1, 0)]), ValueError, "non-negative"
+    ),
     "TrialPlan-bool-seed": (
         lambda: TrialPlan(8, 2, 3, trials=5, seed=True), TypeError, "not a bool"
     ),

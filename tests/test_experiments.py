@@ -21,6 +21,7 @@ from hypothesis import example, given, settings, strategies as st
 import generator_oracle as oracle
 import srhtlab.experiments as exp_mod
 import srhtlab.linalg as linalg_mod
+import srhtlab.srht as srht_mod
 from srhtlab.cli import main, write_report
 from srhtlab.experiments import (
     CSV_COLUMNS,
@@ -355,29 +356,45 @@ def test_coupon_full_rank_frequencies_match_golden(seed):
     ]
 
 
-def test_coupon_fails_a_sampler_that_swaps_only_into_the_lower_half():
-    # a planted sampler defect: each Fisher-Yates swap lands in the lower half
-    # of [i, n).  At the headline configuration no sketch reaches full rank,
-    # against exact 0.0038, 0.1433, 0.5142 and 0.8646; ell = 8 needs the full
-    # 10 000 trials, since at 1000 its slack exceeds 0.0038
-    from srhtlab import srht as srht_mod
-
-    fisher_yates = srht_mod._fisher_yates
-    with mock.patch.object(
-        srht_mod, "_fisher_yates", lambda offsets: fisher_yates([off // 2 for off in offsets])
-    ):
-        out = run_coupon_trials(seed=0)
-    assert [s.plan.ell for s in out] == [8, 12, 17, 24]
-    assert [s.empirical_frequency for s in out] == [0.0] * 4
-    assert not any(s.passed for s in out)
-
-
 def test_coupon_grid_elapsed_is_per_point():
     start = time.perf_counter()
     out = run_coupon_trials(4, [4, 6, 8, 10], trials=200, seed=0)
     wall = time.perf_counter() - start
     assert all(s.elapsed_seconds > 0.0 for s in out)
     assert sum(s.elapsed_seconds for s in out) <= wall
+
+
+# Tripwires on the draw paths: each block of runner keys has its seed words
+# built as one array and, where n <= 8 ell, its subsets shuffled on a list.
+# A later edit that silently sends a runner back to the per-seed words or to
+# the dict shuffle fails here, not only in the bench timings.
+
+def test_coupon_blocks_draw_without_per_seed_words_or_the_dict_shuffle():
+    seed_words = mock.Mock(wraps=srht_mod._seed_words)
+    fisher_yates = mock.Mock(wraps=srht_mod._fisher_yates)
+    with mock.patch.object(srht_mod, "_seed_words", seed_words), \
+            mock.patch.object(srht_mod, "_fisher_yates", fisher_yates):
+        run_coupon_trials(8, (8, 12, 17, 24), trials=200, seed=0)
+    assert seed_words.call_count == 0
+    assert fisher_yates.call_count == 0
+
+
+def test_embedding_draws_take_the_dict_shuffle_once_per_operator():
+    # n = 65536 > 8 * 2342; a one-row list shuffle there takes about 4 times
+    # as long as the dict
+    fisher_yates = mock.Mock(wraps=srht_mod._fisher_yates)
+    draw_stack = exp_mod.draw_stack
+    operators = []
+
+    def counted_draw_stack(n, ell, seeds):
+        operators.extend(seeds)
+        return draw_stack(n, ell, seeds)
+
+    with mock.patch.object(srht_mod, "_fisher_yates", fisher_yates), \
+            mock.patch.object(exp_mod, "draw_stack", counted_draw_stack):
+        run_embedding_trials(65536, 16, 2342, trials=2, seed=0)
+    assert len(operators) >= 2
+    assert fisher_yates.call_count == len(operators)
 
 
 # --- chernoff -------------------------------------------------------------

@@ -316,17 +316,59 @@ def test_operator_arrays_frozen():
             indices[0, 0] = 7
 
 
-# --- the O(ell) sampler -------------------------------------------------------
+# --- the subset sampler: both shuffle paths -----------------------------------
 
-@given(st.integers(1, 3000), st.data(), st.integers(0, 2**32 - 1))
+@given(st.integers(1, 2**16 + 1), st.data(), st.integers(0, 2**32 - 1))
 @settings(max_examples=150)
 def test_sampler_matches_whole_array_fisher_yates(n, data, seed):
-    # the O(n) shuffle over a whole index array, on the Generator's offsets
-    ell = data.draw(st.one_of(st.just(1), st.just(n), st.integers(1, n)), label="ell")
+    # the O(n) shuffle over a whole index array, on the Generator's offsets;
+    # the smallest ell with n <= 8 ell takes the list path, one less the dict
+    edge = -(-n // 8)
+    ell = data.draw(
+        st.one_of(
+            st.just(1), st.just(n), st.integers(1, n), st.sampled_from([edge, max(1, edge - 1)])
+        ),
+        label="ell",
+    )
     got = sample_without_replacement(n, ell, [seed, (seed, 1)])
     assert np.array_equal(got[0], oracle.subset(n, ell, seed))
     assert np.array_equal(got[1], oracle.subset(n, ell, (seed, 1)))
     assert got.shape == (2, ell) and got.dtype == np.int64 and not got.flags.writeable
+
+
+# (n, ell, path) at either side of the shuffle rule n <= 8 ell, at ell = 1
+# and ell = n among them
+SHUFFLE_EDGES = [
+    (1, 1, "list"),
+    (8, 1, "list"),
+    (9, 1, "dict"),
+    (16, 1, "dict"),
+    (16, 2, "list"),
+    (64, 7, "dict"),
+    (64, 8, "list"),
+    (64, 64, "list"),
+    (65, 8, "dict"),
+    (65, 9, "list"),
+    (4096, 511, "dict"),
+    (4096, 512, "list"),
+]
+
+
+@pytest.mark.parametrize("n, ell, path", SHUFFLE_EDGES)
+def test_both_shuffle_paths_are_the_whole_array_shuffle(n, ell, path, monkeypatch):
+    seeds = [(3, 1, 0, i) for i in range(5)]
+    fisher_yates = mock.Mock(wraps=srht_mod._fisher_yates)
+    monkeypatch.setattr(srht_mod, "_fisher_yates", fisher_yates)
+    alone = sample_without_replacement(n, ell, seeds)
+    for b, seed in enumerate(seeds):
+        assert np.array_equal(alone[b], oracle.subset(n, ell, seed))
+    draws = 1
+    if n & (n - 1) == 0:
+        draws = 2
+        _, indices = draw_stack(n, ell, seeds)
+        for b, seed in enumerate(seeds):
+            assert np.array_equal(indices[b], oracle.operator_draw(n, ell, seed)[1])
+    assert fisher_yates.call_count == (draws * len(seeds) if path == "dict" else 0)
 
 
 def test_sampler_refuses_a_non_integer_sample_size():
@@ -397,6 +439,7 @@ HASH_SEEDS = [
     tuple(range(70)),  # past the precomputed hash table
     (),
     (np.uint8(3), np.int64(2**40)),
+    [2**32 - 1, 0, 2**33],  # a list seed
 ]
 
 
@@ -411,6 +454,58 @@ def test_seed_hash_of_a_block_with_mixed_word_counts():
     for b, seed in enumerate(HASH_SEEDS):
         want = np.random.SeedSequence(_entropy(seed)).generate_state(4, np.uint64)
         assert np.array_equal(states[:, b], want), seed
+
+
+def _seedsequence_state(seed):
+    return np.random.SeedSequence(_entropy(seed)).generate_state(4, np.uint64)
+
+
+WORD_BLOCKS = {
+    "64-runner-keys": [(s, 1, 2, i) for s in (0, 2**32 - 1) for i in range(32)],
+    "1000-runner-keys": [
+        (s, 1, g, i) for s in (0, 2**32 - 1) for g in range(2) for i in range(250)
+    ],
+    "plain-ints": [*range(62), 2**32 - 2, 2**32 - 1],
+    "short-tuples": [(2**32 - 1,), (0,), (7,)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(WORD_BLOCKS))
+def test_seed_words_of_a_block_of_plain_seeds_come_from_one_array(name, monkeypatch):
+    # every entry one word below 2**32: no seed goes through _seed_words
+    seeds = WORD_BLOCKS[name]
+    monkeypatch.setattr(srht_mod, "_seed_words", mock.Mock(side_effect=AssertionError("per seed")))
+    states = srht_mod._seed_states(seeds)
+    monkeypatch.undo()
+    assert states.shape == (4, len(seeds))
+    for b, seed in enumerate(seeds):
+        assert np.array_equal(states[:, b], _seedsequence_state(seed)), seed
+        assert np.array_equal(states[:, b], srht_mod._seed_states([seed])[:, 0]), seed
+
+
+FALLBACK_BLOCKS = {
+    "an-entry-of-2**32": [(0, 1, 2, 3), (2**32, 1, 2, 3)],
+    "a-three-word-seed": [2**64 + 7, 5],
+    "an-entry-past-int64": [2**63, 1],
+    "mixed-lengths": [(1, 2, 3), (1, 2)],
+    "ints-and-tuples": [3, (3,), (3, 0)],
+    "list-seeds": [[1, 2, 3, 4], [5, 6, 7, 8]],
+    "numpy-entries": [(np.int64(1), 2, 3, 4), (5, 6, 7, 8)],
+    "numpy-seeds": [np.uint32(9), np.int64(10)],
+    "empty-tuples": [(), ()],
+    "one-seed": [(0, 1, 2, 3)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(FALLBACK_BLOCKS))
+def test_seed_words_of_any_other_block_are_built_a_seed_at_a_time(name, monkeypatch):
+    seeds = FALLBACK_BLOCKS[name]
+    seed_words = mock.Mock(wraps=srht_mod._seed_words)
+    monkeypatch.setattr(srht_mod, "_seed_words", seed_words)
+    states = srht_mod._seed_states(seeds)
+    assert seed_words.call_count == len(seeds)
+    for b, seed in enumerate(seeds):
+        assert np.array_equal(states[:, b], _seedsequence_state(seed)), seed
 
 
 def test_seeded_state_is_the_pcg64_state():
@@ -509,7 +604,7 @@ def _operator_layout(n, ell, seeds):
     an odd one included, tests the raw-word layout: n sign draws, then the
     ell offsets, in one ``draw_integers`` block."""
     drawn = draw_integers(seeds, srht_mod._operator_ranges(n, ell))
-    return srht_mod._signs(drawn[:, :n]), srht_mod._subsets(drawn[:, n:], ell)
+    return srht_mod._signs(drawn[:, :n]), srht_mod._subsets(drawn[:, n:], n, ell)
 
 
 @pytest.mark.parametrize("n, ell", [(1, 1), (3, 2), (5, 5), (7, 3)])
