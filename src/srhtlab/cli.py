@@ -6,8 +6,11 @@ same bytes either way, final newline included.  JSON is the envelope
 ``{"schema": 1, "config": echo, **sections}``; CSV is the subcommand's rows,
 or the document's fields as ``key,value`` rows, through one ``csv.writer``
 with "\\n" line endings.  An experiment flag left out takes the runner's
-default, and the echo of an experiment carries the n, k, ell and beta it
-ran with.
+default, except the mode: ``chernoff`` and ``mgf`` run Monte Carlo unless
+--exhaustive is given, although their runners (and ``experiment all``) default
+to exhaustive.  The echo of an experiment carries the n, k, ell and beta it
+ran with.  ``sketch`` refuses --l below --k before it draws anything: such a
+sketch cannot have rank k.
 Exit codes: 0 when everything passed, 1 when an experiment criterion failed,
 2 on usage errors or invalid dimensions.
 
@@ -117,7 +120,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_exp = sub.add_parser(
         "experiment",
-        help="run a validation experiment; a flag left out takes the runner's default",
+        help="run a validation experiment; a flag left out takes the runner's default, "
+        "except that chernoff and mgf run Monte Carlo without --exhaustive",
     )
     experiments = p_exp.add_subparsers(
         dest="experiment_name",
@@ -174,6 +178,8 @@ def _fields(doc, prefix=""):
 
 
 def _run_sketch(config: argparse.Namespace) -> int:
+    if config.ell < config.k:
+        raise ValueError(f"--l must be at least --k, got --l {config.ell} and --k {config.k}")
     seed = (config.seed, 1, 0, 0)
     signs, indices = draw_stack(config.n, config.ell, [seed])
     basis = random_orthonormal(config.n, config.k, (config.seed, 0, 0, 0))

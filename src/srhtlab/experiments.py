@@ -26,7 +26,9 @@ array each, whatever the trial count, up to ``EXHAUSTIVE_CAP`` row lists,
 and fills one row of a per-trial result array per trial.  Every trial still
 draws from its own substream, and each block's draws are one call of each
 ``srht`` sampler it uses: embedding and coupon draw a block of operators
-with one ``draw_stack`` call and sketch it with one ``sketch_stack`` call.
+with one ``draw_stack`` call and sketch it with one ``sketch_stack`` call,
+and take its singular values, the square roots of its Gram spectrum, with
+one ``linalg.singular_values`` call.
 Chernoff and both sides of mgf get their ell-row lists from one helper,
 ``_row_list_spectra``, which turns a block of them into one Gram stack and
 one eigensolve; Monte Carlo draws a block of subsets with one
@@ -40,11 +42,11 @@ a different width.
 The embedding runner sketches in float32 when its float64 basis is larger
 than the transform's piece size, ``wht._PIECE_BYTES`` (512 KiB).  The basis
 is cast to float32 once per run, and each trial's sign flip and transform
-run in float32, on half the bytes; the gather, the scaling, the SVD and the
-basis itself stay float64.  Float32 singular values measured within 3e-8 of
-the float64 ones at n = 4096 and 65536 but up to 8e-8 at n = 64, near the
-1e-7 that the tests and the reference comparisons allow, so a smaller basis
-stays float64 and its outputs are unchanged.  Counts stay the float64
+run in float32, on half the bytes; the gather, the scaling, the Gram
+eigensolve and the basis itself stay float64.  Float32 singular values
+measured within 3e-8 of the float64 ones at n = 4096 and 65536 but up to
+8e-8 at n = 64, near the 1e-7 that the tests and the reference comparisons
+allow, so a smaller basis stays float64 and its outputs are unchanged.  Counts stay the float64
 counts: a trial whose float32 sigma_k lies within ``_FLOAT32_MARGIN`` (1e-6)
 of 1/sqrt(6), or whose sigma_1 lies that close to sqrt(13/6), is redrawn
 from its own substream and sketched again from the float64 basis, and its
@@ -272,15 +274,17 @@ def _fill_blocks(items, count, width, item_bytes, fn):
     return out
 
 
-def _sketch_spectra(v, ell, stream, trials, seed, spectrum):
-    """``trials`` x k stack of ``spectrum`` of the ell x k sketches of ``v``:
-    trial i under the operator drawn from seed (seed, 1, stream, i), one
-    ``draw_stack`` and one ``sketch_stack`` per block of seeds."""
+def _sketch_spectra(v, ell, seed, stream, trials):
+    """len(trials) x k stack of the descending singular values of the ell x k
+    sketches of ``v``, one row per trial index i in ``trials``, sketched
+    under the operator drawn from seed (seed, 1, stream, i): one
+    ``draw_stack``, one ``sketch_stack`` and one ``singular_values`` per
+    block of seeds."""
     n, k = v.shape
-    keys = ((seed, 1, stream, i) for i in range(trials))
+    keys = ((seed, 1, stream, i) for i in trials)
     return _fill_blocks(
-        keys, trials, k, v.nbytes,
-        lambda block: spectrum(sketch_stack(*draw_stack(n, ell, block), v)),
+        keys, len(trials), k, v.nbytes,
+        lambda block: singular_values(sketch_stack(*draw_stack(n, ell, block), v)),
     )
 
 
@@ -293,12 +297,13 @@ def run_embedding_trials(n=65536, k=16, ell=None, trials=200, seed=0):
     sigma_k < 1/sqrt(6) or sigma_1 > sqrt(13/6); the analytic bound on the
     violation frequency is 3/k.  If ``ell`` is omitted the explicit-constant
     sample size is used.  Trials are sketched in blocks, one
-    ``sketch_stack`` and one stacked SVD per block; the block size never
-    changes a count.  A basis above ``wht._PIECE_BYTES`` as float64 is
-    flipped and transformed in float32 (see the module docstring); a trial
-    whose sigma_k or sigma_1 then lies within ``_FLOAT32_MARGIN`` of its
-    window edge is sketched again in float64, so counts equal the float64
-    ones and extremes move by a few 1e-8 at most.
+    ``sketch_stack`` and one stacked Gram eigensolve per block; the block
+    size never changes a count.  A basis above ``wht._PIECE_BYTES`` as
+    float64 is flipped and transformed in float32 (see the module
+    docstring); a trial whose sigma_k or sigma_1 then lies within
+    ``_FLOAT32_MARGIN`` of its window edge is sketched again in float64,
+    through the same ``_sketch_spectra``, so counts equal the float64 ones
+    and extremes move by a few 1e-8 at most.
     """
     start = time.perf_counter()
     size = embedding_sample_size(k, n)
@@ -312,14 +317,11 @@ def run_embedding_trials(n=65536, k=16, ell=None, trials=200, seed=0):
     plan = TrialPlan(n=n, k=k, ell=ell, trials=trials, seed=seed)
     basis = random_orthonormal(n, k, (seed, 0, 0, 0))
     sketched = basis if basis.nbytes <= _PIECE_BYTES else basis.astype(np.float32)
-    spectra = _sketch_spectra(sketched, ell, 0, trials, seed, singular_values)
+    spectra = _sketch_spectra(sketched, ell, seed, 0, range(trials))
     if sketched is not basis:
-        near = (np.abs(spectra[:, -1] - size.sigma_min) <= _FLOAT32_MARGIN) | (
-            np.abs(spectra[:, 0] - size.sigma_max) <= _FLOAT32_MARGIN
-        )
-        for i in np.flatnonzero(near):
-            signs, indices = draw_stack(n, ell, [(seed, 1, 0, i)])
-            spectra[i] = singular_values(sketch_stack(signs, indices, basis))[0]
+        edges = np.abs(spectra[:, [-1, 0]] - (size.sigma_min, size.sigma_max))
+        near = np.flatnonzero(edges.min(axis=1) <= _FLOAT32_MARGIN)
+        spectra[near] = _sketch_spectra(basis, ell, seed, 0, near)
     sigma_top, sigma_bot = spectra[:, 0], spectra[:, -1]
     violations = (sigma_bot < size.sigma_min) | (sigma_top > size.sigma_max)
     return _one_sided_summary(
@@ -415,10 +417,7 @@ def run_coupon_trials(k=8, ell_grid=(8, 12, 17, 24), trials=10000, seed=0):
         start = time.perf_counter()
         exact = coupon_coverage_probability(k, ell)
         plan = TrialPlan(n=n, k=k, ell=ell, trials=trials, seed=seed)
-        eig = _sketch_spectra(
-            basis, ell, gi, trials, seed, lambda s: symmetric_eigenvalues(gram(s))
-        )
-        spectra = np.sqrt(np.clip(eig, 0.0, None))
+        spectra = _sketch_spectra(basis, ell, seed, gi, range(trials))
         sigma_top, sigma_bot = spectra[:, 0], spectra[:, -1]
         full_rank = sigma_bot > RANK_RTOL * np.maximum(sigma_top, 1.0)
         frequency = int(np.count_nonzero(full_rank)) / trials

@@ -1,18 +1,22 @@
 """Dense kernels for the validation harness.
 
-Matrices are plain row-major float64 numpy arrays.  Spectra come from LAPACK
-through numpy: singular values from the SVD of the matrix itself, symmetric
-eigenvalues from the symmetric eigensolver.  Both sit far inside the 1e-7
-tolerance that the oracle tests and the reference comparisons allow, and
-both refuse a non-finite entry with a ValueError.  The float32 transform of
-a large embedding sketch (see ``experiments``) spends up to 3e-8 of that
-budget before the SVD; a float32 transform at n = 64 measured up to 8e-8,
-which is why small sketches stay float64.  Orthonormal bases come
-from one routine, ``_cholesky_qr``, shared by ``random_orthonormal`` and the
-row-norm runner: one pass of Cholesky QR, kept when its basis is orthonormal
-to ``ONE_PASS_DEFECT`` (1e-14), as every tall Gaussian draw measured; else
-a second pass (CholeskyQR2) and an orthonormality check at 1e-8.  Both
-callers draw their Gaussians from ``srht.standard_normals``.
+Matrices are plain row-major float64 numpy arrays.  Every spectrum comes
+from one kernel, LAPACK's symmetric eigensolver through numpy: the singular
+values of a sketch are the square roots of its Gram eigenvalues, the
+spectrum the paper's matrix Chernoff bounds are stated for.  On the sketches
+the runners take, whose squared condition number is small, they sit far
+inside the 1e-7 tolerance that the oracle tests and the reference
+comparisons allow (within 1.1e-15 of an SVD's at the headline shape), and
+a non-finite entry is a ValueError.  The float32 transform of a large
+embedding sketch (see ``experiments``) spends up to 3e-8 of that budget
+before the eigensolve; a float32 transform at n = 64 measured up to 8e-8,
+which is why small sketches stay float64.
+Orthonormal bases come from one routine, ``_cholesky_qr``, shared by
+``random_orthonormal`` and the row-norm runner: one pass of Cholesky QR,
+kept when its basis is orthonormal to ``ONE_PASS_DEFECT`` (1e-14), as every
+tall Gaussian draw measured; else a second pass (CholeskyQR2) and an
+orthonormality check at 1e-8.  Both callers draw their Gaussians from
+``srht.standard_normals``.
 """
 
 import math
@@ -32,9 +36,9 @@ __all__ = [
     "symmetric_eigenvalues",
 ]
 
-# Full-rank decision: sigma_k > RANK_RTOL * max(sigma_1, 1).  The coupon
-# runner roots LAPACK's Gram eigenvalues, which puts an exactly-zero sigma at up
-# to sqrt(eps * lambda_max), a few 1e-8; the smallest genuinely nonzero sigma_k
+# Full-rank decision: sigma_k > RANK_RTOL * max(sigma_1, 1).  ``singular_values``
+# roots LAPACK's Gram eigenvalues, which puts an exactly-zero sigma at up to
+# sqrt(eps * lambda_max), a few 1e-8; the smallest genuinely nonzero sigma_k
 # in the rank experiments is >= k**-0.5, so 1e-6 sits well clear of both.
 RANK_RTOL = 1e-6
 
@@ -159,18 +163,25 @@ def symmetric_eigenvalues(s) -> np.ndarray:
 
 
 def singular_values(a) -> np.ndarray:
-    """Singular values of an m x k matrix (m >= k), sorted descending.
+    """All k singular values of an m x k matrix, sorted descending: the
+    square roots of the eigenvalues of its Gram matrix A^T A, negative
+    rounding clipped to 0.
 
-    LAPACK's SVD without singular vectors, applied directly to the matrix so
-    the condition number is not squared.  Accepts stacks of matrices.
-    Raises ValueError on a non-finite entry.
+    Matrices may be stacked along one leading axis.  When m < k the last
+    k - m values are zero up to rounding, below ``RANK_RTOL`` times
+    max(sigma_1, 1), so the full-rank rule reads rank loss.  Raises
+    ValueError on an input that is not 2-D or 3-D, on k = 0, and on a
+    non-finite entry or a finite input whose Gram matrix overflows float64:
+    either makes an entry of the Gram matrix non-finite.
     """
     a = np.asarray(a, dtype=np.float64)
-    if a.ndim < 2 or a.shape[-2] < a.shape[-1]:
-        raise ValueError(f"expected m >= k, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValueError("matrix has non-finite entries")
-    return np.linalg.svd(a, compute_uv=False)
+    if a.ndim not in (2, 3) or a.shape[-1] == 0:
+        raise ValueError(f"expected an m x k matrix or one stack of them, k >= 1, got {a.shape}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = gram(a)
+    if not np.isfinite(s).all():
+        raise ValueError("matrix has non-finite entries (or its Gram matrix overflows float64)")
+    return np.sqrt(np.clip(symmetric_eigenvalues(s), 0.0, None))
 
 
 def decimated_identity(k: int) -> np.ndarray:

@@ -3,6 +3,10 @@
 Each test prints one [PASS]/[FAIL] line (visible with ``pytest -s`` or on
 failure).  The heavyweight runs are module-scoped fixtures so the
 determinism criterion can rerun them once more instead of twice more.
+Every headline run is its runner called with the seed alone, so the
+configuration lives in one place, the runner's keyword defaults; each
+criterion asserts once the plan that ran.  Coupon at k = 2 and mgf at
+ell = 1 are extra configurations, named below.
 """
 
 import contextlib
@@ -33,6 +37,9 @@ from srhtlab.experiments import (
 from srhtlab.wht import fwht, hadamard_entry, hadamard_matrix
 
 SEED = 0
+# extra configurations beside the headline ones
+COUPON_K2 = {"k": 2, "ell_grid": [2]}
+MGF_ONE_ROW = {"ell": 1}
 
 
 def report(criterion, ok, detail=""):
@@ -41,21 +48,28 @@ def report(criterion, ok, detail=""):
     return ok
 
 
+def plans(summaries):
+    """The distinct (n, k, ell, trials, mode) the ``summaries`` ran."""
+    return {(s.plan.n, s.plan.k, s.plan.ell, s.plan.trials, s.plan.mode) for s in summaries}
+
+
+def coupon_k2_and_headline():
+    return run_coupon_trials(**COUPON_K2, seed=SEED), run_coupon_trials(seed=SEED)
+
+
 @pytest.fixture(scope="module")
 def embedding_run():
-    return run_embedding_trials(65536, 16, ell=2342, trials=200, seed=SEED)
+    return run_embedding_trials(seed=SEED)
 
 
 @pytest.fixture(scope="module")
 def rownorm_run():
-    return run_row_norm_trials(4096, 16, 16.0, trials=2000, seed=SEED)
+    return run_row_norm_trials(seed=SEED)
 
 
 @pytest.fixture(scope="module")
 def coupon_runs():
-    k2 = run_coupon_trials(2, [2], trials=10_000, seed=SEED)
-    k8 = run_coupon_trials(8, [8, 12, 17, 24], trials=10_000, seed=SEED)
-    return k2, k8
+    return coupon_k2_and_headline()
 
 
 def test_criterion_1_fwht_oracle_equivalence():
@@ -93,8 +107,9 @@ def test_criterion_2_orthogonality_n256():
 
 def test_criterion_3_embedding_window(embedding_run):
     s = embedding_run
+    assert plans([s]) == {(65536, 16, 2342, 200, "monte_carlo")}
     size = embedding_sample_size(16, 65536)
-    assert size.ell == 2342 and s.plan.ell == 2342
+    assert size.ell == 2342
     assert size.sigma_min == 1 / math.sqrt(6) and size.sigma_max == math.sqrt(13 / 6)
     bound = 3 / 16
     threshold = bound + 4 * math.sqrt(bound * (1 - bound) / 200)
@@ -112,6 +127,9 @@ def test_criterion_3_embedding_window(embedding_run):
 
 def test_criterion_4_row_norm_level(rownorm_run):
     s = rownorm_run
+    assert plans([s]) == {(4096, 16, 0, 2000, "monte_carlo")}
+    # beta defaults to k, so the bound is 1/16
+    assert s.analytic_bound == 1 / 16
     level = row_norm_bound(4096, 16, 16.0)
     assert level.value == pytest.approx(0.20967625281443434, rel=1e-12)
     threshold = 1 / 16 + 4 * math.sqrt((1 / 16) * (15 / 16) / 2000)
@@ -127,9 +145,10 @@ def test_criterion_4_row_norm_level(rownorm_run):
 
 
 def test_criterion_5_chernoff_exhaustive_dominance():
+    out = run_chernoff_validation(seed=SEED)
+    assert plans(out) == {(16, 2, 6, 8008, "exhaustive")}
     grid = [round(0.1 * i, 1) for i in range(1, 10)]
-    out = run_chernoff_validation(16, 2, 6, grid, seed=SEED, mode="exhaustive")
-    assert all(s.plan.trials == 8008 for s in out)
+    assert [s.name for s in out[::2]] == [f"chernoff_lower(delta={d:g})" for d in grid]
     violations = [s for s in out if s.empirical_frequency > s.analytic_bound]
     ok = not violations and len(out) == 18
     worst_margin = min(s.analytic_bound - s.empirical_frequency for s in out)
@@ -142,10 +161,13 @@ def test_criterion_5_chernoff_exhaustive_dominance():
 
 
 def test_criterion_6_mgf_domination_exhaustive():
-    out = run_mgf_domination(8, 2, 3, [0.5, 1.0, 2.0], seed=SEED, mode="exhaustive")
+    out = run_mgf_domination(seed=SEED)
+    assert plans(out) == {(8, 2, 3, 56, "exhaustive")}
+    assert [s.name for s in out] == [f"mgf_domination(theta={t:g})" for t in (0.5, 1.0, 2.0)]
     margins = {s.name: s.extreme_sigma_max - s.extreme_sigma_min for s in out}
     ok = all(s.passed for s in out)
-    single = run_mgf_domination(8, 2, 1, [0.5, 1.0, 2.0], seed=SEED, mode="exhaustive")
+    single = run_mgf_domination(**MGF_ONE_ROW, seed=SEED)
+    assert plans(single) == {(8, 2, 1, 8, "exhaustive")}
     for s in single:
         equal = abs(s.extreme_sigma_min - s.extreme_sigma_max) <= 1e-12 * s.extreme_sigma_max
         ok = ok and equal
@@ -167,6 +189,9 @@ def coverage_by_enumeration(k, ell):
 
 def test_criterion_7_coupon_experiment(coupon_runs):
     k2, k8 = coupon_runs
+    assert plans(k2) == {(4, 2, 2, 10_000, "monte_carlo")}
+    assert [s.plan.ell for s in k8] == [8, 12, 17, 24]
+    assert plans(k8) == {(64, 8, ell, 10_000, "monte_carlo") for ell in (8, 12, 17, 24)}
     ok = True
     details = []
     (s2,) = k2
@@ -213,12 +238,9 @@ def _timing_free_document(summaries):
 
 
 def test_criterion_9_determinism(embedding_run, rownorm_run, coupon_runs):
-    rerun_embedding = run_embedding_trials(65536, 16, ell=2342, trials=200, seed=SEED)
-    rerun_rownorm = run_row_norm_trials(4096, 16, 16.0, trials=2000, seed=SEED)
-    rerun_coupon = (
-        run_coupon_trials(2, [2], trials=10_000, seed=SEED),
-        run_coupon_trials(8, [8, 12, 17, 24], trials=10_000, seed=SEED),
-    )
+    rerun_embedding = run_embedding_trials(seed=SEED)
+    rerun_rownorm = run_row_norm_trials(seed=SEED)
+    rerun_coupon = coupon_k2_and_headline()
     first = [embedding_run, rownorm_run, *coupon_runs[0], *coupon_runs[1]]
     second = [rerun_embedding, rerun_rownorm, *rerun_coupon[0], *rerun_coupon[1]]
     equal_fields = first == second

@@ -197,6 +197,31 @@ BAD_INPUTS = {
     "symmetric_eigenvalues-stack-of-0x0": (
         lambda: srhtlab.symmetric_eigenvalues(np.zeros((3, 0, 0))), ValueError, "at least 1 x 1"
     ),
+    # a swapaxes on one axis once raised a bare AxisError
+    "singular_values-vector": (
+        lambda: srhtlab.singular_values(np.ones(3)), ValueError, "k >= 1"
+    ),
+    # stacked along one axis only, as the eigensolver takes them
+    "singular_values-4d-stack": (
+        lambda: srhtlab.singular_values(np.ones((2, 2, 3, 2))), ValueError, "k >= 1"
+    ),
+    # a 3 x 0 input once returned an empty spectrum
+    "singular_values-no-columns": (
+        lambda: srhtlab.singular_values(np.zeros((3, 0))), ValueError, "k >= 1"
+    ),
+    "singular_values-nan": (
+        lambda: srhtlab.singular_values(_ones_with(8, np.nan)), ValueError, "non-finite"
+    ),
+    "singular_values-inf": (
+        lambda: srhtlab.singular_values(_ones_with(8, np.inf)), ValueError, "non-finite"
+    ),
+    "singular_values-minus-inf": (
+        lambda: srhtlab.singular_values(_ones_with(8, -np.inf)), ValueError, "non-finite"
+    ),
+    # finite, but each Gram entry is 3e400, past float64's 1.8e308
+    "singular_values-gram-overflow": (
+        lambda: srhtlab.singular_values(np.full((3, 2), 1e200)), ValueError, "overflows"
+    ),
 }
 
 

@@ -221,6 +221,19 @@ def test_invalid_dimension_is_usage_error(capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_sketch_refuses_fewer_rows_than_columns_before_drawing(capsys, monkeypatch):
+    # an ell x k sketch with ell < k cannot have rank k; it once drew an
+    # operator and a basis and then exited 2 with the SVD's own message
+    def no_draw(*args):
+        raise AssertionError("drew an operator")
+
+    monkeypatch.setattr(cli_mod, "draw_stack", no_draw)
+    monkeypatch.setattr(cli_mod, "random_orthonormal", no_draw)
+    code, out, err = run_cli(capsys, "sketch", "--n", "16", "--l", "2", "--k", "4")
+    assert (code, out) == (2, "")
+    assert err == "srhtlab: error: --l must be at least --k, got --l 2 and --k 4\n"
+
+
 def test_unknown_experiment_rejected(capsys):
     code, _, _ = run_cli(capsys, "experiment", "nonsense")
     assert code == 2
@@ -244,8 +257,15 @@ def test_sketch_output_file_byte_identical(tmp_path, capsys):
 # 2.4.6): the operator record, the sketch and its spectrum, bit for bit.
 # Re-recorded when the tall 16 x 3 basis began to take one Cholesky QR pass
 # instead of two; the hashes of the two-pass output are SKETCH_TWO_PASS_SHA256,
-# and its values are SKETCH_TWO_PASS.
+# and its values are SKETCH_TWO_PASS.  Re-recorded again when the spectrum
+# moved from an SVD of the sketch to the roots of its Gram eigenvalues: sigma_1
+# moved by one ulp, from 1.479615508171306 to 1.4796155081713058.  The hashes
+# of the SVD output are SKETCH_SVD_SHA256.
 SKETCH_SHA256 = {
+    "json": "b223e95e408ef4b8b537b7793f795df79d8c03df45f5edd370bf32d795fa7d2d",
+    "csv": "bb5f7e909bfebd5c99396622aeb08b47996f3ab714aed2db7340ecdc488884a1",
+}
+SKETCH_SVD_SHA256 = {
     "json": "4d015f8df85fe86269a08025d077fdff1582aae637972b397677a62515bdd622",
     "csv": "8712ea38fa847c96bf04045f5a8a1ca73896f60ded1392e37b447586c92c9fab",
 }

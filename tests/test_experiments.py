@@ -734,7 +734,11 @@ def test_json_records_roundtrip():
 # of the runs whose bases are tall were re-recorded when such a basis began
 # to take one Cholesky QR pass instead of two (linalg.ONE_PASS_DEFECT); the
 # hashes they replaced are GOLDEN_TWO_PASS_SUMMARY_SHA256, and their records
-# are pinned as literals in GOLDEN_TWO_PASS_RECORDS.
+# are pinned as literals in GOLDEN_TWO_PASS_RECORDS.  The embedding hashes
+# were re-recorded when a sketch's singular values moved from an SVD to the
+# roots of its Gram eigenvalues; the hashes they replaced are
+# GOLDEN_SVD_SUMMARY_SHA256, and their records are pinned as literals in
+# GOLDEN_SVD_EMBEDDING.
 GOLDEN_RUNS = {
     "embedding_256x8": lambda seed: [
         run_embedding_trials(256, 8, ell=64, trials=300, seed=seed)
@@ -756,9 +760,9 @@ GOLDEN_RUNS = {
 }
 GOLDEN_SUMMARY_SHA256 = {
     ("embedding_256x8", 0):
-        "6e42cc18cb87914dc421c6a86ce70d3a67b30ebbd54b19cd4017f1cc23cb5bb7",
+        "ebfc86871c2d011b46f1ea8ef821b5706b962a867ca01453d5a4e1fde68806e7",
     ("embedding_256x8", 12345):
-        "91ffcadb062de6d6f559c8a22d5ee1589ed2ef715e8a8895ed9d578b2d8978e2",
+        "f7e99627abb44df85d639a48c86a5e014295bc3f1dfa77b81bfe825d07d09554",
     ("coupon_k4", 0): "261da3a9c32f67a1d8f61dc23664606c57ea9e8feb7525ee33c164b6ae88957c",
     ("coupon_k4", 12345): "f506f3a7df1620e10bc110740e15b12c662e0ad6deb67387d90730cf08208771",
     ("coupon_k2", 0): "52251dee150d8188c084816b755c105f3c972bde6e5280b07dc63fc6ff20a93d",
@@ -787,6 +791,13 @@ GOLDEN_SUMMARY_SHA256 = {
         "c89b96ddc000ef2a669719876d55361303d86fbcd0bf5bf388771da09f3b3743",
     ("mgf_monte_carlo", 12345):
         "4d1bf1b6d428c6ae81b88b55768a93ed416a625ec3f32dc785feda9539472564",
+}
+
+GOLDEN_SVD_SUMMARY_SHA256 = {
+    ("embedding_256x8", 0):
+        "6e42cc18cb87914dc421c6a86ce70d3a67b30ebbd54b19cd4017f1cc23cb5bb7",
+    ("embedding_256x8", 12345):
+        "91ffcadb062de6d6f559c8a22d5ee1589ed2ef715e8a8895ed9d578b2d8978e2",
 }
 
 GOLDEN_MGF_MULTISET_SHA256 = {
@@ -864,6 +875,24 @@ def test_embedding_matches_the_per_trial_records(run, seed):
     assert s.empirical_frequency * s.plan.trials == count
     assert abs(s.extreme_sigma_min - lo) <= 1e-12
     assert abs(s.extreme_sigma_max - hi) <= 1e-12
+
+
+# (violations, min sigma_k, max sigma_1) when each sketch's singular values
+# came from an SVD.  The Gram eigensolve must keep the counts exactly and the
+# extremes within 1e-14.
+GOLDEN_SVD_EMBEDDING = {
+    ("embedding_256x8", 0): (0, 0.5827189186450306, 1.3854659139912486),
+    ("embedding_256x8", 12345): (0, 0.6020560241974291, 1.3697713721660179),
+}
+
+
+@pytest.mark.parametrize("run, seed", sorted(GOLDEN_SVD_EMBEDDING))
+def test_embedding_keeps_the_svd_records(run, seed):
+    (s,) = GOLDEN_RUNS[run](seed)
+    count, lo, hi = GOLDEN_SVD_EMBEDDING[(run, seed)]
+    assert s.empirical_frequency * s.plan.trials == count
+    assert abs(s.extreme_sigma_min - lo) <= 1e-14
+    assert abs(s.extreme_sigma_max - hi) <= 1e-14
 
 
 # (without, with, passed) per theta of the default grid when every subset
@@ -1216,11 +1245,12 @@ def _coupon_one_trial_at_a_time(k, ell_grid, trials, seed):
 def _check_coupon_blocks(k, ell_grid, trials, seed, block):
     """The blocked runner, with ``block`` trials per block, equals the
     one-trial-at-a-time oracle bit for bit, and sketches and eigensolves
-    once per block."""
+    once per block.  The eigensolve is recorded where ``singular_values``
+    calls it, in ``linalg``."""
     sketches = _Recorder(exp_mod.sketch_stack)
-    eigensolves = _Recorder(exp_mod.symmetric_eigenvalues)
+    eigensolves = _Recorder(linalg_mod.symmetric_eigenvalues)
     with mock.patch.object(exp_mod, "sketch_stack", sketches), \
-            mock.patch.object(exp_mod, "symmetric_eigenvalues", eigensolves):
+            mock.patch.object(linalg_mod, "symmetric_eigenvalues", eigensolves):
         out = run_coupon_trials(k, ell_grid, trials=trials, seed=seed)
     grams, expected = _coupon_one_trial_at_a_time(k, ell_grid, trials, seed)
     assert len(sketches.calls) == len(ell_grid) * -(-trials // block)

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import srhtlab.linalg as linalg_mod
 from srhtlab.linalg import (
+    RANK_RTOL,
     decimated_identity,
     gram,
     orthonormality_defect,
@@ -365,9 +366,19 @@ def test_singular_values_match_charpoly_oracle():
     assert np.max(np.abs(got - expected)) <= 1e-7
 
 
-def test_singular_values_rejects_wide():
-    with pytest.raises(ValueError):
-        singular_values(np.zeros((2, 3)))
+def test_singular_values_of_a_wide_matrix_end_below_the_rank_tolerance():
+    # an m x k sketch with m < k returns k values: the m nonzero ones are
+    # the roots of A A^T's eigenvalues, and the last k - m read as rank loss
+    k = 5
+    for m in (0, 1, 2, 4):
+        a = np.random.default_rng(m).standard_normal((m, k))
+        got = singular_values(a)
+        assert got.shape == (k,)
+        expected = np.sqrt(eigenvalues_by_bisection(a @ a.T)) if m else np.zeros(0)
+        assert np.max(np.abs(got[:m] - expected), initial=0.0) <= 1e-7
+        assert np.all(got[m:] <= RANK_RTOL * max(got[0], 1.0))
+        stacked = singular_values(np.stack([a, 2.0 * a]))
+        assert stacked.shape == (2, k) and np.all(stacked[:, m:] <= RANK_RTOL)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -915,3 +915,17 @@ def test_every_seeded_draw_goes_through_srht(path):
             assert not (node.module == "numpy" and "random" in names)
             if node.module in ("srht", "srhtlab.srht"):
                 assert not [name for name in names if name.startswith("_")]
+
+
+SOURCE_MODULES = sorted(pathlib.Path(srhtlab.__file__).parent.glob("*.py"))
+
+
+@pytest.mark.parametrize("path", SOURCE_MODULES, ids=lambda path: path.name)
+def test_every_spectrum_goes_through_the_gram_eigensolve(path):
+    # one spectrum kernel: singular values are the roots of a Gram
+    # eigensolve (linalg.singular_values), so no module calls an SVD
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            assert "svd" not in name.lower(), f"{path.name}:{node.lineno} calls {name}"
