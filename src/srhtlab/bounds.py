@@ -88,10 +88,10 @@ def embedding_sample_size(k: int, n: int) -> SampleSizeBound:
     ell = max(1, math.ceil(raw))
     return SampleSizeBound(
         ell=ell,
-        applicable=ell <= n,
+        applicable=bool(ell <= n),
         sigma_min=EMBEDDING_SIGMA_MIN,
         sigma_max=EMBEDDING_SIGMA_MAX,
-        failure_bound=3.0 / k,
+        failure_bound=3.0 / float(k),
     )
 
 

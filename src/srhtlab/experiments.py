@@ -25,10 +25,14 @@ cuts the trials into blocks of about ``_BLOCK_BYTES`` (256 KiB) of working
 array each, whatever the trial count, up to ``EXHAUSTIVE_CAP`` row lists,
 and fills one row of a per-trial result array per trial.  Every trial still
 draws from its own substream, and each block's draws are one call of each
-``srht`` sampler it uses: embedding and coupon draw a block of operators
-with one ``draw_stack`` call and sketch it with one ``sketch_stack`` call,
+``srht`` sampler it uses.  Embedding and coupon sketch a block of trials
+whose n x B x k transform fits the budget with one ``sketch_stack`` call,
 and take its singular values, the square roots of its Gram spectrum, with
-one ``linalg.singular_values`` call.
+one ``linalg.singular_values`` call.  They draw ahead: one ``draw_stack``
+call draws as many whole sketch blocks of operators as fit the budget
+(three of 64 trials at coupon's n = 64, and one trial at the embedding
+headline), since a draw has a fixed cost per call that a sketch block of
+64 would pay alone.
 Chernoff and both sides of mgf get their ell-row lists from one helper,
 ``_row_list_spectra``, which turns a block of them into one Gram stack and
 one eigensolve; Monte Carlo draws a block of subsets with one
@@ -63,6 +67,8 @@ forms its basis.  A tall trial takes one pass, a square one two.
 
 Each runner's keyword defaults are its headline configuration, the one the
 acceptance suite checks; called with only a seed, it runs that configuration.
+Its dimensions, trial count and seed are integers, numpy's included, and are
+taken as plain ints before any arithmetic; a float or a bool is a TypeError.
 Runners only compute.  A result is a list of ``ExperimentSummary`` (or one),
 whose ``to_record`` gives the fields of ``CSV_COLUMNS`` in that order, and
 is the one place that drops ``elapsed_seconds`` from a timing-free record.
@@ -98,6 +104,7 @@ from .linalg import (
 from .srht import (
     draw_integers,
     draw_stack,
+    draw_stack_bytes,
     rademacher_signs,
     sample_without_replacement,
     sketch_stack,
@@ -121,9 +128,14 @@ __all__ = [
 EXHAUSTIVE_CAP = 10**7
 MODES = ("monte_carlo", "exhaustive")
 SLACK_SIGMAS = 4.0
-# Bytes of working array per block of stacked trials.  Small on purpose: on
-# the k=8 coupon benchmark (1000 trials per ell) a 1 MiB block was no faster
-# and raised peak resident memory from 40.6 to 43.0 MB.
+# Bytes of working array per block of stacked trials, and of draw arrays per
+# draw.  A larger block is faster on small trials.  On the k=8 coupon run
+# (1000 trials per ell, in-process, 2-core Xeon) a 1 MiB block took about
+# 20 % less time than this one while every sketch block made its own draw,
+# and 7-8 % less (50 against 54 ms) once each draw took three sketch
+# blocks.  It stays 256 KiB: the memory tests hold the runners to it,
+# and a 1 MiB block once raised that run's peak resident memory from 40.6
+# to 43.0 MB.
 _BLOCK_BYTES = 256 * 1024
 # An embedding trial sketched in float32 is sketched again in float64 when
 # its sigma_k or sigma_1 lies this close to its edge of the window.  Float32
@@ -137,15 +149,25 @@ def _check_ell(ell, n):
         raise ValueError(f"need 1 <= ell <= n, got ell={ell}, n={n}")
 
 
+def _integers(**values) -> list:
+    """``values`` as plain ints, in order; a bool, numpy's included, or a
+    value that is not an integer is a TypeError.  Runners take their integer
+    arguments through it first, so a numpy integer type, whose arithmetic
+    can overflow, never reaches their arithmetic or their records."""
+    _refuse_bools(**values)
+    return [operator.index(value) for value in values.values()]
+
+
 @dataclass(frozen=True)
 class TrialPlan:
     """What an experiment ran: dimensions, trial count, seed, and mode.
 
     Dimensions that do not apply to a given experiment are recorded as 0.
     In exhaustive mode ``trials`` is the number of enumerated subsets.
-    ``trials`` and ``seed`` are integers (a float or bool trial count, or a
-    bool seed, is a TypeError) and a negative seed is a ValueError, so a bad
-    plan is refused before anything is drawn.
+    Every field but ``mode`` is an integer (a float or a bool, numpy's
+    included, is a TypeError) and is stored as a plain int, so a record can
+    be written as JSON; a negative seed is a ValueError.  A bad plan is
+    refused before anything is drawn.
     """
 
     n: int
@@ -158,12 +180,14 @@ class TrialPlan:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        names = ("n", "k", "ell", "trials", "seed")
+        for name, value in zip(names, _integers(**{name: getattr(self, name) for name in names})):
+            object.__setattr__(self, name, value)
         if self.mode == "exhaustive":
             _check_ell(self.ell, self.n)
-        _refuse_bools(trials=self.trials, seed=self.seed)
-        if operator.index(self.seed) < 0:
+        if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if operator.index(self.trials) < 1:
+        if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.mode == "exhaustive":
             if math.comb(self.n, self.ell) > EXHAUSTIVE_CAP:
@@ -201,7 +225,9 @@ class ExperimentSummary:
     not recorded.
     ``elapsed_seconds`` is the wall-clock time of the work behind this summary
     (a grid point's own trials, or the enumeration a Chernoff or mgf grid
-    shares) and is excluded from equality.
+    shares) and is excluded from equality.  The numbers and ``passed`` are
+    stored as plain floats and a bool, whatever numpy scalars a runner's
+    arithmetic gave, so a record can be written as JSON.
     """
 
     name: str
@@ -212,6 +238,12 @@ class ExperimentSummary:
     extreme_sigma_max: float
     passed: bool
     elapsed_seconds: float = field(compare=False, default=0.0)
+
+    def __post_init__(self):
+        for name in ("empirical_frequency", "analytic_bound", "extreme_sigma_min",
+                     "extreme_sigma_max"):
+            setattr(self, name, float(getattr(self, name)))
+        self.passed = bool(self.passed)
 
     def to_record(self, include_timing: bool = True) -> dict:
         """The record of ``CSV_COLUMNS``, in that order, without
@@ -245,7 +277,6 @@ def _one_sided_summary(name, plan, events, bound, lows, highs, elapsed):
     most the bound, plus ``monte_carlo_slack`` in Monte Carlo mode.  Extremes
     are the least of the per-trial ``lows`` and the greatest of the
     ``highs``."""
-    # a Python int keeps the frequency, and so ``passed``, plain JSON values
     frequency = int(np.count_nonzero(events)) / plan.trials
     slack = 0.0 if plan.mode == "exhaustive" else monte_carlo_slack(bound, plan.trials)
     return ExperimentSummary(
@@ -253,19 +284,24 @@ def _one_sided_summary(name, plan, events, bound, lows, highs, elapsed):
         plan=plan,
         empirical_frequency=frequency,
         analytic_bound=bound,
-        extreme_sigma_min=float(np.min(lows)),
-        extreme_sigma_max=float(np.max(highs)),
+        extreme_sigma_min=np.min(lows),
+        extreme_sigma_max=np.max(highs),
         passed=frequency <= bound + slack,
         elapsed_seconds=elapsed,
     )
 
 
-def _fill_blocks(items, count, width, item_bytes, fn):
+def _block_size(item_bytes):
+    """Items per block: as many as fit ``_BLOCK_BYTES`` at ``item_bytes``
+    each, and at least one."""
+    return max(1, _BLOCK_BYTES // item_bytes)
+
+
+def _fill_blocks(items, count, width, size, fn):
     """``count`` x ``width`` array whose rows are ``fn`` of consecutive blocks
-    of max(1, _BLOCK_BYTES // item_bytes) of the ``count`` ``items``, ``fn``
-    giving one row per item of its list."""
+    of ``size`` of the ``count`` ``items``, ``fn`` giving one row per item of
+    its list."""
     out = np.empty((count, width))
-    size = max(1, _BLOCK_BYTES // item_bytes)
     items = iter(items)
     offset = 0
     while block := list(itertools.islice(items, size)):
@@ -277,15 +313,29 @@ def _fill_blocks(items, count, width, item_bytes, fn):
 def _sketch_spectra(v, ell, seed, stream, trials):
     """len(trials) x k stack of the descending singular values of the ell x k
     sketches of ``v``, one row per trial index i in ``trials``, sketched
-    under the operator drawn from seed (seed, 1, stream, i): one
-    ``draw_stack``, one ``sketch_stack`` and one ``singular_values`` per
-    block of seeds."""
+    under the operator drawn from seed (seed, 1, stream, i).
+
+    A sketch block is ``_block_size(v.nbytes)`` trials, and each gets one
+    ``sketch_stack`` and one ``singular_values`` call.  Operators are drawn
+    ahead, one ``draw_stack`` call per draw block: the largest whole number
+    of sketch blocks, at least one, whose draw arrays fit ``_BLOCK_BYTES``
+    at ``draw_stack_bytes(n, ell)`` a trial (the draw's words and signs and
+    the shuffle's positions).  Sketch blocks start where they would without
+    the draw blocks, so every sketch, and every output, is the same bit for
+    bit.
+    """
     n, k = v.shape
-    keys = ((seed, 1, stream, i) for i in trials)
-    return _fill_blocks(
-        keys, len(trials), k, v.nbytes,
-        lambda block: singular_values(sketch_stack(*draw_stack(n, ell, block), v)),
-    )
+    size = _block_size(v.nbytes)
+    draw = size * max(1, _block_size(draw_stack_bytes(n, ell)) // size)
+
+    def spectra(block):
+        signs, indices = draw_stack(n, ell, [(seed, 1, stream, i) for i in block])
+        return np.concatenate([
+            singular_values(sketch_stack(signs[lo : lo + size], indices[lo : lo + size], v))
+            for lo in range(0, len(block), size)
+        ])
+
+    return _fill_blocks(trials, len(trials), k, draw, spectra)
 
 
 def run_embedding_trials(n=65536, k=16, ell=None, trials=200, seed=0):
@@ -306,6 +356,7 @@ def run_embedding_trials(n=65536, k=16, ell=None, trials=200, seed=0):
     and extremes move by a few 1e-8 at most.
     """
     start = time.perf_counter()
+    n, k, trials, seed = _integers(n=n, k=k, trials=trials, seed=seed)
     size = embedding_sample_size(k, n)
     if ell is None:
         if k < 2:
@@ -313,6 +364,7 @@ def run_embedding_trials(n=65536, k=16, ell=None, trials=200, seed=0):
         if not size.applicable:
             raise ValueError(f"required sample size {size.ell} exceeds n={n}")
         ell = size.ell
+    (ell,) = _integers(ell=ell)
     _check_ell(ell, n)
     plan = TrialPlan(n=n, k=k, ell=ell, trials=trials, seed=seed)
     basis = random_orthonormal(n, k, (seed, 0, 0, 0))
@@ -357,6 +409,7 @@ def run_row_norm_trials(n=4096, k=16, beta=None, trials=2000, seed=0):
     k = 1, makes its bound 1/beta >= 1 vacuous.
     """
     start = time.perf_counter()
+    n, k, trials, seed = _integers(n=n, k=k, trials=trials, seed=seed)
     hadamard_size(n)
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
@@ -369,7 +422,7 @@ def run_row_norm_trials(n=4096, k=16, beta=None, trials=2000, seed=0):
         gaussians = standard_normals([(seed, 0, 0, i) for i in block], buffer)
         return [[_max_row_norm(g, trial_signs)] for g, trial_signs in zip(gaussians, signs)]
 
-    norms = _fill_blocks(range(trials), trials, 1, 8 * n, max_row_norms)[:, 0]
+    norms = _fill_blocks(range(trials), trials, 1, _block_size(8 * n), max_row_norms)[:, 0]
     return _one_sided_summary(
         "rownorm", plan, norms >= level.value, level.exceedance_probability, norms, norms,
         time.perf_counter() - start,
@@ -410,6 +463,7 @@ def run_coupon_trials(k=8, ell_grid=(8, 12, 17, 24), trials=10000, seed=0):
     0.1433, 0.5142 and 0.8646, all within the slack.
     """
     _check_grid("ell_grid", ell_grid)
+    k, trials, seed = _integers(k=k, trials=trials, seed=seed)
     basis = decimated_identity(k)
     n = k * k
     summaries = []
@@ -417,6 +471,7 @@ def run_coupon_trials(k=8, ell_grid=(8, 12, 17, 24), trials=10000, seed=0):
         start = time.perf_counter()
         exact = coupon_coverage_probability(k, ell)
         plan = TrialPlan(n=n, k=k, ell=ell, trials=trials, seed=seed)
+        ell = plan.ell
         spectra = _sketch_spectra(basis, ell, seed, gi, range(trials))
         sigma_top, sigma_bot = spectra[:, 0], spectra[:, -1]
         full_rank = sigma_bot > RANK_RTOL * np.maximum(sigma_top, 1.0)
@@ -427,8 +482,8 @@ def run_coupon_trials(k=8, ell_grid=(8, 12, 17, 24), trials=10000, seed=0):
                 plan=plan,
                 empirical_frequency=frequency,
                 analytic_bound=exact,
-                extreme_sigma_min=float(sigma_bot.min()),
-                extreme_sigma_max=float(sigma_top.max()),
+                extreme_sigma_min=sigma_bot.min(),
+                extreme_sigma_max=sigma_top.max(),
                 passed=abs(frequency - exact) <= monte_carlo_slack(exact, trials),
                 elapsed_seconds=time.perf_counter() - start,
             )
@@ -467,7 +522,8 @@ def _row_list_spectra(w, ell, mode, trials, seed, replace=False):
         return sample_without_replacement(n, ell, block)
 
     return _fill_blocks(
-        items, count, k, ell * k * 8, lambda block: _sampled_gram_eigenvalues(w, rows(block))
+        items, count, k, _block_size(ell * k * 8),
+        lambda block: _sampled_gram_eigenvalues(w, rows(block)),
     )
 
 
@@ -501,6 +557,7 @@ def run_chernoff_validation(
     grid, or an ell outside [1, n], is a ValueError before anything is drawn.
     """
     _check_grid("deviation_grid", deviation_grid)
+    n, k, ell, seed, trials = _integers(n=n, k=k, ell=ell, seed=seed, trials=trials)
     _check_ell(ell, n)
     start = time.perf_counter()
     plan_trials = math.comb(n, ell) if mode == "exhaustive" else trials
@@ -554,6 +611,7 @@ def run_mgf_domination(
     anything is drawn.
     """
     _check_grid("theta_grid", theta_grid)
+    n, k, ell, seed, trials = _integers(n=n, k=k, ell=ell, seed=seed, trials=trials)
     _check_ell(ell, n)
     start = time.perf_counter()
     if mode == "monte_carlo" and trials < 2:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .bounds import _refuse_bools
 from .srht import standard_normals
-from .wht import is_power_of_two
+from .wht import _real_float64, is_power_of_two
 
 __all__ = [
     "decimated_identity",
@@ -112,8 +112,9 @@ def _cholesky_r(s):
 
 
 def gram(a) -> np.ndarray:
-    """A^T A, symmetrized on output.  Accepts stacks of matrices."""
-    a = np.asarray(a, dtype=np.float64)
+    """A^T A, symmetrized on output.  Accepts stacks of matrices.  A complex
+    input is a TypeError."""
+    a = _real_float64(a)
     s = np.swapaxes(a, -1, -2) @ a
     return (s + np.swapaxes(s, -1, -2)) / 2.0
 
@@ -121,8 +122,8 @@ def gram(a) -> np.ndarray:
 def orthonormality_defect(v) -> float:
     """max |(V^T V - I)_ij|; zero iff the columns are exactly orthonormal.
 
-    A 1-D ``v`` is one column."""
-    v = np.asarray(v, dtype=np.float64)
+    A 1-D ``v`` is one column.  A complex ``v`` is a TypeError."""
+    v = _real_float64(v)
     if v.ndim == 1:
         v = v[:, None]
     if v.shape[1] == 0:
@@ -140,9 +141,10 @@ def symmetric_eigenvalues(s) -> np.ndarray:
 
     LAPACK's symmetric eigensolver on the symmetrized input.  Matrices may be
     stacked along a leading axis.  Raises ValueError on a 0 x 0 matrix, on a
-    non-finite entry and on a visibly non-symmetric input.
+    non-finite entry and on a visibly non-symmetric input, and TypeError on a
+    complex one.
     """
-    a = np.asarray(s, dtype=np.float64)
+    a = _real_float64(s)
     if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2] or a.shape[-1] == 0:
         raise ValueError(f"expected square matrices of at least 1 x 1, got shape {a.shape}")
     at = np.swapaxes(a, -1, -2)
@@ -172,9 +174,10 @@ def singular_values(a) -> np.ndarray:
     max(sigma_1, 1), so the full-rank rule reads rank loss.  Raises
     ValueError on an input that is not 2-D or 3-D, on k = 0, and on a
     non-finite entry or a finite input whose Gram matrix overflows float64:
-    either makes an entry of the Gram matrix non-finite.
+    either makes an entry of the Gram matrix non-finite.  A complex input is
+    a TypeError.
     """
-    a = np.asarray(a, dtype=np.float64)
+    a = _real_float64(a)
     if a.ndim not in (2, 3) or a.shape[-1] == 0:
         raise ValueError(f"expected an m x k matrix or one stack of them, k >= 1, got {a.shape}")
     with np.errstate(over="ignore", invalid="ignore"):

@@ -16,8 +16,9 @@ operator rules, and every function that takes an operator goes through
 it.  The ell-subset comes from a partial Fisher-Yates shuffle, which
 ``sample_without_replacement`` and the operator draws share through
 ``_subsets``.  It takes one of two paths by a size rule, with the same
-picks: where n <= 8 ell, each row shuffles a copy of one whole index list,
-an O(n) copy and no dict; above that, ``_fisher_yates`` keeps only the
+picks: a block of at least 16 rows with n <= 8 ell shuffles every row at
+once, one vectorized swap per pick over a B x n position array; any other
+block goes a row at a time through ``_fisher_yates``, which keeps only the
 positions it has touched, in a dict, so a large-n draw costs O(ell), not
 O(n).  Row b of a block depends on ``seeds[b]`` alone, so an operator is
 the same bit for bit whatever block it is drawn in.
@@ -58,7 +59,7 @@ import operator
 import numpy as np
 
 from .bounds import _refuse_bools
-from .wht import fwht_inplace, hadamard_matrix, hadamard_size
+from .wht import _real_float64, fwht_inplace, hadamard_matrix, hadamard_size
 
 __all__ = [
     "apply_to_matrix",
@@ -66,6 +67,7 @@ __all__ = [
     "draw_integers",
     "draw_srht",
     "draw_stack",
+    "draw_stack_bytes",
     "materialize",
     "rademacher_signs",
     "sample_without_replacement",
@@ -390,43 +392,64 @@ def _sample_size(n, ell) -> tuple:
     return n, ell
 
 
-# The shuffle rule of ``_subsets``: the whole-list shuffle where n <= 8 ell.
-_LIST_SHUFFLE_RATIO = 8
+# The shuffle rule of ``_subsets``: the whole-block array shuffle for a block
+# of at least _ARRAY_SHUFFLE_ROWS rows with n <= _ARRAY_SHUFFLE_RATIO * ell.
+_ARRAY_SHUFFLE_RATIO = 8
+_ARRAY_SHUFFLE_ROWS = 16
 
 
 def _subsets(offsets, n, ell) -> np.ndarray:
     """B x ell int64: row b the positions a partial Fisher-Yates shuffle of
     range(n) picks with offsets row b, sorted.
 
-    Two paths give the same picks.  Where n <= 8 ell, each row shuffles a
-    copy of one ``list(range(n))`` in place with ``_shuffle``, and no dict.
-    Above that, ``_fisher_yates`` stores only the positions a swap touched,
-    since there the O(n) list costs more than the O(ell) dict.  Measured per
-    row on a 2-core Xeon at n = 64, 1024 and 65536: in blocks of 8 or 64
-    rows, the list takes 0.44 to 0.78 of the dict's time at n / ell = 2, 4
-    and 8, and 0.96 to 1.31 at n / ell = 28; a one-row block takes up to
-    1.4 times the dict's time at n / ell = 8, and 4 times at n = 65536,
-    ell = 2340.
+    Two paths give the same picks.  A block of at least 16 rows with
+    n <= 8 ell takes ``_array_shuffle``: every row's shuffle at once, one
+    numpy step per pick.  Any other block takes ``_fisher_yates`` a row at
+    a time, an O(ell) dict per row.  A numpy step has a fixed cost, so a
+    block of few rows loses: measured on a 2-core Xeon at n / ell from 1 to
+    8, n from 64 to 4096, the array shuffle took 4.9 to 6.9 times the
+    dict's time for one row, 1.1 to 1.7 times for 8 rows, 0.8 to 1.3 for
+    12, 0.57 to 0.91 for 16 and 0.11 to 0.26 for 192.  The ratio rule keeps
+    the B x n positions within 8 per pick; past it a block of many rows
+    would hold n positions per row where the dict holds O(ell), as at
+    n = 65536, ell = 2342.
     """
-    rows = offsets.tolist()
-    if n <= _LIST_SHUFFLE_RATIO * ell:
-        positions = list(range(n))
-        picked = [_shuffle(positions.copy(), row) for row in rows]
+    rows = len(offsets)
+    if rows >= _ARRAY_SHUFFLE_ROWS and n <= _ARRAY_SHUFFLE_RATIO * ell:
+        out = _array_shuffle(offsets, n, ell)
     else:
-        picked = list(map(_fisher_yates, rows))
-    out = np.array(picked, dtype=np.int64).reshape(-1, ell)
+        out = np.array(list(map(_fisher_yates, offsets.tolist())), dtype=np.int64)
+        out = out.reshape(rows, ell)
     out.sort(axis=1)
     return out
 
 
-def _shuffle(positions, offsets) -> list:
-    """The positions a partial Fisher-Yates shuffle of the list ``positions``
-    picks, unsorted: step i swaps entry i with entry i + offsets[i], in
-    place, and the first len(offsets) entries are the picks."""
-    for i, off in enumerate(offsets):
-        j = i + off
-        positions[i], positions[j] = positions[j], positions[i]
-    return positions[: len(offsets)]
+def _array_shuffle(offsets, n, ell) -> np.ndarray:
+    """B x ell int64: the positions a partial Fisher-Yates shuffle of range(n)
+    picks with each row of ``offsets``, unsorted, all rows at once.
+
+    The rows' positions are one flat B*n array of ``_position_dtype(n)``.
+    Step i picks, in every row at once, what sits at i + offsets[:, i] and
+    moves what sits at i there, through flat indices; position i is never
+    read again, so it is not written back.
+    """
+    rows = len(offsets)
+    positions = np.tile(np.arange(n, dtype=_position_dtype(n)), rows)
+    at_i = positions.reshape(rows, n)
+    # ell x B flat index of each step's swap target
+    targets = offsets.T + np.arange(ell)[:, None]
+    targets += np.arange(0, rows * n, n)
+    picked = np.empty((rows, ell), dtype=np.int64)
+    for i, target in enumerate(targets):
+        picked[:, i] = positions[target]
+        positions[target] = at_i[:, i]
+    return picked
+
+
+def _position_dtype(n) -> np.dtype:
+    """The smallest unsigned integer dtype that holds every position of
+    range(n): one byte a position up to n = 256."""
+    return np.min_scalar_type(n - 1)
 
 
 def _fisher_yates(offsets) -> list:
@@ -462,6 +485,14 @@ def draw_stack(n: int, ell: int, seeds) -> tuple:
     return signs, indices
 
 
+def draw_stack_bytes(n, ell) -> int:
+    """Bytes per operator of the arrays a ``draw_stack`` call makes, as a
+    caller's draw budget counts them: the n + ell int64 words and n float64
+    signs (16 n + 8 ell), and the shuffle's n positions of
+    ``_position_dtype(n)``."""
+    return 16 * n + 8 * ell + n * _position_dtype(n).itemsize
+
+
 def _operator_ranges(n, ell) -> np.ndarray:
     """The ranges of one operator draw: n of 2, then n, n-1, ..., n-ell+1."""
     ranges = np.full(n + ell, 2, dtype=np.uint64)
@@ -478,8 +509,8 @@ def draw_srht(n: int, ell: int, seed) -> tuple:
 def apply_to_matrix(op, v) -> np.ndarray:
     """Column-wise application of one operator, a (signs, indices) pair as
     ``draw_srht`` returns: the ell x k sketch of an n x k matrix, in
-    float64.  Rejects NaN and infinite entries."""
-    v = np.asarray(v, dtype=np.float64)
+    float64.  Rejects NaN and infinite entries, and complex ones."""
+    v = _real_float64(v)
     if v.ndim != 2:
         raise ValueError(f"need an n x k matrix, got shape {v.shape}")
     return sketch_stack(*_one_operator(op), v)[0]
@@ -500,7 +531,8 @@ def sketch_stack(signs, indices, v) -> np.ndarray:
     float64 before the scaling, so the result is float64 either way.  A
     float32 transform puts each entry within about 1e-7 of its column's norm
     of the float64 one (times the scale); it is exact when every value is
-    dyadic, as for columns of H at n a power of 16.
+    dyadic, as for columns of H at n a power of 16.  A complex ``v`` is a
+    TypeError.
 
     Finiteness is checked on the sampled rows, not on the n input rows:
     every output entry of a column is a sum of all that column's inputs with
@@ -512,7 +544,7 @@ def sketch_stack(signs, indices, v) -> np.ndarray:
     (stack, n), ell = signs.shape, indices.shape[1]
     v = np.asarray(v)
     if v.dtype != np.float32:
-        v = np.asarray(v, dtype=np.float64)
+        v = _real_float64(v)
     if v.ndim not in (1, 2) or v.shape[0] != n:
         raise ValueError(f"input must be a vector or matrix with {n} rows, got shape {v.shape}")
     cols = v.shape[1] if v.ndim == 2 else 1
@@ -532,12 +564,12 @@ def _operator_stack(signs, indices) -> tuple:
     """``signs`` and ``indices`` as float64 and int64 arrays, checked against
     the operator rules for B operators at once: B x n signs exactly +-1
     with n a power of two, and B x ell integer indices, 1 <= ell <= n, each
-    row strictly increasing in [0, n).  Indices of a non-integer dtype are a
-    TypeError, not truncated."""
+    row strictly increasing in [0, n).  Indices of a non-integer dtype, and
+    complex signs, are a TypeError, not truncated."""
     indices = np.asarray(indices)
     if indices.size and indices.dtype.kind not in "iu":
         raise TypeError(f"sample indices must be integers, got dtype {indices.dtype}")
-    signs = np.asarray(signs, dtype=np.float64)
+    signs = _real_float64(signs)
     indices = indices.astype(np.int64, copy=False)
     if signs.ndim != 2 or indices.ndim != 2 or signs.shape[0] != indices.shape[0]:
         raise ValueError(

@@ -127,9 +127,20 @@ def _transform(a, work, spare, blocks):
 
 
 def fwht(x) -> np.ndarray:
-    """Orthogonal Walsh-Hadamard transform of a copy of ``x`` along axis 0."""
-    y = np.array(x, dtype=np.float64, order="C")
+    """Orthogonal Walsh-Hadamard transform of a copy of ``x`` along axis 0,
+    in float64.  A complex ``x`` is a TypeError."""
+    y = np.array(_real_float64(x), order="C")
     return fwht_inplace(y)
+
+
+def _real_float64(a) -> np.ndarray:
+    """``a`` as a float64 array, not copied when it is one.  A complex input
+    is a TypeError, refused before the cast would drop its imaginary part
+    with only a warning."""
+    a = np.asarray(a)
+    if a.dtype.kind == "c":
+        raise TypeError(f"expected real input, got dtype {a.dtype}")
+    return a.astype(np.float64, copy=False)
 
 
 def hadamard_entry(i: int, j: int, n: int) -> float:

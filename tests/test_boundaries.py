@@ -222,6 +222,28 @@ BAD_INPUTS = {
     "singular_values-gram-overflow": (
         lambda: srhtlab.singular_values(np.full((3, 2), 1e200)), ValueError, "overflows"
     ),
+    # a complex input was cast to float64 with only a ComplexWarning, its
+    # imaginary part dropped: fwht([1j, 0, 0, 0]) gave zeros
+    "fwht-complex": (lambda: srhtlab.fwht([1j, 0, 0, 0]), TypeError, "real input"),
+    "sketch_stack-complex": (
+        lambda: sketch_stack(*draw_stack(16, 4, [0, 1]), np.ones((16, 2)) * (1 + 2j)),
+        TypeError, "real input",
+    ),
+    "apply_to_matrix-complex": (
+        lambda: srhtlab.apply_to_matrix(srhtlab.draw_srht(16, 4, 0), np.eye(16, 2) * 1j),
+        TypeError, "real input",
+    ),
+    "gram-complex": (lambda: srhtlab.gram(np.ones((3, 2)) * 1j), TypeError, "real input"),
+    # gave [0, 0]
+    "singular_values-complex": (
+        lambda: srhtlab.singular_values(1j * np.ones((3, 2))), TypeError, "real input"
+    ),
+    "symmetric_eigenvalues-complex": (
+        lambda: srhtlab.symmetric_eigenvalues(np.eye(2, dtype=complex)), TypeError, "real input"
+    ),
+    "orthonormality_defect-complex": (
+        lambda: srhtlab.orthonormality_defect(np.eye(4, 2) * 1j), TypeError, "real input"
+    ),
 }
 
 

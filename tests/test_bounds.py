@@ -544,6 +544,13 @@ def test_coupon_takes_numpy_integers():
     assert coupon_coverage_probability(np.int64(2), np.int32(2)) == coupon_coverage_probability(2, 2)
 
 
+def test_sample_size_of_numpy_integers_is_plain():
+    # applicable was np.True_ and failure_bound an np.float64
+    size = embedding_sample_size(np.int64(16), np.int64(65536))
+    assert size == embedding_sample_size(16, 65536)
+    assert size.applicable is True and type(size.failure_bound) is float
+
+
 def test_coupon_rejects_bad_ell():
     with pytest.raises(ValueError):
         coupon_coverage_probability(4, 0)

@@ -72,6 +72,36 @@ def test_trial_plan_refuses_a_negative_seed(seed):
     assert TrialPlan(16, 2, 3, np.int64(10), np.uint32(7)).trials == 10
 
 
+# Each runner at a small configuration, called with the integer type
+# ``as_int`` gives every integer argument.
+SMALL_RUNS = {
+    "embedding": lambda i: [run_embedding_trials(i(64), i(4), i(16), trials=i(5), seed=i(3))],
+    "rownorm": lambda i: [run_row_norm_trials(i(64), i(4), i(4), trials=i(5), seed=i(3))],
+    "coupon": lambda i: run_coupon_trials(i(2), [i(2), i(3)], trials=i(3), seed=i(3)),
+    "chernoff": lambda i: run_chernoff_validation(i(8), i(2), i(3), (0.5,), seed=i(3)),
+    "chernoff-mc": lambda i: run_chernoff_validation(
+        i(8), i(2), i(3), (0.5,), seed=i(3), mode="monte_carlo", trials=i(20)
+    ),
+    "mgf": lambda i: run_mgf_domination(i(8), i(2), i(2), (1.0,), seed=i(3)),
+    "mgf-mc": lambda i: run_mgf_domination(
+        i(8), i(2), i(2), (1.0,), seed=i(3), mode="monte_carlo", trials=i(20)
+    ),
+}
+
+
+@pytest.mark.parametrize("run", sorted(SMALL_RUNS))
+@pytest.mark.parametrize("as_int", [np.int64, np.uint32, np.int16])
+def test_numpy_integer_arguments_give_the_plain_record(run, as_int):
+    # ell=np.int64(2), trials=np.int64(3), an np.float64 frequency and
+    # passed=np.True_ once reached the record, and JSON refused them
+    plain = [s.to_record(include_timing=False) for s in SMALL_RUNS[run](int)]
+    numpy = [s.to_record(include_timing=False) for s in SMALL_RUNS[run](as_int)]
+    assert numpy == plain
+    for record in numpy:
+        assert {type(value) for value in record.values()} <= {str, int, float, bool}
+    json.dumps(numpy)
+
+
 @pytest.mark.parametrize(
     "run",
     [
@@ -365,18 +395,34 @@ def test_coupon_grid_elapsed_is_per_point():
 
 
 # Tripwires on the draw paths: each block of runner keys has its seed words
-# built as one array and, where n <= 8 ell, its subsets shuffled on a list.
-# A later edit that silently sends a runner back to the per-seed words or to
-# the dict shuffle fails here, not only in the bench timings.
+# built as one array and, where it holds at least 16 rows with n <= 8 ell,
+# its subsets shuffled as one array.  A later edit that silently sends a
+# runner back to the per-seed words, to the dict shuffle or to a draw per
+# sketch block fails here, not only in the bench timings.
 
 def test_coupon_blocks_draw_without_per_seed_words_or_the_dict_shuffle():
     seed_words = mock.Mock(wraps=srht_mod._seed_words)
     fisher_yates = mock.Mock(wraps=srht_mod._fisher_yates)
+    array_shuffle = mock.Mock(wraps=srht_mod._array_shuffle)
     with mock.patch.object(srht_mod, "_seed_words", seed_words), \
-            mock.patch.object(srht_mod, "_fisher_yates", fisher_yates):
-        run_coupon_trials(8, (8, 12, 17, 24), trials=200, seed=0)
+            mock.patch.object(srht_mod, "_fisher_yates", fisher_yates), \
+            mock.patch.object(srht_mod, "_array_shuffle", array_shuffle):
+        run_coupon_trials(8, (8, 12, 17, 24), trials=1000, seed=0)
     assert seed_words.call_count == 0
     assert fisher_yates.call_count == 0
+    assert array_shuffle.call_count == 4 * 6
+
+
+def test_coupon_draws_three_sketch_blocks_at_a_time():
+    # at n = 64 a trial's draw arrays take 16 n + 8 ell + n <= 1280 bytes
+    # (one byte a position), so three sketch blocks of 64 trials fit
+    # 256 KiB: 1000 trials take 6 draws per grid point, not one per sketch
+    # block (16)
+    draws = _Recorder(exp_mod.draw_stack)
+    with mock.patch.object(exp_mod, "draw_stack", draws):
+        run_coupon_trials(8, (8, 12, 17, 24), trials=1000, seed=0)
+    lengths = [len(seeds) for (_, _, seeds), _ in draws.calls]
+    assert lengths == ([192] * 5 + [40]) * 4
 
 
 def test_embedding_draws_take_the_dict_shuffle_once_per_operator():
@@ -1213,12 +1259,41 @@ def _copied(value):
     return value.copy() if isinstance(value, np.ndarray) else value
 
 
-def _trial_counts(block, spare, shape, trial_bytes):
+def _trial_counts(block, spare, shape, trial_bytes, draw_block=None):
     """A block budget of ``block`` trials plus a spare fraction of one more,
     so the floor in the block size is exercised, and a trial count that
-    leaves a partial block or straddles block boundaries."""
-    trials = {"B-1": block - 1, "B": block, "B+1": block + 1, "2B+3": 2 * block + 3}[shape]
-    return int((block + spare) * trial_bytes), max(trials, 1)
+    leaves a partial block or straddles block boundaries: of the sketch
+    blocks (B), or of the draw blocks (D) that ``draw_block(budget)``
+    gives."""
+    budget = int((block + spare) * trial_bytes)
+    edge = block if "B" in shape else draw_block(budget)
+    counts = {"B-1": edge - 1, "B": edge, "B+1": edge + 1, "2B+3": 2 * edge + 3}
+    return budget, max(counts[shape.replace("D", "B")], 1)
+
+
+def _draw_block(block, n, ell):
+    """Trials per ``draw_stack`` call: the most whole sketch blocks of
+    ``block`` trials, at least one, whose draw arrays fit the block budget:
+    16 n + 8 ell bytes a trial of words and signs, and n positions of the
+    smallest unsigned type that holds n - 1."""
+    trial_bytes = 16 * n + 8 * ell + n * np.min_scalar_type(n - 1).itemsize
+    fit = max(1, exp_mod._BLOCK_BYTES // trial_bytes)
+    return block * max(1, fit // block)
+
+
+def _check_draw_blocks(draws, n, ell_grid, trials, block):
+    """The recorded ``draw_stack`` calls draw each grid point's trials in
+    order, in draw blocks of ``_draw_block`` trials, the last one partial;
+    a draw block is a whole number of sketch blocks."""
+    for ell in ell_grid:
+        size = _draw_block(block, n, ell)
+        count = -(-trials // size)
+        point, draws = draws[:count], draws[count:]
+        assert [args[:2] for args, _ in point] == [(n, ell)] * count
+        lengths = [len(args[2]) for args, _ in point]
+        assert lengths == [size] * (count - 1) + [trials - size * (count - 1)]
+        assert size % block == 0
+    assert draws == []
 
 
 def _coupon_one_trial_at_a_time(k, ell_grid, trials, seed):
@@ -1243,16 +1318,19 @@ def _coupon_one_trial_at_a_time(k, ell_grid, trials, seed):
 
 
 def _check_coupon_blocks(k, ell_grid, trials, seed, block):
-    """The blocked runner, with ``block`` trials per block, equals the
-    one-trial-at-a-time oracle bit for bit, and sketches and eigensolves
-    once per block.  The eigensolve is recorded where ``singular_values``
-    calls it, in ``linalg``."""
+    """The blocked runner, with ``block`` trials per sketch block, equals the
+    one-trial-at-a-time oracle bit for bit, draws once per draw block, and
+    sketches and eigensolves once per sketch block.  The eigensolve is
+    recorded where ``singular_values`` calls it, in ``linalg``."""
+    draws = _Recorder(exp_mod.draw_stack)
     sketches = _Recorder(exp_mod.sketch_stack)
     eigensolves = _Recorder(linalg_mod.symmetric_eigenvalues)
-    with mock.patch.object(exp_mod, "sketch_stack", sketches), \
+    with mock.patch.object(exp_mod, "draw_stack", draws), \
+            mock.patch.object(exp_mod, "sketch_stack", sketches), \
             mock.patch.object(linalg_mod, "symmetric_eigenvalues", eigensolves):
         out = run_coupon_trials(k, ell_grid, trials=trials, seed=seed)
     grams, expected = _coupon_one_trial_at_a_time(k, ell_grid, trials, seed)
+    _check_draw_blocks(draws.calls, k * k, ell_grid, trials, block)
     assert len(sketches.calls) == len(ell_grid) * -(-trials // block)
     assert all(len(args[0]) <= block for args, _ in sketches.calls)
     assert len(eigensolves.calls) == len(sketches.calls)
@@ -1266,15 +1344,21 @@ def _check_coupon_blocks(k, ell_grid, trials, seed, block):
     k=st.sampled_from([1, 2, 4, 8]),
     block=st.integers(1, 6),
     spare=st.floats(0.0, 0.99),
-    shape=st.sampled_from(["B-1", "B", "B+1", "2B+3"]),
+    shape=st.sampled_from(["B-1", "B", "B+1", "2B+3", "D-1", "D", "D+1", "2D+3"]),
     ell_picks=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=2),
     seed=st.integers(0, 2**32 - 1),
 )
+@example(k=8, block=1, spare=0.99, shape="2D+3", ell_picks=[0.0, 1.0], seed=0)
 @settings(max_examples=30)
 def test_blocked_coupon_equals_one_trial_at_a_time(k, block, spare, shape, ell_picks, seed):
-    budget, trials = _trial_counts(block, spare, shape, k * k * k * 8)
     n = k * k
     ell_grid = [1 + int(f * (n - 1)) for f in ell_picks]
+
+    def draw_block(budget):
+        with mock.patch.object(exp_mod, "_BLOCK_BYTES", budget):
+            return _draw_block(block, n, ell_grid[0])
+
+    budget, trials = _trial_counts(block, spare, shape, k * k * k * 8, draw_block)
     with mock.patch.object(exp_mod, "_BLOCK_BYTES", budget):
         _check_coupon_blocks(k, ell_grid, trials, seed, block)
 
@@ -1283,6 +1367,15 @@ def test_blocked_coupon_equals_one_trial_at_a_time(k, block, spare, shape, ell_p
 def test_coupon_at_the_real_budget_equals_one_trial_at_a_time(k):
     block = exp_mod._BLOCK_BYTES // (k * k * k * 8)
     _check_coupon_blocks(k, [k, 2 * k], 2 * block + 3, 31, block)
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1, 131])
+def test_coupon_straddling_a_real_draw_block_equals_one_trial_at_a_time(offset):
+    # at k = 8 a draw block is three sketch blocks of 64 trials; 192 + 131
+    # ends three trials into the second draw block's third sketch block
+    block = exp_mod._BLOCK_BYTES // (8 * 8 * 8 * 8)
+    assert _draw_block(block, 64, 8) == _draw_block(block, 64, 24) == 3 * block == 192
+    _check_coupon_blocks(8, [8, 24], 192 + offset, 7, block)
 
 
 def _check_row_list_stacks(calls, w, sides, block):
@@ -1367,7 +1460,8 @@ def test_stacked_mgf_eigenvalues_equal_each_row_list_alone(mode, shape, block, t
 
 def _check_against_oracle(summary, trials, events, lows, highs, block, sketches):
     """Counts exact, extremes within 1e-12 (bit for bit at one trial per
-    block), one ``sketch_stack`` per block of at most ``block`` trials."""
+    sketch block), one ``sketch_stack`` per sketch block of at most
+    ``block`` trials."""
     assert round(summary.empirical_frequency * trials) == int(np.count_nonzero(events))
     assert abs(summary.extreme_sigma_min - min(lows)) <= 1e-12
     assert abs(summary.extreme_sigma_max - max(highs)) <= 1e-12
@@ -1393,14 +1487,23 @@ def _embedding_shapes(draw):
 )
 @example(shape=(256, 8, 64), block=1, spare=0.0, count="2B+3", seed=0)
 @example(shape=(64, 16, 16), block=4, spare=0.5, count="B+1", seed=0)
+@example(shape=(16, 8, 4), block=1, spare=0.0, count="2D+3", seed=0)
 @settings(max_examples=30)
 def test_blocked_embedding_equals_one_trial_at_a_time(shape, block, spare, count, seed):
     n, k, ell = shape
-    budget, trials = _trial_counts(block, spare, count, n * k * 8)
+
+    def draw_block(budget):
+        with mock.patch.object(exp_mod, "_BLOCK_BYTES", budget):
+            return _draw_block(block, n, ell)
+
+    budget, trials = _trial_counts(block, spare, count, n * k * 8, draw_block)
+    draws = _Recorder(exp_mod.draw_stack)
     sketches = _Recorder(exp_mod.sketch_stack)
     with mock.patch.object(exp_mod, "_BLOCK_BYTES", budget), \
+            mock.patch.object(exp_mod, "draw_stack", draws), \
             mock.patch.object(exp_mod, "sketch_stack", sketches):
         s = run_embedding_trials(n, k, ell=ell, trials=trials, seed=seed)
+        _check_draw_blocks(draws.calls, n, [ell], trials, block)
     spectra = _embedding_one_trial_at_a_time(n, k, ell, trials, seed)
     top, bot = spectra[:, 0], spectra[:, -1]
     violations = _embedding_violations(spectra, exp_mod.embedding_sample_size(k, n))

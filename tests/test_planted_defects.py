@@ -29,6 +29,12 @@ def _lower_half_swaps(subsets):
     return lambda offsets, n, ell: subsets(offsets // 2, n, ell)
 
 
+def _short_of_last_swaps(subsets):
+    # no Fisher-Yates swap reaches the last position: the offsets are capped
+    # at n - 2 - i before either shuffle path sees them
+    return lambda offsets, n, ell: subsets(np.minimum(offsets, n - 2 - np.arange(ell)), n, ell)
+
+
 def _even_rows(sample):
     # a uniform ell-subset of the even rows only
     return lambda n, ell, seeds: 2 * sample(n // 2, ell, seeds)
@@ -39,6 +45,13 @@ def _no_sketch_reaches_full_rank(out):
     # trials, since at 1000 its slack exceeds 0.0038
     assert [s.plan.ell for s in out] == [8, 12, 17, 24]
     assert [s.empirical_frequency for s in out] == [0.0] * 4
+
+
+def _every_coverage_within_the_slack(out):
+    # exact 0.0038, 0.1433, 0.5142 and 0.8646; one position never picked
+    # moves a coverage frequency less than the slack
+    assert [s.plan.ell for s in out] == [8, 12, 17, 24]
+    assert [s.empirical_frequency for s in out] == [0.0033, 0.1428, 0.5196, 0.8621]
 
 
 def _every_ratio_above_one(out):
@@ -102,8 +115,15 @@ DEFECTS = {
 # Known misses, in the same form.  A Gaussian basis is already flat, so H
 # alone keeps it flat and neither check can see the signs D (blind spot 1 in
 # ROADMAP.md).  A fixed basis of the first k columns of H (ROADMAP.md item 11)
-# should turn both into failures; move them to DEFECTS then.
+# should turn both into failures; move them to DEFECTS then.  Coupon counts
+# only whether every row class is hit, and a sampler that never picks
+# position n - 1 misses one row of one class of k, so it passes at 10 000
+# trials.
 KNOWN_MISSES = {
+    "short-of-last-swaps-pass-coupon": (
+        srht, "_subsets", _short_of_last_swaps,
+        lambda: run_coupon_trials(seed=0), _every_coverage_within_the_slack,
+    ),
     "plus-one-signs-pass-embedding": (
         srht, "_signs", _plus_one_signs,
         lambda: [run_embedding_trials(trials=20, seed=0)], _no_trial_leaves_the_window,

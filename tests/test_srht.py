@@ -321,8 +321,10 @@ def test_operator_arrays_frozen():
 @given(st.integers(1, 2**16 + 1), st.data(), st.integers(0, 2**32 - 1))
 @settings(max_examples=150)
 def test_sampler_matches_whole_array_fisher_yates(n, data, seed):
-    # the O(n) shuffle over a whole index array, on the Generator's offsets;
-    # the smallest ell with n <= 8 ell takes the list path, one less the dict
+    # the O(n) shuffle over a whole index array, on the Generator's offsets,
+    # at ell either side of the ratio rule n <= 8 ell; a two-row block takes
+    # the dict on both sides, and the array shuffle is held to the dict by
+    # the tests below
     edge = -(-n // 8)
     ell = data.draw(
         st.one_of(
@@ -336,8 +338,10 @@ def test_sampler_matches_whole_array_fisher_yates(n, data, seed):
     assert got.shape == (2, ell) and got.dtype == np.int64 and not got.flags.writeable
 
 
-# (n, ell, path) at either side of the shuffle rule n <= 8 ell, at ell = 1
-# and ell = n among them
+# (n, ell, side) at either side of the ratio rule n <= 8 ell, at ell = 1 and
+# ell = n among them.  On the "list" side a block of at least
+# _ARRAY_SHUFFLE_ROWS rows shuffles every row's whole position list at once;
+# a smaller block there, and any block on the "dict" side, takes the dict.
 SHUFFLE_EDGES = [
     (1, 1, "list"),
     (8, 1, "list"),
@@ -356,19 +360,51 @@ SHUFFLE_EDGES = [
 
 @pytest.mark.parametrize("n, ell, path", SHUFFLE_EDGES)
 def test_both_shuffle_paths_are_the_whole_array_shuffle(n, ell, path, monkeypatch):
-    seeds = [(3, 1, 0, i) for i in range(5)]
     fisher_yates = mock.Mock(wraps=srht_mod._fisher_yates)
+    array_shuffle = mock.Mock(wraps=srht_mod._array_shuffle)
     monkeypatch.setattr(srht_mod, "_fisher_yates", fisher_yates)
-    alone = sample_without_replacement(n, ell, seeds)
-    for b, seed in enumerate(seeds):
-        assert np.array_equal(alone[b], oracle.subset(n, ell, seed))
-    draws = 1
-    if n & (n - 1) == 0:
-        draws = 2
-        _, indices = draw_stack(n, ell, seeds)
+    monkeypatch.setattr(srht_mod, "_array_shuffle", array_shuffle)
+    # one row, the most rows that still take the dict, the fewest that do not
+    for rows in (1, srht_mod._ARRAY_SHUFFLE_ROWS - 1, srht_mod._ARRAY_SHUFFLE_ROWS):
+        fisher_yates.reset_mock()
+        array_shuffle.reset_mock()
+        seeds = [(3, 1, 0, i) for i in range(rows)]
+        alone = sample_without_replacement(n, ell, seeds)
         for b, seed in enumerate(seeds):
-            assert np.array_equal(indices[b], oracle.operator_draw(n, ell, seed)[1])
-    assert fisher_yates.call_count == (draws * len(seeds) if path == "dict" else 0)
+            assert np.array_equal(alone[b], oracle.subset(n, ell, seed))
+        draws = 1
+        if n & (n - 1) == 0:
+            draws = 2
+            _, indices = draw_stack(n, ell, seeds)
+            for b, seed in enumerate(seeds):
+                assert np.array_equal(indices[b], oracle.operator_draw(n, ell, seed)[1])
+        whole_block = path == "list" and rows >= srht_mod._ARRAY_SHUFFLE_ROWS
+        assert array_shuffle.call_count == (draws if whole_block else 0)
+        assert fisher_yates.call_count == (0 if whole_block else draws * rows)
+
+
+@given(
+    n=st.integers(1, 300),
+    data=st.data(),
+    rows=st.integers(1, 200),
+    offsets=st.sampled_from(["drawn", "none", "last"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=100)
+def test_array_shuffle_is_the_dict_shuffle(n, data, rows, offsets, seed):
+    # uniform offsets from the lab's own draw, and the two extremes: no swap
+    # at all, and every swap to the last position
+    ell = data.draw(st.integers(1, n), label="ell")
+    ranges = n - np.arange(ell)
+    offsets = {
+        "drawn": lambda: draw_integers([(seed, b) for b in range(rows)], ranges),
+        "none": lambda: np.zeros((rows, ell), dtype=np.int64),
+        "last": lambda: np.tile(ranges - 1, (rows, 1)),
+    }[offsets]()
+    got = srht_mod._array_shuffle(offsets, n, ell)
+    want = [srht_mod._fisher_yates(row) for row in offsets.tolist()]
+    assert got.dtype == np.int64 and got.shape == (rows, ell)
+    assert got.tolist() == want
 
 
 def test_sampler_refuses_a_non_integer_sample_size():
