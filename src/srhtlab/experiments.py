@@ -104,7 +104,6 @@ from .linalg import (
 from .srht import (
     draw_integers,
     draw_stack,
-    draw_stack_bytes,
     rademacher_signs,
     sample_without_replacement,
     sketch_stack,
@@ -129,13 +128,14 @@ EXHAUSTIVE_CAP = 10**7
 MODES = ("monte_carlo", "exhaustive")
 SLACK_SIGMAS = 4.0
 # Bytes of working array per block of stacked trials, and of draw arrays per
-# draw.  A larger block is faster on small trials.  On the k=8 coupon run
-# (1000 trials per ell, in-process, 2-core Xeon) a 1 MiB block took about
-# 20 % less time than this one while every sketch block made its own draw,
-# and 7-8 % less (50 against 54 ms) once each draw took three sketch
-# blocks.  It stays 256 KiB: the memory tests hold the runners to it,
-# and a 1 MiB block once raised that run's peak resident memory from 40.6
-# to 43.0 MB.
+# draw as ``_draw_bytes`` counts them (a draw's passing arrays peak higher:
+# about 415 KiB for coupon's 192-trial draw at n = 64, ell = 24).  A larger
+# block is faster on small trials.  On the k=8 coupon run (1000 trials per
+# ell, in-process, 2-core Xeon) a 1 MiB block took about 20 % less time
+# than this one while every sketch block made its own draw, and 7-8 % less
+# (50 against 54 ms) once each draw took three sketch blocks.  It stays
+# 256 KiB: the memory tests hold the runners to it, and a 1 MiB block once
+# raised that run's peak resident memory from 40.6 to 43.0 MB.
 _BLOCK_BYTES = 256 * 1024
 # An embedding trial sketched in float32 is sketched again in float64 when
 # its sigma_k or sigma_1 lies this close to its edge of the window.  Float32
@@ -310,6 +310,19 @@ def _fill_blocks(items, count, width, size, fn):
     return out
 
 
+def _draw_bytes(n, ell):
+    """Bytes per operator that the draw budget counts for a ``draw_stack``
+    call: the n + ell int64 words and n float64 signs (16 n + 8 ell), and
+    the array shuffle's n positions, of the smallest unsigned type that
+    holds n - 1.  It is that accounting, not the peak a draw holds, which
+    is larger: the seed hash and the Lemire pass hold passing arrays of
+    their own, and the shuffle its ell swap targets and ell picks per
+    operator.  At n = 64, ell = 24 it counts 1280 bytes, and tracemalloc
+    measured a 192-operator draw's peak at about 2210 bytes an operator, in
+    the Lemire pass.  The dict shuffle makes no positions."""
+    return 16 * n + 8 * ell + n * np.min_scalar_type(n - 1).itemsize
+
+
 def _sketch_spectra(v, ell, seed, stream, trials):
     """len(trials) x k stack of the descending singular values of the ell x k
     sketches of ``v``, one row per trial index i in ``trials``, sketched
@@ -319,14 +332,14 @@ def _sketch_spectra(v, ell, seed, stream, trials):
     ``sketch_stack`` and one ``singular_values`` call.  Operators are drawn
     ahead, one ``draw_stack`` call per draw block: the largest whole number
     of sketch blocks, at least one, whose draw arrays fit ``_BLOCK_BYTES``
-    at ``draw_stack_bytes(n, ell)`` a trial (the draw's words and signs and
-    the shuffle's positions).  Sketch blocks start where they would without
-    the draw blocks, so every sketch, and every output, is the same bit for
-    bit.
+    as ``_draw_bytes(n, ell)`` counts them a trial (the draw's words and
+    signs and the shuffle's positions).  Sketch blocks start where they
+    would without the draw blocks, so every sketch, and every output, is
+    the same bit for bit.
     """
     n, k = v.shape
     size = _block_size(v.nbytes)
-    draw = size * max(1, _block_size(draw_stack_bytes(n, ell)) // size)
+    draw = size * max(1, _block_size(_draw_bytes(n, ell)) // size)
 
     def spectra(block):
         signs, indices = draw_stack(n, ell, [(seed, 1, stream, i) for i in block])
@@ -469,9 +482,9 @@ def run_coupon_trials(k=8, ell_grid=(8, 12, 17, 24), trials=10000, seed=0):
     summaries = []
     for gi, ell in enumerate(ell_grid):
         start = time.perf_counter()
+        (ell,) = _integers(ell=ell)
         exact = coupon_coverage_probability(k, ell)
         plan = TrialPlan(n=n, k=k, ell=ell, trials=trials, seed=seed)
-        ell = plan.ell
         spectra = _sketch_spectra(basis, ell, seed, gi, range(trials))
         sigma_top, sigma_bot = spectra[:, 0], spectra[:, -1]
         full_rank = sigma_bot > RANK_RTOL * np.maximum(sigma_top, 1.0)

@@ -16,12 +16,12 @@ operator rules, and every function that takes an operator goes through
 it.  The ell-subset comes from a partial Fisher-Yates shuffle, which
 ``sample_without_replacement`` and the operator draws share through
 ``_subsets``.  It takes one of two paths by a size rule, with the same
-picks: a block of at least 16 rows with n <= 8 ell shuffles every row at
-once, one vectorized swap per pick over a B x n position array; any other
-block goes a row at a time through ``_fisher_yates``, which keeps only the
-positions it has touched, in a dict, so a large-n draw costs O(ell), not
-O(n).  Row b of a block depends on ``seeds[b]`` alone, so an operator is
-the same bit for bit whatever block it is drawn in.
+picks: with n <= 8 ell a block shuffles every row at once, one vectorized
+swap per pick over a B x n position array; with n > 8 ell it goes a row at
+a time through ``_fisher_yates``, which keeps only the positions it has
+touched, in a dict, so a large-n draw costs O(ell), not O(n).  Row b of a
+block depends on ``seeds[b]`` alone, so an operator is the same bit for
+bit whatever block it is drawn in.
 
 Randomness.  A seed is an integer or a tuple of non-negative integers;
 experiment code derives per-trial substreams as (master_seed, domain,
@@ -67,7 +67,6 @@ __all__ = [
     "draw_integers",
     "draw_srht",
     "draw_stack",
-    "draw_stack_bytes",
     "materialize",
     "rademacher_signs",
     "sample_without_replacement",
@@ -392,34 +391,33 @@ def _sample_size(n, ell) -> tuple:
     return n, ell
 
 
-# The shuffle rule of ``_subsets``: the whole-block array shuffle for a block
-# of at least _ARRAY_SHUFFLE_ROWS rows with n <= _ARRAY_SHUFFLE_RATIO * ell.
+# The shuffle rule of ``_subsets``: the whole-block array shuffle where
+# n <= _ARRAY_SHUFFLE_RATIO * ell, the dict past it.
 _ARRAY_SHUFFLE_RATIO = 8
-_ARRAY_SHUFFLE_ROWS = 16
 
 
 def _subsets(offsets, n, ell) -> np.ndarray:
     """B x ell int64: row b the positions a partial Fisher-Yates shuffle of
     range(n) picks with offsets row b, sorted.
 
-    Two paths give the same picks.  A block of at least 16 rows with
-    n <= 8 ell takes ``_array_shuffle``: every row's shuffle at once, one
-    numpy step per pick.  Any other block takes ``_fisher_yates`` a row at
-    a time, an O(ell) dict per row.  A numpy step has a fixed cost, so a
-    block of few rows loses: measured on a 2-core Xeon at n / ell from 1 to
-    8, n from 64 to 4096, the array shuffle took 4.9 to 6.9 times the
-    dict's time for one row, 1.1 to 1.7 times for 8 rows, 0.8 to 1.3 for
-    12, 0.57 to 0.91 for 16 and 0.11 to 0.26 for 192.  The ratio rule keeps
-    the B x n positions within 8 per pick; past it a block of many rows
-    would hold n positions per row where the dict holds O(ell), as at
-    n = 65536, ell = 2342.
+    Two paths give the same picks.  With n <= 8 ell a block takes
+    ``_array_shuffle``: every row's shuffle at once, one numpy step per
+    pick.  With n > 8 ell it takes ``_fisher_yates`` a row at a time, an
+    O(ell) dict per row, where the array shuffle would hold n positions per
+    row for ell picks, as at n = 65536, ell = 2342.  A numpy step has a
+    fixed cost, so the array shuffle loses on a block of few rows: measured
+    on a 2-core Xeon at n / ell from 1 to 8, n from 64 to 4096, it took 4.9
+    to 6.9 times the dict's time for one row, 1.1 to 1.7 times for 8 rows,
+    0.57 to 0.91 for 16 and 0.11 to 0.26 for 192.  The rule counts no rows
+    all the same: the runners draw their n <= 8 ell blocks by the hundred
+    rows, and a block of few rows there is only the tail of a run or a
+    single operator, where the difference is tens of microseconds.
     """
-    rows = len(offsets)
-    if rows >= _ARRAY_SHUFFLE_ROWS and n <= _ARRAY_SHUFFLE_RATIO * ell:
+    if n <= _ARRAY_SHUFFLE_RATIO * ell:
         out = _array_shuffle(offsets, n, ell)
     else:
         out = np.array(list(map(_fisher_yates, offsets.tolist())), dtype=np.int64)
-        out = out.reshape(rows, ell)
+        out = out.reshape(len(offsets), ell)
     out.sort(axis=1)
     return out
 
@@ -483,14 +481,6 @@ def draw_stack(n: int, ell: int, seeds) -> tuple:
     signs.setflags(write=False)
     indices.setflags(write=False)
     return signs, indices
-
-
-def draw_stack_bytes(n, ell) -> int:
-    """Bytes per operator of the arrays a ``draw_stack`` call makes, as a
-    caller's draw budget counts them: the n + ell int64 words and n float64
-    signs (16 n + 8 ell), and the shuffle's n positions of
-    ``_position_dtype(n)``."""
-    return 16 * n + 8 * ell + n * _position_dtype(n).itemsize
 
 
 def _operator_ranges(n, ell) -> np.ndarray:

@@ -395,8 +395,8 @@ def test_coupon_grid_elapsed_is_per_point():
 
 
 # Tripwires on the draw paths: each block of runner keys has its seed words
-# built as one array and, where it holds at least 16 rows with n <= 8 ell,
-# its subsets shuffled as one array.  A later edit that silently sends a
+# built as one array and, where n <= 8 ell, its subsets shuffled as one
+# array.  A later edit that silently sends a
 # runner back to the per-seed words, to the dict shuffle or to a draw per
 # sketch block fails here, not only in the bench timings.
 
@@ -407,10 +407,11 @@ def test_coupon_blocks_draw_without_per_seed_words_or_the_dict_shuffle():
     with mock.patch.object(srht_mod, "_seed_words", seed_words), \
             mock.patch.object(srht_mod, "_fisher_yates", fisher_yates), \
             mock.patch.object(srht_mod, "_array_shuffle", array_shuffle):
-        run_coupon_trials(8, (8, 12, 17, 24), trials=1000, seed=0)
+        run_coupon_trials(8, (8, 12, 17, 24), trials=200, seed=0)
     assert seed_words.call_count == 0
     assert fisher_yates.call_count == 0
-    assert array_shuffle.call_count == 4 * 6
+    # a draw of 192 trials and one of 8 per grid point
+    assert array_shuffle.call_count == 4 * 2
 
 
 def test_coupon_draws_three_sketch_blocks_at_a_time():
@@ -426,8 +427,8 @@ def test_coupon_draws_three_sketch_blocks_at_a_time():
 
 
 def test_embedding_draws_take_the_dict_shuffle_once_per_operator():
-    # n = 65536 > 8 * 2342; a one-row list shuffle there takes about 4 times
-    # as long as the dict
+    # n = 65536 > 8 * 2342; the array shuffle there would hold 65536
+    # positions for 2342 picks
     fisher_yates = mock.Mock(wraps=srht_mod._fisher_yates)
     draw_stack = exp_mod.draw_stack
     operators = []
@@ -1273,11 +1274,9 @@ def _trial_counts(block, spare, shape, trial_bytes, draw_block=None):
 
 def _draw_block(block, n, ell):
     """Trials per ``draw_stack`` call: the most whole sketch blocks of
-    ``block`` trials, at least one, whose draw arrays fit the block budget:
-    16 n + 8 ell bytes a trial of words and signs, and n positions of the
-    smallest unsigned type that holds n - 1."""
-    trial_bytes = 16 * n + 8 * ell + n * np.min_scalar_type(n - 1).itemsize
-    fit = max(1, exp_mod._BLOCK_BYTES // trial_bytes)
+    ``block`` trials, at least one, whose draw arrays, as ``_draw_bytes``
+    counts them, fit the block budget."""
+    fit = max(1, exp_mod._BLOCK_BYTES // exp_mod._draw_bytes(n, ell))
     return block * max(1, fit // block)
 
 

@@ -322,9 +322,9 @@ def test_operator_arrays_frozen():
 @settings(max_examples=150)
 def test_sampler_matches_whole_array_fisher_yates(n, data, seed):
     # the O(n) shuffle over a whole index array, on the Generator's offsets,
-    # at ell either side of the ratio rule n <= 8 ell; a two-row block takes
-    # the dict on both sides, and the array shuffle is held to the dict by
-    # the tests below
+    # at ell either side of the ratio rule n <= 8 ell: the array shuffle on
+    # one side, the dict on the other, n past 2**16 among them (positions
+    # of four bytes)
     edge = -(-n // 8)
     ell = data.draw(
         st.one_of(
@@ -338,10 +338,9 @@ def test_sampler_matches_whole_array_fisher_yates(n, data, seed):
     assert got.shape == (2, ell) and got.dtype == np.int64 and not got.flags.writeable
 
 
-# (n, ell, side) at either side of the ratio rule n <= 8 ell, at ell = 1 and
-# ell = n among them.  On the "list" side a block of at least
-# _ARRAY_SHUFFLE_ROWS rows shuffles every row's whole position list at once;
-# a smaller block there, and any block on the "dict" side, takes the dict.
+# (n, ell, path) at either side of the ratio rule n <= 8 ell, at ell = 1 and
+# ell = n among them.  "list" marks the side of the whole-block array
+# shuffle; the label keeps the test ids.
 SHUFFLE_EDGES = [
     (1, 1, "list"),
     (8, 1, "list"),
@@ -364,8 +363,8 @@ def test_both_shuffle_paths_are_the_whole_array_shuffle(n, ell, path, monkeypatc
     array_shuffle = mock.Mock(wraps=srht_mod._array_shuffle)
     monkeypatch.setattr(srht_mod, "_fisher_yates", fisher_yates)
     monkeypatch.setattr(srht_mod, "_array_shuffle", array_shuffle)
-    # one row, the most rows that still take the dict, the fewest that do not
-    for rows in (1, srht_mod._ARRAY_SHUFFLE_ROWS - 1, srht_mod._ARRAY_SHUFFLE_ROWS):
+    # a one-row and a few-row block take the same path
+    for rows in (1, 5):
         fisher_yates.reset_mock()
         array_shuffle.reset_mock()
         seeds = [(3, 1, 0, i) for i in range(rows)]
@@ -378,9 +377,8 @@ def test_both_shuffle_paths_are_the_whole_array_shuffle(n, ell, path, monkeypatc
             _, indices = draw_stack(n, ell, seeds)
             for b, seed in enumerate(seeds):
                 assert np.array_equal(indices[b], oracle.operator_draw(n, ell, seed)[1])
-        whole_block = path == "list" and rows >= srht_mod._ARRAY_SHUFFLE_ROWS
-        assert array_shuffle.call_count == (draws if whole_block else 0)
-        assert fisher_yates.call_count == (0 if whole_block else draws * rows)
+        assert array_shuffle.call_count == (draws if path == "list" else 0)
+        assert fisher_yates.call_count == (0 if path == "list" else draws * rows)
 
 
 @given(
