@@ -12,7 +12,9 @@ so that NaN fails them, and dimensions must be finite; the sample-size
 rule, the row-norm level and the Chernoff k take only whole-number
 dimensions, and the coupon oracle only integers.  A bool is not a
 dimension: True and False would pass every numeric check as 1 and 0, so
-they are a TypeError.  The row-sampling failure bound is evaluated as two
+they are a TypeError.  A numpy integer dimension is taken as its value: the
+arithmetic runs in Python ints once the checks pass, so a small integer type
+cannot wrap.  The row-sampling failure bound is evaluated as two
 powers k^p + k^q; p and q are checked and computed for the last valid
 (alpha, delta, eta) and kept in a one-entry memo.  A sweep over k at fixed
 constants then costs about 0.25 us per call, against about 0.4 us with a
@@ -82,6 +84,7 @@ def embedding_sample_size(k: int, n: int) -> SampleSizeBound:
     _refuse_bools(k=k, n=n)
     if not (1 <= k <= n < math.inf and k % 1 == 0 and n % 1 == 0):
         raise ValueError(f"need whole numbers 1 <= k <= n < inf, got k={k}, n={n}")
+    k, n = int(k), int(n)  # k * n would wrap in a small numpy integer type
     if k < 2:
         return SampleSizeBound(1, False, EMBEDDING_SIGMA_MIN, EMBEDDING_SIGMA_MAX, 3.0)
     raw = 4.0 * (math.sqrt(k) + math.sqrt(8.0 * math.log(k * n))) ** 2 * math.log(k)
@@ -113,8 +116,10 @@ def row_norm_bound(n: int, k: int, beta: float) -> RowNormBound:
     _refuse_bools(n=n, k=k, beta=beta)
     if not (1 <= k <= n < math.inf and k % 1 == 0 and n % 1 == 0):
         raise ValueError(f"need finite n >= 1 and whole numbers 1 <= k <= n, got n={n}, k={k}")
-    if not (math.isfinite(beta) and beta * n > 1.0):
+    n, k = int(n), int(k)  # beta * n would wrap in a small numpy integer type
+    if not (math.isfinite(beta) and float(beta) * n > 1.0):
         raise ValueError(f"need a finite beta with beta * n > 1, got beta={beta}, n={n}")
+    beta = float(beta)
     value = math.sqrt(k / n) + math.sqrt(8.0 * math.log(beta * n) / n)
     return RowNormBound(value=value, exceedance_probability=1.0 / beta)
 
@@ -262,6 +267,7 @@ def coupon_coverage_probability(k: int, ell: int) -> float:
     _refuse_bools(k=k, ell=ell)
     if not (isinstance(k, numbers.Integral) and isinstance(ell, numbers.Integral)):
         raise TypeError(f"k and ell must be integers, got k={k!r}, ell={ell!r}")
+    k, ell = int(k), int(ell)  # k * k would wrap in a small numpy integer type
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if not 1 <= ell <= k * k:

@@ -192,10 +192,13 @@ def decimated_identity(k: int) -> np.ndarray:
 
     Row j (0-based) is the unit vector e_{j/k} when j is a multiple of k and
     zero otherwise: one nonzero per column, exactly orthonormal.  k must be a
-    power of two so that k^2 is a valid transform size.
+    power of two so that k^2 is a valid transform size; a bool is a
+    TypeError.
     """
+    _refuse_bools(k=k)
     if not (isinstance(k, (int, np.integer)) and is_power_of_two(k)):
         raise ValueError(f"k must be a positive power of two, got {k!r}")
+    k = int(k)  # k * k would wrap in a small numpy integer type
     w = np.zeros((k * k, k))
     w[np.arange(k) * k, np.arange(k)] = 1.0
     return w

@@ -34,13 +34,16 @@ runner) goes through one sampler, ``draw_integers``, which uses no numpy
 stream-stability policy (NEP 19); the PCG64 raw words, each read as its low
 32-bit half and then its high half; and numpy's Lemire rule for a bounded
 integer, which the module restates.  A block's seeds are hashed to their
-PCG64 states in one vectorised pass over uint32 lanes; one ``PCG64`` is
+PCG64 states by one of two paths, with the same states; one ``PCG64`` is
 then set to each row's state and its raw words read with ``random_raw``.
-The hash's entropy words come from one array when the block holds two or
-more seeds that are all plain ints, or all tuples of one length of plain
-ints, each below 2**32, as the runners' (seed, domain, stream, trial) keys
-are: each entry is then one word.  Any other block's words are built a
-seed at a time, and a bad seed is refused there.
+A block of two or more seeds that are all plain ints, or all tuples of one
+length of plain ints, each entry in [0, 2**63), as the runners' (seed,
+domain, stream, trial) keys are, is hashed in one vectorised pass over
+uint32 lanes that restates ``SeedSequence``'s hash; an entry is one word
+below 2**32 and two at or past it, and every entry at one position of the
+tuples must take the same count.  Any other block, a one-seed block
+included, is hashed a seed at a time by numpy's ``SeedSequence`` itself,
+and a bad seed is refused there.
 Row b is, bit for bit, the draw that ``Generator.integers`` calls would
 make from ``derived_rng(seeds[b])``: n sign draws of range 2, then the ell
 sampling offsets of ranges n, n-1, ..., n-ell+1.  The fixture draws
@@ -121,9 +124,8 @@ def _hash_constants(init, mult, count) -> np.ndarray:
     return np.array(out, dtype=np.uint32)[:, None]
 
 
-_HASH_A_INIT, _HASH_A_MULT = 0x43B0D7E5, 0x931E8875
-_TABLE_WORDS = 64  # entropy words the precomputed hashmix table covers
-_HASH_A = _hash_constants(_HASH_A_INIT, _HASH_A_MULT, 4 * _TABLE_WORDS + 1)
+_TABLE_WORDS = 64  # entropy words the hashmix table covers, and the array hash takes
+_HASH_A = _hash_constants(0x43B0D7E5, 0x931E8875, 4 * _TABLE_WORDS + 1)
 _HASH_B = _hash_constants(0x8B51F9DD, 0x58F38DED, 2 * _POOL + 1)
 _MIX_L, _MIX_R, _FOLD = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16)
 # The pool-mixing pass: step s mixes lane s into each other lane d, in
@@ -150,63 +152,51 @@ def _mix(pool, value):
     return pool
 
 
-def _seed_words(seed) -> list:
-    """``SeedSequence``'s entropy words of ``seed``: each entry of
-    ``_entropy(seed)`` as its 32-bit words, least significant first, and 0 as
-    one word."""
-    words = []
-    for x in _entropy(seed):
-        words.append(x & _MASK32)
-        while x := x >> 32:
-            words.append(x & _MASK32)
-    return words
-
-
 def _seed_states(seeds) -> np.ndarray:
     """4 x B uint64: column b is
     ``SeedSequence(_entropy(seeds[b])).generate_state(4, np.uint64)``.
 
-    One pass over the block, a uint32 lane per seed: seeds with fewer entropy
-    words than the longest keep their pool while the others mix in the rest.
-    The words of a block ``_word_block`` takes come from one array; any other
-    block's come from ``_seed_words``, a seed at a time, which also refuses
-    a bad seed.
+    A block ``_word_block`` takes, such as the runners' keys, is hashed in
+    one pass over its words, a uint32 lane per seed.  Any other block, a
+    one-seed block included, goes to numpy's ``SeedSequence`` a seed at a
+    time, after ``_entropy``'s refusals.  On a 2-core Xeon a one-seed block
+    took about 10-25 us that way, where the array pass took about 55-70 us
+    at two seeds and 120-250 us at 192 runner keys, with one-word or
+    two-word master seeds alike.
     """
     seeds = list(seeds)  # read twice below, so a generator of seeds works
     words = _word_block(seeds)
     if words is None:
-        rows = [_seed_words(seed) for seed in seeds]
-        counts = np.array([len(row) for row in rows], dtype=np.int64)
-        width = max(_POOL, counts.max(initial=0))
-        words = np.array([row + [0] * (width - len(row)) for row in rows], dtype=np.uint32)
-        words = words.reshape(-1, width).T
-    else:
-        width = len(words)
-        counts = np.full(len(seeds), width)
-    consts = _HASH_A
-    if width > _TABLE_WORDS:
-        consts = _hash_constants(_HASH_A_INIT, _HASH_A_MULT, 4 * width + 1)
-    pool = _hashmix(words[:_POOL], consts[:_POOL], consts[1 : _POOL + 1])
+        states = [np.random.SeedSequence(_entropy(seed)).generate_state(4, np.uint64)
+                  for seed in seeds]
+        return np.array(states, dtype=np.uint64).reshape(-1, 4).T
+    pool = _hashmix(words[:_POOL], _HASH_A[:_POOL], _HASH_A[1 : _POOL + 1])
     for s, calls in enumerate(_MIX_CALLS):
         lane = pool[s].copy()
-        pool = _mix(pool, _hashmix(lane, consts[calls], consts[calls + 1]))
+        pool = _mix(pool, _hashmix(lane, _HASH_A[calls], _HASH_A[calls + 1]))
         pool[s] = lane
-    for w in range(_POOL, width):
+    for w in range(_POOL, len(words)):
         calls = 16 + _POOL * (w - _POOL)
-        xor, mul = consts[calls : calls + _POOL], consts[calls + 1 : calls + _POOL + 1]
-        value = _hashmix(words[w], xor, mul)
-        pool = np.where(counts > w, _mix(pool.copy(), value), pool)
+        xor, mul = _HASH_A[calls : calls + _POOL], _HASH_A[calls + 1 : calls + _POOL + 1]
+        pool = _mix(pool, _hashmix(words[w], xor, mul))
     lanes = np.arange(2 * _POOL) % _POOL
     state = _hashmix(pool[lanes], _HASH_B[:-1], _HASH_B[1:]).astype(np.uint64)
     return state[0::2] | state[1::2] << np.uint64(32)
 
 
 def _word_block(seeds):
-    """max(4, m) x B uint32 entropy words of a block of two or more seeds
-    that are all plain ints, or all tuples of one length m of plain ints,
-    every entry in [0, 2**32): each entry is then one word, and the block is
-    one array, zero-padded to the pool of four words as ``SeedSequence``
-    pads.  None for any other block, a one-seed block included."""
+    """max(4, w) x B uint32 entropy words of a block of two or more seeds
+    that are all plain ints, or all tuples of one length of plain ints,
+    every entry in [0, 2**63): w words a seed, at most ``_TABLE_WORDS``.
+
+    An entry below 2**32 is one word and one at or past it two, low word
+    first, as ``SeedSequence`` splits it; every entry at one position of the
+    tuples must take the same count.  The block is zero-padded to the
+    pool of four words as ``SeedSequence`` pads.  None for any other block:
+    a one-seed block, a list, bool or numpy entry, mixed lengths, a position
+    that mixes one- and two-word entries, an entry at or past 2**63, or more
+    than ``_TABLE_WORDS`` words.
+    """
     if len(seeds) < 2:
         return None
     kinds = set(map(type, seeds))
@@ -217,13 +207,25 @@ def _word_block(seeds):
     # type(True) is bool, not int, so a bool takes the per-seed refusal
     if kinds != {int}:
         return None
-    entries = np.array(entries)
-    # past the int64 range numpy makes float64 or object entries
-    if entries.dtype != np.int64 or entries.min() < 0 or entries.max() > _MASK32:
+    try:
+        entries = np.array(entries, dtype=np.int64)
+    except OverflowError:  # an entry at or past 2**63
         return None
-    entries = entries.reshape(len(seeds), -1).T
-    words = np.zeros((max(_POOL, len(entries)), len(seeds)), dtype=np.uint32)
-    words[: len(entries)] = entries
+    if entries.min() < 0:
+        return None
+    entries = entries.reshape(len(seeds), -1)
+    # the entries at one position are all one word or all two
+    wide = entries > _MASK32
+    if (wide != wide[0]).any():
+        return None
+    # each entry's low word, then its high word where the position is wide
+    keep = np.repeat(wide[0], 2)
+    keep[::2] = True
+    halves = entries.astype("<i8", copy=False).view("<u4").T[keep]
+    if len(halves) > _TABLE_WORDS:
+        return None
+    words = np.zeros((max(_POOL, len(halves)), len(seeds)), dtype=np.uint32)
+    words[: len(halves)] = halves
     return words
 
 

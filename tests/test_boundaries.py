@@ -1,6 +1,7 @@
 """Bad inputs at the public entry points: each is refused with the package's
 own ValueError or TypeError, with no other exception or warning (the test
-configuration turns warnings into errors)."""
+configuration turns warnings into errors).  Dimensions of a small numpy
+integer type are not bad inputs: each gives the plain-int call's result."""
 
 import numpy as np
 import pytest
@@ -244,6 +245,10 @@ BAD_INPUTS = {
     "orthonormality_defect-complex": (
         lambda: srhtlab.orthonormality_defect(np.eye(4, 2) * 1j), TypeError, "real input"
     ),
+    # raised numpy's "an integer is required" from np.zeros
+    "decimated_identity-bool-k": (
+        lambda: srhtlab.decimated_identity(True), TypeError, "not a bool"
+    ),
 }
 
 
@@ -253,3 +258,44 @@ def test_bad_input_is_refused(case):
     with pytest.raises(error, match=message) as caught:
         call()
     assert type(caught.value) is error
+
+
+# Each pair is a call with numpy integer dimensions and the same call with
+# plain ints.  The arithmetic once ran in the numpy type and wrapped: k * k
+# = 40000 or k * n = 65536 past int16, beta * n = 65536 past int16, k * k =
+# 256 past int8.
+NUMPY_INTEGER_DIMENSIONS = {
+    # refused with "need 1 <= ell <= k^2"
+    "coupon_coverage_probability-int16-k": (
+        lambda: srhtlab.coupon_coverage_probability(np.int16(200), 3),
+        lambda: srhtlab.coupon_coverage_probability(200, 3),
+    ),
+    # raised "math domain error" from log(k * n)
+    "embedding_sample_size-int16": (
+        lambda: srhtlab.embedding_sample_size(np.int16(16), np.int16(4096)),
+        lambda: srhtlab.embedding_sample_size(16, 4096),
+    ),
+    "row_norm_bound-int16": (
+        lambda: srhtlab.row_norm_bound(np.int16(4096), np.int16(16), 16.0),
+        lambda: srhtlab.row_norm_bound(4096, 16, 16.0),
+    ),
+    # refused with "need a finite beta with beta * n > 1"
+    "row_norm_bound-int16-beta": (
+        lambda: srhtlab.row_norm_bound(np.int16(4096), np.int16(16), np.int16(16)),
+        lambda: srhtlab.row_norm_bound(4096, 16, 16),
+    ),
+    "decimated_identity-int8": (
+        lambda: srhtlab.decimated_identity(np.int8(16)),
+        lambda: srhtlab.decimated_identity(16),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NUMPY_INTEGER_DIMENSIONS))
+def test_numpy_integer_dimensions_give_the_plain_result(case):
+    call, plain = NUMPY_INTEGER_DIMENSIONS[case]
+    got, want = call(), plain()
+    if isinstance(want, np.ndarray):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    else:
+        assert got == want

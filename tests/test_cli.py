@@ -6,9 +6,12 @@ import hashlib
 import inspect
 import io
 import json
+import os
 import pathlib
 import re
 import shlex
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -47,6 +50,23 @@ def test_bounds_report(capsys):
     assert doc["row_sampling_failure"]["worst_ratio"] < 1
     assert doc["row_sampling_failure"]["value"] <= 2 / 16
     assert doc["config"]["k"] == 16 and doc["config"]["n"] == 65536
+
+
+def test_module_entry_point_runs_bounds(capsys):
+    # the package's __main__, as ``python -m srhtlab`` and the srhtlab
+    # console script run it, in a fresh interpreter
+    src = str(pathlib.Path(cli_mod.__file__).parents[1])
+    path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    done = subprocess.run(
+        [sys.executable, "-m", "srhtlab", "bounds", "--k", "16", "--n", "4096"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    doc = json.loads(done.stdout)
+    assert doc["embedding"]["ell"] == 1998
+    _, out, _ = run_cli(capsys, "bounds", "--k", "16", "--n", "4096")
+    assert doc == json.loads(out)
 
 
 def test_bounds_csv_format(capsys):

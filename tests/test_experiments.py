@@ -394,21 +394,21 @@ def test_coupon_grid_elapsed_is_per_point():
     assert sum(s.elapsed_seconds for s in out) <= wall
 
 
-# Tripwires on the draw paths: each block of runner keys has its seed words
-# built as one array and, where n <= 8 ell, its subsets shuffled as one
-# array.  A later edit that silently sends a
-# runner back to the per-seed words, to the dict shuffle or to a draw per
-# sketch block fails here, not only in the bench timings.
+# Tripwires on the draw paths: each block of runner keys has its seeds
+# hashed as one array and, where n <= 8 ell, its subsets shuffled as one
+# array.  A later edit that silently sends a runner back to numpy's
+# per-seed SeedSequence, to the dict shuffle or to a draw per sketch block
+# fails here, not only in the bench timings.
 
 def test_coupon_blocks_draw_without_per_seed_words_or_the_dict_shuffle():
-    seed_words = mock.Mock(wraps=srht_mod._seed_words)
+    seed_sequence = mock.Mock(wraps=np.random.SeedSequence)
     fisher_yates = mock.Mock(wraps=srht_mod._fisher_yates)
     array_shuffle = mock.Mock(wraps=srht_mod._array_shuffle)
-    with mock.patch.object(srht_mod, "_seed_words", seed_words), \
+    with mock.patch.object(np.random, "SeedSequence", seed_sequence), \
             mock.patch.object(srht_mod, "_fisher_yates", fisher_yates), \
             mock.patch.object(srht_mod, "_array_shuffle", array_shuffle):
         run_coupon_trials(8, (8, 12, 17, 24), trials=200, seed=0)
-    assert seed_words.call_count == 0
+    assert seed_sequence.call_count == 0
     assert fisher_yates.call_count == 0
     # a draw of 192 trials and one of 8 per grid point
     assert array_shuffle.call_count == 4 * 2

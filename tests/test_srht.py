@@ -494,6 +494,8 @@ def _seedsequence_state(seed):
     return np.random.SeedSequence(_entropy(seed)).generate_state(4, np.uint64)
 
 
+# _seed_states takes two paths: the array hash of _word_block's blocks, and
+# numpy's SeedSequence, called once per seed, for any other block.
 WORD_BLOCKS = {
     "64-runner-keys": [(s, 1, 2, i) for s in (0, 2**32 - 1) for i in range(32)],
     "1000-runner-keys": [
@@ -501,14 +503,22 @@ WORD_BLOCKS = {
     ],
     "plain-ints": [*range(62), 2**32 - 2, 2**32 - 1],
     "short-tuples": [(2**32 - 1,), (0,), (7,)],
+    # a master seed at or past 2**32 is two words, low word first
+    "two-word-master-seeds": [(s, 1, 2, i) for s in (2**32, 2**62) for i in range(32)],
+    "two-word-ints": [2**32, 2**40 + 5, 2**62, 2**63 - 1],
+    # past the four-word pool
+    "six-entry-tuples": [(b, 1, 2, 3, 2**32 - 1, 7 * b) for b in range(8)],
+    "64-entry-tuples": [tuple(range(b, b + 64)) for b in range(3)],
 }
 
 
 @pytest.mark.parametrize("name", sorted(WORD_BLOCKS))
 def test_seed_words_of_a_block_of_plain_seeds_come_from_one_array(name, monkeypatch):
-    # every entry one word below 2**32: no seed goes through _seed_words
+    # the array hash: SeedSequence is never called
     seeds = WORD_BLOCKS[name]
-    monkeypatch.setattr(srht_mod, "_seed_words", mock.Mock(side_effect=AssertionError("per seed")))
+    monkeypatch.setattr(
+        np.random, "SeedSequence", mock.Mock(side_effect=AssertionError("per seed"))
+    )
     states = srht_mod._seed_states(seeds)
     monkeypatch.undo()
     assert states.shape == (4, len(seeds))
@@ -528,16 +538,20 @@ FALLBACK_BLOCKS = {
     "numpy-seeds": [np.uint32(9), np.int64(10)],
     "empty-tuples": [(), ()],
     "one-seed": [(0, 1, 2, 3)],
+    # past the 64 words of the hashmix table
+    "65-entry-tuples": [tuple(range(b, b + 65)) for b in range(2)],
+    "one-and-two-word-column": [(1, 2**32 - 1), (1, 2**32), (1, 0)],
 }
 
 
 @pytest.mark.parametrize("name", sorted(FALLBACK_BLOCKS))
 def test_seed_words_of_any_other_block_are_built_a_seed_at_a_time(name, monkeypatch):
     seeds = FALLBACK_BLOCKS[name]
-    seed_words = mock.Mock(wraps=srht_mod._seed_words)
-    monkeypatch.setattr(srht_mod, "_seed_words", seed_words)
+    seed_sequence = mock.Mock(wraps=np.random.SeedSequence)
+    monkeypatch.setattr(np.random, "SeedSequence", seed_sequence)
     states = srht_mod._seed_states(seeds)
-    assert seed_words.call_count == len(seeds)
+    monkeypatch.undo()
+    assert seed_sequence.call_count == len(seeds)
     for b, seed in enumerate(seeds):
         assert np.array_equal(states[:, b], _seedsequence_state(seed)), seed
 
