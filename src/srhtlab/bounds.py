@@ -8,23 +8,31 @@ convention.
 
 Raw bound values are returned unclamped (they may exceed 1) so that
 dominance comparisons see the actual expressions.  Range checks are written
-so that NaN fails them, and dimensions must be finite; the sample-size
-rule, the row-norm level and the Chernoff k take only whole-number
-dimensions, and the coupon oracle only integers.  A bool is not a
-dimension: True and False would pass every numeric check as 1 and 0, so
-they are a TypeError.  A numpy integer dimension is taken as its value: the
-arithmetic runs in Python ints once the checks pass, so a small integer type
-cannot wrap.  The row-sampling failure bound is evaluated as two
-powers k^p + k^q; p and q are checked and computed for the last valid
-(alpha, delta, eta) and kept in a one-entry memo.  A sweep over k at fixed
-constants then costs about 0.25 us per call, against about 0.4 us with a
-cache keyed by the tuple of constants, which builds and hashes that tuple
-on every call (one core of a 2-core Xeon VM).  Calls that alternate
-constants recompute the powers each time, about 0.9 us.
+so that NaN fails them.
+
+Every integer argument of the package, a dimension, a sample size or a
+count, follows one rule, kept here: ``_integers`` takes a Python or numpy
+integer as a plain int and refuses anything else, a float even when whole,
+with a TypeError that names the argument; ``_dimensions`` adds
+1 <= k <= n and ``_sample_size`` 1 <= ell <= n, each with one ValueError
+message.  So the arithmetic runs in Python ints, and a small numpy integer
+type cannot wrap.  A bool is not a number: True and False would pass every
+numeric check as 1 and 0, so ``_refuse_bools`` makes them a TypeError, for
+the float parameters too.  The k of ``row_sampling_failure_bound`` is the
+one exception: it is checked per call, only as 2 <= k < inf, on the
+criterion-8 sweep's hot path.
+
+The row-sampling failure bound is evaluated as two powers k^p + k^q; p and
+q are checked and computed for the last valid (alpha, delta, eta) and kept
+in a one-entry memo.  A sweep over k at fixed constants then costs about
+0.25 us per call, against about 0.4 us with a cache keyed by the tuple of
+constants, which builds and hashes that tuple on every call (one core of a
+2-core Xeon VM).  Calls that alternate constants recompute the powers each
+time, about 0.9 us.
 """
 
 import math
-import numbers
+import operator
 from dataclasses import dataclass
 
 __all__ = [
@@ -73,18 +81,47 @@ def _refuse_bools(**values):
             raise TypeError(f"{name} must be a number, not a bool, got {value!r}")
 
 
+def _integers(**values) -> list:
+    """``values`` as plain ints, in order: Python or numpy integers.  A bool,
+    numpy's included, or any other type, a float even when whole, is a
+    TypeError that names the argument.  Every integer argument of the
+    package, a dimension, a sample size or a count, is taken through it
+    before any arithmetic, so a small numpy integer type cannot wrap."""
+    _refuse_bools(**values)
+    out = []
+    for name, value in values.items():
+        try:
+            out.append(operator.index(value))
+        except TypeError:
+            raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    return out
+
+
+def _dimensions(n, k) -> tuple:
+    """(n, k) as plain ints with 1 <= k <= n, through ``_integers``."""
+    n, k = _integers(n=n, k=k)
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    return n, k
+
+
+def _sample_size(n, ell) -> tuple:
+    """(n, ell) as plain ints with 1 <= ell <= n, through ``_integers``."""
+    n, ell = _integers(n=n, ell=ell)
+    if not 1 <= ell <= n:
+        raise ValueError(f"need 1 <= ell <= n, got ell={ell}, n={n}")
+    return n, ell
+
+
 def embedding_sample_size(k: int, n: int) -> SampleSizeBound:
     """Smallest ell with 4*(sqrt(k) + sqrt(8 log(k n)))^2 * log(k) <= ell.
 
     Sampling at least this many coordinates keeps every singular value of the
     sketched orthonormal matrix inside [1/sqrt(6), sqrt(13/6)] except with
     probability 3/k.  For k < 2 the log(k) factor vanishes and the result is
-    the flagged sentinel ell=1.  k and n must be whole numbers.
+    the flagged sentinel ell=1.  k and n must be integers with 1 <= k <= n.
     """
-    _refuse_bools(k=k, n=n)
-    if not (1 <= k <= n < math.inf and k % 1 == 0 and n % 1 == 0):
-        raise ValueError(f"need whole numbers 1 <= k <= n < inf, got k={k}, n={n}")
-    k, n = int(k), int(n)  # k * n would wrap in a small numpy integer type
+    n, k = _dimensions(n, k)
     if k < 2:
         return SampleSizeBound(1, False, EMBEDDING_SIGMA_MIN, EMBEDDING_SIGMA_MAX, 3.0)
     raw = 4.0 * (math.sqrt(k) + math.sqrt(8.0 * math.log(k * n))) ** 2 * math.log(k)
@@ -110,13 +147,10 @@ def row_norm_bound(n: int, k: int, beta: float) -> RowNormBound:
     After a random sign flip and the orthogonal Walsh-Hadamard transform, the
     largest row norm of an n x k orthonormal-column matrix exceeds this value
     with probability at most 1/beta, a vacuous guarantee when beta <= 1.
-    n and k must be whole numbers with 1 <= k <= n, and none of n, k and
-    beta a bool.
+    n and k must be integers with 1 <= k <= n, and beta not a bool.
     """
-    _refuse_bools(n=n, k=k, beta=beta)
-    if not (1 <= k <= n < math.inf and k % 1 == 0 and n % 1 == 0):
-        raise ValueError(f"need finite n >= 1 and whole numbers 1 <= k <= n, got n={n}, k={k}")
-    n, k = int(n), int(k)  # beta * n would wrap in a small numpy integer type
+    n, k = _dimensions(n, k)
+    _refuse_bools(beta=beta)
     if not (math.isfinite(beta) and float(beta) * n > 1.0):
         raise ValueError(f"need a finite beta with beta * n > 1, got beta={beta}, n={n}")
     beta = float(beta)
@@ -132,8 +166,8 @@ class ChernoffParams:
     ``b_max`` uniformly bounds the summands' largest eigenvalue; ``mu_min``
     and ``mu_max`` are ell times the extreme eigenvalues of the expected
     summand; ``deviation`` is the relative deviation (delta for the lower
-    tail, eta for the upper).  ``k`` must be a whole number, and no field a
-    bool.
+    tail, eta for the upper).  ``k`` must be an integer >= 1, stored as a
+    plain int, and no field a bool.
     """
 
     k: int
@@ -144,8 +178,10 @@ class ChernoffParams:
 
     def __post_init__(self):
         _refuse_bools(**vars(self))
-        if not (1 <= self.k < math.inf and self.k % 1 == 0):
-            raise ValueError(f"k must be a finite whole number >= 1, got {self.k}")
+        (k,) = _integers(k=self.k)
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+        object.__setattr__(self, "k", k)
         if not 0 < self.b_max < math.inf:
             raise ValueError(f"b_max must be positive and finite, got {self.b_max}")
         if not 0 <= self.mu_min <= self.mu_max < math.inf:
@@ -262,16 +298,11 @@ def coupon_coverage_probability(k: int, ell: int) -> float:
     the result is the float nearest the true probability.  The integers
     grow with k, and so does the cost: one call took up to about 0.5 ms at
     k=32, 10 ms at k=64 and 250 ms at k=128, the most near ell = k^2 / 2
-    (one core of a 2-core Xeon VM).  k and ell must be integers.
+    (one core of a 2-core Xeon VM).  k and ell must be integers with k >= 1
+    and 1 <= ell <= k^2.
     """
-    _refuse_bools(k=k, ell=ell)
-    if not (isinstance(k, numbers.Integral) and isinstance(ell, numbers.Integral)):
-        raise TypeError(f"k and ell must be integers, got k={k!r}, ell={ell!r}")
-    k, ell = int(k), int(ell)  # k * k would wrap in a small numpy integer type
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if not 1 <= ell <= k * k:
-        raise ValueError(f"need 1 <= ell <= k^2, got ell={ell}, k={k}")
-    n = k * k
+    (k,) = _integers(k=k)
+    n, k = _dimensions(k * k, k)
+    n, ell = _sample_size(n, ell)
     covered = sum((-1) ** i * math.comb(k, i) * math.comb(n - i * k, ell) for i in range(k + 1))
     return covered / math.comb(n, ell)

@@ -67,8 +67,11 @@ forms its basis.  A tall trial takes one pass, a square one two.
 
 Each runner's keyword defaults are its headline configuration, the one the
 acceptance suite checks; called with only a seed, it runs that configuration.
-Its dimensions, trial count and seed are integers, numpy's included, and are
-taken as plain ints before any arithmetic; a float or a bool is a TypeError.
+Its dimensions, trial count and seed are integers, numpy's included, taken
+as plain ints before any arithmetic by the package's one integer rule,
+``bounds._integers``; a float, even a whole one, or a bool is a TypeError
+that names the argument, and ``bounds._dimensions`` and
+``bounds._sample_size`` hold k and ell to [1, n].
 Runners only compute.  A result is a list of ``ExperimentSummary`` (or one),
 whose ``to_record`` gives the fields of ``CSV_COLUMNS`` in that order, and
 is the one place that drops ``elapsed_seconds`` from a timing-free record.
@@ -77,7 +80,6 @@ Writing records as JSON or CSV is ``cli.write_report``'s job.
 
 import itertools
 import math
-import operator
 import time
 from dataclasses import dataclass, field
 
@@ -85,7 +87,9 @@ import numpy as np
 
 from .bounds import (
     ChernoffParams,
+    _integers,
     _refuse_bools,
+    _sample_size,
     chernoff_lower_tail,
     chernoff_upper_tail,
     coupon_coverage_probability,
@@ -144,28 +148,15 @@ _BLOCK_BYTES = 256 * 1024
 _FLOAT32_MARGIN = 1e-6
 
 
-def _check_ell(ell, n):
-    if not 1 <= ell <= n:
-        raise ValueError(f"need 1 <= ell <= n, got ell={ell}, n={n}")
-
-
-def _integers(**values) -> list:
-    """``values`` as plain ints, in order; a bool, numpy's included, or a
-    value that is not an integer is a TypeError.  Runners take their integer
-    arguments through it first, so a numpy integer type, whose arithmetic
-    can overflow, never reaches their arithmetic or their records."""
-    _refuse_bools(**values)
-    return [operator.index(value) for value in values.values()]
-
-
 @dataclass(frozen=True)
 class TrialPlan:
     """What an experiment ran: dimensions, trial count, seed, and mode.
 
     Dimensions that do not apply to a given experiment are recorded as 0.
-    In exhaustive mode ``trials`` is the number of enumerated subsets.
-    Every field but ``mode`` is an integer (a float or a bool, numpy's
-    included, is a TypeError) and is stored as a plain int, so a record can
+    In exhaustive mode ``trials`` is the number of enumerated subsets, and
+    1 <= ell <= n.  Every field but ``mode`` goes through
+    ``bounds._integers`` (a float, even a whole one, or a bool is a
+    TypeError that names it) and is stored as a plain int, so a record can
     be written as JSON; a negative seed is a ValueError.  A bad plan is
     refused before anything is drawn.
     """
@@ -184,7 +175,7 @@ class TrialPlan:
         for name, value in zip(names, _integers(**{name: getattr(self, name) for name in names})):
             object.__setattr__(self, name, value)
         if self.mode == "exhaustive":
-            _check_ell(self.ell, self.n)
+            _sample_size(self.n, self.ell)
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.trials < 1:
@@ -261,12 +252,11 @@ class ExperimentSummary:
 def monte_carlo_slack(bound: float, trials: int) -> float:
     """Four binomial standard deviations at success probability min(bound, 1).
     A NaN or negative bound, or fewer than one trial, is a ValueError; a
-    bool for either, or a trial count that is not an integer, is a
-    TypeError."""
-    _refuse_bools(bound=bound, trials=trials)
+    bool bound, or a trial count that is not an integer, is a TypeError."""
+    _refuse_bools(bound=bound)
+    (trials,) = _integers(trials=trials)
     if not (bound >= 0.0 and trials >= 1):
         raise ValueError(f"need bound >= 0 and trials >= 1, got bound={bound}, trials={trials}")
-    operator.index(trials)
     b = min(bound, 1.0)
     return SLACK_SIGMAS * math.sqrt(b * (1.0 - b) / trials)
 
@@ -377,8 +367,7 @@ def run_embedding_trials(n=65536, k=16, ell=None, trials=200, seed=0):
         if not size.applicable:
             raise ValueError(f"required sample size {size.ell} exceeds n={n}")
         ell = size.ell
-    (ell,) = _integers(ell=ell)
-    _check_ell(ell, n)
+    n, ell = _sample_size(n, ell)
     plan = TrialPlan(n=n, k=k, ell=ell, trials=trials, seed=seed)
     basis = random_orthonormal(n, k, (seed, 0, 0, 0))
     sketched = basis if basis.nbytes <= _PIECE_BYTES else basis.astype(np.float32)
@@ -424,8 +413,6 @@ def run_row_norm_trials(n=4096, k=16, beta=None, trials=2000, seed=0):
     start = time.perf_counter()
     n, k, trials, seed = _integers(n=n, k=k, trials=trials, seed=seed)
     hadamard_size(n)
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     level = row_norm_bound(n, k, float(k) if beta is None else beta)
     plan = TrialPlan(n=n, k=k, ell=0, trials=trials, seed=seed)
     buffer = np.empty((n, k))
@@ -571,7 +558,7 @@ def run_chernoff_validation(
     """
     _check_grid("deviation_grid", deviation_grid)
     n, k, ell, seed, trials = _integers(n=n, k=k, ell=ell, seed=seed, trials=trials)
-    _check_ell(ell, n)
+    _sample_size(n, ell)
     start = time.perf_counter()
     plan_trials = math.comb(n, ell) if mode == "exhaustive" else trials
     plan = TrialPlan(n=n, k=k, ell=ell, trials=plan_trials, seed=seed, mode=mode)
@@ -625,7 +612,7 @@ def run_mgf_domination(
     """
     _check_grid("theta_grid", theta_grid)
     n, k, ell, seed, trials = _integers(n=n, k=k, ell=ell, seed=seed, trials=trials)
-    _check_ell(ell, n)
+    _sample_size(n, ell)
     start = time.perf_counter()
     if mode == "monte_carlo" and trials < 2:
         raise ValueError(f"Monte Carlo mgf needs trials >= 2 for a standard error, got {trials}")

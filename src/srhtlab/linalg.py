@@ -19,11 +19,9 @@ orthonormality check at 1e-8.  Both callers draw their Gaussians from
 ``srht.standard_normals``.
 """
 
-import math
-
 import numpy as np
 
-from .bounds import _refuse_bools
+from .bounds import _dimensions, _integers
 from .srht import standard_normals
 from .wht import _real_float64, is_power_of_two
 
@@ -56,13 +54,11 @@ def random_orthonormal(n: int, k: int, seed) -> np.ndarray:
     (Fukaya, Nakatsukasa, Yanagisawa and Yamamoto 2014; Yamamoto et al.
     2015).  That limit is passed only with tiny probability; a draw past it
     raises RuntimeError and never returns a bad basis.  Q overwrites G, so
-    at most two n x k arrays are held at once.  n and k must be whole
-    numbers with 1 <= k <= n, not bools; they are checked before the draw.
+    at most two n x k arrays are held at once.  n and k must be integers
+    with 1 <= k <= n; they are checked before the draw.
     """
-    _refuse_bools(n=n, k=k)
-    if not (1 <= k <= n < math.inf and k % 1 == 0 and n % 1 == 0):
-        raise ValueError(f"need whole numbers 1 <= k <= n < inf, got k={k}, n={n}")
-    (g,) = standard_normals([seed], np.empty((int(n), int(k))))
+    n, k = _dimensions(n, k)
+    (g,) = standard_normals([seed], np.empty((n, k)))
     return _cholesky_qr(g, gram(g))
 
 
@@ -112,9 +108,12 @@ def _cholesky_r(s):
 
 
 def gram(a) -> np.ndarray:
-    """A^T A, symmetrized on output.  Accepts stacks of matrices.  A complex
-    input is a TypeError."""
+    """A^T A, symmetrized on output.  Accepts stacks of matrices.  An input
+    of fewer than two dimensions is a ValueError, a complex one a
+    TypeError."""
     a = _real_float64(a)
+    if a.ndim < 2:
+        raise ValueError(f"expected a matrix or a stack of matrices, got shape {a.shape}")
     s = np.swapaxes(a, -1, -2) @ a
     return (s + np.swapaxes(s, -1, -2)) / 2.0
 
@@ -122,12 +121,14 @@ def gram(a) -> np.ndarray:
 def orthonormality_defect(v) -> float:
     """max |(V^T V - I)_ij|; zero iff the columns are exactly orthonormal.
 
-    A 1-D ``v`` is one column.  A complex ``v`` is a TypeError."""
+    A 1-D ``v`` is one column.  Any other shape than a vector or a matrix
+    of at least one column is a ValueError, and a complex ``v`` a
+    TypeError."""
     v = _real_float64(v)
     if v.ndim == 1:
         v = v[:, None]
-    if v.shape[1] == 0:
-        raise ValueError(f"need at least one column, got shape {v.shape}")
+    if v.ndim != 2 or v.shape[1] == 0:
+        raise ValueError(f"need a vector or a matrix of at least one column, got shape {v.shape}")
     return _gram_defect(gram(v))
 
 
@@ -191,14 +192,12 @@ def decimated_identity(k: int) -> np.ndarray:
     """k^2 x k orthonormal matrix from regular decimation of the identity.
 
     Row j (0-based) is the unit vector e_{j/k} when j is a multiple of k and
-    zero otherwise: one nonzero per column, exactly orthonormal.  k must be a
-    power of two so that k^2 is a valid transform size; a bool is a
-    TypeError.
+    zero otherwise: one nonzero per column, exactly orthonormal.  k must be an
+    integer and a power of two, so that k^2 is a valid transform size.
     """
-    _refuse_bools(k=k)
-    if not (isinstance(k, (int, np.integer)) and is_power_of_two(k)):
-        raise ValueError(f"k must be a positive power of two, got {k!r}")
-    k = int(k)  # k * k would wrap in a small numpy integer type
+    (k,) = _integers(k=k)
+    if not is_power_of_two(k):
+        raise ValueError(f"k must be a positive power of two, got {k}")
     w = np.zeros((k * k, k))
     w[np.arange(k) * k, np.arange(k)] = 1.0
     return w

@@ -61,7 +61,7 @@ import operator
 
 import numpy as np
 
-from .bounds import _refuse_bools
+from .bounds import _integers, _sample_size
 from .wht import _real_float64, fwht_inplace, hadamard_matrix, hadamard_size
 
 __all__ = [
@@ -266,7 +266,8 @@ def standard_normals(seeds, out):
 
 def draw_integers(seeds, highs) -> np.ndarray:
     """B x m int64 array: entry (b, j) uniform on [0, highs[j]), every highs[j]
-    >= 1, drawn from the PCG64 stream of ``seeds[b]``.
+    an integer in [1, 2**63] so that each draw fits int64, drawn from the
+    PCG64 stream of ``seeds[b]``.
 
     Row b is, bit for bit, what ``Generator.integers(0, highs[j])`` calls in
     column order would draw from ``derived_rng(seeds[b])``, but no Generator
@@ -280,8 +281,8 @@ def draw_integers(seeds, highs) -> np.ndarray:
     rejection's odds are below r / 2**32 per draw.
     """
     highs = np.asarray(highs).reshape(-1)
-    if highs.size and (highs.dtype.kind not in "iu" or highs.min() < 1):
-        raise ValueError(f"every range must be an integer >= 1, got {highs}")
+    if highs.size and (highs.dtype.kind not in "iu" or highs.min() < 1 or highs.max() > 1 << 63):
+        raise ValueError(f"every range must be an integer in [1, 2**63], got {highs}")
     highs = highs.astype(np.uint64, copy=False)
     states = _pcg64_states(seeds)
     bitgen = np.random.PCG64(0)
@@ -357,9 +358,10 @@ def _lemire_row(bitgen, state, highs) -> list:
 
 def rademacher_signs(n: int, seeds) -> np.ndarray:
     """B x n independent +-1.0 entries, row b from the stream of
-    ``seeds[b]``: n draws of range 2.  A bool n is a TypeError."""
-    _refuse_bools(n=n)
-    return _signs(draw_integers(seeds, np.full(operator.index(n), 2)))
+    ``seeds[b]``: n draws of range 2.  n must be an integer (see
+    ``bounds._integers``)."""
+    (n,) = _integers(n=n)
+    return _signs(draw_integers(seeds, np.full(n, 2)))
 
 
 def _signs(bits) -> np.ndarray:
@@ -381,16 +383,6 @@ def sample_without_replacement(n: int, ell: int, seeds) -> np.ndarray:
     out = _subsets(draw_integers(seeds, n - np.arange(ell)), n, ell)
     out.setflags(write=False)
     return out
-
-
-def _sample_size(n, ell) -> tuple:
-    """(n, ell) as ints with 1 <= ell <= n; a non-integer or bool is a
-    TypeError."""
-    _refuse_bools(n=n, ell=ell)
-    n, ell = operator.index(n), operator.index(ell)
-    if not 1 <= ell <= n:
-        raise ValueError(f"need 1 <= ell <= n, got ell={ell}, n={n}")
-    return n, ell
 
 
 # The shuffle rule of ``_subsets``: the whole-block array shuffle where
@@ -567,10 +559,7 @@ def _operator_stack(signs, indices) -> tuple:
         raise ValueError(
             f"need B x n signs and B x ell indices, got shapes {signs.shape} and {indices.shape}"
         )
-    n, ell = signs.shape[1], indices.shape[1]
-    hadamard_size(n)
-    if not 1 <= ell <= n:
-        raise ValueError(f"need 1 <= ell <= n sample indices, got {ell}")
+    n, ell = _sample_size(hadamard_size(signs.shape[1]), indices.shape[1])
     if not np.all(np.abs(signs) == 1.0):
         raise ValueError("sign entries must be exactly +1 or -1")
     if (

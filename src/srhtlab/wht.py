@@ -19,11 +19,9 @@ n**-0.5 * (-1)**popcount(i & j), which serves as the slow testing oracle.
 ``hadamard_size`` is the one check of a transform size n = 2**p.
 """
 
-import operator
-
 import numpy as np
 
-from .bounds import _refuse_bools
+from .bounds import _integers
 
 __all__ = [
     "fwht",
@@ -40,12 +38,12 @@ def is_power_of_two(n: int) -> bool:
 
 
 def hadamard_size(n) -> int:
-    """``n`` as an int, when it is an integer and a positive power of two.
-    A bool is a TypeError."""
-    _refuse_bools(n=n)
-    if not isinstance(n, (int, np.integer)) or not is_power_of_two(n):
-        raise ValueError(f"n must be a positive power of two, got {n!r}")
-    return int(n)
+    """``n`` as a plain int, when it is an integer (see ``bounds._integers``)
+    and a positive power of two."""
+    (n,) = _integers(n=n)
+    if not is_power_of_two(n):
+        raise ValueError(f"n must be a positive power of two, got {n}")
+    return n
 
 
 def fwht_inplace(x: np.ndarray) -> np.ndarray:
@@ -150,8 +148,7 @@ def hadamard_entry(i: int, j: int, n: int) -> float:
     magnitude exactly n**-0.5.  A non-integer or bool index is a TypeError.
     """
     n = hadamard_size(n)
-    _refuse_bools(i=i, j=j)
-    i, j = operator.index(i), operator.index(j)
+    i, j = _integers(i=i, j=j)
     if not (0 <= i < n and 0 <= j < n):
         raise IndexError(f"indices ({i}, {j}) out of range for n={n}")
     sign = -1.0 if (i & j).bit_count() & 1 else 1.0
@@ -163,8 +160,9 @@ def hadamard_matrix(n: int, rows=None) -> np.ndarray:
 
     Entries follow the same closed form as ``hadamard_entry``; the parity of
     popcount(i & j) is computed with a vectorized xor-fold so assembling
-    n = 4096 stays cheap.  ``rows`` must be integers in [0, n): a row out of
-    range is an IndexError and a non-integer row a TypeError.
+    n = 4096 stays cheap.  ``rows`` must be a 1-D array of integers in
+    [0, n): another shape is a ValueError, a row out of range an IndexError
+    and a non-integer row a TypeError.
     """
     n = hadamard_size(n)
     cols = np.arange(n, dtype=np.uint64)
@@ -172,6 +170,8 @@ def hadamard_matrix(n: int, rows=None) -> np.ndarray:
         rows = cols
     else:
         rows = np.asarray(rows)
+        if rows.ndim != 1:
+            raise ValueError(f"rows must be a 1-D array of row indices, got shape {rows.shape}")
         if rows.size and rows.dtype.kind not in "iu":
             raise TypeError(f"rows must be integers, got dtype {rows.dtype}")
         if rows.size and (rows.min() < 0 or rows.max() >= n):

@@ -77,15 +77,23 @@ def test_embedding_inapplicable_when_n_small():
 )
 def test_embedding_sample_size_rejects_non_finite_dimensions(k, n):
     # (2, inf) raised OverflowError and (nan, 100) failed converting NaN
-    # to an integer, past the range check
-    with pytest.raises(ValueError, match="n < inf"):
+    # to an integer, past the range check; a float is not an integer
+    with pytest.raises(TypeError, match="must be an integer"):
         embedding_sample_size(k, n)
 
 
-@pytest.mark.parametrize("k,n", [(2.5, 100), (2, 100.5), (4, 2)])
-def test_embedding_sample_size_rejects_fractional_dimensions_and_k_above_n(k, n):
+# each id names the arguments alone
+@pytest.mark.parametrize(
+    "k,n,error",
+    [
+        pytest.param(2.5, 100, TypeError, id="2.5-100"),
+        pytest.param(2, 100.5, TypeError, id="2-100.5"),
+        pytest.param(4, 2, ValueError, id="4-2"),
+    ],
+)
+def test_embedding_sample_size_rejects_fractional_dimensions_and_k_above_n(k, n, error):
     # (2.5, 100) returned ell = 249
-    with pytest.raises(ValueError, match="whole numbers 1 <= k <= n"):
+    with pytest.raises(error, match="must be an integer|need 1 <= k <= n"):
         embedding_sample_size(k, n)
 
 
@@ -128,15 +136,23 @@ def test_row_norm_bound_rejects_non_finite_beta(beta):
     "n,k", [(16, math.nan), (math.inf, 4), (math.nan, 4), (16, math.inf)]
 )
 def test_row_norm_bound_rejects_non_finite_dimensions(n, k):
-    # each returned a RowNormBound with value nan
-    with pytest.raises(ValueError, match="finite n"):
+    # each returned a RowNormBound with value nan; a float is not an integer
+    with pytest.raises(TypeError, match="must be an integer"):
         row_norm_bound(n, k, 4.0)
 
 
-@pytest.mark.parametrize("n,k", [(16, 32), (16.5, 2), (16, 2.5), (16, 0)])
-def test_row_norm_bound_rejects_k_above_n_and_fractional_dimensions(n, k):
+@pytest.mark.parametrize(
+    "n,k,error",
+    [
+        pytest.param(16, 32, ValueError, id="16-32"),
+        pytest.param(16.5, 2, TypeError, id="16.5-2"),
+        pytest.param(16, 2.5, TypeError, id="16-2.5"),
+        pytest.param(16, 0, ValueError, id="16-0"),
+    ],
+)
+def test_row_norm_bound_rejects_k_above_n_and_fractional_dimensions(n, k, error):
     # (16, 32) and (16.5, 2) each returned a level
-    with pytest.raises(ValueError, match="whole numbers 1 <= k <= n"):
+    with pytest.raises(error, match="must be an integer|need 1 <= k <= n"):
         row_norm_bound(n, k, 4.0)
 
 
@@ -207,33 +223,38 @@ def test_chernoff_upper_tail_rejects_non_finite_deviation(eta):
         chernoff_upper_tail(ChernoffParams(2, 0.5, 0.3, 0.3, eta))
 
 
+# a NaN k is not an integer
 @pytest.mark.parametrize(
-    "k,mu_min,mu_max",
-    [(2, math.nan, math.nan), (2, 0.5, math.nan), (2, 0.5, math.inf), (math.nan, 0.5, 0.5)],
+    "k,mu_min,mu_max,error",
+    [
+        pytest.param(2, math.nan, math.nan, ValueError, id="2-nan-nan"),
+        pytest.param(2, 0.5, math.nan, ValueError, id="2-0.5-nan"),
+        pytest.param(2, 0.5, math.inf, ValueError, id="2-0.5-inf"),
+        pytest.param(math.nan, 0.5, 0.5, TypeError, id="nan-0.5-0.5"),
+    ],
 )
-def test_chernoff_params_reject_nan_and_infinite_mu(k, mu_min, mu_max):
-    with pytest.raises(ValueError):
+def test_chernoff_params_reject_nan_and_infinite_mu(k, mu_min, mu_max, error):
+    with pytest.raises(error):
         ChernoffParams(k, 0.5, mu_min, mu_max, 0.5)
 
 
 @pytest.mark.parametrize("k", [math.inf, math.nan])
 def test_chernoff_params_reject_non_finite_k(k):
     # k = inf was accepted
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(TypeError, match="k must be an integer"):
         ChernoffParams(k, 0.5, 0.5, 0.5, 0.5)
 
 
-@pytest.mark.parametrize("k, error", [(2.5, ValueError), (True, TypeError), (False, TypeError)])
+@pytest.mark.parametrize("k, error", [(2.5, TypeError), (True, TypeError), (False, TypeError)])
 def test_chernoff_params_reject_fractional_and_bool_k(k, error):
     # k = 2.5 gave a lower tail of 2.06, and True passed as k = 1
     with pytest.raises(error, match="k must be"):
         ChernoffParams(k, 0.3, 0.375, 0.375, 0.5)
 
 
-def test_chernoff_params_take_a_whole_float_k():
-    assert chernoff_lower_tail(ChernoffParams(2.0, 0.3, 0.375, 0.375, 0.5)) == (
-        chernoff_lower_tail(ChernoffParams(2, 0.3, 0.375, 0.375, 0.5))
-    )
+def test_chernoff_params_store_k_as_a_plain_int():
+    params = ChernoffParams(np.int16(2), 0.3, 0.375, 0.375, 0.5)
+    assert type(params.k) is int and params == ChernoffParams(2, 0.3, 0.375, 0.375, 0.5)
 
 
 # (lower, upper) at ChernoffParams(2, 0.3, 0.375, 0.375, d), taken from the
@@ -523,13 +544,14 @@ def test_coupon_large_k_equals_exact_rationals(k):
         assert coupon_coverage_probability(k, ell) == float(exact), (k, ell)
 
 
+# each id names the class of refusal; each message names its argument
 @pytest.mark.parametrize(
     "k, ell, message",
     [
-        (2.5, 3, "must be integers"),
-        (2, 2.5, "must be integers"),
-        (2.0, 2, "must be integers"),
-        (3, 4.0, "must be integers"),
+        pytest.param(2.5, 3, "k must be an integer", id="2.5-3-must be integers"),
+        pytest.param(2, 2.5, "ell must be an integer", id="2-2.5-must be integers"),
+        pytest.param(2.0, 2, "k must be an integer", id="2.0-2-must be integers"),
+        pytest.param(3, 4.0, "ell must be an integer", id="3-4.0-must be integers"),
         (True, 1, "k must be a number, not a bool"),
         (2, True, "ell must be a number, not a bool"),
     ],

@@ -50,12 +50,21 @@ def test_slack_rule():
     assert monte_carlo_slack(7.0, 100) == 0.0  # bound capped at 1
 
 
+# each id names the arguments alone
 @pytest.mark.parametrize(
-    "bound, trials", [(math.nan, 10), (0.5, 0), (0.5, -3), (-0.1, 10), (0.5, math.nan)]
+    "bound, trials, error",
+    [
+        pytest.param(math.nan, 10, ValueError, id="nan-10"),
+        pytest.param(0.5, 0, ValueError, id="0.5-0"),
+        pytest.param(0.5, -3, ValueError, id="0.5--3"),
+        pytest.param(-0.1, 10, ValueError, id="-0.1-10"),
+        pytest.param(0.5, math.nan, TypeError, id="0.5-nan"),
+    ],
 )
-def test_slack_refuses_a_nan_bound_and_no_trials(bound, trials):
-    # NaN used to come back as the slack, and 0 trials divided by zero
-    with pytest.raises(ValueError, match="bound >= 0 and trials >= 1"):
+def test_slack_refuses_a_nan_bound_and_no_trials(bound, trials, error):
+    # NaN used to come back as the slack, and 0 trials divided by zero; a
+    # NaN trial count is not an integer
+    with pytest.raises(error, match="bound >= 0 and trials >= 1|trials must be an integer"):
         monte_carlo_slack(bound, trials)
 
 

@@ -309,6 +309,9 @@ def test_hadamard_matrix_rows_are_rows_of_h_n():
 
 def test_hadamard_dim_validation():
     assert hadamard_size(16) == 16 and type(hadamard_size(np.int64(16))) is int
-    for bad in (12, 0, -4, 16.0, "16"):
+    for bad in (12, 0, -4):
         with pytest.raises(ValueError, match="n must be a positive power of two, got"):
+            hadamard_size(bad)
+    for bad in (16.0, "16"):
+        with pytest.raises(TypeError, match="n must be an integer, got"):
             hadamard_size(bad)
