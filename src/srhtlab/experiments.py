@@ -3,10 +3,13 @@
 Each runner draws its randomness from substreams keyed as
 (master_seed, domain, stream, index), domain 0 for fixtures (test
 matrices) and domain 1 for per-trial draws, so reruns and any trial
-ordering produce identical numbers.  Exhaustive runs enumerate row lists in
-lexicographic order (the ell-subsets, and every ell-sequence on the
-with-replacement side of mgf) and are seed-independent except for the
-fixture matrix.
+ordering produce identical numbers.  Embedding, rownorm and coupon run
+Monte Carlo trials.  Chernoff and mgf are exhaustive only: they enumerate
+row lists in lexicographic order (the ell-subsets, and every ell-sequence
+on the with-replacement side of mgf), draw no operator, and are
+seed-independent except for the fixture matrix.  So they cannot run a
+configuration with more than ``EXHAUSTIVE_CAP`` (10^7) ell-subsets, or, for
+mgf, n^ell sequences.
 
 Every bound check (embedding, row norms, both Chernoff tails) passes by
 one one-sided rule, ``_one_sided_summary``: over every subset
@@ -16,9 +19,8 @@ exceed it by four binomial standard deviations at the bound capped at 1
 level while leaving real violations detectable.  Coupon compares with an
 exact probability, so its rule is two-sided: |frequency - exact| within the
 same slack at the exact probability.  mgf compares two means, not a
-frequency with a bound: the without-replacement mean must not exceed the
-with-replacement one, up to 1e-10 relative over every subset or four
-standard errors of the two means by Monte Carlo.
+frequency with a bound: over every row list, the without-replacement mean
+must not exceed the with-replacement one, up to 1e-10 relative.
 
 Every runner computes its trials in blocks.  One loop, ``_fill_blocks``,
 cuts the trials into blocks of about ``_BLOCK_BYTES`` (256 KiB) of working
@@ -35,10 +37,8 @@ headline), since a draw has a fixed cost per call that a sketch block of
 64 would pay alone.
 Chernoff and both sides of mgf get their ell-row lists from one helper,
 ``_row_list_spectra``, which turns a block of them into one Gram stack and
-one eigensolve; Monte Carlo draws a block of subsets with one
-``sample_without_replacement`` call, and a block of with-replacement lists
-with one ``draw_integers`` call.  A with-replacement list holds a row once
-per draw, so a repeated row counts twice.  The block size never changes a
+one eigensolve.  A with-replacement list holds a row once per draw, so a
+repeated row counts twice.  The block size never changes a
 count: each trial's arithmetic is the one it would get alone, except that
 extremes may move by a few ulp where the transform's matrix products run at
 a different width.
@@ -87,6 +87,7 @@ import numpy as np
 
 from .bounds import (
     ChernoffParams,
+    _dimensions,
     _integers,
     _refuse_bools,
     _sample_size,
@@ -106,10 +107,8 @@ from .linalg import (
     symmetric_eigenvalues,
 )
 from .srht import (
-    draw_integers,
     draw_stack,
     rademacher_signs,
-    sample_without_replacement,
     sketch_stack,
     standard_normals,
 )
@@ -152,13 +151,14 @@ _FLOAT32_MARGIN = 1e-6
 class TrialPlan:
     """What an experiment ran: dimensions, trial count, seed, and mode.
 
-    Dimensions that do not apply to a given experiment are recorded as 0.
-    In exhaustive mode ``trials`` is the number of enumerated subsets, and
-    1 <= ell <= n.  Every field but ``mode`` goes through
-    ``bounds._integers`` (a float, even a whole one, or a bool is a
-    TypeError that names it) and is stored as a plain int, so a record can
-    be written as JSON; a negative seed is a ValueError.  A bad plan is
-    refused before anything is drawn.
+    The runner sets ``mode``: "exhaustive" for Chernoff and mgf,
+    "monte_carlo" for the rest.  Dimensions that do not apply to a given
+    experiment are recorded as 0.  In exhaustive mode ``trials`` is the
+    number of enumerated subsets, and 1 <= ell <= n.  Every field but
+    ``mode`` goes through ``bounds._integers`` (a float, even a whole one,
+    or a bool is a TypeError that names it) and is stored as a plain int, so
+    a record can be written as JSON; a negative n, k, ell or seed is a
+    ValueError.  A bad plan is refused before anything is drawn.
     """
 
     n: int
@@ -174,17 +174,20 @@ class TrialPlan:
         names = ("n", "k", "ell", "trials", "seed")
         for name, value in zip(names, _integers(**{name: getattr(self, name) for name in names})):
             object.__setattr__(self, name, value)
+        if min(self.n, self.k, self.ell) < 0:
+            raise ValueError(
+                f"n, k and ell must be >= 0, got n={self.n}, k={self.k}, ell={self.ell}"
+            )
         if self.mode == "exhaustive":
             _sample_size(self.n, self.ell)
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.mode == "exhaustive":
             if math.comb(self.n, self.ell) > EXHAUSTIVE_CAP:
                 raise ValueError(
                     f"C({self.n}, {self.ell}) exceeds the exhaustive cap {EXHAUSTIVE_CAP}"
                 )
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if self.trials < 1:
+            raise ValueError(f"trials must be >= 1, got {self.trials}")
 
 
 # The fields of a summary record, in the order of a CSV row.
@@ -211,9 +214,7 @@ class ExperimentSummary:
 
     ``extreme_sigma_min`` / ``extreme_sigma_max`` hold (min sigma_k, max
     sigma_1) for singular-value experiments; other runners document what they
-    store there.  ``passed`` is a pure function of the recorded numbers, with
-    one exception: a Monte Carlo mgf allowance uses standard errors that are
-    not recorded.
+    store there.  ``passed`` is a pure function of the recorded numbers.
     ``elapsed_seconds`` is the wall-clock time of the work behind this summary
     (a grid point's own trials, or the enumeration a Chernoff or mgf grid
     shares) and is excluded from equality.  The numbers and ``passed`` are
@@ -498,32 +499,18 @@ def _sampled_gram_eigenvalues(w, rows):
     return symmetric_eigenvalues(gram(w[np.asarray(rows, dtype=np.int64), :]))
 
 
-def _row_list_spectra(w, ell, mode, trials, seed, replace=False):
-    """Stack of descending Gram spectra of ``w``, one per ell-row list, with
-    one stacked eigensolve per block of lists.  Exhaustive mode takes every
-    list in lexicographic order: the ell-subsets of range(n), or with
-    ``replace`` all n^ell sequences.  Monte Carlo takes ``trials`` lists,
-    list i drawn from substream (seed, 1, 0, i) without replacement or
-    (seed, 1, 1, i) with it, one draw per block."""
+def _row_list_spectra(w, ell, replace=False):
+    """Stack of descending Gram spectra of ``w``, one per ell-row list in
+    lexicographic order, with one stacked eigensolve per block of lists: the
+    ell-subsets of range(n), or with ``replace`` all n^ell sequences."""
     n, k = w.shape
-    if mode == "exhaustive":
-        if replace:
-            items, count = itertools.product(range(n), repeat=ell), n**ell
-        else:
-            items, count = itertools.combinations(range(n), ell), math.comb(n, ell)
+    if replace:
+        items, count = itertools.product(range(n), repeat=ell), n**ell
     else:
-        items, count = ((seed, 1, int(replace), i) for i in range(trials)), trials
-
-    def rows(block):
-        if mode == "exhaustive":
-            return block
-        if replace:
-            return draw_integers(block, np.full(ell, n))
-        return sample_without_replacement(n, ell, block)
-
+        items, count = itertools.combinations(range(n), ell), math.comb(n, ell)
     return _fill_blocks(
         items, count, k, _block_size(ell * k * 8),
-        lambda block: _sampled_gram_eigenvalues(w, rows(block)),
+        lambda block: _sampled_gram_eigenvalues(w, block),
     )
 
 
@@ -538,36 +525,35 @@ def run_chernoff_validation(
     ell=6,
     deviation_grid=(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9),
     seed=0,
-    mode="exhaustive",
-    trials=2000,
 ):
-    """Tail probabilities of the sampled Gram spectrum vs the Chernoff bounds.
+    """Tail probabilities of the sampled Gram spectrum vs the Chernoff bounds,
+    over every ell-subset.
 
     Fixes an orthonormal W, so the summands w_j w_j^T have mean I/n and
     mu_min = mu_max = ell/n; b_max is the largest squared row norm of the
     realized W.  For each deviation d in the grid, emits a lower-tail summary
     (P{lambda_min <= (1-d) ell/n}) and an upper-tail one
-    (P{lambda_max >= (1+d) ell/n}), both by the one-sided rule: exact
-    dominance over every ell-subset, four binomial sigmas of slack by Monte
-    Carlo.  Every tail is evaluated before any subset, so a deviation outside
+    (P{lambda_max >= (1+d) ell/n}), both by the one-sided rule with no
+    slack: the frequency over the C(n, ell) subsets must not exceed the
+    bound.  Every tail is evaluated before any subset, so a deviation outside
     a tail's domain is a ValueError at once.  Extremes hold the observed
     extreme singular values (square roots of the extreme Gram eigenvalues).
-    Both modes get their subsets, enumerated or drawn one substream each,
-    from ``_row_list_spectra``, one stacked eigensolve per block.  An empty
-    grid, or an ell outside [1, n], is a ValueError before anything is drawn.
+    The subsets come from ``_row_list_spectra``, one stacked eigensolve per
+    block.  An empty grid, an ell outside [1, n], or more than
+    ``EXHAUSTIVE_CAP`` subsets is a ValueError before the fixture is drawn.
     """
     _check_grid("deviation_grid", deviation_grid)
-    n, k, ell, seed, trials = _integers(n=n, k=k, ell=ell, seed=seed, trials=trials)
+    n, k, ell, seed = _integers(n=n, k=k, ell=ell, seed=seed)
     _sample_size(n, ell)
+    _dimensions(n, k)
     start = time.perf_counter()
-    plan_trials = math.comb(n, ell) if mode == "exhaustive" else trials
-    plan = TrialPlan(n=n, k=k, ell=ell, trials=plan_trials, seed=seed, mode=mode)
+    plan = TrialPlan(n=n, k=k, ell=ell, trials=math.comb(n, ell), seed=seed, mode="exhaustive")
     w = random_orthonormal(n, k, (seed, 0, 0, 0))
     b_max = float(np.max(np.sum(w * w, axis=1)))
     mu = ell / n
     params = [ChernoffParams(k, b_max, mu, mu, d) for d in deviation_grid]
     tails = [(chernoff_lower_tail(p), chernoff_upper_tail(p)) for p in params]
-    eig = _row_list_spectra(w, ell, mode, trials, seed)
+    eig = _row_list_spectra(w, ell)
     lam_min, lam_max = eig[:, -1], eig[:, 0]
     lows, highs = np.sqrt(np.clip(lam_min, 0.0, None)), np.sqrt(lam_max)
     elapsed = time.perf_counter() - start
@@ -586,64 +572,47 @@ def run_chernoff_validation(
     return summaries
 
 
-def run_mgf_domination(
-    n=8, k=2, ell=3, theta_grid=(0.5, 1.0, 2.0), seed=0, mode="exhaustive", trials=2000
-):
+def run_mgf_domination(n=8, k=2, ell=3, theta_grid=(0.5, 1.0, 2.0), seed=0):
     """Trace of the matrix moment generating function: sampling without
-    replacement vs with replacement.
+    replacement vs with replacement, over every row list.
 
     For the same rank-one family as the Chernoff validation, computes
     E tr exp(theta * sum X_j) under both sampling models, each side the
-    plain mean over its ell-row lists.  Exhaustive mode takes every
-    ell-subset and every one of the n^ell ordered sequences (at most
-    ``EXHAUSTIVE_CAP``).  Monte Carlo mode draws subset i as the Chernoff
-    runner does and sequence i, ell draws of range n, from substream
-    (seed, 1, 1, i).  Both sides, in both modes, go through the Chernoff
-    runner's ``_row_list_spectra``, repeats included on the with-replacement
-    side.
+    plain mean over its ell-row lists: every ell-subset, and every one of
+    the n^ell ordered sequences (at most ``EXHAUSTIVE_CAP``).  Both sides go
+    through the Chernoff runner's ``_row_list_spectra``, repeats included on
+    the with-replacement side.
     One summary per theta with empirical = without/with ratio against the
-    domination threshold 1; extremes hold (without, with).  Exhaustive passes
-    need without <= with up to 1e-10 relative; Monte Carlo replaces that with
-    a four-standard-error allowance on the estimated means, which needs at
-    least two trials.  A non-finite theta, or one at which the traces or
-    their variance overflow float64 or the traces underflow to 0, is a
-    ValueError, as are an empty grid and an ell outside [1, n], both before
-    anything is drawn.
+    domination threshold 1; extremes hold (without, with).  A summary passes
+    when without <= with up to 1e-10 relative.  A non-finite theta, or one
+    at which the traces overflow float64 or underflow to 0, is a ValueError,
+    as are an empty grid, an ell outside [1, n] and more than
+    ``EXHAUSTIVE_CAP`` sequences, all before the fixture is drawn.
     """
     _check_grid("theta_grid", theta_grid)
-    n, k, ell, seed, trials = _integers(n=n, k=k, ell=ell, seed=seed, trials=trials)
+    n, k, ell, seed = _integers(n=n, k=k, ell=ell, seed=seed)
     _sample_size(n, ell)
+    _dimensions(n, k)
     start = time.perf_counter()
-    if mode == "monte_carlo" and trials < 2:
-        raise ValueError(f"Monte Carlo mgf needs trials >= 2 for a standard error, got {trials}")
-    if mode == "exhaustive" and n**ell > EXHAUSTIVE_CAP:
+    if n**ell > EXHAUSTIVE_CAP:
         raise ValueError(f"{n}^{ell} sequences exceed the exhaustive cap {EXHAUSTIVE_CAP}")
     if not all(math.isfinite(theta) for theta in theta_grid):
         raise ValueError(f"theta must be finite, got {list(theta_grid)}")
-    plan_trials = math.comb(n, ell) if mode == "exhaustive" else trials
-    plan = TrialPlan(n=n, k=k, ell=ell, trials=plan_trials, seed=seed, mode=mode)
+    plan = TrialPlan(n=n, k=k, ell=ell, trials=math.comb(n, ell), seed=seed, mode="exhaustive")
     w = random_orthonormal(n, k, (seed, 0, 0, 0))
 
-    without_eigs = _row_list_spectra(w, ell, mode, trials, seed)
-    with_eigs = _row_list_spectra(w, ell, mode, trials, seed, replace=True)
+    without_eigs = _row_list_spectra(w, ell)
+    with_eigs = _row_list_spectra(w, ell, replace=True)
     elapsed = time.perf_counter() - start
 
     summaries = []
     for theta in theta_grid:
-        # an overflowed trace, or overflowed squared deviations in a standard
-        # error, make the mean or the limit inf or nan; an underflowed one
+        # an overflowed trace makes a mean inf or nan; an underflowed one
         # makes the with-replacement mean 0
         with np.errstate(over="ignore", invalid="ignore"):
-            wo_values = np.exp(theta * without_eigs).sum(axis=1)
-            wi_values = np.exp(theta * with_eigs).sum(axis=1)
-            without = float(np.mean(wo_values))
-            with_repl = float(np.mean(wi_values))
-            if mode == "exhaustive":
-                limit = with_repl * (1.0 + 1e-10)
-            else:
-                se_wo = float(np.std(wo_values, ddof=1)) / math.sqrt(len(wo_values))
-                se_wi = float(np.std(wi_values, ddof=1)) / math.sqrt(len(wi_values))
-                limit = with_repl + SLACK_SIGMAS * math.hypot(se_wo, se_wi)
+            without = float(np.mean(np.exp(theta * without_eigs).sum(axis=1)))
+            with_repl = float(np.mean(np.exp(theta * with_eigs).sum(axis=1)))
+        limit = with_repl * (1.0 + 1e-10)
         if not (math.isfinite(without) and math.isfinite(limit) and with_repl > 0.0):
             raise ValueError(f"tr exp(theta * lambda) leaves the float64 range at theta={theta:g}")
         summaries.append(

@@ -26,9 +26,9 @@ bit whatever block it is drawn in.
 Randomness.  A seed is an integer or a tuple of non-negative integers;
 experiment code derives per-trial substreams as (master_seed, domain,
 stream, trial) tuples, so serial and parallel runs agree bit for bit.
-Every operator draw (``draw_stack``, ``rademacher_signs``,
-``sample_without_replacement``, and the with-replacement draws of the mgf
-runner) goes through one sampler, ``draw_integers``, which uses no numpy
+Every operator draw (``draw_stack``, ``rademacher_signs`` and
+``sample_without_replacement``) goes through one sampler,
+``draw_integers``, which uses no numpy
 ``Generator`` method.  It rests on three published rules: the
 ``SeedSequence`` hash and the PCG64 seeding rule, both covered by numpy's
 stream-stability policy (NEP 19); the PCG64 raw words, each read as its low
@@ -359,8 +359,10 @@ def _lemire_row(bitgen, state, highs) -> list:
 def rademacher_signs(n: int, seeds) -> np.ndarray:
     """B x n independent +-1.0 entries, row b from the stream of
     ``seeds[b]``: n draws of range 2.  n must be an integer (see
-    ``bounds._integers``)."""
+    ``bounds._integers``) and at least 1."""
     (n,) = _integers(n=n)
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     return _signs(draw_integers(seeds, np.full(n, 2)))
 
 

@@ -40,8 +40,3 @@ def operator_draw(n, ell, seed):
     call, on one generator."""
     rng = derived_rng(seed)
     return signs(n, None, rng), subset(n, ell, None, rng)
-
-
-def with_replacement(n, ell, seed):
-    """ell uniform draws from {0, ..., n-1}, one ``integers`` call."""
-    return derived_rng(seed).integers(0, n, size=ell)

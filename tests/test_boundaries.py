@@ -104,6 +104,10 @@ BAD_INPUTS = {
         lambda: draw_stack(8, 3, [(0, 1, 0, 0), (0, 1, 0, np.True_)]),
         TypeError, "'numpy.bool' object cannot be interpreted as an integer",
     ),
+    # 0 records a dimension that does not apply; a negative one built a plan
+    "TrialPlan-negative-n": (lambda: TrialPlan(-1, 2, 3, 5, 0), ValueError, "must be >= 0"),
+    "TrialPlan-negative-k": (lambda: TrialPlan(8, -1, 3, 5, 0), ValueError, "must be >= 0"),
+    "TrialPlan-negative-ell": (lambda: TrialPlan(8, 2, -1, 5, 0), ValueError, "must be >= 0"),
     "rademacher_signs-two-seed-block-float": (
         lambda: rademacher_signs(8, [1, 2.0]),
         TypeError, "'float' object cannot be interpreted as an integer",
@@ -140,13 +144,6 @@ BAD_INPUTS = {
         TypeError, "not a bool",
     ),
     "monte_carlo_slack-bool-bound": (lambda: monte_carlo_slack(True, 5), TypeError, "not a bool"),
-    # ell = 0 by Monte Carlo once divided by zero in the block-size rule
-    "run_chernoff_validation-monte-carlo-ell-0": (
-        lambda: run_chernoff_validation(ell=0, mode="monte_carlo"), ValueError, "1 <= ell <= n"
-    ),
-    "run_mgf_domination-monte-carlo-ell-0": (
-        lambda: run_mgf_domination(ell=0, mode="monte_carlo"), ValueError, "1 <= ell <= n"
-    ),
     # math.comb's own message once answered this
     "run_chernoff_validation-exhaustive-ell-negative": (
         lambda: run_chernoff_validation(ell=-1), ValueError, "1 <= ell <= n"
@@ -475,7 +472,7 @@ NOT_INTEGERS = {
 }
 K_RANGE, ELL_RANGE = "need 1 <= k <= n", "need 1 <= ell <= n"
 POWER, TRIALS, SEED = "power of two", "trials must be >= 1", "seed must be non-negative"
-MONTE_CARLO = {"n": 8, "k": 2, "ell": 3, "seed": 0, "mode": "monte_carlo", "trials": 2}
+SUBSETS = {"n": 8, "k": 2, "ell": 3, "seed": 0}
 # per function, the keyword arguments of a valid call, and per integer
 # argument the range rule's message, or None where none applies
 INTEGER_ARGUMENTS = {
@@ -497,7 +494,7 @@ INTEGER_ARGUMENTS = {
     srhtlab.sample_without_replacement: (
         {"n": 8, "ell": 2, "seeds": [0]}, {"n": ELL_RANGE, "ell": ELL_RANGE}
     ),
-    rademacher_signs: ({"n": 8, "seeds": [0]}, {"n": None}),
+    rademacher_signs: ({"n": 8, "seeds": [0]}, {"n": "n must be >= 1"}),
     # a dimension that does not apply is recorded as 0
     TrialPlan: (
         {"n": 8, "k": 2, "ell": 3, "trials": 5, "seed": 0},
@@ -517,12 +514,12 @@ INTEGER_ARGUMENTS = {
         {"k": POWER, "trials": TRIALS, "seed": SEED},
     ),
     run_chernoff_validation: (
-        {**MONTE_CARLO, "deviation_grid": (0.5,)},
-        {"n": ELL_RANGE, "k": K_RANGE, "ell": ELL_RANGE, "trials": TRIALS, "seed": SEED},
+        {**SUBSETS, "deviation_grid": (0.5,)},
+        {"n": ELL_RANGE, "k": K_RANGE, "ell": ELL_RANGE, "seed": SEED},
     ),
     run_mgf_domination: (
-        {**MONTE_CARLO, "theta_grid": (1.0,)},
-        {"n": ELL_RANGE, "k": K_RANGE, "ell": ELL_RANGE, "trials": "trials >= 2", "seed": SEED},
+        {**SUBSETS, "theta_grid": (1.0,)},
+        {"n": ELL_RANGE, "k": K_RANGE, "ell": ELL_RANGE, "seed": SEED},
     ),
 }
 

@@ -112,7 +112,7 @@ def test_non_finite_beta_is_usage_error(capsys, argv, beta):
 def test_mgf_theta_outside_the_float_range_is_usage_error(capsys, theta, message):
     # 2000 once crashed with an OverflowError traceback; nan and inf exited 1
     # as a failed criterion
-    code, out, err = run_cli(capsys, "experiment", "mgf", "--exhaustive", "--thetas", theta)
+    code, out, err = run_cli(capsys, "experiment", "mgf", "--thetas", theta)
     assert code == 2
     assert out == "" and message in err
     assert len(err.strip().splitlines()) == 1
@@ -121,8 +121,7 @@ def test_mgf_theta_outside_the_float_range_is_usage_error(capsys, theta, message
 def test_grid_values_in_exponent_notation_may_be_negative(capsys):
     # "-1e-3" was once read as an unknown option, so no grid could hold it
     code, out, err = run_cli(
-        capsys, "experiment", "mgf", "--exhaustive", "--n", "4", "--k", "1", "--l", "2",
-        "--thetas", "-1e-3", "0.5",
+        capsys, "experiment", "mgf", "--n", "4", "--k", "1", "--l", "2", "--thetas", "-1e-3", "0.5",
     )
     assert (code, err) == (0, "")
     names = [s["name"] for s in json.loads(out)["summaries"]]
@@ -221,7 +220,7 @@ def test_experiment_exit_one_on_failed_criterion(capsys):
 def test_experiment_csv_output(capsys):
     code, out, _ = run_cli(
         capsys,
-        "experiment", "chernoff", "--exhaustive", "--format", "csv", "--deltas", "0.5",
+        "experiment", "chernoff", "--format", "csv", "--deltas", "0.5",
     )
     assert code == 0
     lines = out.strip().splitlines()
@@ -427,8 +426,8 @@ TINY = {
     "embedding": ("--n", "64", "--k", "4", "--l", "32", "--trials", "5"),
     "rownorm": ("--n", "64", "--k", "4", "--trials", "5"),
     "coupon": ("--k", "2", "--ells", "2", "4", "--trials", "5"),
-    "chernoff": ("--n", "8", "--k", "2", "--l", "3", "--deltas", "0.5", "--trials", "5"),
-    "mgf": ("--n", "8", "--k", "2", "--l", "3", "--thetas", "1", "--trials", "5"),
+    "chernoff": ("--n", "8", "--k", "2", "--l", "3", "--deltas", "0.5"),
+    "mgf": ("--n", "8", "--k", "2", "--l", "3", "--thetas", "1"),
 }
 
 
@@ -438,7 +437,9 @@ def test_experiment_smoke(capsys, name):
     assert code == 0
     doc = json.loads(out)
     assert doc["schema"] == 1 and doc["config"]["experiment_name"] == name
-    assert doc["summaries"] and all(r["trials"] == 5 for r in doc["summaries"])
+    # chernoff and mgf enumerate the C(8, 3) = 56 subsets
+    trials = 56 if name in ("chernoff", "mgf") else 5
+    assert doc["summaries"] and all(r["trials"] == trials for r in doc["summaries"])
 
 
 def test_experiment_all_calls_each_runner_with_only_the_seed(capsys, monkeypatch):
@@ -480,8 +481,8 @@ def test_experiment_all_takes_no_configuration_flag(capsys, flags):
         ("embedding", "--n", "0", "--k", "4", "--l", "8", "--trials", "2"),
         ("embedding", "--n", "4096", "--k", "4", "--l", "0", "--trials", "2"),
         ("rownorm", "--n", "64", "--k", "4", "--beta", "0", "--trials", "2"),
-        ("chernoff", "--exhaustive", "--n", "8", "--k", "2", "--l", "0"),
-        ("mgf", "--exhaustive", "--n", "8", "--k", "2", "--l", "0"),
+        ("chernoff", "--n", "8", "--k", "2", "--l", "0"),
+        ("mgf", "--n", "8", "--k", "2", "--l", "0"),
         ("coupon", "--k", "0", "--ells", "2", "--trials", "2"),
         ("rownorm", "--n", "0", "--k", "1", "--trials", "2"),
     ],
@@ -501,7 +502,7 @@ def test_embedding_k1_without_ell_asks_for_it(capsys):
 
 @pytest.mark.parametrize("delta", ["1.5", "nan", "-0.1"])
 def test_chernoff_bad_deviation_is_usage_error(capsys, delta):
-    code, out, err = run_cli(capsys, "experiment", "chernoff", "--exhaustive", "--deltas", delta)
+    code, out, err = run_cli(capsys, "experiment", "chernoff", "--deltas", delta)
     assert code == 2
     assert out == "" and "deviation" in err
 
@@ -538,6 +539,9 @@ def test_rownorm_dimensions_are_checked_at_the_boundary(capsys, n, k, message):
         # nor by the subcommands outside ``experiment``
         ("bounds", "--be", "2", "--form", "csv", "--k", "4", "--n", "16"),
         ("sketch", "--se", "3", "--form", "csv", "--n", "16", "--l", "4", "--k", "2"),
+        # chernoff and mgf enumerate every subset, so take no trial count
+        ("chernoff", "--trials", "5"),
+        ("mgf", "--trials", "5"),
     ],
 )
 def test_flag_the_runner_does_not_take_is_usage_error(capsys, argv):
@@ -551,7 +555,7 @@ def test_flag_the_runner_does_not_take_is_usage_error(capsys, argv):
 
 
 def test_echo_carries_the_dimensions_that_ran(capsys):
-    code, out, _ = run_cli(capsys, "experiment", "mgf", "--exhaustive")
+    code, out, _ = run_cli(capsys, "experiment", "mgf")
     assert code == 0
     config = json.loads(out)["config"]
     assert (config["n"], config["k"], config["ell"], config["beta"]) == (8, 2, 3, 0.0)
@@ -576,21 +580,30 @@ def test_echo_carries_the_dimensions_that_ran(capsys):
     assert (config["n"], config["k"], config["ell"]) == (4, 2, 0)
 
 
-def test_monte_carlo_mgf_with_one_trial_is_usage_error(capsys):
-    code, out, err = run_cli(capsys, "experiment", "mgf", "--trials", "1")
-    assert code == 2
-    assert out == "" and "trials >= 2" in err
+def _timing_free_summaries(capsys, *argv):
+    code, out, _ = run_cli(capsys, "experiment", *argv)
+    assert code == 0
+    records = json.loads(out)["summaries"]
+    for record in records:
+        del record["elapsed_seconds"]
+    return records
 
 
-@pytest.mark.parametrize("name", ["chernoff", "mgf"])
-def test_trials_with_exhaustive_is_usage_error(capsys, name):
-    # an exhaustive run enumerates every subset; --trials would only be echoed
-    code, out, err = run_cli(
-        capsys, "experiment", name, "--exhaustive", "--n", "8", "--k", "2", "--l", "3",
-        "--trials", "5",
-    )
-    assert code == 2
-    assert out == "" and "not allowed with argument --exhaustive" in err
+def test_chernoff_and_mgf_run_the_same_with_or_without_exhaustive(capsys, monkeypatch):
+    # a flagless run once ran Monte Carlo, while the runner and ``experiment
+    # all`` enumerated; --exhaustive changes nothing now.  The Monte Carlo
+    # runners are stubbed out of ``experiment all``, which runs the rest as
+    # they are.
+    for name in ("embedding", "rownorm", "coupon"):
+        plan = TrialPlan(n=1, k=1, ell=1, trials=1, seed=0)
+        stub = ExperimentSummary(name, plan, 0.0, 1.0, 0.0, 0.0, True)
+        monkeypatch.setattr(exp_mod, RUNNERS[name], lambda seed, stub=stub: stub)
+    everything = _timing_free_summaries(capsys, "all")
+    for name in ("chernoff", "mgf"):
+        flagless = _timing_free_summaries(capsys, name)
+        assert {record["mode"] for record in flagless} == {"exhaustive"}
+        assert _timing_free_summaries(capsys, name, "--exhaustive") == flagless
+        assert [r for r in everything if r["name"].startswith(name)] == flagless
 
 
 # A value each experiment flag parses, by the runner keyword it sets.
@@ -615,8 +628,8 @@ def _runner_parameters(name):
     ],
 )
 def test_integer_flag_below_one_is_usage_error(capsys, name, flag, value):
-    # chernoff and mgf at --l 0, by Monte Carlo, once divided by zero and
-    # exited 1 with a traceback
+    # chernoff and mgf at --l 0, when they could run Monte Carlo, once
+    # divided by zero and exited 1 with a traceback
     code, out, err = run_cli(capsys, "experiment", name, flag, value)
     assert (code, out) == (2, "")
     (line,) = err.splitlines()
@@ -634,8 +647,8 @@ def _parse_status(argv):
 
 
 def test_flag_table_covers_every_runner_keyword():
-    # every keyword parameter of a runner, bar seed and mode, has its flag
-    keywords = {p for name in RUNNERS for p in _runner_parameters(name)} - {"seed", "mode"}
+    # every keyword parameter of a runner, bar seed, has its flag
+    keywords = {p for name in RUNNERS for p in _runner_parameters(name)} - {"seed"}
     assert keywords == set(_FLAGS) == set(FLAG_VALUES)
 
 
@@ -649,10 +662,11 @@ def test_each_experiment_takes_exactly_its_runners_flags(name, keyword):
 
 
 @pytest.mark.parametrize("name", [*RUNNERS, "all"])
-def test_exhaustive_only_where_the_runner_has_a_mode(name):
-    has_mode = name != "all" and "mode" in _runner_parameters(name)
-    assert _parse_status(["experiment", name, "--exhaustive"]) == (0 if has_mode else 2)
-    if has_mode:
+def test_exhaustive_only_on_chernoff_and_mgf(name):
+    # the flag that changes nothing is taken only where it once chose a mode
+    takes = name in ("chernoff", "mgf")
+    assert _parse_status(["experiment", name, "--exhaustive"]) == (0 if takes else 2)
+    if takes:
         for order in (("--exhaustive", "--trials", "5"), ("--trials", "5", "--exhaustive")):
             assert _parse_status(["experiment", name, *order]) == 2
 
@@ -663,7 +677,7 @@ def test_experiment_help_lists_exactly_its_runners_flags(capsys, name):
     assert code == 0
     params = () if name == "all" else _runner_parameters(name)
     expected = {flag for keyword, (_, flag, _) in _FLAGS.items() if keyword in params}
-    expected |= {"--exhaustive"} if "mode" in params else set()
+    expected |= {"--exhaustive"} if name in ("chernoff", "mgf") else set()
     options = out.split("options:", 1)[1]
     assert set(re.findall(r"--\w+", options)) == expected | {"--help", "--seed", "--format", "--output"}
 

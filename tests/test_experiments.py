@@ -88,13 +88,7 @@ SMALL_RUNS = {
     "rownorm": lambda i: [run_row_norm_trials(i(64), i(4), i(4), trials=i(5), seed=i(3))],
     "coupon": lambda i: run_coupon_trials(i(2), [i(2), i(3)], trials=i(3), seed=i(3)),
     "chernoff": lambda i: run_chernoff_validation(i(8), i(2), i(3), (0.5,), seed=i(3)),
-    "chernoff-mc": lambda i: run_chernoff_validation(
-        i(8), i(2), i(3), (0.5,), seed=i(3), mode="monte_carlo", trials=i(20)
-    ),
     "mgf": lambda i: run_mgf_domination(i(8), i(2), i(2), (1.0,), seed=i(3)),
-    "mgf-mc": lambda i: run_mgf_domination(
-        i(8), i(2), i(2), (1.0,), seed=i(3), mode="monte_carlo", trials=i(20)
-    ),
 }
 
 
@@ -116,11 +110,9 @@ def test_numpy_integer_arguments_give_the_plain_record(run, as_int):
     [
         lambda: run_coupon_trials(ell_grid=(), trials=10),
         lambda: run_chernoff_validation(deviation_grid=()),
-        lambda: run_chernoff_validation(deviation_grid=[], mode="monte_carlo", trials=10),
         lambda: run_mgf_domination(theta_grid=()),
-        lambda: run_mgf_domination(theta_grid=np.array([]), mode="monte_carlo", trials=10),
     ],
-    ids=["coupon", "chernoff", "chernoff-mc", "mgf", "mgf-mc"],
+    ids=["coupon", "chernoff", "mgf"],
 )
 def test_an_empty_grid_is_refused_before_drawing(run):
     # each returned [], a run that checked nothing
@@ -137,8 +129,8 @@ def test_an_empty_grid_is_refused_before_drawing(run):
         lambda seed: run_row_norm_trials(64, 4, 2.0, trials=3, seed=seed),
         lambda seed: run_row_norm_trials(64, 1, 16.0, trials=3, seed=seed),
         lambda seed: run_coupon_trials(2, (2,), trials=3, seed=seed),
-        lambda seed: run_chernoff_validation(8, 2, 3, [0.5], seed=seed, mode="monte_carlo"),
-        lambda seed: run_mgf_domination(seed=seed, mode="monte_carlo", trials=3),
+        lambda seed: run_chernoff_validation(8, 2, 3, [0.5], seed=seed),
+        lambda seed: run_mgf_domination(seed=seed),
     ],
     ids=["embedding", "rownorm", "rownorm-k1", "coupon", "chernoff", "mgf"],
 )
@@ -457,43 +449,31 @@ def test_embedding_draws_take_the_dict_shuffle_once_per_operator():
 
 def test_chernoff_exhaustive_dominates_everywhere():
     grid = [round(0.1 * i, 1) for i in range(1, 10)]
-    out = run_chernoff_validation(8, 2, 3, grid, seed=11, mode="exhaustive")
+    out = run_chernoff_validation(8, 2, 3, grid, seed=11)
     assert len(out) == 18
     assert all(s.passed for s in out)
     assert all(s.plan.trials == math.comb(8, 3) for s in out)
 
 
 def test_chernoff_zero_deviation_is_trivial():
-    out = run_chernoff_validation(8, 2, 3, [0.0], seed=12, mode="exhaustive")
+    out = run_chernoff_validation(8, 2, 3, [0.0], seed=12)
     lower = next(s for s in out if s.name.startswith("chernoff_lower"))
     assert lower.analytic_bound == pytest.approx(2.0)  # bound is k >= any probability
     assert lower.passed
 
 
-def test_chernoff_monte_carlo_tracks_exhaustive():
-    grid = [0.3, 0.6]
-    exact = run_chernoff_validation(8, 2, 3, grid, seed=13, mode="exhaustive")
-    sampled = run_chernoff_validation(8, 2, 3, grid, seed=13, mode="monte_carlo", trials=4000)
-    for e, s in zip(exact, sampled):
-        b = min(e.empirical_frequency, 1.0)
-        slack = 4 * math.sqrt(max(b * (1 - b), 1e-12) / 4000)
-        assert abs(s.empirical_frequency - e.empirical_frequency) <= slack
-        assert s.passed
-
-
-@pytest.mark.parametrize("mode", ["exhaustive", "monte_carlo"])
 @pytest.mark.parametrize("delta", [1.5, math.nan, -0.1])
-def test_chernoff_rejects_a_bad_deviation_before_any_subset(mode, delta):
+def test_chernoff_rejects_a_bad_deviation_before_any_subset(delta):
     stacks = _Recorder(exp_mod._sampled_gram_eigenvalues)
     with mock.patch.object(exp_mod, "_sampled_gram_eigenvalues", stacks):
         with pytest.raises(ValueError, match="deviation"):
-            run_chernoff_validation(16, 2, 6, [0.5, delta], mode=mode, trials=50)
+            run_chernoff_validation(16, 2, 6, [0.5, delta])
     assert stacks.calls == []
 
 
 def test_chernoff_exhaustive_cap():
     with pytest.raises(ValueError):
-        run_chernoff_validation(64, 2, 32, [0.5], seed=0, mode="exhaustive")
+        run_chernoff_validation(64, 2, 32, [0.5], seed=0)
 
 
 def test_chernoff_bound_uses_realized_parameters():
@@ -503,7 +483,7 @@ def test_chernoff_bound_uses_realized_parameters():
     from srhtlab.linalg import random_orthonormal
 
     n, k, ell, seed = 8, 2, 3, 11
-    out = run_chernoff_validation(n, k, ell, [0.4], seed=seed, mode="exhaustive")
+    out = run_chernoff_validation(n, k, ell, [0.4], seed=seed)
     w = random_orthonormal(n, k, (seed, 0, 0, 0))
     b_max = float(np.max(np.sum(w * w, axis=1)))
     params = ChernoffParams(k, b_max, ell / n, ell / n, 0.4)
@@ -520,7 +500,7 @@ def test_chernoff_exhaustive_matches_independent_enumeration():
     from srhtlab.linalg import random_orthonormal
 
     n, k, ell, seed, d = 8, 2, 3, 19, 0.5
-    out = run_chernoff_validation(n, k, ell, [d], seed=seed, mode="exhaustive")
+    out = run_chernoff_validation(n, k, ell, [d], seed=seed)
     w = random_orthonormal(n, k, (seed, 0, 0, 0))
     mu = ell / n
     lam_min, lam_max = [], []
@@ -540,7 +520,7 @@ def test_chernoff_exhaustive_matches_independent_enumeration():
 # --- mgf domination ---------------------------------------------------------
 
 def test_mgf_theta_zero_gives_dimension():
-    out = run_mgf_domination(6, 2, 2, [0.0], seed=14, mode="exhaustive")
+    out = run_mgf_domination(6, 2, 2, [0.0], seed=14)
     s = out[0]
     assert s.extreme_sigma_min == pytest.approx(2.0, rel=1e-12)
     assert s.extreme_sigma_max == pytest.approx(2.0, rel=1e-12)
@@ -550,7 +530,7 @@ def test_mgf_theta_zero_gives_dimension():
 def test_mgf_single_draw_models_coincide():
     # at ell = 1 both sides list the same n one-row lists in the same blocks,
     # so the two means are the same float and the ratio is exactly 1
-    out = run_mgf_domination(6, 2, 1, [0.7, 1.3], seed=15, mode="exhaustive")
+    out = run_mgf_domination(6, 2, 1, [0.7, 1.3], seed=15)
     for s in out:
         assert s.extreme_sigma_min == s.extreme_sigma_max
         assert s.empirical_frequency == 1.0
@@ -558,7 +538,7 @@ def test_mgf_single_draw_models_coincide():
 
 
 def test_mgf_exhaustive_domination_holds():
-    out = run_mgf_domination(8, 2, 3, [0.5, 1.0, 2.0], seed=16, mode="exhaustive")
+    out = run_mgf_domination(8, 2, 3, [0.5, 1.0, 2.0], seed=16)
     for s in out:
         assert s.extreme_sigma_min <= s.extreme_sigma_max * (1 + 1e-10)
         assert s.empirical_frequency <= 1.0 + 1e-10
@@ -573,7 +553,7 @@ def test_mgf_with_replacement_matches_sequence_enumeration():
     from srhtlab.linalg import random_orthonormal
 
     n, k, ell, seed, theta = 4, 2, 3, 20, 1.3
-    out = run_mgf_domination(n, k, ell, [theta], seed=seed, mode="exhaustive")
+    out = run_mgf_domination(n, k, ell, [theta], seed=seed)
     w = random_orthonormal(n, k, (seed, 0, 0, 0))
     values = []
     for seq in itertools.product(range(n), repeat=ell):
@@ -605,35 +585,23 @@ def test_mgf_with_replacement_mean_equals_the_weighted_multisets(n, k, ell):
     from srhtlab.linalg import random_orthonormal
 
     thetas, seed = [0.5, 1.3, 2.0], 27
-    out = run_mgf_domination(n, k, ell, thetas, seed=seed, mode="exhaustive")
+    out = run_mgf_domination(n, k, ell, thetas, seed=seed)
     w = random_orthonormal(n, k, (seed, 0, 0, 0))
     for s, theta in zip(out, thetas):
         assert abs(s.extreme_sigma_max - _multiset_weighted_mean(w, ell, theta)) <= 1e-12
 
 
-def test_mgf_monte_carlo_mode():
-    out = run_mgf_domination(8, 2, 3, [1.0], seed=17, mode="monte_carlo", trials=500)
-    assert out[0].passed
-
-
-def test_mgf_monte_carlo_needs_two_trials():
-    # one sample has no standard error to allow for
-    with pytest.raises(ValueError, match="trials >= 2"):
-        run_mgf_domination(8, 2, 3, [1.0], seed=17, mode="monte_carlo", trials=1)
-
-
 def test_exhaustive_plan_needs_a_sample():
     for runner in (run_chernoff_validation, run_mgf_domination):
         with pytest.raises(ValueError, match="ell"):
-            runner(8, 2, 0, [0.5], mode="exhaustive")
+            runner(8, 2, 0, [0.5])
 
 
 def test_mgf_sequence_cap():
     with pytest.raises(ValueError):
-        run_mgf_domination(16, 2, 8, [1.0], seed=0, mode="exhaustive")  # 16^8 sequences
+        run_mgf_domination(16, 2, 8, [1.0], seed=0)  # 16^8 sequences
 
 
-@pytest.mark.parametrize("mode", ["exhaustive", "monte_carlo"])
 @pytest.mark.parametrize(
     "theta, message",
     [
@@ -642,23 +610,16 @@ def test_mgf_sequence_cap():
         (2000.0, "leaves the float64 range"),  # exp(2000 * lambda) overflows
     ],
 )
-def test_mgf_rejects_theta_outside_the_float_range(mode, theta, message):
+def test_mgf_rejects_theta_outside_the_float_range(theta, message):
     with pytest.raises(ValueError, match=message):
-        run_mgf_domination(8, 2, 3, [1.0, theta], seed=0, mode=mode, trials=50)
-
-
-def test_mgf_rejects_an_overflowed_standard_error():
-    # at theta = 200 the traces (about 1e171) are finite but their squared
-    # deviations overflow, which once gave an infinite allowance and a pass
-    with pytest.raises(ValueError, match="leaves the float64 range"):
-        run_mgf_domination(8, 2, 3, [200.0], seed=0, mode="monte_carlo", trials=300)
+        run_mgf_domination(8, 2, 3, [1.0, theta], seed=0)
 
 
 def test_mgf_rejects_underflowed_traces():
     # k = 1: every sum has a positive eigenvalue, so both means underflow to
     # 0 and the ratio would be 0 / 0
     with pytest.raises(ValueError, match="leaves the float64 range"):
-        run_mgf_domination(8, 1, 3, [-1e6], seed=0, mode="exhaustive")
+        run_mgf_domination(8, 1, 3, [-1e6], seed=0)
 
 
 # --- reproducibility and serialization --------------------------------------
@@ -794,7 +755,9 @@ def test_json_records_roundtrip():
 # were re-recorded when a sketch's singular values moved from an SVD to the
 # roots of its Gram eigenvalues; the hashes they replaced are
 # GOLDEN_SVD_SUMMARY_SHA256, and their records are pinned as literals in
-# GOLDEN_SVD_EMBEDDING.
+# GOLDEN_SVD_EMBEDDING.  The Monte Carlo Chernoff and mgf runs, with every
+# golden and literal of theirs, went when those runners became exhaustive
+# only.
 GOLDEN_RUNS = {
     "embedding_256x8": lambda seed: [
         run_embedding_trials(256, 8, ell=64, trials=300, seed=seed)
@@ -803,16 +766,8 @@ GOLDEN_RUNS = {
     "rownorm_64x64": lambda seed: [run_row_norm_trials(64, 64, 2.0, trials=20, seed=seed)],
     "coupon_k4": lambda seed: run_coupon_trials(4, (4, 6, 8, 10), trials=400, seed=seed),
     "coupon_k2": lambda seed: run_coupon_trials(2, (2, 3), trials=500, seed=seed),
-    "chernoff_exhaustive": lambda seed: run_chernoff_validation(
-        8, 2, 3, seed=seed, mode="exhaustive"
-    ),
-    "chernoff_monte_carlo": lambda seed: run_chernoff_validation(
-        16, 2, 6, seed=seed, mode="monte_carlo", trials=300
-    ),
-    "mgf_exhaustive": lambda seed: run_mgf_domination(8, 2, 3, seed=seed, mode="exhaustive"),
-    "mgf_monte_carlo": lambda seed: run_mgf_domination(
-        8, 2, 3, seed=seed, mode="monte_carlo", trials=300
-    ),
+    "chernoff_exhaustive": lambda seed: run_chernoff_validation(8, 2, 3, seed=seed),
+    "mgf_exhaustive": lambda seed: run_mgf_domination(8, 2, 3, seed=seed),
 }
 GOLDEN_SUMMARY_SHA256 = {
     ("embedding_256x8", 0):
@@ -827,10 +782,6 @@ GOLDEN_SUMMARY_SHA256 = {
         "2480fae6e2a8f382299762b57eee5537e85d2c8105b176ec237f896b479216c5",
     ("chernoff_exhaustive", 12345):
         "3112cd0d513120737dfffbaa2850348061459300bf9f1ba137e806d042be9ce7",
-    ("chernoff_monte_carlo", 0):
-        "a4f0fdadb5025e28337a73746dae4b9860f4c2c4a75ab6437474da267e0f7992",
-    ("chernoff_monte_carlo", 12345):
-        "4df9fefcdd54b56e05767aa3edd14778046270a9167daf092eacb0f5d617c3f8",
     ("rownorm_256x8", 0):
         "5fc23797e9398c6a580c4c03b126001f1056c81f02feda5c736e71bea4692bc1",
     ("rownorm_256x8", 12345):
@@ -843,10 +794,6 @@ GOLDEN_SUMMARY_SHA256 = {
         "09eb501ddc0d6640602d4c5afe2546b5cf99318f94ab6b4464278f001c3a3eed",
     ("mgf_exhaustive", 12345):
         "3c2afb17aa65e978b413d5fc54fbee50455c33145dd93e344ecfd187c7170fd4",
-    ("mgf_monte_carlo", 0):
-        "c89b96ddc000ef2a669719876d55361303d86fbcd0bf5bf388771da09f3b3743",
-    ("mgf_monte_carlo", 12345):
-        "4d1bf1b6d428c6ae81b88b55768a93ed416a625ec3f32dc785feda9539472564",
 }
 
 GOLDEN_SVD_SUMMARY_SHA256 = {
@@ -861,10 +808,6 @@ GOLDEN_MGF_MULTISET_SHA256 = {
         "ebd063178cb6c5119673584b45c9d8b186ba439d105283bbed1f7146a05de84f",
     ("mgf_exhaustive", 12345):
         "3f60b1d661507934178f995f3bf16a056c99ded8a51f0b864f68a73b77b99176",
-    ("mgf_monte_carlo", 0):
-        "7eadcc8421198c37c229f5a4b95d5a16f149b499e1ce0173826835390129e3a3",
-    ("mgf_monte_carlo", 12345):
-        "78bb77260179ae7d6a715a6a768e63bb85f1ba39215551a4e220a49b3fa268ac",
 }
 
 GOLDEN_ROWNORM_ROW_SUM_SHA256 = {
@@ -875,10 +818,6 @@ GOLDEN_ROWNORM_ROW_SUM_SHA256 = {
 GOLDEN_TWO_PASS_SUMMARY_SHA256 = {
     ("chernoff_exhaustive", 0):
         "9afe702acbed0228b9a72381f17a8d945300c24b001a7b1a6108ce684c0c0f27",
-    ("chernoff_monte_carlo", 0):
-        "b6d9515df74c1396648d503bb6ee5e86ec7d557d800dfbec6aa7bffdff7c5d2e",
-    ("chernoff_monte_carlo", 12345):
-        "7b97dece783b81f1fc54b54ded8de98d9b50bd17a3bb2cf0b3ec47aa51ebab4c",
     ("embedding_256x8", 0):
         "2d471e5d1ed3e1123df771fda7b277b57488dbfcec8f905f5d56ce3260b0b898",
     ("mgf_exhaustive", 0):
@@ -966,16 +905,6 @@ GOLDEN_MGF = {
         (3.040116703810147, 3.111620338921412, True),
         (5.049130280669369, 5.726681283961658, True),
     ],
-    ("mgf_monte_carlo", 0): [
-        (2.4205090867274106, 2.470476380686716, True),
-        (2.994290221895683, 3.1888023083292456, True),
-        (4.894558541685605, 6.290737388312944, True),
-    ],
-    ("mgf_monte_carlo", 12345): [
-        (2.450778700827479, 2.427234601459361, True),
-        (3.072161907734223, 3.0486232008616594, True),
-        (5.163405786923376, 5.457790756390698, True),
-    ],
 }
 
 
@@ -1035,46 +964,6 @@ GOLDEN_HOUSEHOLDER_RECORDS = {
         (7, True, 1.398987112617471, 0.04658858358345635, 0.9555251357925445),
         (24, True, 1.6864711729459825, 0.04658858358345635, 0.9555251357925445),
     ],
-    ("chernoff_monte_carlo", 0): [
-        (253, True, 1.9911991888640117, 0.11686306233662204, 0.9295997538556066),
-        (233, True, 1.9917665468130101, 0.11686306233662204, 0.9295997538556066),
-        (246, True, 1.9637177808511155, 0.11686306233662204, 0.9295997538556066),
-        (217, True, 1.9682397018614999, 0.11686306233662204, 0.9295997538556066),
-        (222, True, 1.9160440671792909, 0.11686306233662204, 0.9295997538556066),
-        (200, True, 1.931212575183512, 0.11686306233662204, 0.9295997538556066),
-        (185, True, 1.8468308859573235, 0.11686306233662204, 0.9295997538556066),
-        (176, True, 1.8824900930620512, 0.11686306233662204, 0.9295997538556066),
-        (141, True, 1.7548989915706061, 0.11686306233662204, 0.9295997538556066),
-        (164, True, 1.8238526070095447, 0.11686306233662204, 0.9295997538556066),
-        (78, True, 1.639176255326175, 0.11686306233662204, 0.9295997538556066),
-        (136, True, 1.757024595706064, 0.11686306233662204, 0.9295997538556066),
-        (45, True, 1.4984721443443374, 0.11686306233662204, 0.9295997538556066),
-        (97, True, 1.6836488736593638, 0.11686306233662204, 0.9295997538556066),
-        (12, True, 1.330751389470096, 0.11686306233662204, 0.9295997538556066),
-        (53, True, 1.60526631424642, 0.11686306233662204, 0.9295997538556066),
-        (5, True, 1.1302683245354783, 0.11686306233662204, 0.9295997538556066),
-        (26, True, 1.5233008357840871, 0.11686306233662204, 0.9295997538556066),
-    ],
-    ("chernoff_monte_carlo", 12345): [
-        (250, True, 1.9909122029886583, 0.17220552980369766, 0.9263171486109871),
-        (231, True, 1.9914980224028493, 0.17220552980369766, 0.9263171486109871),
-        (221, True, 1.9625431280819312, 0.17220552980369766, 0.9263171486109871),
-        (198, True, 1.967210222976379, 0.17220552980369766, 0.9263171486109871),
-        (196, True, 1.9133603999844673, 0.17220552980369766, 0.9263171486109871),
-        (161, True, 1.9290047449528116, 0.17220552980369766, 0.9263171486109871),
-        (165, True, 1.8420278408327055, 0.17220552980369766, 0.9263171486109871),
-        (131, True, 1.8787682596253077, 0.17220552980369766, 0.9263171486109871),
-        (137, True, 1.7474164951303082, 0.17220552980369766, 0.9263171486109871),
-        (101, True, 1.8183650980497212, 0.17220552980369766, 0.9263171486109871),
-        (95, True, 1.6285521395476175, 0.17220552980369766, 0.9263171486109871),
-        (77, True, 1.7496022551514716, 0.17220552980369766, 0.9263171486109871),
-        (47, True, 1.4843994585844382, 0.17220552980369766, 0.9263171486109871),
-        (62, True, 1.674200664928128, 0.17220552980369766, 0.9263171486109871),
-        (14, True, 1.3131494484273991, 0.17220552980369766, 0.9263171486109871),
-        (50, True, 1.5937727138080329, 0.17220552980369766, 0.9263171486109871),
-        (1, True, 1.1093817807204387, 0.17220552980369766, 0.9263171486109871),
-        (35, True, 1.5098056807989464, 0.17220552980369766, 0.9263171486109871),
-    ],
     ("embedding_256x8", 0): [
         (0, True, 0.375, 0.5827189186450306, 1.3854659139912489),
     ],
@@ -1087,16 +976,6 @@ GOLDEN_HOUSEHOLDER_RECORDS = {
         (0.9950391265560895, True, 1.0, 2.4386857707883216, 2.450844098190198),
         (0.9770204500154251, True, 1.0, 3.040116703810147, 3.111620338921411),
         (0.8816852257537255, True, 1.0, 5.049130280669369, 5.726681283961658),
-    ],
-    ("mgf_monte_carlo", 0): [
-        (0.9797742272098081, True, 1.0, 2.4205090867274106, 2.4704763806867156),
-        (0.9390015223190565, True, 1.0, 2.994290221895683, 3.1888023083292456),
-        (0.7780579985390605, True, 1.0, 4.894558541685604, 6.290737388312941),
-    ],
-    ("mgf_monte_carlo", 12345): [
-        (1.0096999685790413, True, 1.0, 2.450778700827479, 2.4272346014593613),
-        (1.0077210941863561, True, 1.0, 3.072161907734223, 3.0486232008616594),
-        (0.9460615141533936, True, 1.0, 5.163405786923376, 5.457790756390695),
     ],
 }
 
@@ -1140,46 +1019,6 @@ GOLDEN_TWO_PASS_RECORDS = {
         (9, True, 1.3728876375828827, 0.06576678087743802, 0.9677034537609378),
         (27, True, 1.671386895855885, 0.06576678087743802, 0.9677034537609378),
     ],
-    ("chernoff_monte_carlo", 0): [
-        (253, True, 1.9911991888640117, 0.1168630623366222, 0.9295997538556068),
-        (233, True, 1.9917665468130101, 0.1168630623366222, 0.9295997538556068),
-        (246, True, 1.9637177808511155, 0.1168630623366222, 0.9295997538556068),
-        (217, True, 1.9682397018614999, 0.1168630623366222, 0.9295997538556068),
-        (222, True, 1.9160440671792909, 0.1168630623366222, 0.9295997538556068),
-        (200, True, 1.931212575183512, 0.1168630623366222, 0.9295997538556068),
-        (185, True, 1.8468308859573235, 0.1168630623366222, 0.9295997538556068),
-        (176, True, 1.8824900930620514, 0.1168630623366222, 0.9295997538556068),
-        (141, True, 1.7548989915706064, 0.1168630623366222, 0.9295997538556068),
-        (164, True, 1.8238526070095447, 0.1168630623366222, 0.9295997538556068),
-        (78, True, 1.639176255326175, 0.1168630623366222, 0.9295997538556068),
-        (136, True, 1.757024595706064, 0.1168630623366222, 0.9295997538556068),
-        (45, True, 1.4984721443443376, 0.1168630623366222, 0.9295997538556068),
-        (97, True, 1.683648873659364, 0.1168630623366222, 0.9295997538556068),
-        (12, True, 1.3307513894700962, 0.1168630623366222, 0.9295997538556068),
-        (53, True, 1.60526631424642, 0.1168630623366222, 0.9295997538556068),
-        (5, True, 1.1302683245354788, 0.1168630623366222, 0.9295997538556068),
-        (26, True, 1.5233008357840874, 0.1168630623366222, 0.9295997538556068),
-    ],
-    ("chernoff_monte_carlo", 12345): [
-        (250, True, 1.9909122029886583, 0.1722055298036976, 0.9263171486109874),
-        (231, True, 1.9914980224028493, 0.1722055298036976, 0.9263171486109874),
-        (221, True, 1.9625431280819312, 0.1722055298036976, 0.9263171486109874),
-        (198, True, 1.967210222976379, 0.1722055298036976, 0.9263171486109874),
-        (196, True, 1.9133603999844673, 0.1722055298036976, 0.9263171486109874),
-        (161, True, 1.9290047449528116, 0.1722055298036976, 0.9263171486109874),
-        (165, True, 1.8420278408327055, 0.1722055298036976, 0.9263171486109874),
-        (131, True, 1.8787682596253077, 0.1722055298036976, 0.9263171486109874),
-        (137, True, 1.7474164951303084, 0.1722055298036976, 0.9263171486109874),
-        (101, True, 1.8183650980497212, 0.1722055298036976, 0.9263171486109874),
-        (95, True, 1.6285521395476177, 0.1722055298036976, 0.9263171486109874),
-        (77, True, 1.7496022551514718, 0.1722055298036976, 0.9263171486109874),
-        (47, True, 1.4843994585844384, 0.1722055298036976, 0.9263171486109874),
-        (62, True, 1.6742006649281282, 0.1722055298036976, 0.9263171486109874),
-        (14, True, 1.3131494484273993, 0.1722055298036976, 0.9263171486109874),
-        (50, True, 1.5937727138080329, 0.1722055298036976, 0.9263171486109874),
-        (1, True, 1.109381780720439, 0.1722055298036976, 0.9263171486109874),
-        (35, True, 1.5098056807989466, 0.1722055298036976, 0.9263171486109874),
-    ],
     ("embedding_256x8", 0): [
         (0, True, 0.375, 0.5827189186450307, 1.3854659139912493),
     ],
@@ -1218,13 +1057,12 @@ def _recomputed_passed(record):
     if record["name"].startswith("coupon"):
         return abs(empirical - bound) <= monte_carlo_slack(bound, trials)
     if record["name"].startswith("mgf"):
-        assert record["mode"] == "exhaustive"  # the Monte Carlo allowance is not recorded
         return record["extreme_sigma_min"] <= record["extreme_sigma_max"] * (1.0 + 1e-10)
     slack = 0.0 if record["mode"] == "exhaustive" else monte_carlo_slack(bound, trials)
     return empirical <= bound + slack
 
 
-@pytest.mark.parametrize("run", sorted(set(GOLDEN_RUNS) - {"mgf_monte_carlo"}))
+@pytest.mark.parametrize("run", sorted(GOLDEN_RUNS))
 @pytest.mark.parametrize("seed", [0, 12345])
 def test_passed_is_recomputable_from_the_record(run, seed):
     records = json.loads(_report(GOLDEN_RUNS[run](seed)))
@@ -1401,10 +1239,8 @@ def _check_row_list_stacks(calls, w, sides, block):
     assert calls == []
 
 
-def _without_replacement_lists(n, ell, mode, trials, seed):
-    if mode == "exhaustive":
-        return [list(s) for s in itertools.combinations(range(n), ell)]
-    return [list(oracle.subset(n, ell, (seed, 1, 0, i))) for i in range(trials)]
+def _without_replacement_lists(n, ell):
+    return [list(s) for s in itertools.combinations(range(n), ell)]
 
 
 def _recorded_stacks(runner, block_bytes, *args, **kwargs):
@@ -1418,51 +1254,38 @@ def _recorded_stacks(runner, block_bytes, *args, **kwargs):
 
 
 @given(
-    mode=st.sampled_from(["exhaustive", "monte_carlo"]),
     shape=st.sampled_from([(4, 1, 2), (8, 2, 3), (8, 3, 5), (16, 2, 3)]),
     block=st.integers(1, 7),
-    trials=st.integers(1, 40),
     seed=st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=30)
-def test_stacked_chernoff_eigenvalues_equal_each_subset_alone(mode, shape, block, trials, seed):
+def test_stacked_chernoff_eigenvalues_equal_each_subset_alone(shape, block, seed):
     from srhtlab.linalg import random_orthonormal
 
     n, k, ell = shape
     calls = _recorded_stacks(
-        run_chernoff_validation, block * ell * k * 8,
-        n, k, ell, [0.5], seed=seed, mode=mode, trials=trials,
+        run_chernoff_validation, block * ell * k * 8, n, k, ell, [0.5], seed=seed
     )
     w = random_orthonormal(n, k, (seed, 0, 0, 0))
-    _check_row_list_stacks(calls, w, [_without_replacement_lists(n, ell, mode, trials, seed)],
-                           block)
+    _check_row_list_stacks(calls, w, [_without_replacement_lists(n, ell)], block)
 
 
 @given(
-    mode=st.sampled_from(["exhaustive", "monte_carlo"]),
     shape=st.sampled_from([(4, 1, 2), (4, 2, 3), (8, 2, 3), (6, 3, 2)]),
     block=st.integers(1, 7),
-    trials=st.integers(2, 40),
     seed=st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=30)
-def test_stacked_mgf_eigenvalues_equal_each_row_list_alone(mode, shape, block, trials, seed):
+def test_stacked_mgf_eigenvalues_equal_each_row_list_alone(shape, block, seed):
     # the with-replacement side lists a row once per draw: every ell-sequence
-    # in lexicographic order, or the raw draws of substream (seed, 1, 1, i)
+    # in lexicographic order
     from srhtlab.linalg import random_orthonormal
 
     n, k, ell = shape
-    calls = _recorded_stacks(
-        run_mgf_domination, block * ell * k * 8,
-        n, k, ell, [0.5], seed=seed, mode=mode, trials=trials,
-    )
-    if mode == "exhaustive":
-        with_lists = [list(m) for m in itertools.product(range(n), repeat=ell)]
-    else:
-        with_lists = [list(oracle.with_replacement(n, ell, (seed, 1, 1, i)))
-                      for i in range(trials)]
+    calls = _recorded_stacks(run_mgf_domination, block * ell * k * 8, n, k, ell, [0.5], seed=seed)
+    with_lists = [list(m) for m in itertools.product(range(n), repeat=ell)]
     w = random_orthonormal(n, k, (seed, 0, 0, 0))
-    sides = [_without_replacement_lists(n, ell, mode, trials, seed), with_lists]
+    sides = [_without_replacement_lists(n, ell), with_lists]
     _check_row_list_stacks(calls, w, sides, block)
 
 
@@ -1729,16 +1552,26 @@ HEADLINE_DEFAULTS = {
         "k": 2,
         "ell": 6,
         "deviation_grid": (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9),
-        "mode": "exhaustive",
     },
     run_mgf_domination: {
         "n": 8,
         "k": 2,
         "ell": 3,
         "theta_grid": (0.5, 1.0, 2.0),
-        "mode": "exhaustive",
     },
 }
+
+
+@pytest.mark.parametrize(
+    "runner", [run_chernoff_validation, run_mgf_domination], ids=lambda r: r.__name__
+)
+def test_chernoff_and_mgf_only_enumerate(runner):
+    # no mode and no trial count to choose, and no operator draw: every
+    # sampler in srht is patched to raise
+    assert not {"mode", "trials"} & set(inspect.signature(runner).parameters)
+    with mock.patch.object(srht_mod, "draw_integers", side_effect=AssertionError("drew")):
+        out = runner(seed=0)
+    assert {s.plan.mode for s in out} == {"exhaustive"}
 
 
 @pytest.mark.parametrize("runner", HEADLINE_DEFAULTS, ids=lambda r: r.__name__)

@@ -15,12 +15,7 @@ import numpy as np
 import pytest
 
 from srhtlab import experiments, srht
-from srhtlab.experiments import (
-    run_coupon_trials,
-    run_embedding_trials,
-    run_mgf_domination,
-    run_row_norm_trials,
-)
+from srhtlab.experiments import run_coupon_trials, run_embedding_trials, run_row_norm_trials
 
 
 def _lower_half_swaps(subsets):
@@ -35,9 +30,11 @@ def _short_of_last_swaps(subsets):
     return lambda offsets, n, ell: subsets(np.minimum(offsets, n - 2 - np.arange(ell)), n, ell)
 
 
-def _even_rows(sample):
-    # a uniform ell-subset of the even rows only
-    return lambda n, ell, seeds: 2 * sample(n // 2, ell, seeds)
+def _even_rows(subsets):
+    # a uniform ell-subset of the even rows only: the offsets are taken mod
+    # the ranges of an ell-subset of n / 2, before either shuffle path sees
+    # them, and its positions doubled
+    return lambda offsets, n, ell: 2 * subsets(offsets % (n // 2 - np.arange(ell)), n // 2, ell)
 
 
 def _no_sketch_reaches_full_rank(out):
@@ -54,10 +51,10 @@ def _every_coverage_within_the_slack(out):
     assert [s.empirical_frequency for s in out] == [0.0033, 0.1428, 0.5196, 0.8621]
 
 
-def _every_ratio_above_one(out):
-    # seed 0 reads 1.067, 1.120 and 1.139; at 500 trials one summary passes
-    assert [s.plan.trials for s in out] == [2000] * 3
-    assert all(s.empirical_frequency > 1.0 for s in out)
+def _every_coverage_too_high(out):
+    # exact 0.1433, 0.5142 and 0.8646; ell = 8 passes (0.005 against 0.0038)
+    assert [(s.plan.ell, s.plan.trials) for s in out] == [(12, 2000), (17, 2000), (24, 2000)]
+    assert [s.empirical_frequency for s in out] == [0.2135, 0.687, 0.985]
 
 
 def _unscaled(sketch):
@@ -102,9 +99,10 @@ DEFECTS = {
         srht, "_subsets", _lower_half_swaps,
         lambda: run_coupon_trials(seed=0), _no_sketch_reaches_full_rank,
     ),
-    "even-rows-fail-monte-carlo-mgf": (
-        experiments, "sample_without_replacement", _even_rows,
-        lambda: run_mgf_domination(mode="monte_carlo", seed=0), _every_ratio_above_one,
+    "even-rows-fail-coupon": (
+        srht, "_subsets", _even_rows,
+        lambda: run_coupon_trials(ell_grid=(12, 17, 24), trials=2000, seed=0),
+        _every_coverage_too_high,
     ),
     "unscaled-sketch-fails-embedding": (
         experiments, "sketch_stack", _unscaled,

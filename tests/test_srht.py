@@ -885,6 +885,29 @@ def test_float32_sketch_of_hadamard_columns_is_bit_identical(n, k, ell):
     assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("n, k, ell", [(65536, 16, 2342), (4096, 16, 700)])
+def test_sketch_of_hadamard_columns_is_the_dyadic_shift_of_one_transform(n, k, ell, dtype):
+    # Multiplying by a Walsh function is a dyadic (XOR) shift after the
+    # transform (Fine 1949): for V the first k columns of H, entry (i, j) of
+    # H D V is (H d)[i ^ j] / sqrt(n).  So the sketch is one length-n
+    # transform, read at idx ^ j.  Every value is dyadic at these n, so the
+    # two agree bit for bit.  A transform that is not H breaks the identity:
+    # with H_{n/16} kron I_16 in place of H, entry (i, j) of T D V is
+    # +-(T d)[i] / sqrt(n), not (T d)[i ^ j] / sqrt(n).
+    v = hadamard_matrix(n, rows=range(k)).T
+    signs, indices = draw_stack(n, ell, [(3, 1, 0, 0)])
+    (got,) = sketch_stack(signs, indices, v.astype(dtype))
+    (d,), (idx,) = signs, indices
+    shifted = fwht(d)[idx[:, None] ^ np.arange(k)] / math.sqrt(n)
+    assert np.array_equal(got, shifted * (n / ell) ** 0.5)
+    # rows of the dense H, assembled from its closed form, at a few sampled
+    # indices: an oracle that shares nothing with the transform
+    picks = idx[[0, ell // 2, ell - 1]]
+    dense = hadamard_matrix(n, rows=picks) @ (d[:, None] * v)
+    assert np.array_equal(got[[0, ell // 2, ell - 1]], dense * (n / ell) ** 0.5)
+
+
 @pytest.mark.parametrize(
     "dtype, transformed",
     [(np.float64, np.float64), (np.float32, np.float32), (np.float16, np.float64),
