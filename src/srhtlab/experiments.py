@@ -107,6 +107,7 @@ from .linalg import (
     symmetric_eigenvalues,
 )
 from .srht import (
+    _draw_bytes,
     draw_stack,
     rademacher_signs,
     sketch_stack,
@@ -131,14 +132,14 @@ EXHAUSTIVE_CAP = 10**7
 MODES = ("monte_carlo", "exhaustive")
 SLACK_SIGMAS = 4.0
 # Bytes of working array per block of stacked trials, and of draw arrays per
-# draw as ``_draw_bytes`` counts them (a draw's passing arrays peak higher:
-# about 415 KiB for coupon's 192-trial draw at n = 64, ell = 24).  A larger
-# block is faster on small trials.  On the k=8 coupon run (1000 trials per
-# ell, in-process, 2-core Xeon) a 1 MiB block took about 20 % less time
-# than this one while every sketch block made its own draw, and 7-8 % less
-# (50 against 54 ms) once each draw took three sketch blocks.  It stays
-# 256 KiB: the memory tests hold the runners to it, and a 1 MiB block once
-# raised that run's peak resident memory from 40.6 to 43.0 MB.
+# draw as ``srht._draw_bytes`` counts them (a draw's passing arrays peak
+# higher: about 415 KiB for coupon's 192-trial draw at n = 64, ell = 24).
+# A larger block is faster on small trials.  On the k=8 coupon run (1000
+# trials per ell, in-process, 2-core Xeon) a 1 MiB block took about 20 %
+# less time than this one while every sketch block made its own draw, and
+# 7-8 % less (50 against 54 ms) once each draw took three sketch blocks.
+# It stays 256 KiB: the memory tests hold the runners to it, and a 1 MiB
+# block once raised that run's peak resident memory from 40.6 to 43.0 MB.
 _BLOCK_BYTES = 256 * 1024
 # An embedding trial sketched in float32 is sketched again in float64 when
 # its sigma_k or sigma_1 lies this close to its edge of the window.  Float32
@@ -153,12 +154,12 @@ class TrialPlan:
 
     The runner sets ``mode``: "exhaustive" for Chernoff and mgf,
     "monte_carlo" for the rest.  Dimensions that do not apply to a given
-    experiment are recorded as 0.  In exhaustive mode ``trials`` is the
-    number of enumerated subsets, and 1 <= ell <= n.  Every field but
-    ``mode`` goes through ``bounds._integers`` (a float, even a whole one,
-    or a bool is a TypeError that names it) and is stored as a plain int, so
-    a record can be written as JSON; a negative n, k, ell or seed is a
-    ValueError.  A bad plan is refused before anything is drawn.
+    experiment are recorded as 0.  In exhaustive mode 1 <= ell <= n, and
+    ``trials`` must be the number of enumerated subsets, C(n, ell).  Every
+    field but ``mode`` goes through ``bounds._integers`` (a float, even a
+    whole one, or a bool is a TypeError that names it) and is stored as a
+    plain int, so a record can be written as JSON; a negative n, k, ell or
+    seed is a ValueError.  A bad plan is refused before anything is drawn.
     """
 
     n: int
@@ -180,9 +181,15 @@ class TrialPlan:
             )
         if self.mode == "exhaustive":
             _sample_size(self.n, self.ell)
-            if math.comb(self.n, self.ell) > EXHAUSTIVE_CAP:
+            subsets = math.comb(self.n, self.ell)
+            if subsets > EXHAUSTIVE_CAP:
                 raise ValueError(
                     f"C({self.n}, {self.ell}) exceeds the exhaustive cap {EXHAUSTIVE_CAP}"
+                )
+            if self.trials != subsets:
+                raise ValueError(
+                    f"an exhaustive plan's trials must be C({self.n}, {self.ell}) = {subsets},"
+                    f" got {self.trials}"
                 )
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
@@ -299,19 +306,6 @@ def _fill_blocks(items, count, width, size, fn):
         out[offset : offset + len(block)] = fn(block)
         offset += len(block)
     return out
-
-
-def _draw_bytes(n, ell):
-    """Bytes per operator that the draw budget counts for a ``draw_stack``
-    call: the n + ell int64 words and n float64 signs (16 n + 8 ell), and
-    the array shuffle's n positions, of the smallest unsigned type that
-    holds n - 1.  It is that accounting, not the peak a draw holds, which
-    is larger: the seed hash and the Lemire pass hold passing arrays of
-    their own, and the shuffle its ell swap targets and ell picks per
-    operator.  At n = 64, ell = 24 it counts 1280 bytes, and tracemalloc
-    measured a 192-operator draw's peak at about 2210 bytes an operator, in
-    the Lemire pass.  The dict shuffle makes no positions."""
-    return 16 * n + 8 * ell + n * np.min_scalar_type(n - 1).itemsize
 
 
 def _sketch_spectra(v, ell, seed, stream, trials):

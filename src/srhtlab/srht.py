@@ -33,15 +33,14 @@ Every operator draw (``draw_stack``, ``rademacher_signs`` and
 ``SeedSequence`` hash and the PCG64 seeding rule, both covered by numpy's
 stream-stability policy (NEP 19); the PCG64 raw words, each read as its low
 32-bit half and then its high half; and numpy's Lemire rule for a bounded
-integer, which the module restates.  A block's seeds are hashed to their
-PCG64 states by one of two paths, with the same states; one ``PCG64`` is
-then set to each row's state and its raw words read with ``random_raw``.
-A block of two or more seeds that are all plain ints, or all tuples of one
-length of plain ints, each entry in [0, 2**63), as the runners' (seed,
-domain, stream, trial) keys are, is hashed in one vectorised pass over
-uint32 lanes that restates ``SeedSequence``'s hash; an entry is one word
-below 2**32 and two at or past it, and every entry at one position of the
-tuples must take the same count.  Any other block, a one-seed block
+integer for ranges up to 2**32, which the module restates.  A block's
+seeds are hashed to their PCG64 states by one of two paths, with the same
+states; one ``PCG64`` is then set to each row's state and its raw words
+read with ``random_raw``.  A block of two or more runner keys, (seed,
+domain, stream, trial) tuples of plain ints with the master seed in
+[0, 2**63) and the rest below 2**32, is hashed in one vectorised pass over
+uint32 lanes that restates ``SeedSequence``'s hash, if its master seeds all
+take one 32-bit word or all take two.  Any other block, a one-seed block
 included, is hashed a seed at a time by numpy's ``SeedSequence`` itself,
 and a bad seed is refused there.
 Row b is, bit for bit, the draw that ``Generator.integers`` calls would
@@ -110,8 +109,8 @@ def _entropy(seed) -> tuple:
 # SeedSequence's hash (NEP 19): each hashmix call c xors a 32-bit value with
 # _HASH_A[c], multiplies it by _HASH_A[c + 1] and folds its top half down;
 # generate_state's word j does the same with _HASH_B[j] and _HASH_B[j + 1].
-# A pool of four words takes 16 calls, plus four per entropy word past the
-# fourth.
+# A pool of four words takes 16 calls, and a fifth entropy word (the high
+# word of a two-word master seed) four more.
 _MASK32 = 0xFFFFFFFF
 _MASK128 = (1 << 128) - 1
 _POOL = 4
@@ -124,8 +123,7 @@ def _hash_constants(init, mult, count) -> np.ndarray:
     return np.array(out, dtype=np.uint32)[:, None]
 
 
-_TABLE_WORDS = 64  # entropy words the hashmix table covers, and the array hash takes
-_HASH_A = _hash_constants(0x43B0D7E5, 0x931E8875, 4 * _TABLE_WORDS + 1)
+_HASH_A = _hash_constants(0x43B0D7E5, 0x931E8875, 4 * (_POOL + 1) + 1)
 _HASH_B = _hash_constants(0x8B51F9DD, 0x58F38DED, 2 * _POOL + 1)
 _MIX_L, _MIX_R, _FOLD = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16)
 # The pool-mixing pass: step s mixes lane s into each other lane d, in
@@ -156,13 +154,15 @@ def _seed_states(seeds) -> np.ndarray:
     """4 x B uint64: column b is
     ``SeedSequence(_entropy(seeds[b])).generate_state(4, np.uint64)``.
 
-    A block ``_word_block`` takes, such as the runners' keys, is hashed in
-    one pass over its words, a uint32 lane per seed.  Any other block, a
-    one-seed block included, goes to numpy's ``SeedSequence`` a seed at a
-    time, after ``_entropy``'s refusals.  On a 2-core Xeon a one-seed block
-    took about 10-25 us that way, where the array pass took about 55-70 us
-    at two seeds and 120-250 us at 192 runner keys, with one-word or
-    two-word master seeds alike.
+    A block of runner keys, as ``_word_block`` takes them, is hashed in one
+    pass over its four or five words, a uint32 lane per seed.  Any other
+    block, a one-seed block included, goes to numpy's ``SeedSequence`` a
+    seed at a time, after ``_entropy``'s refusals.  On a 2-core Xeon VM
+    (medians of 15 in-process runs) a one-seed block took 25-27 us that way,
+    where the array pass took 118-132 us at two to eight keys and 230-250 us
+    at 192, with one-word or two-word master seeds alike: per seed, the
+    array pass wins from about five keys.  A runner's blocks are hundreds
+    of keys but for the tail of a run.
     """
     seeds = list(seeds)  # read twice below, so a generator of seeds works
     words = _word_block(seeds)
@@ -175,58 +175,41 @@ def _seed_states(seeds) -> np.ndarray:
         lane = pool[s].copy()
         pool = _mix(pool, _hashmix(lane, _HASH_A[calls], _HASH_A[calls + 1]))
         pool[s] = lane
-    for w in range(_POOL, len(words)):
-        calls = 16 + _POOL * (w - _POOL)
-        xor, mul = _HASH_A[calls : calls + _POOL], _HASH_A[calls + 1 : calls + _POOL + 1]
-        pool = _mix(pool, _hashmix(words[w], xor, mul))
+    if len(words) > _POOL:  # hashmix calls 16-19 mix the fifth word in
+        pool = _mix(pool, _hashmix(words[_POOL], _HASH_A[16:20], _HASH_A[17:21]))
     lanes = np.arange(2 * _POOL) % _POOL
     state = _hashmix(pool[lanes], _HASH_B[:-1], _HASH_B[1:]).astype(np.uint64)
     return state[0::2] | state[1::2] << np.uint64(32)
 
 
 def _word_block(seeds):
-    """max(4, w) x B uint32 entropy words of a block of two or more seeds
-    that are all plain ints, or all tuples of one length of plain ints,
-    every entry in [0, 2**63): w words a seed, at most ``_TABLE_WORDS``.
+    """4 x B or 5 x B uint32 entropy words of a block of runner keys, or None.
 
-    An entry below 2**32 is one word and one at or past it two, low word
-    first, as ``SeedSequence`` splits it; every entry at one position of the
-    tuples must take the same count.  The block is zero-padded to the
-    pool of four words as ``SeedSequence`` pads.  None for any other block:
-    a one-seed block, a list, bool or numpy entry, mixed lengths, a position
-    that mixes one- and two-word entries, an entry at or past 2**63, or more
-    than ``_TABLE_WORDS`` words.
+    A block of runner keys is two or more 4-tuples (master_seed, domain,
+    stream, trial) of plain ints, the last three below 2**32, whose master
+    seeds are all below 2**32 (one word each) or all in [2**32, 2**63) (two
+    words each).  None for any other block: a one-seed block, plain ints,
+    a list, bool or numpy entry, another length, a wide entry past the
+    master seed, master seeds of mixed widths, or a negative entry.
     """
-    if len(seeds) < 2:
+    if len(seeds) < 2 or set(map(type, seeds)) != {tuple} or set(map(len, seeds)) != {4}:
         return None
-    kinds = set(map(type, seeds))
-    entries = seeds
-    if kinds == {tuple} and len(set(map(len, seeds))) == 1:
-        entries = list(itertools.chain.from_iterable(seeds))
-        kinds = set(map(type, entries))
+    entries = list(itertools.chain.from_iterable(seeds))
     # type(True) is bool, not int, so a bool takes the per-seed refusal
-    if kinds != {int}:
+    if set(map(type, entries)) != {int}:
         return None
     try:
-        entries = np.array(entries, dtype=np.int64)
+        keys = np.array(entries, dtype="<i8").reshape(-1, 4)
     except OverflowError:  # an entry at or past 2**63
         return None
-    if entries.min() < 0:
+    if keys.min() < 0 or keys[:, 1:].max() > _MASK32:
         return None
-    entries = entries.reshape(len(seeds), -1)
-    # the entries at one position are all one word or all two
-    wide = entries > _MASK32
+    wide = keys[:, 0] > _MASK32
     if (wide != wide[0]).any():
         return None
-    # each entry's low word, then its high word where the position is wide
-    keep = np.repeat(wide[0], 2)
-    keep[::2] = True
-    halves = entries.astype("<i8", copy=False).view("<u4").T[keep]
-    if len(halves) > _TABLE_WORDS:
-        return None
-    words = np.zeros((max(_POOL, len(halves)), len(seeds)), dtype=np.uint32)
-    words[: len(halves)] = halves
-    return words
+    # each entry's low half, and a two-word master seed's high half after
+    # its low one, as SeedSequence splits it
+    return keys.view("<u4").T[[0, 1, 2, 4, 6] if wide[0] else [0, 2, 4, 6]]
 
 
 def _pcg64_states(seeds) -> list:
@@ -266,39 +249,35 @@ def standard_normals(seeds, out):
 
 def draw_integers(seeds, highs) -> np.ndarray:
     """B x m int64 array: entry (b, j) uniform on [0, highs[j]), every highs[j]
-    an integer in [1, 2**63] so that each draw fits int64, drawn from the
-    PCG64 stream of ``seeds[b]``.
+    an integer in [1, 2**32], drawn from the PCG64 stream of ``seeds[b]``.
 
     Row b is, bit for bit, what ``Generator.integers(0, highs[j])`` calls in
     column order would draw from ``derived_rng(seeds[b])``, but no Generator
     is made: the row's seeded state comes from ``_pcg64_states`` and its raw
     words from one reused ``PCG64``.  Each word is read as its low 32-bit
-    half, then its high half, and each range r >= 2 up to 2**32 takes one
-    half by numpy's Lemire rule: u * r >> 32, redrawn while the low 32 bits
-    of u * r fall under (2**32 - r) % r.  A range of 1 takes no word.  A
-    row that rejects a draw, or any row when a range exceeds 2**32 (those
-    take whole words), is redrawn word by word by ``_lemire_row``; a
-    rejection's odds are below r / 2**32 per draw.
+    half, then its high half, and each range r >= 2 takes one half by
+    numpy's Lemire rule: u * r >> 32, redrawn while the low 32 bits of u * r
+    fall under (2**32 - r) % r.  A range of 1 takes no word.  A row that
+    rejects a draw is redrawn word by word by ``_lemire_row``; a
+    rejection's odds are below r / 2**32 per draw.  The operator draws'
+    ranges are 2 and n down to n - ell + 1, far below 2**32.
     """
     highs = np.asarray(highs).reshape(-1)
-    if highs.size and (highs.dtype.kind not in "iu" or highs.min() < 1 or highs.max() > 1 << 63):
-        raise ValueError(f"every range must be an integer in [1, 2**63], got {highs}")
+    if highs.size and (highs.dtype.kind not in "iu" or highs.min() < 1 or highs.max() > 1 << 32):
+        raise ValueError(f"every range must be an integer in [1, 2**32], got {highs}")
     highs = highs.astype(np.uint64, copy=False)
     states = _pcg64_states(seeds)
     bitgen = np.random.PCG64(0)
-    if highs.size and highs.max() > 1 << 32:
-        out, slow = np.zeros((len(states), highs.size), dtype=np.int64), range(len(states))
-    else:
-        out, slow = _lemire_block(bitgen, states, highs)
+    out, slow = _lemire_block(bitgen, states, highs)
     for b in slow:
         out[b] = _lemire_row(bitgen, states[b], highs.tolist())
     return out
 
 
 def _lemire_block(bitgen, states, highs) -> tuple:
-    """``draw_integers`` for ranges up to 2**32, every row at once on the
-    assumption that no draw is rejected: the draws, and the rows where a
-    draw is rejected after all."""
+    """``draw_integers``, every row at once on the assumption that no draw
+    is rejected: the draws, and the rows where a draw is rejected after
+    all."""
     drawn = None if highs.min(initial=2) > 1 else np.flatnonzero(highs > 1)
     ranges = highs if drawn is None else highs[drawn]
     words = -(-ranges.size // 2)
@@ -330,27 +309,24 @@ def _lemire_block(bitgen, states, highs) -> tuple:
 
 def _lemire_row(bitgen, state, highs) -> list:
     """One row of ``draw_integers``, a draw at a time from ``state``, as
-    numpy's bounded-integer rule reads the stream: a range r up to 2**32
-    takes 32-bit halves (low half first, the high half kept for the next
-    32-bit draw), a larger one whole 64-bit words, and a draw whose low bits
-    fall under (2**bits - r) % r is redrawn."""
+    numpy's 32-bit bounded-integer rule reads the stream: each range r >= 2
+    takes a 32-bit half (low half first, the high half kept for the next
+    draw), and a draw whose low 32 bits fall under (2**32 - r) % r is
+    redrawn."""
     _seek(bitgen, state)
     half = None  # the unread high half of the last word split
     out = []
     for r in highs:
         value = 0
-        bits = 32 if r <= 1 << 32 else 64
         while r > 1:
-            if bits == 64:
-                u = int(bitgen.random_raw())
-            elif half is None:
+            if half is None:
                 word = int(bitgen.random_raw())
                 u, half = word & _MASK32, word >> 32
             else:
                 u, half = half, None
             scaled = u * r
-            value = scaled >> bits
-            if scaled & ((1 << bits) - 1) >= ((1 << bits) - r) % r:
+            value = scaled >> 32
+            if scaled & _MASK32 >= ((1 << 32) - r) % r:
                 break
         out.append(value)
     return out
@@ -379,7 +355,8 @@ def sample_without_replacement(n: int, ell: int, seeds) -> np.ndarray:
     from the stream of ``seeds[b]``, sorted ascending.
 
     The ell offsets of a row, of ranges n, n-1, ..., n-ell+1, come from one
-    ``draw_integers`` block; ``_subsets`` turns them into the subset.
+    ``draw_integers`` block; ``_subsets`` turns them into the subset.  So n
+    is at most 2**32, the largest range ``draw_integers`` takes.
     """
     n, ell = _sample_size(n, ell)
     out = _subsets(draw_integers(seeds, n - np.arange(ell)), n, ell)
@@ -444,6 +421,19 @@ def _position_dtype(n) -> np.dtype:
     """The smallest unsigned integer dtype that holds every position of
     range(n): one byte a position up to n = 256."""
     return np.min_scalar_type(n - 1)
+
+
+def _draw_bytes(n, ell):
+    """Bytes per operator that the runners' draw budget counts for a
+    ``draw_stack`` call: the n + ell int64 words and n float64 signs
+    (16 n + 8 ell), and the array shuffle's n positions of
+    ``_position_dtype(n)``.  It is that accounting, not the peak a draw
+    holds, which is larger: the seed hash and the Lemire pass hold passing
+    arrays of their own, and the shuffle its ell swap targets and ell picks
+    per operator.  At n = 64, ell = 24 it counts 1280 bytes, and
+    tracemalloc measured a 192-operator draw's peak at about 2210 bytes an
+    operator, in the Lemire pass.  The dict shuffle makes no positions."""
+    return 16 * n + 8 * ell + n * _position_dtype(n).itemsize
 
 
 def _fisher_yates(offsets) -> list:

@@ -108,6 +108,11 @@ BAD_INPUTS = {
     "TrialPlan-negative-n": (lambda: TrialPlan(-1, 2, 3, 5, 0), ValueError, "must be >= 0"),
     "TrialPlan-negative-k": (lambda: TrialPlan(8, -1, 3, 5, 0), ValueError, "must be >= 0"),
     "TrialPlan-negative-ell": (lambda: TrialPlan(8, 2, -1, 5, 0), ValueError, "must be >= 0"),
+    # built a plan whose record claimed one subset of C(16, 6) = 8008
+    "TrialPlan-exhaustive-trials-not-the-subset-count": (
+        lambda: TrialPlan(16, 2, 6, 1, 0, mode="exhaustive"), ValueError,
+        r"trials must be C\(16, 6\) = 8008, got 1",
+    ),
     "rademacher_signs-two-seed-block-float": (
         lambda: rademacher_signs(8, [1, 2.0]),
         TypeError, "'float' object cannot be interpreted as an integer",
@@ -241,16 +246,19 @@ BAD_INPUTS = {
         lambda: srhtlab.hadamard_matrix(4, rows=[np.nan]), TypeError, "rows must be integers"
     ),
     # said "every range must be an integer >= 1" of a range that is one;
-    # past 2**63 a draw does not fit int64
+    # a range takes one 32-bit half of a word, so none is past 2**32
     "draw_integers-range-2**64": (
-        lambda: draw_integers([0], [2**64]), ValueError, r"integer in \[1, 2\*\*63\]"
+        lambda: draw_integers([0], [2**64]), ValueError, r"integer in \[1, 2\*\*32\]"
     ),
     "draw_integers-range-2**63+1": (
         lambda: draw_integers([0], np.array([2**63 + 1], dtype=np.uint64)),
-        ValueError, r"integer in \[1, 2\*\*63\]",
+        ValueError, r"integer in \[1, 2\*\*32\]",
+    ),
+    "draw_integers-range-2**32+1": (
+        lambda: draw_integers([0], [2, 2**32 + 1]), ValueError, r"integer in \[1, 2\*\*32\]"
     ),
     "draw_integers-zero-range": (
-        lambda: draw_integers([0], [2, 0]), ValueError, r"integer in \[1, 2\*\*63\]"
+        lambda: draw_integers([0], [2, 0]), ValueError, r"integer in \[1, 2\*\*32\]"
     ),
     "fwht-n-12": (lambda: srhtlab.fwht(np.ones(12)), ValueError, "power of two"),
     "fwht-empty": (lambda: srhtlab.fwht(np.ones(0)), ValueError, "power of two"),
@@ -316,6 +324,11 @@ BAD_INPUTS = {
     ),
     "sample_without_replacement-negative-seed": (
         lambda: srhtlab.sample_without_replacement(4, 2, [-1]), ValueError, "non-negative"
+    ),
+    # an offset's range is at most 2**32, so n is too
+    "sample_without_replacement-n-past-2**32": (
+        lambda: srhtlab.sample_without_replacement(2**32 + 1, 2, [0]),
+        ValueError, r"integer in \[1, 2\*\*32\]",
     ),
     "random_orthonormal-k-above-n": (
         lambda: srhtlab.random_orthonormal(4, 8, 0), ValueError, "need 1 <= k <= n"

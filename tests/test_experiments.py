@@ -42,7 +42,10 @@ def test_trial_plan_validation():
         TrialPlan(8, 2, 3, trials=1, seed=0, mode="bogus")
     with pytest.raises(ValueError):
         TrialPlan(64, 2, 32, trials=1, seed=0, mode="exhaustive")  # C(64,32) over cap
-    TrialPlan(16, 2, 6, trials=1, seed=0, mode="exhaustive")
+    # an exhaustive plan's trial count is its subset count, C(16, 6) = 8008
+    with pytest.raises(ValueError, match=r"C\(16, 6\) = 8008"):
+        TrialPlan(16, 2, 6, trials=1, seed=0, mode="exhaustive")
+    TrialPlan(16, 2, 6, trials=8008, seed=0, mode="exhaustive")
 
 
 def test_slack_rule():
@@ -413,6 +416,38 @@ def test_coupon_blocks_draw_without_per_seed_words_or_the_dict_shuffle():
     assert fisher_yates.call_count == 0
     # a draw of 192 trials and one of 8 per grid point
     assert array_shuffle.call_count == 4 * 2
+
+
+TRAFFIC_RUNS = {
+    "embedding": lambda seed: run_embedding_trials(64, 2, ell=16, trials=20, seed=seed),
+    "rownorm": lambda seed: run_row_norm_trials(64, 2, trials=20, seed=seed),
+    "coupon": lambda seed: run_coupon_trials(4, (4, 8), trials=30, seed=seed),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 + 5])
+@pytest.mark.parametrize("name", sorted(TRAFFIC_RUNS))
+def test_runner_key_blocks_take_the_array_hash(name, seed):
+    # every block of two or more seeds a runner hashes is a block of its
+    # (seed, domain, stream, trial) keys, with a one-word or a two-word
+    # master seed, and gets its words from the array hash; numpy's
+    # SeedSequence runs once per one-seed block (a fixture basis), never
+    # for a key that drifted from that shape
+    word_block = srht_mod._word_block
+    sizes = []
+
+    def recorded(seeds):
+        words = word_block(seeds)
+        assert len(seeds) < 2 or words is not None, seeds[:2]
+        sizes.append(len(seeds))
+        return words
+
+    seed_sequence = mock.Mock(wraps=np.random.SeedSequence)
+    with mock.patch.object(srht_mod, "_word_block", recorded), \
+            mock.patch.object(np.random, "SeedSequence", seed_sequence):
+        TRAFFIC_RUNS[name](seed)
+    assert max(sizes) >= 2
+    assert seed_sequence.call_count == sizes.count(1)
 
 
 def test_coupon_draws_three_sketch_blocks_at_a_time():
@@ -1123,7 +1158,7 @@ def _draw_block(block, n, ell):
     """Trials per ``draw_stack`` call: the most whole sketch blocks of
     ``block`` trials, at least one, whose draw arrays, as ``_draw_bytes``
     counts them, fit the block budget."""
-    fit = max(1, exp_mod._BLOCK_BYTES // exp_mod._draw_bytes(n, ell))
+    fit = max(1, exp_mod._BLOCK_BYTES // srht_mod._draw_bytes(n, ell))
     return block * max(1, fit // block)
 
 

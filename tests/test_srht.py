@@ -470,7 +470,7 @@ HASH_SEEDS = [
     2**64 + 7,  # three words
     (1, 2, 3, 4, 5),  # past the four-word pool
     (0, 1, 0, 2**40, 9, 2**70, 3),
-    tuple(range(70)),  # past the precomputed hash table
+    tuple(range(70)),  # seventy words
     (),
     (np.uint8(3), np.int64(2**40)),
     [2**32 - 1, 0, 2**33],  # a list seed
@@ -494,21 +494,20 @@ def _seedsequence_state(seed):
     return np.random.SeedSequence(_entropy(seed)).generate_state(4, np.uint64)
 
 
-# _seed_states takes two paths: the array hash of _word_block's blocks, and
+# _seed_states takes two paths: the array hash of a block of runner keys,
+# (master_seed, domain, stream, trial) tuples as _word_block takes them, and
 # numpy's SeedSequence, called once per seed, for any other block.
 WORD_BLOCKS = {
+    "two-runner-keys": [(0, 1, 0, 0), (0, 1, 0, 1)],
     "64-runner-keys": [(s, 1, 2, i) for s in (0, 2**32 - 1) for i in range(32)],
     "1000-runner-keys": [
         (s, 1, g, i) for s in (0, 2**32 - 1) for g in range(2) for i in range(250)
     ],
-    "plain-ints": [*range(62), 2**32 - 2, 2**32 - 1],
-    "short-tuples": [(2**32 - 1,), (0,), (7,)],
-    # a master seed at or past 2**32 is two words, low word first
+    "one-word-edges": [(2**32 - 1,) * 4, (0,) * 4],
+    # a master seed at or past 2**32 is two words, low word first: a fifth
+    # word past the four-word pool
     "two-word-master-seeds": [(s, 1, 2, i) for s in (2**32, 2**62) for i in range(32)],
-    "two-word-ints": [2**32, 2**40 + 5, 2**62, 2**63 - 1],
-    # past the four-word pool
-    "six-entry-tuples": [(b, 1, 2, 3, 2**32 - 1, 7 * b) for b in range(8)],
-    "64-entry-tuples": [tuple(range(b, b + 64)) for b in range(3)],
+    "two-word-edges": [(2**63 - 1, *(2**32 - 1,) * 3), (2**32, 0, 0, 0)],
 }
 
 
@@ -538,9 +537,16 @@ FALLBACK_BLOCKS = {
     "numpy-seeds": [np.uint32(9), np.int64(10)],
     "empty-tuples": [(), ()],
     "one-seed": [(0, 1, 2, 3)],
-    # past the 64 words of the hashmix table
     "65-entry-tuples": [tuple(range(b, b + 65)) for b in range(2)],
     "one-and-two-word-column": [(1, 2**32 - 1), (1, 2**32), (1, 0)],
+    # plain ints and tuples of other lengths, which no runner draws
+    "plain-ints": [*range(62), 2**32 - 2, 2**32 - 1],
+    "short-tuples": [(2**32 - 1,), (0,), (7,)],
+    "two-word-ints": [2**32, 2**40 + 5, 2**62, 2**63 - 1],
+    "six-entry-tuples": [(b, 1, 2, 3, 2**32 - 1, 7 * b) for b in range(8)],
+    "64-entry-tuples": [tuple(range(b, b + 64)) for b in range(3)],
+    # a runner key with a two-word entry past its master seed
+    "a-wide-trial": [(0, 1, 2, 2**32), (0, 1, 2, 3)],
 }
 
 
@@ -552,6 +558,48 @@ def test_seed_words_of_any_other_block_are_built_a_seed_at_a_time(name, monkeypa
     states = srht_mod._seed_states(seeds)
     monkeypatch.undo()
     assert seed_sequence.call_count == len(seeds)
+    for b, seed in enumerate(seeds):
+        assert np.array_equal(states[:, b], _seedsequence_state(seed)), seed
+
+
+def _seeds():
+    entry = st.one_of(
+        st.integers(0, 2**32 - 1),
+        st.integers(2**32, 2**96),
+        st.builds(np.uint32, st.integers(0, 2**32 - 1)),
+        st.builds(np.int64, st.integers(0, 2**63 - 1)),
+    )
+    return st.one_of(entry, st.tuples(entry), st.lists(entry, min_size=2, max_size=6).map(tuple))
+
+
+def _is_runner_key_block(seeds):
+    """Two or more 4-tuples of plain non-negative ints, the last three below
+    2**32, the master seeds all below 2**32 or all in [2**32, 2**63)."""
+    if len(seeds) < 2 or any(type(seed) is not tuple or len(seed) != 4 for seed in seeds):
+        return False
+    if any(type(x) is not int or x < 0 for seed in seeds for x in seed):
+        return False
+    if any(x >= 2**32 for seed in seeds for x in seed[1:]):
+        return False
+    return max(seed[0] for seed in seeds) < 2**63 and len({seed[0] >= 2**32 for seed in seeds}) == 1
+
+
+def _seed_blocks():
+    word = st.integers(0, 2**32 - 1)
+    entry = st.one_of(word, st.integers(2**32, 2**64), st.builds(np.int64, word))
+    masters = st.sampled_from([word, st.integers(2**32, 2**63 - 1), st.integers(0, 2**64)])
+    runner_keys = masters.flatmap(
+        lambda master: st.lists(st.tuples(master, word, word, word), min_size=1, max_size=6)
+    )
+    keys_with_any_entry = st.lists(st.tuples(entry, entry, entry, entry), min_size=2, max_size=6)
+    return st.one_of(runner_keys, keys_with_any_entry, st.lists(_seeds(), max_size=6))
+
+
+@given(_seed_blocks())
+@settings(max_examples=150)
+def test_only_runner_key_blocks_take_the_array_hash(seeds):
+    assert (srht_mod._word_block(seeds) is not None) == _is_runner_key_block(seeds)
+    states = srht_mod._seed_states(seeds)
     for b, seed in enumerate(seeds):
         assert np.array_equal(states[:, b], _seedsequence_state(seed)), seed
 
@@ -623,14 +671,6 @@ def test_lemire_rule_matches_generator_integers_near_half_range(high, monkeypatc
         assert slow.count > 0
 
 
-def test_lemire_rule_takes_whole_words_past_32_bits():
-    seeds = list(range(30))
-    highs = [2, 2**40 + 3, 3, 2**33, 2**32 + 1, 5, 2**62 + 1]
-    got = draw_integers(seeds, highs)
-    for b, seed in enumerate(seeds):
-        assert np.array_equal(got[b], oracle.integers(seed, highs))
-
-
 def test_a_range_of_one_takes_no_word():
     seeds = [(4, i) for i in range(20)]
     highs = [1, 5, 1, 1, 7, 2, 1]
@@ -687,16 +727,6 @@ def test_a_negative_seed_is_refused(seed):
     ):
         with pytest.raises(ValueError, match="non-negative"):
             draw()
-
-
-def _seeds():
-    entry = st.one_of(
-        st.integers(0, 2**32 - 1),
-        st.integers(2**32, 2**96),
-        st.builds(np.uint32, st.integers(0, 2**32 - 1)),
-        st.builds(np.int64, st.integers(0, 2**63 - 1)),
-    )
-    return st.one_of(entry, st.tuples(entry), st.lists(entry, min_size=2, max_size=6).map(tuple))
 
 
 @given(st.integers(1, 300), st.data(), st.lists(_seeds(), min_size=1, max_size=6))
@@ -977,7 +1007,9 @@ MODULES_BESIDE_SRHT = sorted(
 @pytest.mark.parametrize("path", MODULES_BESIDE_SRHT, ids=lambda path: path.name)
 def test_every_seeded_draw_goes_through_srht(path):
     # srht owns the rule from a seed to its stream: no other module names
-    # numpy.random, or reaches past srht's public samplers
+    # numpy.random, or reaches past srht's public samplers.  The one private
+    # name another module takes is the draw's byte accounting, which draws
+    # nothing.
     source = path.read_text()
     assert not re.search(r"\b(np|numpy)\.random\b", source)
     for node in ast.walk(ast.parse(source)):
@@ -985,7 +1017,7 @@ def test_every_seeded_draw_goes_through_srht(path):
             names = [alias.name for alias in node.names]
             assert not (node.module == "numpy" and "random" in names)
             if node.module in ("srht", "srhtlab.srht"):
-                assert not [name for name in names if name.startswith("_")]
+                assert not {name for name in names if name.startswith("_")} - {"_draw_bytes"}
 
 
 SOURCE_MODULES = sorted(pathlib.Path(srhtlab.__file__).parent.glob("*.py"))
