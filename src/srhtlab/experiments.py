@@ -25,9 +25,10 @@ must not exceed the with-replacement one, up to 1e-10 relative.
 Every runner computes its trials in blocks.  One loop, ``_fill_blocks``,
 cuts the trials into blocks of about ``_BLOCK_BYTES`` (256 KiB) of working
 array each, whatever the trial count, up to ``EXHAUSTIVE_CAP`` row lists,
-and fills one row of a per-trial result array per trial.  Every trial still
-draws from its own substream, and each block's draws are one call of each
-``srht`` sampler it uses.  Embedding and coupon sketch a block of trials
+and fills one row of a per-trial result array per trial; rownorm cuts the
+same blocks itself, to split them between threads (below).  Every trial
+still draws from its own substream, and each block's draws are one call of
+each ``srht`` sampler it uses.  Embedding and coupon sketch a block of trials
 whose n x B x k transform fits the budget with one ``sketch_stack`` call,
 and take its singular values, the square roots of its Gram spectrum, with
 one ``linalg.singular_values`` call.  They draw ahead: one ``draw_stack``
@@ -60,10 +61,21 @@ The row-norm runner draws a block at a time, per ``_BLOCK_BYTES`` of
 signs, but transforms one trial at a time: a trial is over the block budget
 (512 KiB at the headline shape), and a stacked transform was measured
 slower there, its array falling out of cache.  Each trial draws its
-Gaussian into one n x k buffer kept for the whole run, from the stream a
-``random_orthonormal`` basis would use, and runs that function's Cholesky
-QR routine, ``linalg._cholesky_qr``, around the in-place transform; it never
-forms its basis.  A tall trial takes one pass, a square one two.
+Gaussian into an n x k buffer that its share keeps for the run, from the
+stream a ``random_orthonormal`` basis would use, and runs that function's
+Cholesky QR routine, ``linalg._cholesky_qr``, around the in-place
+transform; it never forms its basis.  A tall trial takes one pass, a square
+one two.  Almost all of that work runs in numpy calls that release the GIL
+(the Gaussian fill, the transform's and the QR's matrix products, the row
+norms), so the blocks are split into ``_share_count`` shares, share s
+taking blocks s, s + S, s + 2S and so on: two when the BLAS runs one
+thread and the process may use two CPUs, else one, and never more shares
+than blocks.  Share 0 runs on the calling thread and the other on a helper
+thread (``_run_shares``), so one share starts no thread, and a run holds
+at most twice one share's memory.  No trial's draws or arithmetic depend
+on its share, so every output is the one-share output bit for bit.  The
+other runners stay on one thread: a two-thread pool under ``_fill_blocks``
+measured no faster on embedding, coupon or Chernoff.
 
 Each runner's keyword defaults are its headline configuration, the one the
 acceptance suite checks; called with only a seed, it runs that configuration.
@@ -80,6 +92,8 @@ Writing records as JSON or CSV is ``cli.write_report``'s job.
 
 import itertools
 import math
+import os
+import threading
 import time
 from dataclasses import dataclass, field
 
@@ -154,12 +168,13 @@ class TrialPlan:
 
     The runner sets ``mode``: "exhaustive" for Chernoff and mgf,
     "monte_carlo" for the rest.  Dimensions that do not apply to a given
-    experiment are recorded as 0.  In exhaustive mode 1 <= ell <= n, and
-    ``trials`` must be the number of enumerated subsets, C(n, ell).  Every
-    field but ``mode`` goes through ``bounds._integers`` (a float, even a
-    whole one, or a bool is a TypeError that names it) and is stored as a
-    plain int, so a record can be written as JSON; a negative n, k, ell or
-    seed is a ValueError.  A bad plan is refused before anything is drawn.
+    experiment are recorded as 0; k and ell, where they apply, are at most
+    n.  In exhaustive mode 1 <= ell <= n, and ``trials`` must be the number
+    of enumerated subsets, C(n, ell).  Every field but ``mode`` goes through
+    ``bounds._integers`` (a float, even a whole one, or a bool is a
+    TypeError that names it) and is stored as a plain int, so a record can
+    be written as JSON; a negative n, k, ell or seed, or a k or ell above n,
+    is a ValueError.  A bad plan is refused before anything is drawn.
     """
 
     n: int
@@ -178,6 +193,10 @@ class TrialPlan:
         if min(self.n, self.k, self.ell) < 0:
             raise ValueError(
                 f"n, k and ell must be >= 0, got n={self.n}, k={self.k}, ell={self.ell}"
+            )
+        if max(self.k, self.ell) > self.n:
+            raise ValueError(
+                f"k and ell must be at most n, got n={self.n}, k={self.k}, ell={self.ell}"
             )
         if self.mode == "exhaustive":
             _sample_size(self.n, self.ell)
@@ -308,6 +327,66 @@ def _fill_blocks(items, count, width, size, fn):
     return out
 
 
+# Most shares the row-norm runner splits its blocks into.  Two shares were
+# measured, on a 2-core machine at one BLAS thread; more were not.
+_MAX_SHARES = 2
+# The variables that set the BLAS's thread count: OpenBLAS and MKL each read
+# their own first, then OpenMP's.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _share_count(blocks):
+    """Shares to split ``blocks`` blocks into: ``_MAX_SHARES`` when the
+    first of ``_BLAS_THREAD_VARS`` that is set reads 1 and this process may
+    run on that many CPUs (``os.sched_getaffinity`` where it exists, else
+    ``os.cpu_count()``), else one, since a BLAS left at its default of one
+    thread per CPU already keeps them busy; never more than the blocks."""
+    blas = next((os.environ[var] for var in _BLAS_THREAD_VARS if os.environ.get(var)), None)
+    if blas is None or blas.strip() != "1":
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(cpus or 1, _MAX_SHARES, blocks))
+
+
+def _run_shares(blocks, shares, work):
+    """Call ``work`` on each share's blocks, s, s + shares, s + 2 shares and
+    so on for share s: share 0 on the calling thread and each other share on
+    a helper thread, so one share starts no thread.  Once a share raises,
+    or the caller is interrupted, the others stop before their next block.
+    Every helper is joined before this returns or raises; a helper's
+    exception is raised here unless the calling thread raised its own."""
+    stop = threading.Event()
+    errors = []
+
+    def own(s):
+        return itertools.takewhile(lambda _: not stop.is_set(), blocks[s::shares])
+
+    def helper(s):
+        # anything a helper raises is handed to the caller, who would
+        # otherwise return with the helper's trials never filled in
+        try:
+            work(own(s))
+        except BaseException as error:
+            errors.append(error)
+            stop.set()
+
+    helpers = []
+    try:
+        for s in range(1, shares):
+            thread = threading.Thread(target=helper, args=(s,), name=f"srhtlab-share-{s}")
+            thread.start()
+            helpers.append(thread)
+        work(own(0))
+    except BaseException:
+        stop.set()
+        raise
+    finally:
+        for thread in helpers:
+            thread.join()
+    if errors:
+        raise errors[0]
+
+
 def _sketch_spectra(v, ell, seed, stream, trials):
     """len(trials) x k stack of the descending singular values of the ell x k
     sketches of ``v``, one row per trial index i in ``trials``, sketched
@@ -386,9 +465,15 @@ def run_row_norm_trials(n=4096, k=16, beta=None, trials=2000, seed=0):
     and signs D from (seed, 1, 0, i), and records the largest row norm of
     H D V, where V = G R^-1 is G's orthonormal factor (R with positive
     diagonal: the basis ``random_orthonormal`` returns).  V is not formed.
-    Trials run through ``_fill_blocks``: each block of trials draws its
-    signs with one ``rademacher_signs`` call and its Gaussians with one
-    ``standard_normals`` call, into one n x k buffer kept for the run.
+    Each block of trials draws its signs with one ``rademacher_signs`` call
+    and its Gaussians with one ``standard_normals`` call, into an n x k
+    buffer.  The blocks are split into ``_share_count`` shares, at most
+    ``_MAX_SHARES``, run side by side by ``_run_shares``: the calling thread
+    runs one and a helper thread the other.  Each share keeps its own
+    buffer, so the run's traced allocations peak under
+    shares x (2 n k 8 bytes + 2 ``_BLOCK_BYTES``).  A trial's draws and
+    arithmetic are the same in any share, so outputs are bit for bit the
+    one-share outputs; an error in any share is raised here.
     Cholesky QR (``linalg._cholesky_qr``) runs around the in-place
     transform: R_1 from the Gram of G and W_1 = H D G R_1^-1.  W_1 is W
     when its orthonormality defect is at most ``linalg.ONE_PASS_DEFECT``
@@ -410,14 +495,20 @@ def run_row_norm_trials(n=4096, k=16, beta=None, trials=2000, seed=0):
     hadamard_size(n)
     level = row_norm_bound(n, k, float(k) if beta is None else beta)
     plan = TrialPlan(n=n, k=k, ell=0, trials=trials, seed=seed)
-    buffer = np.empty((n, k))
+    size = _block_size(8 * n)
+    blocks = [range(first, min(first + size, trials)) for first in range(0, trials, size)]
+    norms = np.empty(trials)
 
-    def max_row_norms(block):
-        signs = rademacher_signs(n, [(seed, 1, 0, i) for i in block])
-        gaussians = standard_normals([(seed, 0, 0, i) for i in block], buffer)
-        return [[_max_row_norm(g, trial_signs)] for g, trial_signs in zip(gaussians, signs)]
+    def share(own_blocks):
+        buffer = np.empty((n, k))
+        for block in own_blocks:
+            signs = rademacher_signs(n, [(seed, 1, 0, i) for i in block])
+            gaussians = standard_normals([(seed, 0, 0, i) for i in block], buffer)
+            norms[block.start : block.stop] = [
+                _max_row_norm(g, trial_signs) for g, trial_signs in zip(gaussians, signs)
+            ]
 
-    norms = _fill_blocks(range(trials), trials, 1, _block_size(8 * n), max_row_norms)[:, 0]
+    _run_shares(blocks, _share_count(len(blocks)), share)
     return _one_sided_summary(
         "rownorm", plan, norms >= level.value, level.exceedance_probability, norms, norms,
         time.perf_counter() - start,

@@ -108,6 +108,13 @@ BAD_INPUTS = {
     "TrialPlan-negative-n": (lambda: TrialPlan(-1, 2, 3, 5, 0), ValueError, "must be >= 0"),
     "TrialPlan-negative-k": (lambda: TrialPlan(8, -1, 3, 5, 0), ValueError, "must be >= 0"),
     "TrialPlan-negative-ell": (lambda: TrialPlan(8, 2, -1, 5, 0), ValueError, "must be >= 0"),
+    # built plans whose records claimed 20 columns, or 30 sampled rows, of 8
+    "TrialPlan-k-above-n": (
+        lambda: TrialPlan(8, 20, 3, 5, 0), ValueError, "k and ell must be at most n, got n=8, k=20"
+    ),
+    "TrialPlan-ell-above-n": (
+        lambda: TrialPlan(8, 2, 30, 5, 0), ValueError, "k and ell must be at most n, got .* ell=30"
+    ),
     # built a plan whose record claimed one subset of C(16, 6) = 8008
     "TrialPlan-exhaustive-trials-not-the-subset-count": (
         lambda: TrialPlan(16, 2, 6, 1, 0, mode="exhaustive"), ValueError,

@@ -10,6 +10,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 from unittest import mock
@@ -333,8 +334,11 @@ def test_rownorm_at_k1_is_the_single_vector_check(n, log_beta_n, seed):
     bases = _Recorder(exp_mod._cholesky_qr)
     with mock.patch.object(exp_mod, "_cholesky_qr", bases):
         s = run_row_norm_trials(n, 1, beta, trials=trials, seed=seed)
+    # the shares run their blocks side by side, so the calls come in no
+    # fixed trial order; the peaks are matched as a multiset
     norms = [np.sqrt(np.max(np.sum(w * w, axis=1))) for _, w in bases.calls]
-    assert np.max(np.abs(np.array(norms) - peaks)) <= 1e-12
+    assert len(norms) == trials
+    assert np.max(np.abs(np.sort(norms) - np.sort(peaks))) <= 1e-12
     exceed = sum(p >= row_norm_bound(n, 1, beta).value for p in peaks)
     assert 0 < exceed < trials
     assert round(s.empirical_frequency * trials) == exceed
@@ -1509,36 +1513,190 @@ def test_blocked_rownorm_equals_one_trial_at_a_time(shape, block, spare, count, 
             mock.patch.object(exp_mod, "rademacher_signs", signs):
         s = run_row_norm_trials(n, k, beta, trials=trials, seed=seed)
     drawn, norms = _rownorm_one_trial_at_a_time(n, k, trials, seed)
+    # the shares run their blocks side by side, so calls come in no fixed
+    # order: each trial's Gaussian, and each block's keys, must be recorded
+    # exactly once, in any order
     assert len(gaussians.calls) == trials
-    for ((g,), _), want in zip(gaussians.calls, drawn):
-        assert np.array_equal(g, want)
+    assert sorted(g.tobytes() for (g,), _ in gaussians.calls) == sorted(
+        want.tobytes() for want in drawn
+    )
     blocks = [range(first, min(first + block, trials)) for first in range(0, trials, block)]
     keys = [[(seed, 0, 0, i) for i in b] for b in blocks]
-    assert [seeds for (seeds, _), _ in normals.calls] == keys
-    assert [args for args, _ in signs.calls] == [(n, [(seed, 1, 0, i) for i in b]) for b in blocks]
+    assert sorted(seeds for (seeds, _), _ in normals.calls) == keys
+    assert sorted(args for args, _ in signs.calls) == [
+        (n, [(seed, 1, 0, i) for i in b]) for b in blocks
+    ]
     level = row_norm_bound(n, k, beta).value
     assert round(s.empirical_frequency * trials) == sum(m >= level for m in norms)
     assert abs(s.extreme_sigma_min - min(norms)) <= 1e-15
     assert abs(s.extreme_sigma_max - max(norms)) <= 1e-15
 
 
+# --- the row-norm shares ---------------------------------------------------
+
+def _shares_of(count):
+    """Stands in for ``experiments._share_count``: ``count`` shares, never
+    more than the blocks."""
+    return lambda blocks: min(blocks, count)
+
+
+def _rownorm_outputs(shares, trials, seed):
+    """Timing-free record, exceedances and per-trial largest row norms of a
+    headline-shape run split into ``shares`` shares, the arrays as bytes."""
+    summaries = _Recorder(exp_mod._one_sided_summary)
+    with mock.patch.object(exp_mod, "_share_count", _shares_of(shares)), \
+            mock.patch.object(exp_mod, "_one_sided_summary", summaries):
+        s = run_row_norm_trials(4096, 16, 16.0, trials=trials, seed=seed)
+    (((_, _, events, _, norms, _, _), _),) = summaries.calls
+    return s.to_record(include_timing=False), events.tobytes(), norms.tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 12345])
+def test_rownorm_shares_give_the_one_share_record_bit_for_bit(seed):
+    # each trial keeps its own substreams and arithmetic whichever share runs
+    # it; 2B + 3 trials make three blocks, so three shares run one each
+    block = exp_mod._block_size(8 * 4096)
+    for trials in (1, block - 1, block, block + 1, 2 * block + 3):
+        want = _rownorm_outputs(1, trials, seed)
+        for shares in (2, 3):
+            assert _rownorm_outputs(shares, trials, seed) == want, (trials, shares)
+
+
+@pytest.mark.parametrize("where", ["helper", "caller"])
+def test_an_error_in_a_share_reaches_the_caller_after_every_helper_is_joined(where):
+    # in two shares of 8-trial blocks the helper owns trials 8-15 of 17, the
+    # calling thread the rest; the error is planted on the first trial of
+    # the named thread's share
+    caller = threading.current_thread()
+    before = threading.active_count()
+
+    def planted(w, gram1):
+        if (threading.current_thread() is caller) == (where == "caller"):
+            raise RuntimeError(f"planted on the {where}")
+        return linalg_mod._cholesky_qr(w, gram1)
+
+    with mock.patch.object(exp_mod, "_share_count", _shares_of(2)):
+        run_row_norm_trials(4096, 16, trials=17)
+        assert threading.active_count() == before
+        with mock.patch.object(exp_mod, "_cholesky_qr", planted), \
+                pytest.raises(RuntimeError, match=f"planted on the {where}"):
+            run_row_norm_trials(4096, 16, trials=17)
+    assert threading.active_count() == before
+
+
+def test_an_interrupted_caller_stops_the_helper_after_its_block():
+    # 20 blocks of 8 trials, the helper owning 10 of them; the caller is
+    # interrupted on its first trial once the helper has begun its first,
+    # and the helper must stop within a block or so, not run all 80 trials
+    caller = threading.current_thread()
+    before = threading.active_count()
+    helper_began = threading.Event()
+    helper_trials = []
+
+    def planted(w, gram1):
+        if threading.current_thread() is caller:
+            assert helper_began.wait(60)
+            raise KeyboardInterrupt
+        helper_trials.append(1)
+        helper_began.set()
+        return linalg_mod._cholesky_qr(w, gram1)
+
+    with mock.patch.object(exp_mod, "_share_count", _shares_of(2)), \
+            mock.patch.object(exp_mod, "_cholesky_qr", planted), \
+            pytest.raises(KeyboardInterrupt):
+        run_row_norm_trials(4096, 16, trials=160)
+    assert threading.active_count() == before
+    assert 1 <= len(helper_trials) <= 16
+
+
+@pytest.mark.parametrize("blas, cpus, shares", [
+    # one BLAS thread and two usable CPUs or more: two shares, never more
+    ({"OPENBLAS_NUM_THREADS": "1"}, {0, 1, 2}, [1, 2, 2, 2]),
+    ({"MKL_NUM_THREADS": "1"}, {0, 1}, [1, 2, 2, 2]),
+    ({"OMP_NUM_THREADS": " 1 "}, {0, 1}, [1, 2, 2, 2]),
+    # the first variable that is set decides
+    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, {0, 1, 2, 3}, [1, 1, 1, 1]),
+    ({"OPENBLAS_NUM_THREADS": "", "OMP_NUM_THREADS": "1"}, {0, 1}, [1, 2, 2, 2]),
+    # a BLAS left at its default, one thread per CPU, or one usable CPU
+    ({}, {0, 1, 2, 3}, [1, 1, 1, 1]),
+    ({"OPENBLAS_NUM_THREADS": "4"}, {0, 1, 2, 3}, [1, 1, 1, 1]),
+    ({"OPENBLAS_NUM_THREADS": "1"}, {0}, [1, 1, 1, 1]),
+])
+def test_share_count_is_two_only_beside_a_one_thread_blas(monkeypatch, blas, cpus, shares):
+    for var in exp_mod._BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    for var, value in blas.items():
+        monkeypatch.setenv(var, value)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    assert [exp_mod._share_count(blocks) for blocks in (1, 2, 3, 25)] == shares
+
+
+def test_share_count_without_an_affinity_mask_counts_every_cpu(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    for count, shares in ((4, 2), (1, 1), (None, 1)):
+        monkeypatch.setattr(os, "cpu_count", lambda count=count: count)
+        assert exp_mod._share_count(25) == shares
+
+
+@pytest.mark.parametrize("blas, cpus", [
+    ({"OPENBLAS_NUM_THREADS": "1"}, {0}),  # one usable CPU
+    ({}, {0, 1, 2, 3}),  # the BLAS at its default, one thread per CPU
+])
+def test_one_share_starts_no_thread(monkeypatch, blas, cpus):
+    want = _rownorm_outputs(1, 20, 0)
+    for var in exp_mod._BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    for var, value in blas.items():
+        monkeypatch.setenv(var, value)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    start = mock.Mock(side_effect=AssertionError("a thread was started"))
+    monkeypatch.setattr(threading.Thread, "start", start)
+    summaries = _Recorder(exp_mod._one_sided_summary)
+    with mock.patch.object(exp_mod, "_one_sided_summary", summaries):
+        s = run_row_norm_trials(4096, 16, 16.0, trials=20, seed=0)
+    assert not start.called
+    (((_, _, _, _, norms, _, _), _),) = summaries.calls
+    assert (s.to_record(include_timing=False), norms.tobytes()) == (want[0], want[2])
+
+
+def test_import_srhtlab_leaves_concurrent_futures_unimported():
+    # concurrent.futures imports logging, about 5 ms at start-up; the
+    # row-norm shares run on threading, which numpy already imports
+    script = "import sys, srhtlab; print('concurrent.futures' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(exp_mod.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True,
+        timeout=120,
+    )
+    assert done.stdout.split() == ["False"]
+
+
+# The runners' block budget, experiments._BLOCK_BYTES, as the memory tests
+# hold them to it.
+BLOCK_BUDGET = 256 * 1024
+
+
 def test_rownorm_memory_is_one_trial_and_a_block_of_signs():
-    # Peak traced allocation of a 20-trial run at the headline shape: the
-    # 512 KiB Gaussian buffer beside either numpy's copy of it while Cholesky
-    # QR writes its basis over it (512 KiB) or a block of signs being drawn
-    # next to the last block
-    # (256 KiB each, plus the draw's own arrays).  A fresh Gaussian per
-    # trial, or an n x k temporary for the squared row norms, would add
-    # another 512 KiB.
-    n, k, budget = 4096, 16, 256 * 1024
-    run_row_norm_trials(n, k, trials=2)  # first-use allocations out of the way
-    tracemalloc.start()
-    try:
-        run_row_norm_trials(n, k, trials=20)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * n * k * 8 + 2 * budget
+    # Peak traced allocation of a 20-trial run at the headline shape, per
+    # share: the 512 KiB Gaussian buffer beside either numpy's copy of it
+    # while Cholesky QR writes its basis over it (512 KiB) or a block of
+    # signs being drawn next to the last block (256 KiB each, plus the
+    # draw's own arrays).  A fresh Gaussian per trial, or an n x k
+    # temporary for the squared row norms, would add another 512 KiB.  The
+    # shares each hold their own: about 1290 KiB at one share and 2580 KiB
+    # at two, the most a run splits into.
+    n, k, trials = 4096, 16, 20
+    for count in (1, exp_mod._MAX_SHARES):
+        with mock.patch.object(exp_mod, "_share_count", _shares_of(count)):
+            run_row_norm_trials(n, k, trials=2)  # first-use allocations out of the way
+            tracemalloc.start()
+            try:
+                run_row_norm_trials(n, k, trials=trials)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < count * (2 * n * k * 8 + 2 * BLOCK_BUDGET), count
 
 
 def test_coupon_memory_is_bounded_by_the_block_budget():
