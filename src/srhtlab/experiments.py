@@ -25,10 +25,10 @@ must not exceed the with-replacement one, up to 1e-10 relative.
 Every runner computes its trials in blocks.  One loop, ``_fill_blocks``,
 cuts the trials into blocks of about ``_BLOCK_BYTES`` (256 KiB) of working
 array each, whatever the trial count, up to ``EXHAUSTIVE_CAP`` row lists,
-and fills one row of a per-trial result array per trial; rownorm cuts the
-same blocks itself, to split them between threads (below).  Every trial
-still draws from its own substream, and each block's draws are one call of
-each ``srht`` sampler it uses.  Embedding and coupon sketch a block of trials
+and fills one row of a per-trial result array per trial, on one thread or,
+for rownorm, on two (below).  Every trial still draws from its own
+substream, and each block's draws are one call of each ``srht`` sampler it
+uses.  Embedding and coupon sketch a block of trials
 whose n x B x k transform fits the budget with one ``sketch_stack`` call,
 and take its singular values, the square roots of its Gram spectrum, with
 one ``linalg.singular_values`` call.  They draw ahead: one ``draw_stack``
@@ -61,21 +61,20 @@ The row-norm runner draws a block at a time, per ``_BLOCK_BYTES`` of
 signs, but transforms one trial at a time: a trial is over the block budget
 (512 KiB at the headline shape), and a stacked transform was measured
 slower there, its array falling out of cache.  Each trial draws its
-Gaussian into an n x k buffer that its share keeps for the run, from the
-stream a ``random_orthonormal`` basis would use, and runs that function's
+Gaussian into an n x k buffer made for its block, from the stream a
+``random_orthonormal`` basis would use, and runs that function's
 Cholesky QR routine, ``linalg._cholesky_qr``, around the in-place
 transform; it never forms its basis.  A tall trial takes one pass, a square
 one two.  Almost all of that work runs in numpy calls that release the GIL
 (the Gaussian fill, the transform's and the QR's matrix products, the row
-norms), so the blocks are split into ``_share_count`` shares, share s
-taking blocks s, s + S, s + 2S and so on: two when the BLAS runs one
-thread and the process may use two CPUs, else one, and never more shares
-than blocks.  Share 0 runs on the calling thread and the other on a helper
-thread (``_run_shares``), so one share starts no thread, and a run holds
-at most twice one share's memory.  No trial's draws or arithmetic depend
-on its share, so every output is the one-share output bit for bit.  The
-other runners stay on one thread: a two-thread pool under ``_fill_blocks``
-measured no faster on embedding, coupon or Chernoff.
+norms), so ``_fill_blocks`` runs its blocks in ``_share_count`` shares: two
+when the BLAS runs one thread and the process may use two CPUs, else one,
+and never more shares than blocks.  The calling thread and each helper
+thread take the next block that no one has taken, under one lock, so one
+share starts no thread, and a run holds at most twice one share's memory.
+No trial's draws or arithmetic depend on its share, so every output is the
+one-share output bit for bit.  The other runners take one share: two
+threads measured no faster on embedding, coupon or Chernoff.
 
 Each runner's keyword defaults are its headline configuration, the one the
 acceptance suite checks; called with only a seed, it runs that configuration.
@@ -314,16 +313,58 @@ def _block_size(item_bytes):
     return max(1, _BLOCK_BYTES // item_bytes)
 
 
-def _fill_blocks(items, count, width, size, fn):
+def _fill_blocks(items, count, width, size, fn, shares=1):
     """``count`` x ``width`` array whose rows are ``fn`` of consecutive blocks
     of ``size`` of the ``count`` ``items``, ``fn`` giving one row per item of
-    its list."""
+    its list.
+
+    The calling thread and ``shares - 1`` helper threads each take the next
+    block that no one has taken, under one lock, and write its rows, so one
+    share starts no thread.  Once any of them raises, or the caller is
+    interrupted, the others stop before their next block.  Every helper is
+    joined before this returns or raises; a helper's exception is raised
+    here unless the calling thread raised its own."""
     out = np.empty((count, width))
     items = iter(items)
     offset = 0
-    while block := list(itertools.islice(items, size)):
-        out[offset : offset + len(block)] = fn(block)
-        offset += len(block)
+    lock = threading.Lock()
+    stop = threading.Event()
+    errors = []
+
+    def work():
+        nonlocal offset
+        while not stop.is_set():
+            with lock:
+                block = list(itertools.islice(items, size))
+                first, offset = offset, offset + len(block)
+            if not block:
+                return
+            out[first : first + len(block)] = fn(block)
+
+    def helper():
+        # anything a helper raises is handed to the caller, who would
+        # otherwise return with the helper's rows never filled in
+        try:
+            work()
+        except BaseException as error:
+            errors.append(error)
+            stop.set()
+
+    helpers = []
+    try:
+        for s in range(1, shares):
+            thread = threading.Thread(target=helper, name=f"srhtlab-share-{s}")
+            thread.start()
+            helpers.append(thread)
+        work()
+    finally:
+        # after a return no block is left; after the caller's own exception,
+        # an interrupt included, the helpers stop before their next block
+        stop.set()
+        for thread in helpers:
+            thread.join()
+    if errors:
+        raise errors[0]
     return out
 
 
@@ -336,55 +377,17 @@ _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS
 
 
 def _share_count(blocks):
-    """Shares to split ``blocks`` blocks into: ``_MAX_SHARES`` when the
-    first of ``_BLAS_THREAD_VARS`` that is set reads 1 and this process may
-    run on that many CPUs (``os.sched_getaffinity`` where it exists, else
-    ``os.cpu_count()``), else one, since a BLAS left at its default of one
-    thread per CPU already keeps them busy; never more than the blocks."""
+    """Shares for ``_fill_blocks`` to run ``blocks`` blocks in:
+    ``_MAX_SHARES`` when the first of ``_BLAS_THREAD_VARS`` that is set reads
+    1 and this process may run on that many CPUs (``os.sched_getaffinity``
+    where it exists, else ``os.cpu_count()``), else one, since a BLAS left at
+    its default of one thread per CPU already keeps them busy; never more
+    than the blocks."""
     blas = next((os.environ[var] for var in _BLAS_THREAD_VARS if os.environ.get(var)), None)
     if blas is None or blas.strip() != "1":
         return 1
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return max(1, min(cpus or 1, _MAX_SHARES, blocks))
-
-
-def _run_shares(blocks, shares, work):
-    """Call ``work`` on each share's blocks, s, s + shares, s + 2 shares and
-    so on for share s: share 0 on the calling thread and each other share on
-    a helper thread, so one share starts no thread.  Once a share raises,
-    or the caller is interrupted, the others stop before their next block.
-    Every helper is joined before this returns or raises; a helper's
-    exception is raised here unless the calling thread raised its own."""
-    stop = threading.Event()
-    errors = []
-
-    def own(s):
-        return itertools.takewhile(lambda _: not stop.is_set(), blocks[s::shares])
-
-    def helper(s):
-        # anything a helper raises is handed to the caller, who would
-        # otherwise return with the helper's trials never filled in
-        try:
-            work(own(s))
-        except BaseException as error:
-            errors.append(error)
-            stop.set()
-
-    helpers = []
-    try:
-        for s in range(1, shares):
-            thread = threading.Thread(target=helper, args=(s,), name=f"srhtlab-share-{s}")
-            thread.start()
-            helpers.append(thread)
-        work(own(0))
-    except BaseException:
-        stop.set()
-        raise
-    finally:
-        for thread in helpers:
-            thread.join()
-    if errors:
-        raise errors[0]
 
 
 def _sketch_spectra(v, ell, seed, stream, trials):
@@ -467,13 +470,13 @@ def run_row_norm_trials(n=4096, k=16, beta=None, trials=2000, seed=0):
     diagonal: the basis ``random_orthonormal`` returns).  V is not formed.
     Each block of trials draws its signs with one ``rademacher_signs`` call
     and its Gaussians with one ``standard_normals`` call, into an n x k
-    buffer.  The blocks are split into ``_share_count`` shares, at most
-    ``_MAX_SHARES``, run side by side by ``_run_shares``: the calling thread
-    runs one and a helper thread the other.  Each share keeps its own
-    buffer, so the run's traced allocations peak under
-    shares x (2 n k 8 bytes + 2 ``_BLOCK_BYTES``).  A trial's draws and
-    arithmetic are the same in any share, so outputs are bit for bit the
-    one-share outputs; an error in any share is raised here.
+    buffer made for that block.  ``_fill_blocks`` runs the blocks in
+    ``_share_count`` shares, at most ``_MAX_SHARES``: the calling thread and
+    a helper thread each take the next block that no one has taken.  Each
+    share holds one block's buffer and signs at a time, so the run's traced
+    allocations peak under shares x (2 n k 8 bytes + 2 ``_BLOCK_BYTES``).
+    A trial's draws and arithmetic are the same in any share, so outputs are
+    bit for bit the one-share outputs; an error in any share is raised here.
     Cholesky QR (``linalg._cholesky_qr``) runs around the in-place
     transform: R_1 from the Gram of G and W_1 = H D G R_1^-1.  W_1 is W
     when its orthonormality defect is at most ``linalg.ONE_PASS_DEFECT``
@@ -496,19 +499,14 @@ def run_row_norm_trials(n=4096, k=16, beta=None, trials=2000, seed=0):
     level = row_norm_bound(n, k, float(k) if beta is None else beta)
     plan = TrialPlan(n=n, k=k, ell=0, trials=trials, seed=seed)
     size = _block_size(8 * n)
-    blocks = [range(first, min(first + size, trials)) for first in range(0, trials, size)]
-    norms = np.empty(trials)
 
-    def share(own_blocks):
-        buffer = np.empty((n, k))
-        for block in own_blocks:
-            signs = rademacher_signs(n, [(seed, 1, 0, i) for i in block])
-            gaussians = standard_normals([(seed, 0, 0, i) for i in block], buffer)
-            norms[block.start : block.stop] = [
-                _max_row_norm(g, trial_signs) for g, trial_signs in zip(gaussians, signs)
-            ]
+    def block_norms(block):
+        signs = rademacher_signs(n, [(seed, 1, 0, i) for i in block])
+        gaussians = standard_normals([(seed, 0, 0, i) for i in block], np.empty((n, k)))
+        return [[_max_row_norm(g, trial_signs)] for g, trial_signs in zip(gaussians, signs)]
 
-    _run_shares(blocks, _share_count(len(blocks)), share)
+    shares = _share_count(-(-trials // size))
+    norms = _fill_blocks(range(trials), trials, 1, size, block_norms, shares)[:, 0]
     return _one_sided_summary(
         "rownorm", plan, norms >= level.value, level.exceedance_probability, norms, norms,
         time.perf_counter() - start,
@@ -672,7 +670,8 @@ def run_mgf_domination(n=8, k=2, ell=3, theta_grid=(0.5, 1.0, 2.0), seed=0):
     when without <= with up to 1e-10 relative.  A non-finite theta, or one
     at which the traces overflow float64 or underflow to 0, is a ValueError,
     as are an empty grid, an ell outside [1, n] and more than
-    ``EXHAUSTIVE_CAP`` sequences, all before the fixture is drawn.
+    ``EXHAUSTIVE_CAP`` sequences, and a bool theta, numpy's included, is a
+    TypeError, all but the overflow before the fixture is drawn.
     """
     _check_grid("theta_grid", theta_grid)
     n, k, ell, seed = _integers(n=n, k=k, ell=ell, seed=seed)
@@ -681,6 +680,8 @@ def run_mgf_domination(n=8, k=2, ell=3, theta_grid=(0.5, 1.0, 2.0), seed=0):
     start = time.perf_counter()
     if n**ell > EXHAUSTIVE_CAP:
         raise ValueError(f"{n}^{ell} sequences exceed the exhaustive cap {EXHAUSTIVE_CAP}")
+    for theta in theta_grid:
+        _refuse_bools(theta=theta)
     if not all(math.isfinite(theta) for theta in theta_grid):
         raise ValueError(f"theta must be finite, got {list(theta_grid)}")
     plan = TrialPlan(n=n, k=k, ell=ell, trials=math.comb(n, ell), seed=seed, mode="exhaustive")

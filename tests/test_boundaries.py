@@ -475,6 +475,14 @@ BAD_INPUTS = {
     "run_mgf_domination-inf-theta": (
         lambda: run_mgf_domination(theta_grid=(np.inf,)), ValueError, "theta must be finite"
     ),
+    # a bool theta once ran as theta = 1 and recorded mgf_domination(theta=1)
+    "run_mgf_domination-bool-theta": (
+        lambda: run_mgf_domination(theta_grid=(True,)), TypeError, "theta must be a number"
+    ),
+    "run_mgf_domination-numpy-bool-theta": (
+        lambda: run_mgf_domination(theta_grid=(0.5, np.True_)), TypeError,
+        "theta must be a number",
+    ),
 }
 
 

@@ -13,6 +13,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import types
 from unittest import mock
 
 import numpy as np
@@ -1532,7 +1533,99 @@ def test_blocked_rownorm_equals_one_trial_at_a_time(shape, block, spare, count, 
     assert abs(s.extreme_sigma_max - max(norms)) <= 1e-15
 
 
-# --- the row-norm shares ---------------------------------------------------
+# --- the block engine and its shares --------------------------------------
+
+def _engine_items(source):
+    """A fresh iterator of the items ``source`` names, and their count: an
+    int m gives a generator of m ints, a pair (n, r) gives
+    ``itertools.combinations(range(n), r)``."""
+    if isinstance(source, int):
+        return (3 * i + 1 for i in range(source)), source
+    n, r = source
+    return itertools.combinations(range(n), r), math.comb(n, r)
+
+
+def _engine_rows(block, width):
+    """One row of ``width`` floats per item, distinct for distinct items."""
+    keys = [
+        item if isinstance(item, int) else sum(x * 10**i for i, x in enumerate(item))
+        for item in block
+    ]
+    return np.sqrt(np.add.outer(np.asarray(keys, dtype=float), np.arange(width) / 7))
+
+
+class _HandOverLock:
+    """A lock after whose every release the thread that made it, the
+    caller, sleeps a moment, so that a helper takes the next block, and
+    reads what it reads next, before the caller goes on."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._caller = threading.current_thread()
+
+    def __enter__(self):
+        self._lock.acquire()
+
+    def __exit__(self, *exc):
+        self._lock.release()
+        if threading.current_thread() is self._caller:
+            time.sleep(2e-4)
+
+
+@given(
+    source=st.one_of(
+        st.integers(1, 40),
+        st.integers(1, 7).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, min(n, 3)))),
+    ),
+    width=st.integers(1, 3),
+    size=st.integers(1, 9),
+    shares=st.integers(1, 3),
+    planted=st.integers(0, 40),
+)
+@settings(max_examples=80)
+def test_fill_blocks_equals_a_per_item_loop_in_any_shares(source, width, size, shares, planted):
+    # the workers take each block and its row offset under one lock; each
+    # block spends a moment off the GIL, as the runners' numpy calls do, and
+    # the caller lets a helper run ahead each time it releases that lock, so
+    # an offset read outside it would put the helper's rows on the caller's
+    items, count = _engine_items(source)
+    want = list(items)
+    expected = np.array([_engine_rows([item], width)[0] for item in want])
+    position = {item: i for i, item in enumerate(want)}
+    seen = []
+
+    def fn(block):
+        seen.append(list(block))
+        time.sleep(1e-4)
+        return _engine_rows(block, width)
+
+    def fill(fn):
+        return exp_mod._fill_blocks(_engine_items(source)[0], count, width, size, fn, shares)
+
+    before = threading.active_count()
+    engine_threading = types.SimpleNamespace(**{**vars(threading), "Lock": _HandOverLock})
+    with mock.patch.object(exp_mod, "threading", engine_threading):
+        out = fill(fn)
+        assert threading.active_count() == before
+        assert out.tobytes() == expected.tobytes()
+        seen.sort(key=lambda block: position[block[0]])
+        assert [item for block in seen for item in block] == want
+        assert all(len(block) == size for block in seen[:-1])
+        assert 1 <= len(seen[-1]) <= size
+
+        # an error planted in one block, on whichever worker takes it,
+        # reaches the caller once every helper is joined
+        bad = want[min(planted, count - 1) // size * size]
+
+        def planted_fn(block):
+            if block[0] == bad:
+                raise RuntimeError("planted")
+            return fn(block)
+
+        with pytest.raises(RuntimeError, match="planted"):
+            fill(planted_fn)
+        assert threading.active_count() == before
+
 
 def _shares_of(count):
     """Stands in for ``experiments._share_count``: ``count`` shares, never
@@ -1564,9 +1657,9 @@ def test_rownorm_shares_give_the_one_share_record_bit_for_bit(seed):
 
 @pytest.mark.parametrize("where", ["helper", "caller"])
 def test_an_error_in_a_share_reaches_the_caller_after_every_helper_is_joined(where):
-    # in two shares of 8-trial blocks the helper owns trials 8-15 of 17, the
-    # calling thread the rest; the error is planted on the first trial of
-    # the named thread's share
+    # in two shares of 8-trial blocks each thread takes the next block that
+    # no one has taken, so over 20 blocks the helper takes some; the error is
+    # planted on the first trial the named thread runs
     caller = threading.current_thread()
     before = threading.active_count()
 
@@ -1576,18 +1669,19 @@ def test_an_error_in_a_share_reaches_the_caller_after_every_helper_is_joined(whe
         return linalg_mod._cholesky_qr(w, gram1)
 
     with mock.patch.object(exp_mod, "_share_count", _shares_of(2)):
-        run_row_norm_trials(4096, 16, trials=17)
+        run_row_norm_trials(4096, 16, trials=160)
         assert threading.active_count() == before
         with mock.patch.object(exp_mod, "_cholesky_qr", planted), \
                 pytest.raises(RuntimeError, match=f"planted on the {where}"):
-            run_row_norm_trials(4096, 16, trials=17)
+            run_row_norm_trials(4096, 16, trials=160)
     assert threading.active_count() == before
 
 
 def test_an_interrupted_caller_stops_the_helper_after_its_block():
-    # 20 blocks of 8 trials, the helper owning 10 of them; the caller is
-    # interrupted on its first trial once the helper has begun its first,
-    # and the helper must stop within a block or so, not run all 80 trials
+    # 20 blocks of 8 trials, each thread taking the next block that no one
+    # has taken; the caller is interrupted on its first trial once the
+    # helper has begun its first, and the helper must stop after that block
+    # or the next, not run the other 150 trials or so
     caller = threading.current_thread()
     before = threading.active_count()
     helper_began = threading.Event()
@@ -1607,6 +1701,31 @@ def test_an_interrupted_caller_stops_the_helper_after_its_block():
         run_row_norm_trials(4096, 16, trials=160)
     assert threading.active_count() == before
     assert 1 <= len(helper_trials) <= 16
+
+
+def test_an_error_on_the_helper_stops_the_caller_after_its_block():
+    # 20 blocks of 8 trials; the helper raises on its first trial once the
+    # caller has begun its first, and the caller must stop after that block
+    # or the next, not run the other 150 trials or so
+    caller = threading.current_thread()
+    before = threading.active_count()
+    caller_began = threading.Event()
+    caller_trials = []
+
+    def planted(w, gram1):
+        if threading.current_thread() is not caller:
+            assert caller_began.wait(60)
+            raise RuntimeError("planted on the helper")
+        caller_trials.append(1)
+        caller_began.set()
+        return linalg_mod._cholesky_qr(w, gram1)
+
+    with mock.patch.object(exp_mod, "_share_count", _shares_of(2)), \
+            mock.patch.object(exp_mod, "_cholesky_qr", planted), \
+            pytest.raises(RuntimeError, match="planted on the helper"):
+        run_row_norm_trials(4096, 16, trials=160)
+    assert threading.active_count() == before
+    assert 1 <= len(caller_trials) <= 16
 
 
 @pytest.mark.parametrize("blas, cpus, shares", [
