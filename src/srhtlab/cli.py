@@ -17,7 +17,8 @@ Each experiment is a subcommand of ``experiment`` whose flags are read from
 its runner's signature when the parser is built: one flag per keyword the
 runner takes (``_FLAGS``), and ``--seed``, ``--format`` and ``--output``,
 the only three that ``experiment all`` takes.  ``chernoff`` and ``mgf``
-also accept ``--exhaustive`` and ignore it: both only enumerate.  So
+also accept ``--exhaustive`` and ignore it: both only enumerate, and echo
+``exhaustive`` true with or without it.  So
 argparse itself refuses a flag the runner does not take, and
 ``srhtlab experiment <name> --help`` lists that runner's flags.  Every
 subcommand, ``sketch`` and ``bounds`` included, takes a flag only by its
@@ -134,10 +135,11 @@ def _build_parser() -> argparse.ArgumentParser:
             if keyword in params:
                 p.add_argument(flag, dest=field, **options)
         # kept until the benchmark's exact_bounds workload stops passing it,
-        # in the benchmark change that drops it from those calls
+        # in the benchmark change that drops it from those calls; both runs
+        # enumerate with or without it, and echo so
         if name in ("chernoff", "mgf"):
             p.add_argument(
-                "--exhaustive", action="store_true",
+                "--exhaustive", action="store_true", default=True,
                 help="changes nothing: chernoff and mgf always enumerate every subset",
             )
         add_common(p)

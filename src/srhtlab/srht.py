@@ -33,10 +33,12 @@ Every operator draw (``draw_stack``, ``rademacher_signs`` and
 ``SeedSequence`` hash and the PCG64 seeding rule, both covered by numpy's
 stream-stability policy (NEP 19); the PCG64 raw words, each read as its low
 32-bit half and then its high half; and numpy's Lemire rule for a bounded
-integer for ranges up to 2**32, which the module restates.  A block's
-seeds are hashed to their PCG64 states by one of two paths, with the same
-states; one ``PCG64`` is then set to each row's state and its raw words
-read with ``random_raw``.  A block of two or more runner keys, (seed,
+integer for ranges up to 2**32.  The module restates the Lemire rule, and
+the hash for blocks of runner keys; PCG64 seeds itself.  A block's seeds
+are hashed to four words each by one of two paths, with the same words;
+each row's own ``PCG64`` is then seeded from its words, through numpy's
+``ISeedSequence`` interface, and its raw words read with ``random_raw``.
+A block of two or more runner keys, (seed,
 domain, stream, trial) tuples of plain ints with the master seed in
 [0, 2**63) and the rest below 2**32, is hashed in one vectorised pass over
 uint32 lanes that restates ``SeedSequence``'s hash, if its master seeds all
@@ -48,13 +50,13 @@ make from ``derived_rng(seeds[b])``: n sign draws of range 2, then the ell
 sampling offsets of ranges n, n-1, ..., n-ell+1.  The fixture draws
 (Gaussian matrices), whose bits depend on the numpy version, still come
 from ``Generator.standard_normal``, through one sampler,
-``standard_normals``: it hashes a block of seeds the same way, sets one
-``PCG64`` to each state and draws through one ``Generator`` on it.  No
-other module names ``numpy.random``.  ``derived_rng`` makes a
-``Generator`` for one seed; the program draws nothing through it, and the
-tests keep it as the oracle of every stream.
+``standard_normals``: it seeds each row's ``PCG64`` the same way and draws
+through a ``Generator`` on it.  No other module names ``numpy.random``.
+``derived_rng`` makes a ``Generator`` for one seed; the program draws
+nothing through it, and the tests keep it as the oracle of every stream.
 """
 
+import functools
 import itertools
 import operator
 
@@ -112,7 +114,6 @@ def _entropy(seed) -> tuple:
 # A pool of four words takes 16 calls, and a fifth entropy word (the high
 # word of a two-word master seed) four more.
 _MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
 _POOL = 4
 
 
@@ -132,7 +133,6 @@ _MIX_L, _MIX_R, _FOLD = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(
 _MIX_CALLS = np.array(
     [[0 if d == s else 4 + 3 * s + d - (d > s) for d in range(_POOL)] for s in range(_POOL)]
 )
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 def _hashmix(value, xor, mul):
@@ -212,39 +212,49 @@ def _word_block(seeds):
     return keys.view("<u4").T[[0, 1, 2, 4, 6] if wide[0] else [0, 2, 4, 6]]
 
 
-def _pcg64_states(seeds) -> list:
-    """``PCG64(SeedSequence(_entropy(seed))).state``'s (state, inc) per seed:
-    from the generated words (s0, s1, i0, i1), inc = 2 (i0 i1) + 1 and state
-    = ((s0 s1) + inc) * multiplier + inc, modulo 2**128."""
-    states = []
-    for s0, s1, i0, i1 in _seed_states(seeds).T.tolist():
-        inc = ((i0 << 64 | i1) << 1 | 1) & _MASK128
-        states.append(((((s0 << 64 | s1) + inc) * _PCG64_MULT + inc) & _MASK128, inc))
-    return states
+def _row_words(seeds) -> np.ndarray:
+    """B x 4 uint64, C-contiguous: row b the four words ``_seed_states``
+    hashes for ``seeds[b]``, from which ``_pcg64`` seeds its PCG64.  PCG64
+    reads a row's memory raw, so each row must be contiguous."""
+    return np.ascontiguousarray(_seed_states(seeds).T)
 
 
-def _seek(bitgen, state):
-    bitgen.state = {
-        "bit_generator": "PCG64",
-        "state": {"state": state[0], "inc": state[1]},
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+def _pcg64(words):
+    """A ``PCG64`` seeded from one row of ``_row_words``: the generator
+    ``PCG64(SeedSequence(_entropy(seed)))`` of that row's seed.  PCG64
+    seeds itself (NEP 19 covers its rule) from the words a ``_Words``
+    returns."""
+    return np.random.PCG64(_words_type()(words))
+
+
+@functools.cache
+def _words_type() -> type:
+    """``_Words``, a minimal ``numpy.random.bit_generator.ISeedSequence``:
+    its ``generate_state`` returns the four uint64 words it was made with,
+    for the one call PCG64 makes when it seeds itself.  It is built on first
+    use, so that importing srhtlab does not import numpy.random."""
+
+    class _Words(np.random.bit_generator.ISeedSequence):
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return _Words
 
 
 def standard_normals(seeds, out):
     """Yield ``out`` once per seed, filled with ``seeds[b]``'s fixture normals.
 
     The float64 array ``out`` holds, bit for bit, what
-    ``derived_rng(seeds[b]).standard_normal(out.shape)`` would draw.  The
-    block's states come from one ``_pcg64_states`` call; one ``PCG64`` is
-    set to each in turn and drawn through one ``Generator``, so no
-    generator is built per seed.  Each yield writes over the last.
+    ``derived_rng(seeds[b]).standard_normal(out.shape)`` would draw: the
+    block's seeds are hashed by one ``_row_words`` call, and each row's own
+    ``PCG64`` is drawn through a ``Generator`` of its own.  Each yield
+    writes over the last.
     """
-    normals = np.random.Generator(np.random.PCG64(0))
-    for state in _pcg64_states(seeds):
-        _seek(normals.bit_generator, state)
-        yield normals.standard_normal(out=out)
+    for bitgen in map(_pcg64, _row_words(seeds)):
+        yield np.random.Generator(bitgen).standard_normal(out=out)
 
 
 def draw_integers(seeds, highs) -> np.ndarray:
@@ -253,37 +263,37 @@ def draw_integers(seeds, highs) -> np.ndarray:
 
     Row b is, bit for bit, what ``Generator.integers(0, highs[j])`` calls in
     column order would draw from ``derived_rng(seeds[b])``, but no Generator
-    is made: the row's seeded state comes from ``_pcg64_states`` and its raw
-    words from one reused ``PCG64``.  Each word is read as its low 32-bit
-    half, then its high half, and each range r >= 2 takes one half by
+    is made: the row's own ``PCG64`` comes from ``_pcg64`` and its raw
+    words from that PCG64's ``random_raw``.  Each word is read as its low
+    32-bit half, then its high half, and each range r >= 2 takes one half by
     numpy's Lemire rule: u * r >> 32, redrawn while the low 32 bits of u * r
     fall under (2**32 - r) % r.  A range of 1 takes no word.  A row that
-    rejects a draw is redrawn word by word by ``_lemire_row``; a
-    rejection's odds are below r / 2**32 per draw.  The operator draws'
-    ranges are 2 and n down to n - ell + 1, far below 2**32.
+    rejects a draw is redrawn word by word by ``_lemire_row``, on a fresh
+    PCG64 seeded from the row's kept words; a rejection's odds are below
+    r / 2**32 per draw.  The operator draws' ranges are 2 and n down to
+    n - ell + 1, far below 2**32.
     """
     highs = np.asarray(highs).reshape(-1)
     if highs.size and (highs.dtype.kind not in "iu" or highs.min() < 1 or highs.max() > 1 << 32):
         raise ValueError(f"every range must be an integer in [1, 2**32], got {highs}")
     highs = highs.astype(np.uint64, copy=False)
-    states = _pcg64_states(seeds)
-    bitgen = np.random.PCG64(0)
-    out, slow = _lemire_block(bitgen, states, highs)
+    words = _row_words(seeds)
+    out, slow = _lemire_block(map(_pcg64, words), len(words), highs)
     for b in slow:
-        out[b] = _lemire_row(bitgen, states[b], highs.tolist())
+        out[b] = _lemire_row(_pcg64(words[b]), highs.tolist())
     return out
 
 
-def _lemire_block(bitgen, states, highs) -> tuple:
+def _lemire_block(bitgens, count, highs) -> tuple:
     """``draw_integers``, every row at once on the assumption that no draw
     is rejected: the draws, and the rows where a draw is rejected after
-    all."""
+    all.  Row b reads the b-th of the ``count`` bit generators ``bitgens``
+    yields, so only one need be held at a time."""
     drawn = None if highs.min(initial=2) > 1 else np.flatnonzero(highs > 1)
     ranges = highs if drawn is None else highs[drawn]
     words = -(-ranges.size // 2)
-    raw = np.empty((len(states), words), dtype="<u8")
-    for b, state in enumerate(states):
-        _seek(bitgen, state)
+    raw = np.empty((count, words), dtype="<u8")
+    for b, bitgen in enumerate(bitgens):
         raw[b] = bitgen.random_raw(words)
     # little-endian words viewed as little-endian halves: low half first on
     # any machine
@@ -302,18 +312,17 @@ def _lemire_block(bitgen, states, highs) -> tuple:
     scaled >>= np.uint64(32)
     if drawn is None:
         return scaled.view(np.int64), slow
-    out = np.zeros((len(states), highs.size), dtype=np.int64)
+    out = np.zeros((count, highs.size), dtype=np.int64)
     out[:, drawn] = scaled
     return out, slow
 
 
-def _lemire_row(bitgen, state, highs) -> list:
-    """One row of ``draw_integers``, a draw at a time from ``state``, as
-    numpy's 32-bit bounded-integer rule reads the stream: each range r >= 2
-    takes a 32-bit half (low half first, the high half kept for the next
-    draw), and a draw whose low 32 bits fall under (2**32 - r) % r is
-    redrawn."""
-    _seek(bitgen, state)
+def _lemire_row(bitgen, highs) -> list:
+    """One row of ``draw_integers``, a draw at a time from the row's freshly
+    seeded ``bitgen``, as numpy's 32-bit bounded-integer rule reads the
+    stream: each range r >= 2 takes a 32-bit half (low half first, the high
+    half kept for the next draw), and a draw whose low 32 bits fall under
+    (2**32 - r) % r is redrawn."""
     half = None  # the unread high half of the last word split
     out = []
     for r in highs:
@@ -431,7 +440,7 @@ def _draw_bytes(n, ell):
     holds, which is larger: the seed hash and the Lemire pass hold passing
     arrays of their own, and the shuffle its ell swap targets and ell picks
     per operator.  At n = 64, ell = 24 it counts 1280 bytes, and
-    tracemalloc measured a 192-operator draw's peak at about 2210 bytes an
+    tracemalloc measured a 192-operator draw's peak at about 2130 bytes an
     operator, in the Lemire pass.  The dict shuffle makes no positions."""
     return 16 * n + 8 * ell + n * _position_dtype(n).itemsize
 

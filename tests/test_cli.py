@@ -421,6 +421,14 @@ def test_numeric_flags_echoed(capsys):
     assert doc["config"]["exhaustive"] is True
 
 
+@pytest.mark.parametrize("name", ["chernoff", "mgf"])
+def test_flagless_chernoff_and_mgf_echo_exhaustive(capsys, name):
+    # both always enumerate; a flagless run once echoed "exhaustive": false
+    code, out, _ = run_cli(capsys, "experiment", name)
+    assert code == 0
+    assert json.loads(out)["config"]["exhaustive"] is True
+
+
 # Small configurations that pass their criterion; every registry name needs one.
 TINY = {
     "embedding": ("--n", "64", "--k", "4", "--l", "32", "--trials", "5"),

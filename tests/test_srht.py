@@ -604,10 +604,38 @@ def test_only_runner_key_blocks_take_the_array_hash(seeds):
         assert np.array_equal(states[:, b], _seedsequence_state(seed)), seed
 
 
-def test_seeded_state_is_the_pcg64_state():
-    for seed, (state, inc) in zip(HASH_SEEDS, srht_mod._pcg64_states(HASH_SEEDS)):
-        want = np.random.PCG64(np.random.SeedSequence(_entropy(seed))).state["state"]
-        assert (state, inc) == (want["state"], want["inc"]), seed
+# the blocks whose bit generators are checked: every HASH_SEEDS entry, a
+# seed at a time by numpy's SeedSequence, and two blocks of runner keys, by
+# the array hash
+SEEDED_BLOCKS = {
+    "hash-seeds": HASH_SEEDS,
+    "runner-keys": WORD_BLOCKS["64-runner-keys"],
+    "two-word-runner-keys": WORD_BLOCKS["two-word-master-seeds"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEEDED_BLOCKS))
+def test_each_bit_generator_the_samplers_build_is_pcg64_on_the_seedsequence(name, monkeypatch):
+    # PCG64 seeds itself from each row's four hashed words: the state, inc,
+    # has_uint32 and uinteger of every PCG64 that draw_integers and
+    # standard_normals make, when it is made, are those of PCG64 on the
+    # seed's own SeedSequence
+    seeds = SEEDED_BLOCKS[name]
+    assert (srht_mod._word_block(seeds) is None) == (name == "hash-seeds")
+    made = []
+
+    def pcg64(words, make=srht_mod._pcg64):
+        bitgen = make(words)
+        made.append(bitgen.state)
+        return bitgen
+
+    monkeypatch.setattr(srht_mod, "_pcg64", pcg64)
+    draw_integers(seeds, [2])
+    list(srht_mod.standard_normals(seeds, np.empty(1)))
+    monkeypatch.undo()
+    want = [np.random.PCG64(np.random.SeedSequence(_entropy(seed))).state for seed in seeds]
+    assert {state["has_uint32"] for state in want} == {0}
+    assert made == want + want
 
 
 def test_pcg64_raw_words_fingerprint():
@@ -669,6 +697,35 @@ def test_lemire_rule_matches_generator_integers_near_half_range(high, monkeypatc
         assert np.array_equal(got[b], oracle.integers(seed, highs)), seed
     if high <= 2**31 + 3:
         assert slow.count > 0
+
+
+# draw_stack blocks for the README's promise that an operator draw calls no
+# Generator method: (n, ell, seeds)
+NO_GENERATOR_BLOCKS = {
+    "one-seed": (64, 24, [(3, 1, 0, 5)]),
+    "runner-keys": (64, 24, [(0, 1, 2, i) for i in range(40)]),
+    # key (1, 1, 0, 13) rejects a draw at the headline embedding shape
+    "lemire-row": (65536, 2342, [(1, 1, 0, 12), (1, 1, 0, 13)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NO_GENERATOR_BLOCKS))
+def test_operator_draws_make_no_generator(name, monkeypatch):
+    # the oracle draws through Generator first; then numpy.random's two ways
+    # to make a Generator raise, and the draw must not need either
+    n, ell, seeds = NO_GENERATOR_BLOCKS[name]
+    want = [oracle.operator_draw(n, ell, seed) for seed in seeds]
+    slow = _Calls(srht_mod._lemire_row)
+    monkeypatch.setattr(srht_mod, "_lemire_row", slow)
+    refuse = mock.Mock(side_effect=AssertionError("a Generator was made"))
+    monkeypatch.setattr(np.random, "Generator", refuse)
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    signs, indices = draw_stack(n, ell, seeds)
+    monkeypatch.undo()
+    assert (slow.count > 0) == (name == "lemire-row")
+    for b, (want_signs, want_indices) in enumerate(want):
+        assert np.array_equal(signs[b], want_signs), seeds[b]
+        assert np.array_equal(indices[b], want_indices), seeds[b]
 
 
 def test_a_range_of_one_takes_no_word():
